@@ -1,10 +1,11 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
-// Micro-benchmarks for the substrates: convex hulls / bridges and the
-// buffer manager's hit and miss paths.
+// Micro-benchmarks for the substrates: convex hulls / bridges, the
+// frame checksum, and the buffer manager's hit and miss paths.
 
 #include <benchmark/benchmark.h>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "hull/convex_hull.h"
 #include "storage/buffer_manager.h"
@@ -29,6 +30,28 @@ void BM_HullAndBridge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HullAndBridge)->Arg(4)->Arg(32)->Arg(340);
+
+// CRC-32C of one 4 KiB page frame (page plus its 16-byte header), as
+// every device read and write computes it. Arg 0 is the portable table
+// path, arg 1 the SSE4.2 path.
+void BM_Crc32cFrame(benchmark::State& state) {
+  const bool hw = state.range(0) == 1;
+  if (hw && !internal::HaveHwCrc32c()) {
+    state.SkipWithError("CPU lacks SSE4.2");
+    return;
+  }
+  Rng rng(2);
+  std::vector<uint8_t> frame(4096 + 16);
+  for (uint8_t& b : frame) b = static_cast<uint8_t>(rng.NextU64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        hw ? internal::Crc32cHw(frame.data(), frame.size(), 0)
+           : internal::Crc32cTable(frame.data(), frame.size(), 0));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(frame.size()));
+}
+BENCHMARK(BM_Crc32cFrame)->ArgName("hw")->Arg(0)->Arg(1);
 
 void BM_BufferFetchHit(benchmark::State& state) {
   MemoryPageFile file(4096);

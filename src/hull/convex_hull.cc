@@ -38,20 +38,20 @@ void SortPoints(Point2* pts, int n) {
   }
 }
 
-// Builds the upper (keep_upper) or lower chain in place over the sorted
-// prefix; returns the chain length.
-int BuildChainInPlace(Point2* pts, int n, bool keep_upper) {
+// Builds the upper (keep_upper) or lower chain in place over points in
+// ascending x; returns the chain length.
+int ChainOfSorted(Point2* pts, int n, bool keep_upper) {
   REXP_CHECK(n >= 1);
-  SortPoints(pts, n);
   int len = 0;
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n;) {
+    // Of the points sharing an x only the highest (upper chain) or lowest
+    // (lower chain) can lie on the chain. Ties go to the last highest and
+    // the first lowest: the point an (x, y)-sorted scan ends up keeping.
+    // A higher point drops every chain vertex a lower one would, so
+    // skipping the others changes nothing.
     Point2 p = pts[i];
-    // Points sharing an x coordinate: the sort guarantees ascending y, so
-    // for the upper chain later duplicates replace earlier ones, and for
-    // the lower chain they are skipped.
-    if (len > 0 && pts[len - 1].x == p.x) {
-      if (!keep_upper) continue;
-      --len;  // Replace with the higher point, then re-check turns.
+    for (++i; i < n && pts[i].x == p.x; ++i) {
+      if (keep_upper ? pts[i].y >= p.y : pts[i].y < p.y) p = pts[i];
     }
     while (len >= 2) {
       double turn = Cross(pts[len - 2], pts[len - 1], p);
@@ -110,11 +110,21 @@ std::vector<Point2> LowerHull(std::vector<Point2> points) {
 }
 
 int UpperHullInPlace(Point2* pts, int n) {
-  return BuildChainInPlace(pts, n, /*keep_upper=*/true);
+  SortPoints(pts, n);
+  return ChainOfSorted(pts, n, /*keep_upper=*/true);
 }
 
 int LowerHullInPlace(Point2* pts, int n) {
-  return BuildChainInPlace(pts, n, /*keep_upper=*/false);
+  SortPoints(pts, n);
+  return ChainOfSorted(pts, n, /*keep_upper=*/false);
+}
+
+int UpperChainOfSorted(Point2* pts, int n) {
+  return ChainOfSorted(pts, n, /*keep_upper=*/true);
+}
+
+int LowerChainOfSorted(Point2* pts, int n) {
+  return ChainOfSorted(pts, n, /*keep_upper=*/false);
 }
 
 Line UpperBridge(const std::vector<Point2>& upper_hull, double m) {

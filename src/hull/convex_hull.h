@@ -48,6 +48,12 @@ std::vector<Point2> LowerHull(std::vector<Point2> points);
 int UpperHullInPlace(Point2* pts, int n);
 int LowerHullInPlace(Point2* pts, int n);
 
+// The same chains over pts[0..n) already in ascending x (points sharing
+// an x may come in any order): no sort, otherwise identical. The
+// InPlace variants are a sort followed by these.
+int UpperChainOfSorted(Point2* pts, int n);
+int LowerChainOfSorted(Point2* pts, int n);
+
 // Bridge over a chain given as a raw array (see UpperBridge below).
 Line UpperBridge(const Point2* chain, int n, double m);
 Line LowerBridge(const Point2* chain, int n, double m);

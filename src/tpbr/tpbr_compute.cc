@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <new>
 #include <vector>
 
 #include "common/check.h"
@@ -121,60 +123,105 @@ Tpbr<kDims> ComputeUpdateMinimum(std::span<const Tpbr<kDims>> entries,
 // ---------------------------------------------------------------------------
 // Near-optimal and optimal rectangles (Sections 4.1.3–4.1.4).
 
-// One dimension's bound computation state: the trajectory endpoints of the
-// entries in the (local-time, position) plane (written into caller-owned
-// buffers — the hot paths compute millions of tiny bounds and must not
-// allocate), plus the constraints contributed by never-expiring entries (a
-// bounding line must dominate their rays: slope beyond the extreme
-// velocity).
-struct DimPointsView {
-  Point2* upper = nullptr;  // Endpoints constraining the upper bound.
-  Point2* lower = nullptr;
-  int count = 0;            // Same for both buffers.
-  bool has_infinite = false;
-  double inf_vhi = 0;  // max vhi over never-expiring entries.
-  double inf_vlo = 0;  // min vlo over never-expiring entries.
+// A bound's hull chains live in the (local-time, position) plane, one
+// dimension at a time: every entry contributes its position at t_upd
+// (x = 0) and, if it expires after t_upd, its position at expiry
+// (x = t_exp - t_upd). Only the x > 0 points need ordering, and their
+// order is the same in every dimension and for both chains, so one sort
+// of the expiring entries serves the whole bound.
+struct ExpiryKey {
+  double tau;  // t_exp - t_upd.
+  int index;   // Into the entries.
 };
 
-// `upper_buf` / `lower_buf` must hold at least 2 * entries.size() points.
-template <int kDims>
-DimPointsView CollectDimPoints(std::span<const Tpbr<kDims>> entries, int d,
-                               Time t_upd, Point2* upper_buf,
-                               Point2* lower_buf) {
-  DimPointsView pts;
-  pts.upper = upper_buf;
-  pts.lower = lower_buf;
-  for (const auto& e : entries) {
-    upper_buf[pts.count] = {0, e.HiAt(d, t_upd)};
-    lower_buf[pts.count] = {0, e.LoAt(d, t_upd)};
-    ++pts.count;
-    if (IsFiniteTime(e.t_exp)) {
-      double tau = e.t_exp - t_upd;
-      if (tau > 0) {
-        upper_buf[pts.count] = {tau, e.HiAt(d, e.t_exp)};
-        lower_buf[pts.count] = {tau, e.LoAt(d, e.t_exp)};
-        ++pts.count;
-      }
-    } else {
-      if (!pts.has_infinite) {
-        pts.inf_vhi = e.vhi[d];
-        pts.inf_vlo = e.vlo[d];
-        pts.has_infinite = true;
-      } else {
-        pts.inf_vhi = std::max(pts.inf_vhi, e.vhi[d]);
-        pts.inf_vlo = std::min(pts.inf_vlo, e.vlo[d]);
-      }
+// Scratch for one bound: the expiry order and one chain's points. Stack
+// storage for node-sized entry sets, heap beyond. Left uninitialised:
+// every slot is written before it is read, and the two-entry what-if
+// bounds (millions of them) must not pay for zeroing kilobytes.
+class BoundScratch {
+ public:
+  explicit BoundScratch(size_t entries) {
+    if (entries > kStackEntries) {
+      heap_keys_.resize(entries);
+      heap_points_.resize(entries + 1);
+      keys_ = heap_keys_.data();
+      points_ = heap_points_.data();
     }
   }
-  return pts;
+  ExpiryKey* keys() { return keys_; }
+  // Room for entries + 1 points: the one x = 0 point plus one per key.
+  Point2* points() { return points_; }
+
+ private:
+  static constexpr size_t kStackEntries = 256;
+  ExpiryKey stack_keys_[kStackEntries];
+  alignas(Point2) std::byte stack_points_[(kStackEntries + 1) * sizeof(Point2)];
+  std::vector<ExpiryKey> heap_keys_;
+  std::vector<Point2> heap_points_;
+  ExpiryKey* keys_ = stack_keys_;
+  Point2* points_ = std::launder(reinterpret_cast<Point2*>(stack_points_));
+};
+
+// Writes the entries expiring after t_upd into `keys` in ascending tau
+// (ties by index); returns their number.
+template <int kDims>
+int SortedExpiries(std::span<const Tpbr<kDims>> entries, Time t_upd,
+                   ExpiryKey* keys) {
+  int n = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (!IsFiniteTime(entries[i].t_exp)) continue;
+    double tau = entries[i].t_exp - t_upd;
+    if (tau > 0) keys[n++] = ExpiryKey{tau, static_cast<int>(i)};
+  }
+  std::sort(keys, keys + n, [](const ExpiryKey& a, const ExpiryKey& b) {
+    return a.tau != b.tau ? a.tau < b.tau : a.index < b.index;
+  });
+  return n;
+}
+
+// Builds dimension d's upper (is_upper) or lower chain into `pts`;
+// returns its length. The x = 0 points collapse up front to the extreme
+// one, the only one the chain can keep (ties broken as the chain builder
+// breaks them).
+template <int kDims>
+int BuildDimChain(std::span<const Tpbr<kDims>> entries, int d, Time t_upd,
+                  const ExpiryKey* keys, int num_keys, bool is_upper,
+                  Point2* pts) {
+  auto at = [&](const Tpbr<kDims>& e, Time t) {
+    return is_upper ? e.HiAt(d, t) : e.LoAt(d, t);
+  };
+  double y0 = at(entries[0], t_upd);
+  for (size_t i = 1; i < entries.size(); ++i) {
+    double y = at(entries[i], t_upd);
+    if (is_upper ? y >= y0 : y < y0) y0 = y;
+  }
+  pts[0] = Point2{0, y0};
+  for (int j = 0; j < num_keys; ++j) {
+    const Tpbr<kDims>& e = entries[keys[j].index];
+    pts[j + 1] = Point2{keys[j].tau, at(e, e.t_exp)};
+  }
+  return is_upper ? hull::UpperChainOfSorted(pts, num_keys + 1)
+                  : hull::LowerChainOfSorted(pts, num_keys + 1);
 }
 
 // Lowers/raises a candidate bounding line so it dominates the rays of
-// never-expiring entries, then recomputes the tightest intercept via the
-// support function (whose maximum is attained on a hull vertex, so
-// evaluating it over the chain is exact).
-Line EnforceRays(Line line, const Point2* chain, int n, bool is_upper,
-                 double ray_slope, bool has_rays) {
+// never-expiring entries (slope beyond their extreme velocity), then
+// recomputes the tightest intercept via the support function (whose
+// maximum is attained on a hull vertex, so evaluating it over the chain
+// is exact).
+template <int kDims>
+Line EnforceRays(Line line, std::span<const Tpbr<kDims>> entries, int d,
+                 const Point2* chain, int n, bool is_upper) {
+  bool has_rays = false;
+  double ray_slope = 0;
+  for (const auto& e : entries) {
+    if (IsFiniteTime(e.t_exp)) continue;
+    double v = is_upper ? e.vhi[d] : e.vlo[d];
+    ray_slope = !has_rays  ? v
+                : is_upper ? std::max(ray_slope, v)
+                           : std::min(ray_slope, v);
+    has_rays = true;
+  }
   if (!has_rays) return line;
   bool violated = is_upper ? line.slope < ray_slope : line.slope > ray_slope;
   if (!violated) return line;
@@ -188,51 +235,27 @@ Line EnforceRays(Line line, const Point2* chain, int n, bool is_upper,
 }
 
 // Bounds one dimension with the hull-bridge construction, median at m
-// (local time). Returns {upper, lower} lines in local time. Consumes the
-// view's buffers (chains are built in place).
+// (local time). Returns {upper, lower} lines in local time.
 struct DimBounds {
   Line upper;
   Line lower;
 };
 
-DimBounds BoundDimension(const DimPointsView& pts, double m) {
-  int nu = hull::UpperHullInPlace(pts.upper, pts.count);
-  int nl = hull::LowerHullInPlace(pts.lower, pts.count);
-  Line u = hull::UpperBridge(pts.upper, nu, m);
-  Line l = hull::LowerBridge(pts.lower, nl, m);
-  u = EnforceRays(u, pts.upper, nu, /*is_upper=*/true, pts.inf_vhi,
-                  pts.has_infinite);
-  l = EnforceRays(l, pts.lower, nl, /*is_upper=*/false, pts.inf_vlo,
-                  pts.has_infinite);
-  return DimBounds{u, l};
+template <int kDims>
+DimBounds BoundDimension(std::span<const Tpbr<kDims>> entries, int d,
+                         Time t_upd, const ExpiryKey* keys, int num_keys,
+                         double m, Point2* pts) {
+  DimBounds out;
+  int nu = BuildDimChain(entries, d, t_upd, keys, num_keys,
+                         /*is_upper=*/true, pts);
+  out.upper = EnforceRays(hull::UpperBridge(pts, nu, m), entries, d, pts, nu,
+                          /*is_upper=*/true);
+  int nl = BuildDimChain(entries, d, t_upd, keys, num_keys,
+                         /*is_upper=*/false, pts);
+  out.lower = EnforceRays(hull::LowerBridge(pts, nl, m), entries, d, pts, nl,
+                          /*is_upper=*/false);
+  return out;
 }
-
-// Scratch buffers for hull construction: stack storage for node-sized
-// entry sets, heap fallback beyond.
-class DimScratch {
- public:
-  explicit DimScratch(size_t entries) {
-    size_t needed = 2 * entries;
-    if (needed > kStackPoints) {
-      heap_.resize(2 * needed);
-      upper_ = heap_.data();
-      lower_ = heap_.data() + needed;
-    } else {
-      upper_ = stack_upper_;
-      lower_ = stack_lower_;
-    }
-  }
-  Point2* upper() { return upper_; }
-  Point2* lower() { return lower_; }
-
- private:
-  static constexpr size_t kStackPoints = 512;
-  Point2 stack_upper_[kStackPoints];
-  Point2 stack_lower_[kStackPoints];
-  std::vector<Point2> heap_;
-  Point2* upper_;
-  Point2* lower_;
-};
 
 // Converts per-dimension local-time lines into a reference-time-0 TPBR.
 template <int kDims>
@@ -266,7 +289,8 @@ Tpbr<kDims> ComputeNearOptimal(std::span<const Tpbr<kDims>> entries,
     for (int d = 0; d < kDims; ++d) order[d] = d;
   }
 
-  DimScratch scratch(entries.size());
+  BoundScratch scratch(entries.size());
+  int num_keys = SortedExpiries(entries, t_upd, scratch.keys());
   DimBounds bounds[kDims];
   double extent_values[kDims], extent_slopes[kDims];
   for (int k = 0; k < kDims; ++k) {
@@ -274,9 +298,8 @@ Tpbr<kDims> ComputeNearOptimal(std::span<const Tpbr<kDims>> entries,
     double m = MedianFromExtents({extent_values, static_cast<size_t>(k)},
                                  {extent_slopes, static_cast<size_t>(k)},
                                  delta);
-    DimPointsView pts = CollectDimPoints(entries, d, t_upd, scratch.upper(),
-                                         scratch.lower());
-    bounds[d] = BoundDimension(pts, m);
+    bounds[d] = BoundDimension(entries, d, t_upd, scratch.keys(), num_keys, m,
+                               scratch.points());
     extent_values[k] = bounds[d].upper.intercept - bounds[d].lower.intercept;
     extent_slopes[k] = bounds[d].upper.slope - bounds[d].lower.slope;
   }
@@ -332,16 +355,16 @@ Tpbr<kDims> ComputeOptimal(std::span<const Tpbr<kDims>> entries, Time t_upd,
   std::vector<Point2> uh[kDims], lh[kDims];
   std::vector<DimBounds> candidates[kDims];
   {
-    std::vector<Point2> upper_buf(2 * entries.size());
-    std::vector<Point2> lower_buf(2 * entries.size());
+    BoundScratch scratch(entries.size());
+    int num_keys = SortedExpiries(entries, t_upd, scratch.keys());
+    Point2* pts = scratch.points();
     for (int d = 0; d < kDims; ++d) {
-      DimPointsView view = CollectDimPoints(entries, d, t_upd,
-                                            upper_buf.data(),
-                                            lower_buf.data());
-      uh[d].assign(view.upper, view.upper + view.count);
-      lh[d].assign(view.lower, view.lower + view.count);
-      uh[d] = hull::UpperHull(std::move(uh[d]));
-      lh[d] = hull::LowerHull(std::move(lh[d]));
+      int nu = BuildDimChain(entries, d, t_upd, scratch.keys(), num_keys,
+                             /*is_upper=*/true, pts);
+      uh[d].assign(pts, pts + nu);
+      int nl = BuildDimChain(entries, d, t_upd, scratch.keys(), num_keys,
+                             /*is_upper=*/false, pts);
+      lh[d].assign(pts, pts + nl);
       if (d + 1 < kDims) candidates[d] = SweepCandidates(uh[d], lh[d], delta);
     }
   }

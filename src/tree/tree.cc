@@ -595,45 +595,36 @@ template <int kDims>
 int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
                                const Tpbr<kDims>& region, Time now) {
   REXP_CHECK(!node.entries.empty());
-  std::vector<int> candidates;
-  candidates.reserve(node.entries.size());
+  std::vector<ScoredChild>& scored = choose_scratch_;
+  scored.clear();
   for (size_t i = 0; i < node.entries.size(); ++i) {
     if (EntryLive(node.entries[i], now)) {
-      candidates.push_back(static_cast<int>(i));
+      scored.emplace_back().index = static_cast<int>(i);
     }
   }
-  if (candidates.empty()) {
+  if (scored.empty()) {
     // No live children (transient); fall back to all.
     for (size_t i = 0; i < node.entries.size(); ++i) {
-      candidates.push_back(static_cast<int>(i));
+      scored.emplace_back().index = static_cast<int>(i);
     }
   }
-  if (candidates.size() == 1) return candidates[0];
+  if (scored.size() == 1) return scored[0].index;
 
   const double h = horizon_.DecisionHorizon();
   const bool honor_exp =
       config_.expire_entries && !config_.choose_subtree_ignores_expiration;
 
-  struct Scored {
-    int index;
-    double area_enlargement;
-    double area;
-    Tpbr<kDims> what_if;
-  };
-  std::vector<Scored> scored;
-  scored.reserve(candidates.size());
-  for (int i : candidates) {
-    const Tpbr<kDims>& old_region = node.entries[i].region;
-    Tpbr<kDims> what_if = DecisionBound(old_region, region, now, node.level);
+  for (ScoredChild& s : scored) {
+    const Tpbr<kDims>& old_region = node.entries[s.index].region;
+    s.what_if = DecisionBound(old_region, region, now, node.level);
     double t_cap =
-        MetricHorizon(h, std::max(old_region.t_exp, what_if.t_exp), now,
+        MetricHorizon(h, std::max(old_region.t_exp, s.what_if.t_exp), now,
                       honor_exp);
-    double old_area = AreaIntegral(old_region, now, t_cap);
-    double new_area = AreaIntegral(what_if, now, t_cap);
-    scored.push_back(Scored{i, new_area - old_area, old_area, what_if});
+    s.area = AreaIntegral(old_region, now, t_cap);
+    s.area_enlargement = AreaIntegral(s.what_if, now, t_cap) - s.area;
   }
 
-  auto area_better = [](const Scored& a, const Scored& b) {
+  auto area_better = [](const ScoredChild& a, const ScoredChild& b) {
     if (a.area_enlargement != b.area_enlargement) {
       return a.area_enlargement < b.area_enlargement;
     }
@@ -651,7 +642,7 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
     int best = -1;
     double best_overlap = 0, best_enlargement = 0;
     for (size_t k = 0; k < top; ++k) {
-      const Scored& s = scored[k];
+      const ScoredChild& s = scored[k];
       double delta_overlap = 0;
       for (size_t j = 0; j < node.entries.size(); ++j) {
         if (static_cast<int>(j) == s.index) continue;
@@ -673,8 +664,8 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
     return best;
   }
 
-  const Scored* best = &scored[0];
-  for (const Scored& s : scored) {
+  const ScoredChild* best = &scored[0];
+  for (const ScoredChild& s : scored) {
     if (area_better(s, *best)) best = &s;
   }
   return best->index;

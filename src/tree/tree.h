@@ -617,6 +617,14 @@ class Tree {
   Node<kDims> fix_scratch_ GUARDED_BY(epoch_mu_);
   // ComputeBound's region list.
   std::vector<Tpbr<kDims>> bound_scratch_ GUARDED_BY(epoch_mu_);
+  // ChooseSubtree's candidate children and their what-if scores.
+  struct ScoredChild {
+    int index = 0;
+    double area_enlargement = 0;
+    double area = 0;
+    Tpbr<kDims> what_if;
+  };
+  std::vector<ScoredChild> choose_scratch_ GUARDED_BY(epoch_mu_);
 
   // Number of underfull nodes left in place because the orphan cap was
   // reached (each may later be re-balanced by another update). Snapshot-

@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -193,20 +194,54 @@ TEST(Status, ReturnIfErrorMacroPropagates) {
   EXPECT_TRUE(assign(Status::IOError("nope")).status().IsIOError());
 }
 
-TEST(Crc32c, KnownVectorsAndSensitivity) {
+using CrcFn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
+
+void ExpectKnownVectors(CrcFn crc) {
   // RFC 3720 test vector: CRC-32C of 32 zero bytes.
   uint8_t zeros[32] = {0};
-  EXPECT_EQ(Crc32c(zeros, sizeof(zeros)), 0x8a9136aau);
+  EXPECT_EQ(crc(zeros, sizeof(zeros), 0), 0x8a9136aau);
   // "123456789" — the classic check value.
   const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(Crc32c(digits, sizeof(digits)), 0xe3069283u);
+  EXPECT_EQ(crc(digits, sizeof(digits), 0), 0xe3069283u);
   // Incremental (seeded) computation matches one-shot.
-  uint32_t split = Crc32c(digits + 4, 5, Crc32c(digits, 4));
-  EXPECT_EQ(split, 0xe3069283u);
+  EXPECT_EQ(crc(digits + 4, 5, crc(digits, 4, 0)), 0xe3069283u);
+}
+
+TEST(Crc32c, KnownVectorsAndSensitivity) {
+  ExpectKnownVectors([](const uint8_t* data, size_t n, uint32_t seed) {
+    return Crc32c(data, n, seed);
+  });
   // Any single flipped bit changes the sum.
   uint8_t copy[32] = {0};
   copy[17] ^= 0x20;
   EXPECT_NE(Crc32c(copy, sizeof(copy)), 0x8a9136aau);
+}
+
+// Crc32c dispatches to one implementation per CPU; calling each directly
+// keeps the other under test too.
+TEST(Crc32c, TablePathKnownVectors) {
+  ExpectKnownVectors(internal::Crc32cTable);
+}
+
+TEST(Crc32c, HardwarePathKnownVectors) {
+  if (!internal::HaveHwCrc32c()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  ExpectKnownVectors(internal::Crc32cHw);
+}
+
+TEST(Crc32c, HardwareMatchesTableOnEveryLengthAndAlignment) {
+  if (!internal::HaveHwCrc32c()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  Rng rng(3720);
+  std::vector<uint8_t> buf(4104 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  uint32_t seed = 0;
+  for (size_t len = 0; len <= 4103; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      uint32_t table = internal::Crc32cTable(buf.data() + offset, len, seed);
+      uint32_t hw = internal::Crc32cHw(buf.data() + offset, len, seed);
+      ASSERT_EQ(hw, table) << "len " << len << " offset " << offset;
+      seed = table;  // Chain: the next call continues from this one.
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

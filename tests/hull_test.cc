@@ -95,6 +95,40 @@ TEST(ConvexHullTest, PropertyDominatesAllPoints) {
   }
 }
 
+// The chains of x-sorted input equal the sorting builders' exactly when
+// many points share an x (as the hull points of entries expiring at the
+// same time do), in whatever order those points arrive.
+TEST(ConvexHullTest, ChainOfSortedMatchesSortingHullOnEqualX) {
+  Rng rng(17);
+  for (int iter = 0; iter < 500; ++iter) {
+    int n = 1 + static_cast<int>(rng.UniformInt(60));
+    std::vector<Point2> pts;
+    for (int i = 0; i < n; ++i) {
+      double x = static_cast<double>(rng.UniformInt(6));
+      double y = rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(9))
+                                    : rng.Uniform(-10, 10);
+      pts.push_back({x, y});
+    }
+    std::vector<Point2> by_x = pts;
+    std::stable_sort(
+        by_x.begin(), by_x.end(),
+        [](const Point2& a, const Point2& b) { return a.x < b.x; });
+    for (bool upper : {true, false}) {
+      std::vector<Point2> want = pts;
+      std::vector<Point2> got = by_x;
+      int want_len = upper ? UpperHullInPlace(want.data(), n)
+                           : LowerHullInPlace(want.data(), n);
+      int got_len = upper ? UpperChainOfSorted(got.data(), n)
+                          : LowerChainOfSorted(got.data(), n);
+      ASSERT_EQ(got_len, want_len) << "iter " << iter;
+      for (int i = 0; i < got_len; ++i) {
+        ASSERT_EQ(got[i].x, want[i].x) << "iter " << iter << " vertex " << i;
+        ASSERT_EQ(got[i].y, want[i].y) << "iter " << iter << " vertex " << i;
+      }
+    }
+  }
+}
+
 // Property: a bridge line supports the hull — it passes above (below)
 // every input point.
 TEST(BridgeTest, PropertySupportingLine) {

@@ -5,6 +5,8 @@
 // properties (tightness at computation time, zero velocity for static
 // bounds, optimality ordering), and the Lemma 4.2 median.
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +184,73 @@ TEST(TpbrNearOptimal, BeatsConservativeOnShortLivedFastEntries) {
     sum_near += AreaIntegral(near, now, horizon);
   }
   EXPECT_LT(sum_near, sum_cons);
+}
+
+// FNV-1a over raw bytes.
+void HashBytes(const void* data, size_t n, uint64_t* h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    *h = (*h ^ p[i]) * 0x100000001b3ULL;
+  }
+}
+
+// Hashes ComputeTpbr(kNearOptimal) over a seeded corpus, together with
+// the state of the bound's Rng after each call. Expiry times sit on a
+// half-unit grid so equal t_exp values (hull points sharing an x) are
+// common; some entries never expire, some are already expired, and some
+// are exact copies of another entry.
+template <int kDims>
+void HashNearOptimalCorpus(uint64_t seed, uint64_t* h) {
+  Rng gen(seed);
+  Rng bound_rng(seed + 1);
+  for (int n : {1, 2, 16, 170, 300}) {
+    for (int iter = 0; iter < 40; ++iter) {
+      Time now = std::floor(gen.Uniform(0, 50));
+      std::vector<Tpbr<kDims>> entries(n);
+      for (int i = 0; i < n; ++i) {
+        Tpbr<kDims>& e = entries[i];
+        if (i > 0 && gen.Bernoulli(0.05)) {
+          e = entries[gen.UniformInt(i)];
+          continue;
+        }
+        for (int d = 0; d < kDims; ++d) {
+          e.lo[d] = gen.Uniform(0, 1000);
+          e.hi[d] = e.lo[d] + (gen.Bernoulli(0.5) ? 0 : gen.Uniform(0, 20));
+          e.vlo[d] = gen.Uniform(-3, 3);
+          e.vhi[d] = e.vlo[d] + (gen.Bernoulli(0.5) ? 0 : gen.Uniform(0, 1));
+        }
+        uint64_t roll = gen.UniformInt(20);
+        if (roll == 0) {
+          e.t_exp = kNeverExpires;
+        } else if (roll == 1) {
+          e.t_exp = now - 0.5 * static_cast<double>(gen.UniformInt(3));
+        } else {
+          e.t_exp = now + 0.5 * static_cast<double>(1 + gen.UniformInt(40));
+        }
+      }
+      double horizon = gen.Bernoulli(0.25) ? 1.0 : gen.Uniform(1, 120);
+      Tpbr<kDims> out = ComputeTpbr<kDims>(TpbrKind::kNearOptimal, entries,
+                                           now, horizon, &bound_rng);
+      HashBytes(&out, sizeof(out), h);
+      uint64_t draw = bound_rng.NextU64();
+      HashBytes(&draw, sizeof(draw), h);
+    }
+  }
+}
+
+// Pins near-optimal bounds bit for bit: the stored rectangles, and so
+// every page-I/O figure, depend on them. Recorded on x86-64, where the
+// default flags emit no fused multiply-add; a target that contracts
+// a * b + c into one rounding computes different low bits.
+TEST(TpbrNearOptimal, GoldenCorpusIsBitIdentical) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hash recorded for x86-64 floating point";
+#endif
+  uint64_t h = 0xcbf29ce484222325ULL;
+  HashNearOptimalCorpus<1>(1001, &h);
+  HashNearOptimalCorpus<2>(2002, &h);
+  HashNearOptimalCorpus<3>(3003, &h);
+  EXPECT_EQ(h, 0x339b2fdf1ab2d5c0ULL) << std::hex << "0x" << h;
 }
 
 TEST(MedianFromExtents, FirstDimensionIsHalfDelta) {
