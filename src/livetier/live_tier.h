@@ -340,19 +340,6 @@ class LiveTier {
     });
   }
 
-  // Appends every resident object id to *out; *with_tree counts the ones
-  // that also have a stale tree copy. Query merge uses this snapshot to
-  // suppress tree hits for owned objects.
-  void SnapshotOwned(std::vector<ObjectId>* out, size_t* with_tree) const {
-    out->reserve(out->size() + map_.size());
-    size_t in_tree = 0;
-    map_.ForEach([&](uint32_t oid, const Entry& e) {
-      out->push_back(oid);
-      if (e.has_tree_record) ++in_tree;
-    });
-    if (with_tree != nullptr) *with_tree = in_tree;
-  }
-
   // Structural invariants (the live-tier analog of the DAT catalog):
   // every entry is reachable through exactly its own bin, bin membership
   // counts agree with the map, bin bounds conservatively cover their

@@ -22,11 +22,14 @@
 //     serializes the migrator against foreground writers); nothing ever
 //     takes them in the other order, including the background migrator,
 //     which applies tree writes with the live-tier mutex released.
+//     Queries hold the live-tier mutex across both tiers, so a tree hit
+//     is suppressed by probing the tier's table directly.
 
 #ifndef REXP_LIVETIER_TIERED_INDEX_H_
 #define REXP_LIVETIER_TIERED_INDEX_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -129,59 +132,54 @@ class TieredIndex {
 
   // Window query over both tiers. For objects resident in the live tier
   // the tier's record answers; tree hits for those objects are prior
-  // reports and are suppressed.
+  // reports and are suppressed. One critical section covers both tiers
+  // (live-then-tree lock order), so no migration can settle between the
+  // live scan and the ownership probes of the tree hits.
   void Search(const Query<kDims>& query, std::vector<ObjectId>* out)
       EXCLUDES(mu_) {
     out->clear();
-    std::vector<ObjectId> owned;
-    {
-      sched::MutexLock lk(&mu_);
-      live_.Search(query, out);
-      live_.SnapshotOwned(&owned, nullptr);
-    }
-    std::sort(owned.begin(), owned.end());
-    std::vector<ObjectId> tree_hits;
-    tree_.Search(query, &tree_hits);
-    for (ObjectId oid : tree_hits) {
-      if (!std::binary_search(owned.begin(), owned.end(), oid)) {
-        out->push_back(oid);
-      }
-    }
+    sched::MutexLock lk(&mu_);
+    live_.Search(query, out);
+    const auto live_hits = static_cast<std::ptrdiff_t>(out->size());
+    tree_.Search(query, out);
+    const LiveTier<kDims>& live = live_;
+    auto owned = [&live](ObjectId oid) { return live.Owns(oid); };
+    auto tree_hits = out->begin() + live_hits;
+    out->erase(std::remove_if(tree_hits, out->end(), owned), out->end());
   }
 
   // k-nearest-neighbors across both tiers (ascending distance, ties by
   // object id — identical to Tree::NearestNeighbors and the reference
-  // oracle). The tree is asked for k + |owned-with-tree-copy| so that
-  // suppressed stale copies cannot crowd out genuine neighbors.
+  // oracle). The tree is asked for exactly k neighbors with the owned
+  // objects skipped, so suppressed stale copies cannot crowd out genuine
+  // neighbors.
   void NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                         std::vector<ObjectId>* out) EXCLUDES(mu_) {
     out->clear();
     if (k <= 0) return;
     std::vector<typename LiveTier<kDims>::Candidate> candidates;
-    std::vector<ObjectId> owned;
-    size_t with_tree = 0;
+    std::vector<typename Tree<kDims>::NnResult> tree_results;
     {
       sched::MutexLock lk(&mu_);
       live_.NnCandidates(point, t, &candidates);
-      live_.SnapshotOwned(&owned, &with_tree);
+      const LiveTier<kDims>& live = live_;
+      auto owned = [&live](ObjectId oid) { return live.Owns(oid); };
+      tree_.NearestNeighbors(point, t, k, &tree_results, owned);
     }
-    std::sort(owned.begin(), owned.end());
-    std::vector<typename Tree<kDims>::NnResult> tree_results;
-    tree_.NearestNeighbors(point, t, k + static_cast<int>(with_tree),
-                           &tree_results);
     for (const auto& r : tree_results) {
-      if (!std::binary_search(owned.begin(), owned.end(), r.oid)) {
-        candidates.push_back({r.oid, r.dist_sq});
-      }
+      candidates.push_back({r.oid, r.dist_sq});
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
-                return a.oid < b.oid;
-              });
-    if (static_cast<int>(candidates.size()) > k) candidates.resize(k);
-    out->reserve(candidates.size());
-    for (const auto& c : candidates) out->push_back(c.oid);
+    auto nearer = [](const auto& a, const auto& b) {
+      if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
+      return a.oid < b.oid;
+    };
+    const auto keep = std::min(static_cast<std::ptrdiff_t>(candidates.size()),
+                               static_cast<std::ptrdiff_t>(k));
+    std::partial_sort(candidates.begin(), candidates.begin() + keep,
+                      candidates.end(), nearer);
+    for (auto it = candidates.begin(); it != candidates.begin() + keep; ++it) {
+      out->push_back(it->oid);
+    }
   }
 
   // Starts the background migrator: every `interval_s` seconds (and on

@@ -38,8 +38,10 @@ namespace rexp {
 // Open-addressing hash map from uint32_t keys to trivially copyable
 // values. Linear probing over a power-of-two table; deletions leave
 // tombstones that are reclaimed by rehashing once they outnumber a
-// quarter of the table. Not thread-safe: callers serialize under the
-// tree's exclusive epoch.
+// quarter of the table. That sweep also sizes the table from the live
+// count, so a drained map gives its memory back and ForEach stays
+// proportional to what the map holds. Not thread-safe: callers serialize
+// under the tree's exclusive epoch.
 template <typename Value>
 class U32HashMap {
  public:
@@ -47,6 +49,7 @@ class U32HashMap {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  size_t capacity() const { return slots_.size(); }
 
   void Clear() { Reset(kInitialCapacity); }
 
@@ -152,10 +155,16 @@ class U32HashMap {
     // Keep the live load factor at or below 1/2 and sweep tombstones once
     // they occupy a quarter of the table (either condition degrades probe
     // lengths).
-    if ((size_ + 1) * 2 > slots_.size() ||
-        tombstones_ * 4 > slots_.size()) {
-      Rehash((size_ + 1) * 2 > slots_.size() ? slots_.size() * 2
-                                             : slots_.size());
+    if ((size_ + 1) * 2 > slots_.size()) {
+      Rehash(slots_.size() * 2);
+    } else if (tombstones_ * 4 > slots_.size()) {
+      // The smallest table at most a quarter full, never larger than the
+      // current one: only a table below 1/8 load shrinks.
+      size_t capacity = kInitialCapacity;
+      while (capacity < (size_ + 1) * 4 && capacity < slots_.size()) {
+        capacity *= 2;
+      }
+      Rehash(capacity);
     }
   }
 

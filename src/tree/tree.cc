@@ -1954,12 +1954,14 @@ void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
 
 template <int kDims>
 void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
-                                   std::vector<NnResult>* out) {
+                                   std::vector<NnResult>* out,
+                                   const std::function<bool(ObjectId)>& skip) {
   sched::ReaderMutexLock epoch(&epoch_mu_);
   ++op_stats_.nn_searches;
   out->clear();
   if (root_ == kInvalidPageId || k <= 0) return;
   const uint64_t io_before = buffer_.stats().Total();
+  obs::LatencyTimer timer(&op_stats_.nn_latency_us);
   uint64_t visited = 0;
 
   // Best-first search (Hjaltason & Samet): a min-heap of pending nodes
@@ -1985,7 +1987,9 @@ void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
     Item item = heap.top();
     heap.pop();
     if (item.is_object) {
-      out->push_back(NnResult{item.id, item.dist});
+      if (!skip || !skip(item.id)) {
+        out->push_back(NnResult{item.id, item.dist});
+      }
       continue;
     }
     ReadNodeInto(item.id, &node);
@@ -2008,8 +2012,8 @@ void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                                 {"results",
                                  static_cast<double>(out->size())}});
   }
-  obs::GlobalFlightRecorder().Record(obs::FlightOp::kNn, out->size(), 0,
-                                     StatusCode::kOk,
+  obs::GlobalFlightRecorder().Record(obs::FlightOp::kNn, out->size(),
+                                     timer.ElapsedUs(), StatusCode::kOk,
                                      buffer_.stats().Total() - io_before);
 }
 
@@ -2139,6 +2143,8 @@ void Tree<kDims>::RegisterMetrics(obs::MetricsRegistry* registry,
                          &ops.search_latency_us, owner);
   registry->AddHistogram(prefix + "ops.update_latency_us",
                          &ops.update_latency_us, owner);
+  registry->AddHistogram(prefix + "ops.nn_latency_us", &ops.nn_latency_us,
+                         owner);
 
   // Structure and horizon-estimator gauges. These read fields that
   // writers mutate under the exclusive epoch, so each callback takes the

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -122,12 +123,14 @@ struct TreeOpStats {
   obs::Histogram delete_latency_us{obs::LatencyBoundsUs()};
   obs::Histogram search_latency_us{obs::LatencyBoundsUs()};
   obs::Histogram update_latency_us{obs::LatencyBoundsUs()};
+  obs::Histogram nn_latency_us{obs::LatencyBoundsUs()};
 
   void Reset() {
     obs::Histogram* hists[] = {&insert_io,         &delete_io,
                                &search_io,         &update_io,
                                &insert_latency_us, &delete_latency_us,
-                               &search_latency_us, &update_latency_us};
+                               &search_latency_us, &update_latency_us,
+                               &nn_latency_us};
     for (obs::Histogram* h : hists) h->Reset();
     std::atomic<uint64_t>* counters[] = {&inserts,
                                          &deletes,
@@ -283,13 +286,17 @@ class Tree {
   // Distance-reporting variant: the same best-first search, but each
   // result carries its exact squared distance at time `t`. A tiered
   // index merges these with candidates from an in-memory live tier by
-  // (distance, oid) without recomputing tree distances.
+  // (distance, oid) without recomputing tree distances. Objects for
+  // which `skip` returns true are passed over when popped and do not
+  // count toward k, so the answer is exactly the k nearest objects that
+  // are not skipped (the tiered index skips its superseded tree copies).
   struct NnResult {
     ObjectId oid;
     double dist_sq;
   };
   void NearestNeighbors(const Vec<kDims>& point, Time t, int k,
-                        std::vector<NnResult>* out);
+                        std::vector<NnResult>* out,
+                        const std::function<bool(ObjectId)>& skip = {});
 
   // Answers `queries` with a pool of `num_threads` worker threads, each
   // running Search under its own shared epoch (concurrent with the other

@@ -466,6 +466,56 @@ TEST(TreeIntrospectionTest, LevelReadCountersSplitByDepth) {
   EXPECT_GE(leaf_reads, internal_reads);
 }
 
+// NearestNeighbors feeds ops.nn_latency_us and hands the same measured
+// latency to the flight recorder; ResetOpStats clears the histogram with
+// the others.
+TEST(TreeIntrospectionTest, NearestNeighborsRecordLatency) {
+#ifndef REXP_NO_TELEMETRY
+  obs::MetricsRegistry registry;
+  MemoryPageFile file(4096);
+  Tree<2> tree(TreeConfig::Rexp(), &file);
+  tree.RegisterMetrics(&registry, "tree.");
+  Rng rng(19);
+  for (ObjectId oid = 0; oid < 2000; ++oid) {
+    tree.Insert(oid, RandomPoint<2>(&rng, 0.0), 0.0);
+  }
+  auto nn_histogram = [&registry]() {
+    for (const obs::HistogramSnapshot& h : registry.SnapshotHistograms()) {
+      if (h.name == "tree.ops.nn_latency_us") return h;
+    }
+    ADD_FAILURE() << "tree.ops.nn_latency_us is not registered";
+    return obs::HistogramSnapshot{};
+  };
+  EXPECT_EQ(nn_histogram().count, 0u);
+  std::vector<ObjectId> nn;
+  for (int i = 0; i < 20; ++i) {
+    tree.NearestNeighbors({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 0.0,
+                          10, &nn);
+  }
+  const obs::HistogramSnapshot after = nn_histogram();
+  EXPECT_EQ(after.count, 20u);
+  EXPECT_GT(after.sum, 0.0);
+
+  const std::string path = ::testing::TempDir() + "/rexp_flight_nn_test.json";
+  ASSERT_TRUE(obs::GlobalFlightRecorder().DumpToFile(path, "nn").ok());
+  tools::JsonValue dump;
+  ASSERT_TRUE(tools::ParseJson(ReadAll(path), &dump));
+  std::remove(path.c_str());
+  int nn_events = 0;
+  double max_latency = 0;
+  for (const tools::JsonValue& e : dump.Find("events")->array) {
+    if (e.Find("op")->string != "nn") continue;
+    ++nn_events;
+    max_latency = std::max(max_latency, e.Find("latency_us")->NumberOr(0));
+  }
+  EXPECT_EQ(nn_events, 20);
+  EXPECT_GT(max_latency, 0.0);
+
+  tree.ResetOpStats();
+  EXPECT_EQ(nn_histogram().count, 0u);
+#endif
+}
+
 TEST(TreeIntrospectionTest, HeatmapRanksHotPages) {
   MemoryPageFile file(4096);
   Tree<2> tree(TreeConfig::Rexp(), &file);

@@ -258,6 +258,47 @@ TEST(TieredIndex, SearchSuppressesStaleTreeCopies) {
   EXPECT_TRUE(index.CheckInvariants(now).ok());
 }
 
+// More than k owned objects keep stale tree copies nearer the query
+// point than any genuine neighbor. The tree is asked for exactly k with
+// owned objects skipped, so the stale copies must not fill its k slots.
+TEST(TieredIndex, StaleTreeCopiesCannotCrowdOutNeighbors) {
+  MemoryPageFile file(512);
+  TieredIndex<2> index(SmallConfig(), &file);
+  ReferenceIndex<2> reference;
+  Time now = 0;
+  constexpr ObjectId kStale = 30;
+  std::vector<Tpbr<2>> near;
+  for (ObjectId oid = 0; oid < kStale; ++oid) {
+    near.push_back(MakeMovingPoint<2>({500.0 + oid, 500}, {0, 0}, now, 900));
+    index.Insert(oid, near.back(), now);
+  }
+  for (ObjectId oid = 100; oid < 160; ++oid) {
+    Tpbr<2> p = MakeMovingPoint<2>({600.0 + 5.0 * (oid - 100), 500}, {0, 0},
+                                   now, 900);
+    index.Insert(oid, p, now);
+    reference.Insert(oid, p);
+  }
+  ASSERT_EQ(index.DrainLiveTier(now), kStale + 60);
+
+  // Re-report the near objects far away: owned again, their tree copies
+  // stale and nearer the query point than every genuine neighbor.
+  now = 1.0;
+  for (ObjectId oid = 0; oid < kStale; ++oid) {
+    Tpbr<2> far = MakeMovingPoint<2>({50.0 + oid, 50}, {0, 0}, now, 900);
+    ASSERT_TRUE(index.Update(oid, near[oid], far, now));
+    reference.Insert(oid, far);
+  }
+  ASSERT_EQ(index.live_tier().owned_in_tree(), kStale);
+
+  for (int k : {1, 10, 29, 64, 100}) {
+    std::vector<ObjectId> got, want;
+    index.NearestNeighbors({500, 500}, now, k, &got);
+    reference.NearestNeighbors({500, 500}, now, k, &want);
+    EXPECT_EQ(got, want) << "k=" << k;
+  }
+  EXPECT_TRUE(index.CheckInvariants(now).ok());
+}
+
 TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {
   MemoryPageFile file(512);
   LiveTierOptions options;
@@ -456,14 +497,28 @@ TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
       (void)index.Update(live[k].oid, live[k].point, fresh, now);
       reference.Update(live[k].oid, live[k].point, fresh, now);
       live[k].point = fresh;
-    } else {
+    } else if (roll < 0.85) {
       Query<2> q = RandomQuery<2>(&rng, now, 10.0, 100.0);
       std::vector<ObjectId> got, want;
       index.Search(q, &got);
       reference.Search(q, &want);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
+      ASSERT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+          << "duplicate oid in query answer at op " << op;
       ASSERT_EQ(got, want) << "query divergence at op " << op;
+    } else {
+      Vec<2> q{rng.Uniform(0, testing::kSpace),
+               rng.Uniform(0, testing::kSpace)};
+      int k = 1 + static_cast<int>(rng.UniformInt(16));
+      std::vector<ObjectId> got, want;
+      index.NearestNeighbors(q, now, k, &got);
+      reference.NearestNeighbors(q, now, k, &want);
+      std::vector<ObjectId> sorted = got;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+          << "duplicate oid in NN answer at op " << op;
+      ASSERT_EQ(got, want) << "NN divergence at op " << op;
     }
   }
   index.StopMigrator();

@@ -312,5 +312,64 @@ TEST(Tree, UpdateIntervalEstimateConverges) {
   EXPECT_NEAR(tree.horizon().ui(), true_ui, true_ui * 0.25);
 }
 
+// The skip-filtered best-first search answers exactly the brute-force k
+// nearest among the objects it does not skip, in rank order. Positions on
+// a coarse integer grid, queried from grid points, make many neighbours
+// equidistant, so ties must resolve by object id as in the oracle.
+TEST(Tree, SkipFilteredNearestNeighborsMatchOracle) {
+  MemoryPageFile file(512);
+  Tree<2> tree(SmallPageConfig(), &file);
+  Rng rng(0x5EED);
+  const Time now = 1.0;
+  std::vector<Tpbr<2>> records;
+  for (ObjectId oid = 0; oid < 800; ++oid) {
+    const Vec<2> pos{10.0 * static_cast<double>(rng.UniformInt(30)),
+                     10.0 * static_cast<double>(rng.UniformInt(30))};
+    const Vec<2> vel{0.0, oid % 4 == 0 ? 1.0 : 0.0};
+    records.push_back(MakeMovingPoint<2>(pos, vel, now, 500.0));
+    tree.Insert(oid, records.back(), now);
+  }
+  const Time t = 2.0;
+  for (double skip_fraction : {0.0, 0.5, 0.95}) {
+    std::vector<bool> skipped(records.size());
+    ReferenceIndex<2> oracle;
+    for (ObjectId oid = 0; oid < records.size(); ++oid) {
+      skipped[oid] = rng.Bernoulli(skip_fraction);
+      if (!skipped[oid]) oracle.Insert(oid, records[oid]);
+    }
+    auto skip = [&skipped](ObjectId oid) { return skipped[oid]; };
+    for (int k : {1, 10, 64}) {
+      for (int i = 0; i < 40; ++i) {
+        const Vec<2> q{10.0 * static_cast<double>(rng.UniformInt(30)),
+                       10.0 * static_cast<double>(rng.UniformInt(30))};
+        std::vector<Tree<2>::NnResult> got;
+        tree.NearestNeighbors(q, t, k, &got, skip);
+        std::vector<ObjectId> got_ids, want;
+        for (const auto& r : got) got_ids.push_back(r.oid);
+        oracle.NearestNeighbors(q, t, k, &want);
+        ASSERT_EQ(got_ids, want) << "skip " << skip_fraction << " k=" << k
+                                 << " query " << i;
+      }
+    }
+  }
+  // Without a predicate the answer is the unfiltered one, and both
+  // overloads agree.
+  ReferenceIndex<2> full;
+  for (ObjectId oid = 0; oid < records.size(); ++oid) {
+    full.Insert(oid, records[oid]);
+  }
+  for (int k : {1, 10, 64}) {
+    const Vec<2> q{150.0, 150.0};
+    std::vector<Tree<2>::NnResult> got;
+    std::vector<ObjectId> got_ids, plain, want;
+    tree.NearestNeighbors(q, t, k, &got);
+    for (const auto& r : got) got_ids.push_back(r.oid);
+    tree.NearestNeighbors(q, t, k, &plain);
+    full.NearestNeighbors(q, t, k, &want);
+    EXPECT_EQ(got_ids, want) << "k=" << k;
+    EXPECT_EQ(plain, want) << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace rexp

@@ -95,6 +95,35 @@ TEST(U32HashMap, GrowsAndSurvivesTombstoneChurn) {
   map.Clear();
   EXPECT_TRUE(map.empty());
   EXPECT_EQ(map.Find(0), nullptr);
+
+  // Grow to 10 000 keys, erase 99% of them and insert past the tombstone
+  // sweep: the swept table is sized from the live count, and no key is
+  // lost across two grow -> drain -> regrow cycles.
+  std::map<uint32_t, uint32_t> kept;
+  uint32_t next_key = 100000;
+  for (uint32_t cycle = 0; cycle < 2; ++cycle) {
+    for (uint32_t key = 0; key < 10000; ++key) {
+      map.Put(key, key + cycle);
+      kept[key] = key + cycle;
+    }
+    for (uint32_t key = 0; key < 10000; ++key) {
+      if (key % 100 != 0) {
+        ASSERT_TRUE(map.Erase(key));
+        kept.erase(key);
+      }
+    }
+    for (int i = 0; i < 50; ++i, ++next_key) {
+      map.Put(next_key, next_key);
+      kept[next_key] = next_key;
+    }
+    ASSERT_EQ(map.size(), kept.size());
+    EXPECT_LE(map.capacity(), 8 * (map.size() + 1)) << "cycle " << cycle;
+    for (const auto& [key, value] : kept) {
+      const uint32_t* got = map.Find(key);
+      ASSERT_NE(got, nullptr) << "cycle " << cycle << " key " << key;
+      EXPECT_EQ(*got, value);
+    }
+  }
 }
 
 // --- DirectAccessTable ------------------------------------------------
