@@ -134,48 +134,94 @@ struct ExpiryKey {
   int index;   // Into the entries.
 };
 
-// Scratch for one bound: the expiry order and one chain's points. Stack
-// storage for node-sized entry sets, heap beyond. Left uninitialised:
-// every slot is written before it is read, and the two-entry what-if
-// bounds (millions of them) must not pay for zeroing kilobytes.
+// Scratch for one bound: the expiry order, room to bucket it, and one
+// chain's points. Stack storage for node-sized entry sets, heap beyond.
+// Left uninitialised: every slot is written before it is read.
 class BoundScratch {
  public:
   explicit BoundScratch(size_t entries) {
     if (entries > kStackEntries) {
-      heap_keys_.resize(entries);
+      heap_keys_.resize(2 * entries);
+      heap_counts_.resize(entries + 1);
       heap_points_.resize(entries + 1);
       keys_ = heap_keys_.data();
+      counts_ = heap_counts_.data();
       points_ = heap_points_.data();
     }
   }
+  // Room for 2 * entries keys: the sorted keys, then the bucketed ones.
   ExpiryKey* keys() { return keys_; }
+  // Room for entries + 1 bucket counts.
+  int* counts() { return counts_; }
   // Room for entries + 1 points: the one x = 0 point plus one per key.
   Point2* points() { return points_; }
 
  private:
   static constexpr size_t kStackEntries = 256;
-  ExpiryKey stack_keys_[kStackEntries];
+  ExpiryKey stack_keys_[2 * kStackEntries];
+  int stack_counts_[kStackEntries + 1];
   alignas(Point2) std::byte stack_points_[(kStackEntries + 1) * sizeof(Point2)];
   std::vector<ExpiryKey> heap_keys_;
+  std::vector<int> heap_counts_;
   std::vector<Point2> heap_points_;
   ExpiryKey* keys_ = stack_keys_;
+  int* counts_ = stack_counts_;
   Point2* points_ = std::launder(reinterpret_cast<Point2*>(stack_points_));
 };
 
-// Writes the entries expiring after t_upd into `keys` in ascending tau
-// (ties by index); returns their number.
+inline bool KeyLess(const ExpiryKey& a, const ExpiryKey& b) {
+  return a.tau != b.tau ? a.tau < b.tau : a.index < b.index;
+}
+
+// Key sets up to this size are sorted by std::sort; larger ones by the
+// bucket pass in SortedExpiries.
+constexpr int kMaxComparisonSortKeys = 32;
+
+// Writes the entries expiring after t_upd into scratch->keys() in
+// ascending tau (ties by index); returns their number. Every key is
+// distinct, so any correct sort gives the same order. Node-sized sets are
+// first distributed over one bucket per key by a function monotone in
+// tau, which only groups keys, then finished by an insertion sort that
+// moves each key within its bucket: far fewer mispredicted branches than
+// a comparison sort.
 template <int kDims>
 int SortedExpiries(std::span<const Tpbr<kDims>> entries, Time t_upd,
-                   ExpiryKey* keys) {
+                   BoundScratch* scratch) {
+  ExpiryKey* keys = scratch->keys();
   int n = 0;
+  double lo = kNeverExpires, hi = 0;
   for (size_t i = 0; i < entries.size(); ++i) {
     if (!IsFiniteTime(entries[i].t_exp)) continue;
     double tau = entries[i].t_exp - t_upd;
-    if (tau > 0) keys[n++] = ExpiryKey{tau, static_cast<int>(i)};
+    if (tau > 0) {
+      keys[n++] = ExpiryKey{tau, static_cast<int>(i)};
+      lo = std::min(lo, tau);
+      hi = std::max(hi, tau);
+    }
   }
-  std::sort(keys, keys + n, [](const ExpiryKey& a, const ExpiryKey& b) {
-    return a.tau != b.tau ? a.tau < b.tau : a.index < b.index;
-  });
+  if (n <= 1 || !(hi > lo)) return n;  // Already in index order.
+  double scale = n / (hi - lo);
+  if (n <= kMaxComparisonSortKeys || !std::isfinite(scale)) {
+    std::sort(keys, keys + n, KeyLess);
+    return n;
+  }
+  auto bucket = [&](double tau) {
+    return std::min(static_cast<int>((tau - lo) * scale), n - 1);
+  };
+  int* starts = scratch->counts();
+  std::fill(starts, starts + n + 1, 0);
+  for (int i = 0; i < n; ++i) ++starts[bucket(keys[i].tau) + 1];
+  for (int b = 0; b < n; ++b) starts[b + 1] += starts[b];
+  ExpiryKey* bucketed = keys + n;
+  for (int i = 0; i < n; ++i) {
+    bucketed[starts[bucket(keys[i].tau)]++] = keys[i];
+  }
+  for (int i = 0; i < n; ++i) {
+    ExpiryKey key = bucketed[i];
+    int j = i;
+    for (; j > 0 && KeyLess(key, keys[j - 1]); --j) keys[j] = keys[j - 1];
+    keys[j] = key;
+  }
   return n;
 }
 
@@ -274,6 +320,72 @@ Tpbr<kDims> AssembleFromLines(const DimBounds (&bounds)[kDims], Time t_upd,
   return out;
 }
 
+// Couples the dimensions through the Lemma 4.2 median: visits them in
+// `order`, bounding each by bound_dim(d, m) with m computed from the
+// extents of the dimensions already bounded.
+template <int kDims, typename BoundDim>
+Tpbr<kDims> CoupleDimensions(const int (&order)[kDims], double delta,
+                             Time t_upd, Time max_exp, BoundDim bound_dim) {
+  DimBounds bounds[kDims];
+  double extent_values[kDims], extent_slopes[kDims];
+  for (int k = 0; k < kDims; ++k) {
+    int d = order[k];
+    double m = MedianFromExtents({extent_values, static_cast<size_t>(k)},
+                                 {extent_slopes, static_cast<size_t>(k)},
+                                 delta);
+    bounds[d] = bound_dim(d, m);
+    extent_values[k] = bounds[d].upper.intercept - bounds[d].lower.intercept;
+    extent_slopes[k] = bounds[d].upper.slope - bounds[d].lower.slope;
+  }
+  return AssembleFromLines<kDims>(bounds, t_upd, max_exp);
+}
+
+// The line through chain vertices p and q (p.x < q.x), as the hull
+// code's edge line computes it.
+Line EdgeThrough(const Point2& p, const Point2& q) {
+  double slope = (q.y - p.y) / (q.x - p.x);
+  return Line{p.y - slope * p.x, slope};
+}
+
+// Closed form of one chain's bound for a never-expiring entry (slope
+// `ray_slope` on this chain) plus a finite one. The chain is (0, y0) and,
+// if the finite entry expires after t_upd, its expiry point p: one edge,
+// which is the bridge for every median. EnforceRays then lifts it to the
+// ray's slope if it undercuts the ray.
+Line RayChainBound(double y0, const Point2& p, bool has_p, double ray_slope,
+                   bool is_upper) {
+  Line line = has_p ? EdgeThrough(Point2{0, y0}, p) : Line{y0, 0};
+  bool violated = is_upper ? line.slope < ray_slope : line.slope > ray_slope;
+  if (!violated) return line;
+  double intercept = y0 - ray_slope * 0.0;
+  double a = p.y - ray_slope * p.x;
+  if (has_p) {
+    intercept = is_upper ? std::max(intercept, a) : std::min(intercept, a);
+  }
+  return Line{intercept, ray_slope};
+}
+
+// Closed form of one chain's bound over (0, y0) and the expiry points
+// a, b of two finite entries, `num_keys` of which expire after t_upd (a
+// first, and a.x <= b.x). Follows the chain builder: points sharing an x
+// keep the last highest (upper) or first lowest (lower), and a middle
+// point on the wrong side of the outer edge is dropped. Then the bridge
+// takes the edge whose x-span holds the clamped median m. The edge is
+// chosen by selects.
+Line FinitePairChainBound(double y0, const Point2& a, const Point2& b,
+                          int num_keys, double m, bool is_upper) {
+  if (num_keys == 0) return Line{y0, 0};
+  bool two = num_keys == 2;
+  bool same_x = a.x == b.x;
+  bool keep_b = is_upper ? b.y >= a.y : b.y < a.y;
+  double turn = (a.x - 0.0) * (b.y - y0) - (a.y - y0) * (b.x - 0.0);
+  bool drop_a = is_upper ? turn >= 0 : turn <= 0;
+  double mc = std::max(0.0, std::min(b.x, m));
+  bool edge_ab = two && !same_x && !drop_a && a.x < mc;
+  bool end_b = edge_ab || (two && (same_x ? keep_b : drop_a));
+  return EdgeThrough(edge_ab ? a : Point2{0, y0}, end_b ? b : a);
+}
+
 template <int kDims>
 Tpbr<kDims> ComputeNearOptimal(std::span<const Tpbr<kDims>> entries,
                                Time t_upd, double horizon, Rng* rng) {
@@ -289,21 +401,69 @@ Tpbr<kDims> ComputeNearOptimal(std::span<const Tpbr<kDims>> entries,
     for (int d = 0; d < kDims; ++d) order[d] = d;
   }
 
-  BoundScratch scratch(entries.size());
-  int num_keys = SortedExpiries(entries, t_upd, scratch.keys());
-  DimBounds bounds[kDims];
-  double extent_values[kDims], extent_slopes[kDims];
-  for (int k = 0; k < kDims; ++k) {
-    int d = order[k];
-    double m = MedianFromExtents({extent_values, static_cast<size_t>(k)},
-                                 {extent_slopes, static_cast<size_t>(k)},
-                                 delta);
-    bounds[d] = BoundDimension(entries, d, t_upd, scratch.keys(), num_keys, m,
-                               scratch.points());
-    extent_values[k] = bounds[d].upper.intercept - bounds[d].lower.intercept;
-    extent_slopes[k] = bounds[d].upper.slope - bounds[d].lower.slope;
+  // ChooseSubtree's what-if bounds: two entries, of which at least one
+  // is finite. Closed forms of the general path below, same expressions
+  // in the same order.
+  if (entries.size() == 2 && (IsFiniteTime(entries[0].t_exp) ||
+                              IsFiniteTime(entries[1].t_exp))) {
+    const Tpbr<kDims>& e0 = entries[0];
+    const Tpbr<kDims>& e1 = entries[1];
+    // The x = 0 point of each chain, with BuildDimChain's tie rule.
+    auto upper_y0 = [&](int d) {
+      double y0 = e0.HiAt(d, t_upd), y = e1.HiAt(d, t_upd);
+      return y >= y0 ? y : y0;
+    };
+    auto lower_y0 = [&](int d) {
+      double y0 = e0.LoAt(d, t_upd), y = e1.LoAt(d, t_upd);
+      return y < y0 ? y : y0;
+    };
+    bool finite0 = IsFiniteTime(e0.t_exp), finite1 = IsFiniteTime(e1.t_exp);
+    if (finite0 != finite1) {
+      // A child bound that never expires plus a record. One edge per
+      // chain, so the median cannot matter.
+      const Tpbr<kDims>& ray = finite0 ? e1 : e0;
+      const Tpbr<kDims>& rec = finite0 ? e0 : e1;
+      double tau = rec.t_exp - t_upd;
+      bool has_p = tau > 0;
+      DimBounds bounds[kDims];
+      for (int d = 0; d < kDims; ++d) {
+        bounds[d].upper =
+            RayChainBound(upper_y0(d), Point2{tau, rec.HiAt(d, rec.t_exp)},
+                          has_p, ray.vhi[d], /*is_upper=*/true);
+        bounds[d].lower =
+            RayChainBound(lower_y0(d), Point2{tau, rec.LoAt(d, rec.t_exp)},
+                          has_p, ray.vlo[d], /*is_upper=*/false);
+      }
+      return AssembleFromLines<kDims>(bounds, t_upd, max_exp);
+    }
+    // Two finite entries: up to three chain points, in expiry order.
+    double tau0 = e0.t_exp - t_upd, tau1 = e1.t_exp - t_upd;
+    int num_keys = (tau0 > 0) + (tau1 > 0);
+    bool first1 = tau0 > 0 ? tau1 > 0 && tau1 < tau0 : true;
+    const Tpbr<kDims>& ea = first1 ? e1 : e0;
+    const Tpbr<kDims>& eb = first1 ? e0 : e1;
+    double tau_a = first1 ? tau1 : tau0, tau_b = first1 ? tau0 : tau1;
+    return CoupleDimensions<kDims>(
+        order, delta, t_upd, max_exp, [&](int d, double m) {
+          return DimBounds{
+              FinitePairChainBound(
+                  upper_y0(d), Point2{tau_a, ea.HiAt(d, ea.t_exp)},
+                  Point2{tau_b, eb.HiAt(d, eb.t_exp)}, num_keys, m,
+                  /*is_upper=*/true),
+              FinitePairChainBound(
+                  lower_y0(d), Point2{tau_a, ea.LoAt(d, ea.t_exp)},
+                  Point2{tau_b, eb.LoAt(d, eb.t_exp)}, num_keys, m,
+                  /*is_upper=*/false)};
+        });
   }
-  return AssembleFromLines<kDims>(bounds, t_upd, max_exp);
+
+  BoundScratch scratch(entries.size());
+  int num_keys = SortedExpiries(entries, t_upd, &scratch);
+  return CoupleDimensions<kDims>(
+      order, delta, t_upd, max_exp, [&](int d, double m) {
+        return BoundDimension(entries, d, t_upd, scratch.keys(), num_keys, m,
+                              scratch.points());
+      });
 }
 
 // Candidate (upper, lower) bridge pairs of one dimension as the median
@@ -356,7 +516,7 @@ Tpbr<kDims> ComputeOptimal(std::span<const Tpbr<kDims>> entries, Time t_upd,
   std::vector<DimBounds> candidates[kDims];
   {
     BoundScratch scratch(entries.size());
-    int num_keys = SortedExpiries(entries, t_upd, scratch.keys());
+    int num_keys = SortedExpiries(entries, t_upd, &scratch);
     Point2* pts = scratch.points();
     for (int d = 0; d < kDims; ++d) {
       int nu = BuildDimChain(entries, d, t_upd, scratch.keys(), num_keys,
@@ -429,7 +589,8 @@ double MedianFromExtents(std::span<const double> extent_values,
   }
   double num = 0, den = 0;
   double pow_d = delta;  // delta^(i+1)
-  for (int i = 0; i <= internal_tpbr::kMaxDeg; ++i) {
+  for (int i = 0, top = poly.Top(delta); i <= internal_tpbr::kMaxDeg; ++i) {
+    if (i > top) break;
     den += poly.c[i] * pow_d / (i + 1);
     pow_d *= delta;
     num += poly.c[i] * pow_d / (i + 2);

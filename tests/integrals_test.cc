@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "tpbr/integrals.h"
+#include "tpbr/poly.h"
 
 namespace rexp {
 namespace {
@@ -170,6 +172,62 @@ TEST(Integrals, ConvergingRectanglesOverlapLater) {
   b.lo[0] = 10;
   b.hi[0] = 11;
   EXPECT_NEAR(OverlapIntegral(a, b, 0.0, 12.0), 1.0, 1e-9);
+}
+
+using internal_tpbr::kMaxDeg;
+using internal_tpbr::Poly;
+
+// A product of at most three linear factors is a cubic, which Simpson's
+// rule integrates exactly.
+TEST(Poly, ProductsUpToDegreeThreeIntegrateToClosedForm) {
+  Rng rng(24);
+  for (int iter = 0; iter < 200; ++iter) {
+    int k = static_cast<int>(rng.UniformInt(4));
+    double a[3], b[3];
+    Poly poly = Poly::One();
+    for (int j = 0; j < k; ++j) {
+      a[j] = rng.Uniform(-5, 5);
+      b[j] = rng.Uniform(-2, 2);
+      poly.MulLinear(a[j], b[j]);
+    }
+    ASSERT_EQ(poly.deg, k);
+    for (int i = k + 1; i <= kMaxDeg; ++i) {
+      ASSERT_EQ(poly.c[i], 0.0);
+      ASSERT_FALSE(std::signbit(poly.c[i]));  // +0: adds nothing.
+    }
+    auto f = [&](double t) {
+      double v = 1;
+      for (int j = 0; j < k; ++j) v *= a[j] + b[j] * t;
+      return v;
+    };
+    double t0 = rng.Uniform(-10, 10), t1 = rng.Uniform(-10, 10);
+    double simpson = (t1 - t0) / 6 * (f(t0) + 4 * f((t0 + t1) / 2) + f(t1));
+    EXPECT_NEAR(poly.Integrate(t0, t1), simpson,
+                1e-9 * (1 + std::abs(simpson)))
+        << "k=" << k;
+  }
+}
+
+TEST(Poly, NonFiniteFactorKeepsEveryCoefficient) {
+  Poly poly = Poly::One();
+  poly.MulLinear(1, 2);
+  poly.MulLinear(std::numeric_limits<double>::infinity(), 1);
+  EXPECT_FALSE(poly.finite);
+  EXPECT_TRUE(std::isnan(poly.c[kMaxDeg]));  // inf * +0 reaches the top.
+  EXPECT_TRUE(std::isnan(poly.Integrate(0, 1)));
+}
+
+// MulLinear holds kMaxDeg factors; a further one would silently drop its
+// top coefficient, so debug builds stop it.
+TEST(PolyDeathTest, FactorBeyondMaxDegreeAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "REXP_DCHECK is compiled out";
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Poly poly = Poly::One();
+  for (int j = 0; j < kMaxDeg; ++j) poly.MulLinear(1, 1);
+  EXPECT_DEATH(poly.MulLinear(1, 1), "deg < kMaxDeg");
+#endif
 }
 
 }  // namespace

@@ -5,12 +5,18 @@
 // properties (tightness at computation time, zero velocity for static
 // bounds, optimality ordering), and the Lemma 4.2 median.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/float_round.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "tpbr/integrals.h"
@@ -251,6 +257,223 @@ TEST(TpbrNearOptimal, GoldenCorpusIsBitIdentical) {
   HashNearOptimalCorpus<2>(2002, &h);
   HashNearOptimalCorpus<3>(3003, &h);
   EXPECT_EQ(h, 0x339b2fdf1ab2d5c0ULL) << std::hex << "0x" << h;
+}
+
+// Rounds to the 32-bit precision every stored coordinate has.
+double F(double x) { return ToFloatExactly(x); }
+
+// Hashes one near-optimal bound and the next draw of its Rng.
+template <int kDims>
+void HashNearOptimal(std::span<const Tpbr<kDims>> entries, Time now,
+                     double horizon, Rng* bound_rng, uint64_t* h) {
+  Tpbr<kDims> out = ComputeTpbr<kDims>(TpbrKind::kNearOptimal, entries, now,
+                                       horizon, bound_rng);
+  HashBytes(&out, sizeof(out), h);
+  uint64_t draw = bound_rng->NextU64();
+  HashBytes(&draw, sizeof(draw), h);
+}
+
+// A decoded internal entry of an R^exp-tree: float coordinates and no
+// stored expiration. vhi == vlo in some dimensions when `rigid`.
+template <int kDims>
+Tpbr<kDims> TreeChildBound(Rng* gen, bool rigid) {
+  Tpbr<kDims> b;
+  for (int d = 0; d < kDims; ++d) {
+    b.lo[d] = F(gen->Uniform(0, 1000));
+    b.hi[d] = F(b.lo[d] + gen->Uniform(0, 60));
+    b.vlo[d] = F(gen->Uniform(-3, 3));
+    b.vhi[d] = rigid ? b.vlo[d] : F(b.vlo[d] + gen->Uniform(0, 2));
+  }
+  b.t_exp = kNeverExpires;
+  return b;
+}
+
+// A canonical moving-point record (float position, velocity and expiry).
+template <int kDims>
+Tpbr<kDims> TreeRecord(Rng* gen, Time t_exp) {
+  Tpbr<kDims> r;
+  for (int d = 0; d < kDims; ++d) {
+    r.lo[d] = r.hi[d] = F(gen->Uniform(0, 1000));
+    r.vlo[d] = r.vhi[d] = F(gen->Uniform(-3, 3));
+  }
+  r.t_exp = F(t_exp);
+  return r;
+}
+
+// An expiry for a record reported at `now`: just after it, exactly at it,
+// on a half-unit grid, or anywhere within two minutes.
+Time TreeExpiry(Rng* gen, Time now) {
+  switch (gen->UniformInt(4)) {
+    case 0:
+      return std::nextafter(static_cast<float>(now), 1e30f);
+    case 1:
+      return now;
+    case 2:
+      return now + 0.5 * static_cast<double>(1 + gen->UniformInt(40));
+    default:
+      return now + gen->Uniform(0, 120);
+  }
+}
+
+double TreeHorizon(Rng* gen) {
+  return gen->Bernoulli(0.25) ? 1.0 : gen->Uniform(1, 120);
+}
+
+// Hashes near-optimal bounds over the inputs the R^exp-tree feeds the
+// computation: ChooseSubtree's what-if pairs (an internal entry, which
+// never expires, plus the record being inserted, in both orders), pairs
+// of finite entries with tied expiries and positions, pairs that are both
+// expired or both never expire, and node-sized sets of moving points and
+// of internal entries.
+template <int kDims>
+void HashTreeShapedCorpus(uint64_t seed, uint64_t* h) {
+  Rng gen(seed);
+  Rng bound_rng(seed + 1);
+  for (int iter = 0; iter < 3000; ++iter) {
+    Time now = F(gen.Uniform(0, 500));
+    Tpbr<kDims> pair[2] = {TreeChildBound<kDims>(&gen, iter % 3 == 0),
+                           TreeRecord<kDims>(&gen, TreeExpiry(&gen, now))};
+    double horizon = TreeHorizon(&gen);
+    HashNearOptimal<kDims>(pair, now, horizon, &bound_rng, h);
+    std::swap(pair[0], pair[1]);
+    HashNearOptimal<kDims>(pair, now, horizon, &bound_rng, h);
+  }
+  for (int iter = 0; iter < 3000; ++iter) {
+    Time now = F(gen.Uniform(0, 500));
+    Tpbr<kDims> pair[2] = {TreeRecord<kDims>(&gen, TreeExpiry(&gen, now)),
+                           TreeRecord<kDims>(&gen, TreeExpiry(&gen, now))};
+    if (iter % 3 == 0) pair[1].t_exp = pair[0].t_exp;
+    if (iter % 5 == 0) {
+      for (int d = 0; d < kDims; ++d) {
+        pair[1].lo[d] = pair[1].hi[d] = pair[0].lo[d];
+      }
+    }
+    if (iter % 7 == 0) pair[1] = pair[0];
+    HashNearOptimal<kDims>(pair, now, TreeHorizon(&gen), &bound_rng, h);
+  }
+  for (int iter = 0; iter < 100; ++iter) {
+    Time now = F(gen.Uniform(1, 500));
+    Tpbr<kDims> expired[2] = {TreeRecord<kDims>(&gen, now - 1),
+                              TreeRecord<kDims>(&gen, now - 0.5)};
+    HashNearOptimal<kDims>(expired, now, TreeHorizon(&gen), &bound_rng, h);
+    Tpbr<kDims> rays[2] = {TreeChildBound<kDims>(&gen, iter % 2 == 0),
+                           TreeChildBound<kDims>(&gen, false)};
+    HashNearOptimal<kDims>(rays, now, TreeHorizon(&gen), &bound_rng, h);
+  }
+  for (int n : {17, 33, 34, 120, 170, 300, 600}) {
+    for (int iter = 0; iter < 12; ++iter) {
+      Time now = F(gen.Uniform(0, 500));
+      // Fine grid, half-unit grid, one shared expiry, internal entries.
+      int shape = iter % 4;
+      Time shared = TreeExpiry(&gen, now);
+      std::vector<Tpbr<kDims>> entries(n);
+      for (Tpbr<kDims>& e : entries) {
+        switch (shape) {
+          case 0:
+            e = TreeRecord<kDims>(&gen, now + gen.Uniform(0, 120));
+            break;
+          case 1:
+            e = TreeRecord<kDims>(
+                &gen, now + 0.5 * static_cast<double>(gen.UniformInt(41)));
+            break;
+          case 2:
+            e = TreeRecord<kDims>(&gen, shared);
+            break;
+          default:
+            e = TreeChildBound<kDims>(&gen, gen.Bernoulli(0.5));
+            break;
+        }
+      }
+      HashNearOptimal<kDims>(entries, now, TreeHorizon(&gen), &bound_rng, h);
+    }
+  }
+}
+
+// Pins the bounds the tree actually computes, bit for bit (see
+// GoldenCorpusIsBitIdentical).
+TEST(TpbrNearOptimal, TreeShapedCorpusIsBitIdentical) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hash recorded for x86-64 floating point";
+#endif
+  uint64_t h = 0xcbf29ce484222325ULL;
+  HashTreeShapedCorpus<1>(1101, &h);
+  HashTreeShapedCorpus<2>(2202, &h);
+  HashTreeShapedCorpus<3>(3303, &h);
+  EXPECT_EQ(h, 0xdbd1f7322de5e91bULL) << std::hex << "0x" << h;
+}
+
+// Hashes a double with every NaN folded into one value: NaN payloads and
+// signs follow operand order, which the compiler is free to pick.
+void HashValue(double v, uint64_t* h) {
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  HashBytes(&v, sizeof(v), h);
+}
+
+constexpr double kSpecialValues[] = {
+    0.0,  -0.0,  1.0,  -1.0, 0.25, 1e60, -1e60,
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity()};
+
+double SpecialOrRandom(Rng* gen) {
+  constexpr size_t kNum = std::size(kSpecialValues);
+  uint64_t pick = gen->UniformInt(2 * kNum);
+  return pick < kNum ? kSpecialValues[pick] : gen->Uniform(-50, 50);
+}
+
+template <int kDims>
+Tpbr<kDims> SpecialBound(Rng* gen) {
+  Tpbr<kDims> b;
+  for (int d = 0; d < kDims; ++d) {
+    b.lo[d] =
+        gen->Bernoulli(0.3) ? SpecialOrRandom(gen) : gen->Uniform(0, 100);
+    b.hi[d] = gen->Bernoulli(0.3) ? SpecialOrRandom(gen)
+                                  : b.lo[d] + gen->Uniform(0, 20);
+    b.vlo[d] =
+        gen->Bernoulli(0.3) ? SpecialOrRandom(gen) : gen->Uniform(-3, 3);
+    b.vhi[d] = gen->Bernoulli(0.3) ? SpecialOrRandom(gen)
+                                   : b.vlo[d] + gen->Uniform(-0.5, 1);
+  }
+  return b;
+}
+
+template <int kDims>
+void HashIntegrals(uint64_t seed, uint64_t* h) {
+  Rng gen(seed);
+  for (int iter = 0; iter < 3000; ++iter) {
+    Tpbr<kDims> a = SpecialBound<kDims>(&gen);
+    Tpbr<kDims> b = SpecialBound<kDims>(&gen);
+    Time t_eval = gen.Bernoulli(0.2) ? SpecialOrRandom(&gen)
+                                     : gen.Uniform(0, 100);
+    double T = gen.Bernoulli(0.2) ? std::abs(SpecialOrRandom(&gen))
+                                  : gen.Uniform(0, 120);
+    HashValue(AreaIntegral(a, t_eval, T), h);
+    HashValue(MarginIntegral(a, t_eval, T), h);
+    HashValue(OverlapIntegral(a, b, t_eval, T), h);
+    HashValue(CenterDistSqIntegral(a, b, t_eval, T), h);
+    double values[kDims], slopes[kDims];
+    for (int d = 0; d < kDims; ++d) {
+      values[d] = SpecialOrRandom(&gen);
+      slopes[d] = SpecialOrRandom(&gen);
+    }
+    double delta = gen.Bernoulli(0.2) ? std::abs(SpecialOrRandom(&gen))
+                                      : gen.Uniform(0, 120);
+    for (size_t k = 0; k <= kDims; ++k) {
+      HashValue(MedianFromExtents({values, k}, {slopes, k}, delta), h);
+    }
+  }
+}
+
+// Pins the objective integrals and the Lemma 4.2 median bit for bit,
+// including signed zeros and values whose powers overflow.
+TEST(TpbrIntegrals, SpecialValueCorpusIsBitIdentical) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hash recorded for x86-64 floating point";
+#endif
+  uint64_t h = 0xcbf29ce484222325ULL;
+  HashIntegrals<1>(4404, &h);
+  HashIntegrals<2>(5505, &h);
+  HashIntegrals<3>(6606, &h);
+  EXPECT_EQ(h, 0xae8e80d44880ad2fULL) << std::hex << "0x" << h;
 }
 
 TEST(MedianFromExtents, FirstDimensionIsHalfDelta) {
