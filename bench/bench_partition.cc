@@ -39,6 +39,7 @@
 #include "obs/metrics.h"
 #include "partition/partitioned_index.h"
 #include "storage/page_file.h"
+#include "tree/index_contract.h"
 #include "tree/tree.h"
 #include "workload/generator.h"
 
@@ -78,10 +79,21 @@ struct Run {
   std::vector<ClassRow> classes;
 };
 
-// Replays the generator stream into any index exposing the common
-// mutation/query surface. `Index` is Tree<2> or PartitionedIndex<2>
-// behind a thin adapter.
-template <typename Index>
+// Logical page touches (buffer hits + misses) across the index's trees.
+uint64_t Touches(const Tree<2>& tree) {
+  return tree.io_stats().hits.load(std::memory_order_relaxed) +
+         tree.io_stats().misses.load(std::memory_order_relaxed);
+}
+uint64_t Touches(const PartitionedIndex<2>& part) {
+  uint64_t total = 0;
+  for (int i = 0; i < part.partitions(); ++i) total += Touches(part.tree(i));
+  return total;
+}
+
+// Replays the generator stream into a Tree<2> or PartitionedIndex<2>; a
+// position re-report is one Update (the partitioned index's same-class
+// fast path).
+template <IndexFrontEnd Index>
 void Drive(WorkloadGenerator* gen, Index* index, Run* run) {
   uint64_t search_io_total = 0;
   uint64_t update_io_total = 0;
@@ -93,36 +105,36 @@ void Drive(WorkloadGenerator* gen, Index* index, Run* run) {
     now = op.time;
     switch (op.kind) {
       case Operation::Kind::kInsert: {
-        const uint64_t before = index->Io();
-        const uint64_t touches_before = index->Touches();
+        const uint64_t before = index->TotalIo();
+        const uint64_t touches_before = Touches(*index);
         const auto t0 = std::chrono::steady_clock::now();
         index->Insert(op.oid, op.record, now);
         run->update_seconds += std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();
-        update_io_total += index->Io() - before;
-        update_touch_total += index->Touches() - touches_before;
+        update_io_total += index->TotalIo() - before;
+        update_touch_total += Touches(*index) - touches_before;
         run->update_ops += 1;
         break;
       }
       case Operation::Kind::kUpdate: {
-        const uint64_t before = index->Io();
-        const uint64_t touches_before = index->Touches();
+        const uint64_t before = index->TotalIo();
+        const uint64_t touches_before = Touches(*index);
         const auto t0 = std::chrono::steady_clock::now();
-        index->Update(op.oid, op.old_record, op.record, now);
+        (void)index->Update(op.oid, op.old_record, op.record, now);
         run->update_seconds += std::chrono::duration<double>(
                                    std::chrono::steady_clock::now() - t0)
                                    .count();
-        update_io_total += index->Io() - before;
-        update_touch_total += index->Touches() - touches_before;
+        update_io_total += index->TotalIo() - before;
+        update_touch_total += Touches(*index) - touches_before;
         run->update_ops += 2;  // The paper's delete + insert pair.
         break;
       }
       case Operation::Kind::kQuery: {
         hits.clear();
-        const uint64_t before = index->Io();
+        const uint64_t before = index->TotalIo();
         index->Search(op.query, &hits);
-        search_io_total += index->Io() - before;
+        search_io_total += index->TotalIo() - before;
         run->queries += 1;
         break;
       }
@@ -143,56 +155,9 @@ void Drive(WorkloadGenerator* gen, Index* index, Run* run) {
       run->update_seconds > 0
           ? static_cast<double>(run->update_ops) / run->update_seconds
           : 0;
-  run->index_pages = index->Pages();
-  run->expired_fraction = index->Expired(now);
+  run->index_pages = index->PagesUsed();
+  run->expired_fraction = index->ExpiredLeafFraction(now);
 }
-
-struct TreeAdapter {
-  Tree<2>* tree;
-  void Insert(ObjectId oid, const Tpbr<2>& p, Time now) {
-    tree->Insert(oid, p, now);
-  }
-  void Update(ObjectId oid, const Tpbr<2>& old_record, const Tpbr<2>& p,
-              Time now) {
-    (void)tree->Update(oid, old_record, p, now);
-  }
-  void Search(const Query<2>& q, std::vector<ObjectId>* out) {
-    tree->Search(q, out);
-  }
-  uint64_t Io() { return tree->io_stats().Total(); }
-  uint64_t Touches() {
-    return tree->io_stats().hits.load(std::memory_order_relaxed) +
-           tree->io_stats().misses.load(std::memory_order_relaxed);
-  }
-  uint64_t Pages() { return tree->PagesUsed(); }
-  double Expired(Time now) { return tree->ExpiredLeafFraction(now); }
-};
-
-struct PartAdapter {
-  PartitionedIndex<2>* part;
-  void Insert(ObjectId oid, const Tpbr<2>& p, Time now) {
-    part->Insert(oid, p, now);
-  }
-  void Update(ObjectId oid, const Tpbr<2>& old_record, const Tpbr<2>& p,
-              Time now) {
-    (void)part->Update(oid, old_record, p, now);
-  }
-  void Search(const Query<2>& q, std::vector<ObjectId>* out) {
-    part->Search(q, out);
-  }
-  uint64_t Io() { return part->TotalIo(); }
-  uint64_t Touches() {
-    uint64_t total = 0;
-    for (int i = 0; i < part->partitions(); ++i) {
-      const IoStats& s = part->tree(i)->io_stats();
-      total += s.hits.load(std::memory_order_relaxed) +
-               s.misses.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  uint64_t Pages() { return part->PagesUsed(); }
-  double Expired(Time now) { return part->ExpiredLeafFraction(now); }
-};
 
 Run RunOne(const std::string& workload, const WorkloadSpec& spec,
            const TreeConfig& config, int k) {
@@ -204,8 +169,7 @@ Run RunOne(const std::string& workload, const WorkloadSpec& spec,
     run.variant = "single";
     MemoryPageFile file(config.page_size);
     Tree<2> tree(config, &file);
-    TreeAdapter adapter{&tree};
-    Drive(&gen, &adapter, &run);
+    Drive(&gen, &tree, &run);
     return run;
   }
   run.variant = "part-K" + std::to_string(k);
@@ -226,8 +190,7 @@ Run RunOne(const std::string& workload, const WorkloadSpec& spec,
   PartitionedOptions options;
   options.partitions = k;
   PartitionedIndex<2> part(per_class, raw, options);
-  PartAdapter adapter{&part};
-  Drive(&gen, &adapter, &run);
+  Drive(&gen, &part, &run);
 
   const PartitionedIndex<2>::Stats stats = part.stats();
   run.migrations = stats.migrations;

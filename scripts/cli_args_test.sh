@@ -80,6 +80,12 @@ expect_usage "inspect_index --page-size bogus" -- \
   "$TOOLS_DIR/inspect_index" "$IDX" --page-size bogus
 expect_usage "inspect_index --now 1e999" -- \
   "$TOOLS_DIR/inspect_index" "$IDX" --now 1e999
+# The invariant catalog is rexp_fsck's and periodic re-rendering is
+# `watch -n 1 inspect_index`'s: these modes are gone (unknown flag).
+expect_usage "inspect_index --verify" -- \
+  "$TOOLS_DIR/inspect_index" "$IDX" --verify
+expect_usage "inspect_index --watch" -- \
+  "$TOOLS_DIR/inspect_index" "$IDX" --watch
 
 expect_usage "rexp_top --interval bogus" -- \
   "$TOOLS_DIR/rexp_top" --interval bogus --once

@@ -2,20 +2,22 @@
 
 #include "harness/experiment.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
 #include "common/parse.h"
 #include "livetier/tiered_index.h"
-#include "partition/partitioned_index.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "sched/scheduled_index.h"
-#include "tpbr/intersect.h"
 #include "storage/page_file.h"
+#include "tpbr/intersect.h"
+#include "tree/index_contract.h"
 #include "tree/tree.h"
 #include "workload/generator.h"
 
@@ -47,164 +49,30 @@ VariantSpec VariantSpec::RexpTiered() {
   return v;
 }
 
-VariantSpec VariantSpec::RexpPartitioned(int k) {
-  VariantSpec v{"Rexp-tree part-K" + std::to_string(k), TreeConfig::Rexp(),
-                false};
-  v.partitions = k;
-  return v;
-}
-
 namespace {
 
-// Thin uniform driver over Tree, ScheduledIndex, TieredIndex, and
-// PartitionedIndex so the measurement loop is written once.
-class Driver {
- public:
-  Driver(const VariantSpec& variant, PageFile* tree_file,
-         PageFile* queue_file) {
-    if (variant.partitions > 0) {
-      std::vector<PageFile*> files;
-      for (int i = 0; i < variant.partitions; ++i) {
-        part_files_.push_back(
-            std::make_unique<MemoryPageFile>(variant.config.page_size));
-        files.push_back(part_files_.back().get());
-      }
-      PartitionedOptions options;
-      options.partitions = variant.partitions;
-      part_ = std::make_unique<PartitionedIndex<2>>(variant.config, files,
-                                                    options);
-    } else if (variant.scheduled) {
-      sched_ = std::make_unique<ScheduledIndex<2>>(variant.config, tree_file,
-                                                   queue_file);
-    } else if (variant.tiered) {
-      tiered_ = std::make_unique<TieredIndex<2>>(variant.config, tree_file);
-    } else {
-      tree_ = std::make_unique<Tree<2>>(variant.config, tree_file);
-    }
+// The tree a front-end's tracer attaches to.
+template <typename Index>
+Tree<2>& TreeOf(Index& index) {
+  if constexpr (std::is_same_v<Index, Tree<2>>) {
+    return index;
+  } else {
+    return index.tree();
   }
+}
 
-  // Executes deferred maintenance due before `now` — scheduled deletions
-  // (returning how many fired, each an update op) or, for the tiered
-  // variant, a synchronous live-tier migration step once per logical
-  // second. Migration I/O is amortized cost of already-counted reports,
-  // so it adds I/O but no ops.
-  uint64_t Pump(Time now) {
-    if (sched_) return sched_->PumpDue(now);
-    if (tiered_ && now - last_migrate_ >= 1.0) {
-      last_migrate_ = now;
-      tiered_->MigrateTick();
-    }
-    return 0;
-  }
-
-  void Insert(ObjectId oid, const Tpbr<2>& p, Time now) {
-    if (part_) {
-      part_->Insert(oid, p, now);
-    } else if (sched_) {
-      sched_->Insert(oid, p, now);
-    } else if (tiered_) {
-      tiered_->Insert(oid, p, now);
-    } else {
-      tree_->Insert(oid, p, now);
-    }
-  }
-  bool Delete(ObjectId oid, const Tpbr<2>& p, Time now) {
-    if (part_) return part_->Delete(oid, p, now);
-    if (sched_) return sched_->Delete(oid, p, now);
-    if (tiered_) return tiered_->Delete(oid, p, now);
-    return tree_->Delete(oid, p, now);
-  }
-  // A position re-report: old record out, new record in. The tiered and
-  // partitioned variants absorb it in one call (the latter so same-class
-  // updates take the in-place fast path); the others express it as the
-  // paper's delete-then-insert pair.
-  void Update(ObjectId oid, const Tpbr<2>& old_record, const Tpbr<2>& p,
-              Time now) {
-    if (part_) {
-      (void)part_->Update(oid, old_record, p, now);
-    } else if (tiered_) {
-      (void)tiered_->Update(oid, old_record, p, now);
-    } else {
-      Delete(oid, old_record, now);
-      Insert(oid, p, now);
-    }
-  }
-  void Search(const Query<2>& q, Time now, std::vector<ObjectId>* out) {
-    if (part_) {
-      part_->Search(q, out);
-    } else if (sched_) {
-      sched_->Search(q, now, out);
-    } else if (tiered_) {
-      tiered_->Search(q, out);
-    } else {
-      tree_->Search(q, out);
-    }
-  }
-
-  uint64_t QueueIo() {
-    return sched_ ? sched_->queue().io_stats().Total() : 0;
-  }
-
-  // Variant-independent end-of-run metrics (a partitioned index has no
-  // single underlying tree to ask).
-  uint64_t TotalIo() {
-    if (part_) return part_->TotalIo();
-    return tree().io_stats().Total();
-  }
-  uint64_t IndexPages() {
-    if (part_) return part_->PagesUsed();
-    return tree().PagesUsed();
-  }
-  double ExpiredFraction(Time now) {
-    if (part_) return part_->ExpiredLeafFraction(now);
-    return tree().ExpiredLeafFraction(now);
-  }
-
-  // The tracer's span stack is shared, so the partitioned variant traces
-  // only its first class tree — the fan-out would interleave concurrent
-  // spans from sibling trees.
-  void SetTracer(obs::Tracer* tracer) {
-    if (part_) {
-      part_->tree(0)->set_tracer(tracer);
-    } else {
-      tree().set_tracer(tracer);
-    }
-  }
-
-  void RegisterMetrics(obs::MetricsRegistry* registry) const {
-    if (part_) {
-      part_->RegisterMetrics(registry, "", /*per_tree=*/false);
-    } else if (sched_) {
-      sched_->RegisterMetrics(registry, "");
-    } else if (tiered_) {
-      tiered_->RegisterMetrics(registry, "");
-    } else {
-      tree_->RegisterMetrics(registry, "tree.");
-    }
-  }
-
- private:
-  Tree<2>& tree() {
-    if (sched_) return sched_->tree();
-    if (tiered_) return tiered_->tree();
-    return *tree_;
-  }
-
-  std::unique_ptr<Tree<2>> tree_;
-  std::unique_ptr<ScheduledIndex<2>> sched_;
-  std::unique_ptr<TieredIndex<2>> tiered_;
-  std::vector<std::unique_ptr<MemoryPageFile>> part_files_;
-  std::unique_ptr<PartitionedIndex<2>> part_;
-  Time last_migrate_ = 0;
-};
-
-}  // namespace
-
-RunResult RunExperiment(const WorkloadSpec& spec,
-                        const VariantSpec& variant) {
-  MemoryPageFile tree_file(variant.config.page_size);
-  MemoryPageFile queue_file(variant.config.page_size);
-  Driver driver(variant, &tree_file, &queue_file);
+// The measurement loop, written once over the index contract. The
+// per-front-end policies: ScheduledIndex fires the deletions due before
+// each operation (update work, one op each); TieredIndex runs one
+// synchronous live-tier migration step per logical second (amortized
+// cost of already-counted reports: I/O but no ops) and absorbs a
+// position re-report in one Update; Tree and ScheduledIndex apply it as
+// the paper's delete-then-insert pair.
+template <IndexFrontEnd Index>
+RunResult Measure(const WorkloadSpec& spec, const VariantSpec& variant,
+                  Index& index) {
+  constexpr bool kScheduled = std::is_same_v<Index, ScheduledIndex<2>>;
+  constexpr bool kTiered = std::is_same_v<Index, TieredIndex<2>>;
 
   // REXP_TRACE=<path>: append this run's per-operation JSONL trace to the
   // named file (one stream across all runs of a benchmark process).
@@ -221,15 +89,15 @@ RunResult RunExperiment(const WorkloadSpec& spec,
         uint64_t n = 0;
         if (ParseU64(sample, &n) && n > 0) tracer->set_span_sample(n);
       }
-      driver.SetTracer(tracer.get());
+      TreeOf(index).set_tracer(tracer.get());
     } else {
       std::fprintf(stderr, "REXP_TRACE: %s\n",
                    opened.status().ToString().c_str());
     }
   }
 
-  // Seed the index's internal randomness from the workload seed so runs
-  // are fully reproducible yet differ across repetitions.
+  // The generator is seeded from spec.seed, so runs are fully
+  // reproducible yet differ across repetitions.
   WorkloadGenerator generator(spec);
 
   RunResult result;
@@ -242,43 +110,52 @@ RunResult RunExperiment(const WorkloadSpec& spec,
   // answers (the external filter step of paper Section 3).
   std::unordered_map<ObjectId, Tpbr<2>> current_record;
   Time now = 0;
-
-  auto tree_io = [&]() { return driver.TotalIo(); };
+  Time last_migrate = 0;
 
   Operation op;
   std::vector<ObjectId> hits;
   while (generator.Next(&op)) {
     now = op.time;
-    // Scheduled deletions due before this operation are update work.
-    uint64_t before_pump = tree_io();
-    uint64_t fired = driver.Pump(now);
-    update_io_total += tree_io() - before_pump;
-    result.update_ops += fired;
+    // Deferred maintenance due before this operation is update work.
+    const uint64_t before_pump = index.TotalIo();
+    if constexpr (kScheduled) result.update_ops += index.PumpDue(now);
+    if constexpr (kTiered) {
+      if (now - last_migrate >= 1.0) {
+        last_migrate = now;
+        index.MigrateTick();
+      }
+    }
+    update_io_total += index.TotalIo() - before_pump;
 
     switch (op.kind) {
       case Operation::Kind::kInsert: {
-        uint64_t before = tree_io();
-        driver.Insert(op.oid, op.record, now);
-        update_io_total += tree_io() - before;
+        uint64_t before = index.TotalIo();
+        index.Insert(op.oid, op.record, now);
+        update_io_total += index.TotalIo() - before;
         result.update_ops += 1;
         current_record[op.oid] = op.record;
         break;
       }
       case Operation::Kind::kUpdate: {
-        uint64_t before = tree_io();
-        // The delete may fail if the record expired first (the paper's
-        // semantics); the insert then simply introduces the new record.
-        driver.Update(op.oid, op.old_record, op.record, now);
-        update_io_total += tree_io() - before;
+        uint64_t before = index.TotalIo();
+        if constexpr (kTiered) {
+          (void)index.Update(op.oid, op.old_record, op.record, now);
+        } else {
+          // The delete may fail if the record expired first (the paper's
+          // semantics); the insert then simply introduces the new record.
+          (void)index.Delete(op.oid, op.old_record, now);
+          index.Insert(op.oid, op.record, now);
+        }
+        update_io_total += index.TotalIo() - before;
         result.update_ops += 2;
         current_record[op.oid] = op.record;
         break;
       }
       case Operation::Kind::kQuery: {
         hits.clear();
-        uint64_t before = tree_io();
-        driver.Search(op.query, now, &hits);
-        search_io_total += tree_io() - before;
+        uint64_t before = index.TotalIo();
+        index.Search(op.query, &hits);
+        search_io_total += index.TotalIo() - before;
         result.queries += 1;
         result_size_total += hits.size();
         for (ObjectId oid : hits) {
@@ -301,12 +178,15 @@ RunResult RunExperiment(const WorkloadSpec& spec,
                          ? static_cast<double>(update_io_total) /
                                static_cast<double>(result.update_ops)
                          : 0;
-  result.btree_io_per_op =
-      result.update_ops ? static_cast<double>(driver.QueueIo()) /
-                              static_cast<double>(result.update_ops)
-                        : 0;
-  result.index_pages = driver.IndexPages();
-  result.expired_fraction = driver.ExpiredFraction(now);
+  if constexpr (kScheduled) {
+    const uint64_t queue_io = index.queue().io_stats().Total();
+    result.btree_io_per_op =
+        result.update_ops ? static_cast<double>(queue_io) /
+                                static_cast<double>(result.update_ops)
+                          : 0;
+  }
+  result.index_pages = index.PagesUsed();
+  result.expired_fraction = index.ExpiredLeafFraction(now);
   result.avg_result_size =
       result.queries ? static_cast<double>(result_size_total) /
                            static_cast<double>(result.queries)
@@ -316,10 +196,29 @@ RunResult RunExperiment(const WorkloadSpec& spec,
                            static_cast<double>(result.queries)
                      : 0;
   obs::MetricsRegistry registry;
-  driver.RegisterMetrics(&registry);
+  index.RegisterMetrics(&registry,
+                        std::is_same_v<Index, Tree<2>> ? "tree." : "");
   result.metrics_json = registry.ToJson();
-  driver.SetTracer(nullptr);
+  TreeOf(index).set_tracer(nullptr);
   return result;
+}
+
+}  // namespace
+
+RunResult RunExperiment(const WorkloadSpec& spec,
+                        const VariantSpec& variant) {
+  MemoryPageFile tree_file(variant.config.page_size);
+  if (variant.scheduled) {
+    MemoryPageFile queue_file(variant.config.page_size);
+    ScheduledIndex<2> index(variant.config, &tree_file, &queue_file);
+    return Measure(spec, variant, index);
+  }
+  if (variant.tiered) {
+    TieredIndex<2> index(variant.config, &tree_file);
+    return Measure(spec, variant, index);
+  }
+  Tree<2> index(variant.config, &tree_file);
+  return Measure(spec, variant, index);
 }
 
 double ScaleFromEnv(double fallback) {

@@ -23,9 +23,6 @@ struct VariantSpec {
   TreeConfig config;
   bool scheduled = false;  // Pair the tree with the B-tree deletion queue.
   bool tiered = false;     // Front the tree with the in-memory live tier.
-  // Velocity-partitioned family (src/partition/): split the objects into
-  // this many speed classes, each its own tree. 0 = a single tree.
-  int partitions = 0;
 
   // The four variants of the paper's Figures 13–16.
   static VariantSpec Rexp();
@@ -36,8 +33,6 @@ struct VariantSpec {
   // bulk-migrated into the tree. Migration runs synchronously inside the
   // harness (deterministic), driven by the same logical clock.
   static VariantSpec RexpTiered();
-  // The velocity-partitioned R^exp-tree with k speed classes.
-  static VariantSpec RexpPartitioned(int k);
 };
 
 struct RunResult {

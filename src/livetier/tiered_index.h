@@ -290,6 +290,13 @@ class TieredIndex {
 
   Tree<kDims>& tree() { return tree_; }
 
+  // The tree's metrics: the live tier touches no page.
+  uint64_t TotalIo() const { return tree_.TotalIo(); }
+  uint64_t PagesUsed() const { return tree_.PagesUsed(); }
+  double ExpiredLeafFraction(Time now) {
+    return tree_.ExpiredLeafFraction(now);
+  }
+
   // Reference to the live tier for quiescent inspection (tests, drained
   // shutdown). NO_THREAD_SAFETY_ANALYSIS: hands out mu_-guarded state;
   // callers must ensure no mutator or migrator is running.

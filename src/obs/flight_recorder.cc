@@ -11,6 +11,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>  // std-mutex-ok: once_flag/call_once only, no locks.
+#include <thread>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -129,28 +130,39 @@ void FlightRecorder::Record(FlightOp op, uint64_t oid, double latency_us,
   (void)io;
 #else
   if (!telemetry::Enabled()) return;
-  const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[idx & (capacity_ - 1)];
-  // Invalidate first so a concurrent dump never pairs old fields with the
-  // new ticket; the release store of the final ticket publishes the fields.
-  slot.ticket.store(0, std::memory_order_relaxed);
+  const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed) + 1;
+  Slot& slot = slots_[(ticket - 1) & (capacity_ - 1)];
+  const uint64_t busy = (ticket << 1) | 1;
+  uint64_t state = slot.state.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((state >> 1) >= ticket) return;  // A newer record owns the slot.
+    if ((state & 1) != 0) {
+      // An older writer lapped by the ring is still filling the slot.
+      std::this_thread::yield();
+      state = slot.state.load(std::memory_order_relaxed);
+    } else if (slot.state.compare_exchange_weak(state, busy,
+                                                std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+      break;  // Acquire: the previous owner's field stores come first.
+    }
+  }
+  // Orders the busy mark before the field stores for a concurrent dump.
+  std::atomic_thread_fence(std::memory_order_release);
   const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - epoch_)
                         .count();
-  slot.oid = oid;
-  slot.wall_ms = static_cast<uint32_t>(
-      std::min<int64_t>(wall, std::numeric_limits<uint32_t>::max()));
-  slot.latency_us = latency_us <= 0
-                        ? 0u
-                        : static_cast<uint32_t>(std::min(
-                              latency_us,
-                              static_cast<double>(
-                                  std::numeric_limits<uint32_t>::max())));
-  slot.io = static_cast<uint32_t>(
-      std::min<uint64_t>(io, std::numeric_limits<uint32_t>::max()));
-  slot.op = static_cast<uint8_t>(op);
-  slot.status = static_cast<uint8_t>(code);
-  slot.ticket.store(idx + 1, std::memory_order_release);
+  constexpr uint32_t kU32Max = std::numeric_limits<uint32_t>::max();
+  const double latency = std::min(latency_us, double{kU32Max});
+  slot.oid.store(oid, std::memory_order_relaxed);
+  slot.wall_ms.store(static_cast<uint32_t>(std::min<int64_t>(wall, kU32Max)),
+                     std::memory_order_relaxed);
+  slot.latency_us.store(latency <= 0 ? 0u : static_cast<uint32_t>(latency),
+                        std::memory_order_relaxed);
+  slot.io.store(static_cast<uint32_t>(std::min<uint64_t>(io, kU32Max)),
+                std::memory_order_relaxed);
+  slot.op.store(static_cast<uint8_t>(op), std::memory_order_relaxed);
+  slot.status.store(static_cast<uint8_t>(code), std::memory_order_relaxed);
+  slot.state.store(ticket << 1, std::memory_order_release);
 #endif
 }
 
@@ -175,17 +187,18 @@ void FlightRecorder::DumpToFd(int fd, const char* reason) const {
   bool any = false;
   for (uint64_t seq = first; seq < total; ++seq) {
     const Slot& slot = slots_[seq & (capacity_ - 1)];
-    if (slot.ticket.load(std::memory_order_acquire) != seq + 1) continue;
+    const uint64_t published = (seq + 1) << 1;
+    if (slot.state.load(std::memory_order_acquire) != published) continue;
     // Copy fields, then re-validate: a writer lapping us mid-read leaves
-    // the ticket changed and we drop the torn slot.
-    const uint64_t oid = slot.oid;
-    const uint32_t wall_ms = slot.wall_ms;
-    const uint32_t latency_us = slot.latency_us;
-    const uint32_t io = slot.io;
-    const uint8_t op = slot.op;
-    const uint8_t status = slot.status;
+    // the state changed and we drop the torn slot.
+    const uint64_t oid = slot.oid.load(std::memory_order_relaxed);
+    const uint32_t wall_ms = slot.wall_ms.load(std::memory_order_relaxed);
+    const uint32_t latency_us = slot.latency_us.load(std::memory_order_relaxed);
+    const uint32_t io = slot.io.load(std::memory_order_relaxed);
+    const uint8_t op = slot.op.load(std::memory_order_relaxed);
+    const uint8_t status = slot.status.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.ticket.load(std::memory_order_relaxed) != seq + 1) continue;
+    if (slot.state.load(std::memory_order_relaxed) != published) continue;
 
     if (any) out.Raw(",");
     any = true;

@@ -1,12 +1,15 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
-// Flight recorder: a fixed-size lock-free ring of the most recent index
-// operations (oid, op, latency, status, I/O). Recording is wait-free —
-// one fetch_add to claim a slot, plain stores of the fields, then a
-// release store of the slot's ticket — so the hot path pays a few
-// nanoseconds and never blocks, at the cost that a dump taken while
-// writers are racing may skip the (few) slots being overwritten at that
-// instant: the dumper validates each slot's ticket and drops torn ones.
+// Flight recorder: a fixed-size ring of the most recent index
+// operations (oid, op, latency, status, I/O). Recording takes no lock —
+// one fetch_add to claim a ticket, a CAS that marks the ticket's slot
+// busy, relaxed stores of the fields, then a release store of the
+// ticket — so the hot path pays a few nanoseconds. Only a writer that
+// laps the ring onto a slot an older writer is still filling waits, for
+// that fill only; a writer whose slot already holds a newer ticket drops
+// its record. A dump taken while writers race skips the (few) slots
+// being filled at that instant: the dumper validates each slot's ticket
+// and drops torn ones.
 //
 // The point of the recorder is the dump: when the process dies — fatal
 // Status path, REXP_CHECK failure, std::terminate, SIGTERM/SIGINT — the
@@ -66,7 +69,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Wait-free; callable from any thread. Gated on telemetry::Enabled().
+  // Takes no lock; callable from any thread. Gated on
+  // telemetry::Enabled().
   void Record(FlightOp op, uint64_t oid, double latency_us, StatusCode code,
               uint64_t io);
 
@@ -91,18 +95,26 @@ class FlightRecorder {
   Status DumpToFile(const std::string& path, const char* reason) const;
 
  private:
+  // A seqlock per slot. `state` is (ticket << 1) | busy, where ticket ==
+  // claim index + 1 (0 = never written). A writer CASes an idle state
+  // holding an older ticket to its own ticket with the busy bit set, so
+  // no two writers fill one slot at once and none publishes over a newer
+  // ticket; it clears the bit with a release store after the fields.
+  // The fields are relaxed atomics: the dumper reads them racily and
+  // re-checks `state` afterwards, dropping the slot on mismatch.
   struct Slot {
-    // ticket == claim index + 1, stored with release order after the
-    // fields; 0 = never written. The dumper re-checks it after reading
-    // the fields and drops the slot on mismatch.
-    std::atomic<uint64_t> ticket{0};
-    uint64_t oid = 0;
-    uint32_t wall_ms = 0;     // Since recorder construction.
-    uint32_t latency_us = 0;  // Saturated at ~71 min.
-    uint32_t io = 0;
-    uint8_t op = 0;
-    uint8_t status = 0;
+    std::atomic<uint64_t> state{0};
+    std::atomic<uint64_t> oid{0};
+    std::atomic<uint32_t> wall_ms{0};     // Since recorder construction.
+    std::atomic<uint32_t> latency_us{0};  // Saturated at ~71 min.
+    std::atomic<uint32_t> io{0};
+    std::atomic<uint8_t> op{0};
+    std::atomic<uint8_t> status{0};
   };
+  // The dumper runs in signal handlers: every field must be lock-free.
+  static_assert(std::atomic<uint64_t>::is_always_lock_free &&
+                std::atomic<uint32_t>::is_always_lock_free &&
+                std::atomic<uint8_t>::is_always_lock_free);
 
   size_t capacity_;  // Power of two.
   std::unique_ptr<Slot[]> slots_;

@@ -5,8 +5,7 @@
 // rates for every registered counter, re-derives per-interval latency
 // percentiles from histogram bucket-count deltas, and appends one JSON
 // line per sample to a time-series file under REXP_MONITOR_DIR. rexp_top
-// tails that stream; inspect_index --watch and scripts/extract_results.py
-// consume it offline.
+// tails that stream; scripts/extract_results.py consumes it offline.
 //
 // Stream schema (version 1), one object per line:
 //   {"v":1,"type":"monitor_meta","pid":N,"interval_s":X,"name":"..."}

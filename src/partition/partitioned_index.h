@@ -396,7 +396,7 @@ class PartitionedIndex {
       return;
     }
     std::vector<std::vector<ObjectId>> partial(candidates.size());
-    FanOut(pool, candidates.size(), [&](size_t i) {
+    sched::ParallelFor(pool, candidates.size(), [&](size_t i) {
       candidates[i]->Search(query, &partial[i]);
     });
     for (const std::vector<ObjectId>& p : partial) {
@@ -413,16 +413,9 @@ class PartitionedIndex {
     const std::vector<Tree<kDims>*> candidates = NnCandidates();
     if (candidates.empty()) return;
     std::vector<std::vector<NnResult>> partial(candidates.size());
-    sched::ThreadPool* pool = pool_;
-    if (candidates.size() == 1 || pool == nullptr) {
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        candidates[i]->NearestNeighbors(point, t, k, &partial[i]);
-      }
-    } else {
-      FanOut(pool, candidates.size(), [&](size_t i) {
-        candidates[i]->NearestNeighbors(point, t, k, &partial[i]);
-      });
-    }
+    sched::ParallelFor(pool_, candidates.size(), [&](size_t i) {
+      candidates[i]->NearestNeighbors(point, t, k, &partial[i]);
+    });
     for (const std::vector<NnResult>& p : partial) {
       out->insert(out->end(), p.begin(), p.end());
     }
@@ -980,25 +973,6 @@ class PartitionedIndex {
     }
     stats_.partitions_searched += candidates.size();
     return candidates;
-  }
-
-  // Runs fn(0..n-1) on the shared pool, one task per index, and waits
-  // for THESE tasks only (per-call latch — ThreadPool::Wait would block
-  // on unrelated work sharing the pool).
-  template <typename Fn>
-  void FanOut(sched::ThreadPool* pool, size_t n, Fn fn) {
-    sched::Mutex done_mu(sched::LockRank::kLeaf, "partition_fanout");
-    sched::CondVar done_cv;
-    size_t pending = n;
-    for (size_t i = 0; i < n; ++i) {
-      pool->Submit([&, i] {
-        fn(i);
-        sched::MutexLock lk(&done_mu);
-        if (--pending == 0) done_cv.NotifyAll();
-      });
-    }
-    sched::MutexLock lk(&done_mu);
-    done_cv.Wait(done_mu, [&pending] { return pending == 0; });
   }
 
   verify::Report VerifyLocked(Time now) REQUIRES(router_mu_) {

@@ -43,9 +43,10 @@ class ScheduledIndex {
         queue_(queue_file, queue_buffer_frames, kValueSize) {}
 
   // Executes all scheduled deletions due at or before `now`; returns how
-  // many fired. Called automatically by Insert/Delete/Search; exposed so
-  // a measurement harness can attribute the I/O of due deletions
-  // separately from the triggering operation.
+  // many fired. Called automatically by Insert/Delete; Search takes no
+  // clock, so callers pump before it. Exposed so a measurement harness
+  // can attribute the I/O of due deletions separately from the
+  // triggering operation.
   uint64_t PumpDue(Time now) {
     uint64_t fired = 0;
     BTree::Key key;
@@ -84,14 +85,21 @@ class ScheduledIndex {
     return tree_.Delete(oid, point, now);
   }
 
-  void Search(const Query<kDims>& query, Time now,
-              std::vector<ObjectId>* out) {
-    PumpDue(now);
+  // Answers from the tree as of the last pump: PumpDue(now) first.
+  void Search(const Query<kDims>& query, std::vector<ObjectId>* out) {
     tree_.Search(query, out);
   }
 
   Tree<kDims>& tree() { return tree_; }
   BTree& queue() { return queue_; }
+
+  // The paper's tree-side metrics; the queue's I/O is the separate
+  // queue().io_stats() stream.
+  uint64_t TotalIo() const { return tree_.TotalIo(); }
+  uint64_t PagesUsed() const { return tree_.PagesUsed(); }
+  double ExpiredLeafFraction(Time now) {
+    return tree_.ExpiredLeafFraction(now);
+  }
 
   // Total scheduled deletions executed by PumpDue.
   uint64_t scheduled_deletions_fired() const {

@@ -1,15 +1,17 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
-// A small fixed-size worker pool for fanning batches of index queries
-// across threads (Tree::ParallelSearch, the concurrency benchmark, and
-// tests). Deliberately minimal: submit closures, wait for the batch to
-// drain. Submitted work must do its own synchronization against the
-// index (the tree's epoch protocol, DESIGN.md §8); the pool only
-// provides the threads.
+// A small fixed-size worker pool plus ParallelFor, the one fan-out
+// primitive over it (Tree::ParallelSearch, PartitionedIndex's per-class
+// queries, the concurrency benchmark, and tests). Deliberately minimal:
+// submit closures, wait for the batch to drain. Submitted work must do
+// its own synchronization against the index (the tree's epoch protocol,
+// DESIGN.md §8); the pool only provides the threads.
 
 #ifndef REXP_SCHED_THREAD_POOL_H_
 #define REXP_SCHED_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -95,6 +97,38 @@ class ThreadPool {
   // never touch it — safe without mu_.
   std::vector<std::thread> workers_;
 };
+
+// Runs fn(i) for every i in [0, n) and returns once all n calls have
+// finished. With a pool, min(n, threads) tasks pull indices from a shared
+// cursor (dynamic scheduling: per-index costs vary, so static striping
+// would idle the fast workers). Completion is tracked by a per-call
+// latch, not ThreadPool::Wait(), so callers sharing one pool wait only
+// for their own indices. A null pool (or n <= 1) runs the loop inline on
+// the caller. Must not be called from inside a task of the same pool.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t n, Fn&& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const size_t tasks = std::min(n, static_cast<size_t>(pool->num_threads()));
+  std::atomic<size_t> next{0};
+  Mutex done_mu(LockRank::kLeaf, "parallel_for_latch");
+  CondVar done_cv;
+  size_t pending = tasks;
+  for (size_t t = 0; t < tasks; ++t) {
+    pool->Submit([&] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
+      MutexLock lk(&done_mu);
+      if (--pending == 0) done_cv.NotifyAll();
+    });
+  }
+  MutexLock lk(&done_mu);
+  done_cv.Wait(done_mu, [&pending] { return pending == 0; });
+}
 
 }  // namespace rexp::sched
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 
 #include "common/check.h"
@@ -1732,57 +1733,11 @@ std::vector<std::vector<ObjectId>> Tree<kDims>::ParallelSearch(
   if (queries.empty()) return results;
   num_threads = std::clamp<int>(num_threads, 1,
                                 static_cast<int>(queries.size()));
-  if (num_threads == 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Search(queries[i], &results[i]);
-    }
-    return results;
-  }
-  sched::ThreadPool pool(num_threads);
-  return ParallelSearch(queries, &pool);
-}
-
-template <int kDims>
-std::vector<std::vector<ObjectId>> Tree<kDims>::ParallelSearch(
-    const std::vector<Query<kDims>>& queries, sched::ThreadPool* pool) {
-  std::vector<std::vector<ObjectId>> results(queries.size());
-  if (queries.empty()) return results;
-  const int workers =
-      pool == nullptr
-          ? 1
-          : std::clamp<int>(pool->num_threads(), 1,
-                            static_cast<int>(queries.size()));
-  if (workers == 1 || pool == nullptr) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Search(queries[i], &results[i]);
-    }
-    return results;
-  }
-  // Workers pull query indices from a shared cursor (dynamic scheduling:
-  // query costs vary, so static striping would idle the fast workers) and
-  // write disjoint result slots; each Search takes its own shared epoch.
-  //
-  // The pool may be shared with other concurrent fan-outs, so completion
-  // is tracked by a per-call latch rather than ThreadPool::Wait() (which
-  // waits for ALL submitted tasks, including other callers').
-  std::atomic<size_t> next{0};
-  sched::Mutex done_mu(sched::LockRank::kLeaf, "parallel_search_latch");
-  sched::CondVar done_cv;
-  int pending = workers;
-  for (int t = 0; t < workers; ++t) {
-    pool->Submit([this, &queries, &results, &next, &done_mu, &done_cv,
-                  &pending] {
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= queries.size()) break;
-        Search(queries[i], &results[i]);
-      }
-      sched::MutexLock lk(&done_mu);
-      if (--pending == 0) done_cv.NotifyAll();
-    });
-  }
-  sched::MutexLock lk(&done_mu);
-  done_cv.Wait(done_mu, [&pending] { return pending == 0; });
+  // Each Search takes its own shared epoch and writes a disjoint slot.
+  std::optional<sched::ThreadPool> pool;
+  if (num_threads > 1) pool.emplace(num_threads);
+  sched::ParallelFor(pool ? &*pool : nullptr, queries.size(),
+                     [&](size_t i) { Search(queries[i], &results[i]); });
   return results;
 }
 

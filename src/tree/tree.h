@@ -57,10 +57,6 @@
 
 namespace rexp {
 
-namespace sched {
-class ThreadPool;
-}  // namespace sched
-
 // Tree-level operation telemetry: what the structural algorithms did, as
 // opposed to what it cost in I/O (IoStats) or at the device (DeviceStats).
 // Counters are always maintained — as relaxed atomic adds, since Search
@@ -306,14 +302,6 @@ class Tree {
   std::vector<std::vector<ObjectId>> ParallelSearch(
       const std::vector<Query<kDims>>& queries, int num_threads);
 
-  // Same, but runs on an injected shared pool instead of spawning a
-  // transient one — K partition trees fanning out through one pool don't
-  // multiply threads. Safe for pools shared with other concurrent
-  // fan-outs: completion is tracked by a per-call latch, not
-  // ThreadPool::Wait(). A null pool degenerates to a sequential loop.
-  std::vector<std::vector<ObjectId>> ParallelSearch(
-      const std::vector<Query<kDims>>& queries, sched::ThreadPool* pool);
-
   // --- Introspection --------------------------------------------------
 
   // Number of entries physically present at the leaf level (live entries
@@ -350,6 +338,7 @@ class Tree {
 
   // Buffer-manager I/O counters (the paper's performance metric).
   const IoStats& io_stats() const { return buffer_.stats(); }
+  uint64_t TotalIo() const { return io_stats().Total(); }
   void ResetIoStats() { buffer_.ResetStats(); }
 
   // The tree's buffer pool (hot-frame heatmap, pin accounting). Safe to

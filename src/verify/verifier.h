@@ -115,9 +115,8 @@ struct [[nodiscard]] Report {
 
 // Appends the shared finding-report fields to an open JSON object in `w`:
 // "ok" and a "findings" array of {check, page?, level?, detail} objects,
-// plus "findings_suppressed". This is the one finding schema every tool
-// (rexp_fsck, inspect_index --verify) emits, so CI scripts can consume
-// either interchangeably.
+// plus "findings_suppressed". This is rexp_fsck's finding schema, the
+// one CI scripts consume.
 void WriteReportJson(const Report& report, obs::JsonWriter* w);
 
 // A live tree's direct-access-table entry, snapshotted for the

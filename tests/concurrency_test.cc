@@ -1,7 +1,8 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // Concurrency tests: the tree's single-writer / multi-reader epoch
-// protocol (DESIGN.md §8), ParallelSearch, the thread pool, and the
+// protocol (DESIGN.md §8), ParallelSearch, the thread pool and its
+// ParallelFor fan-out, and the
 // buffer manager's guard-based pin accounting under injected faults.
 // Designed to run under ThreadSanitizer (REXP_SANITIZE=thread), where the
 // reader/writer churn test doubles as a race detector for the whole
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,70 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 1100);
+}
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
+  sched::ThreadPool pool(4);
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  sched::ParallelFor(&pool, kN, [&runs](size_t i) {
+    runs[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ParallelForTest, ZeroIndicesRunNothing) {
+  sched::ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  auto count = [&calls](size_t) { calls.fetch_add(1); };
+  sched::ParallelFor(&pool, 0, count);
+  sched::ParallelFor(nullptr, 0, count);
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelForTest, NullPoolRunsInlineOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  sched::ParallelFor(nullptr, 5, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+// Caller A parks two tasks on a shared four-thread pool; caller B's
+// fan-out must complete on the two free threads while A's tasks are
+// still blocked. A pool-wide Wait() (rather than a per-call latch) would
+// hold B until A's tasks finish, and this test would time out.
+TEST(ParallelForTest, SharedPoolCallersWaitOnlyForTheirOwnTasks) {
+  sched::ThreadPool pool(4);
+  std::atomic<int> a_started{0};
+  std::atomic<bool> release_a{false};
+  std::thread a([&] {
+    sched::ParallelFor(&pool, 2, [&](size_t) {
+      a_started.fetch_add(1);
+      while (!release_a.load()) std::this_thread::yield();
+    });
+  });
+  while (a_started.load() < 2) std::this_thread::yield();
+
+  std::atomic<bool> b_done{false};
+  std::atomic<int> b_calls{0};
+  std::thread b([&] {
+    sched::ParallelFor(&pool, 64, [&](size_t) { b_calls.fetch_add(1); });
+    b_done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!b_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(b_done.load()) << "B waited on A's still-running tasks";
+  EXPECT_EQ(b_calls.load(), 64);
+  EXPECT_EQ(a_started.load(), 2);
+  release_a.store(true);
+  a.join();
+  b.join();
 }
 
 // With glibc's reader-preferring rwlock this test hangs: four readers

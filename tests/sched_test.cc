@@ -107,7 +107,8 @@ TEST(ScheduledIndex, AgreesWithReferenceAcrossChurn) {
     } else {
       Query<2> q = RandomQuery<2>(&rng, now, 20.0, 150.0);
       std::vector<ObjectId> got, want;
-      index.Search(q, now, &got);
+      index.PumpDue(now);
+      index.Search(q, &got);
       reference.Search(q, &want);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());

@@ -5,23 +5,15 @@
 // statistics, and the live/expired entry split at a given time.
 //
 //   $ ./inspect_index <index-file> [--now T] [--page-size N]
-//                     [--json] [--metrics] [--verify] [--watch [S]]
-//
-// --watch re-opens the file and re-renders the report every S seconds
-// (default 1) until interrupted, clearing the screen between rounds — a
-// poor man's rexp_top for the on-disk structure of an index another
-// process is writing. A transiently unopenable file (the writer mid-
-// commit) prints a waiting line instead of exiting.
+//                     [--json] [--metrics]
 //
 // --json emits the whole report as one JSON object (structure, per-level
 // stats, horizon estimate, and the telemetry registry snapshot) instead
 // of the human-readable text; --metrics emits only the registry snapshot.
-// --verify additionally runs the full invariant catalog (the same checks
-// as rexp_fsck: TPBR conservativeness, expiry monotonicity, occupancy,
-// accounting) and fails with exit status 1 on any finding. The contract
-// matches rexp_fsck's check-only mode: exit 0 when clean, 1 on findings
-// (or an unopenable file), 2 on usage errors, and --json emits the same
-// {check, page?, level?, detail} finding objects under "findings".
+// Exit 0 when every page checksum verifies, 1 on damage (or an
+// unopenable file), 2 on usage errors. The full invariant catalog is
+// rexp_fsck's job; to follow an index another process is writing, run
+// `watch -n 1 inspect_index <index-file>`.
 //
 // The configuration flags must match the ones the index was created with
 // (defaults: the standard R^exp-tree configuration). Build an index to
@@ -29,12 +21,9 @@
 // /tmp/rexp_fleet_index.bin while it runs) or your own code using
 // DiskPageFile.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/parse.h"
 #include "obs/json_writer.h"
@@ -42,7 +31,6 @@
 #include "storage/page_file.h"
 #include "tree/stats.h"
 #include "tree/tree.h"
-#include "verify/verifier.h"
 
 using namespace rexp;
 
@@ -51,13 +39,13 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <index-file> [--now T] [--page-size N] [--json] "
-               "[--metrics] [--verify] [--watch [S]]\n",
+               "[--metrics]\n",
                argv0);
   return 2;
 }
 
-int RunOnce(const std::string& path, Time now, uint32_t page_size, bool json,
-            bool metrics_only, bool full_verify) {
+int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
+            bool metrics_only) {
   std::FILE* probe = std::fopen(path.c_str(), "rb");
   if (probe == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -83,19 +71,13 @@ int RunOnce(const std::string& path, Time now, uint32_t page_size, bool json,
 
   Status verify = tree->VerifyPages();
 
-  // Full invariant catalog on request. Safe even when the page walk above
-  // found damage — the verifier reports findings instead of aborting.
-  verify::Report report;
-  if (full_verify) report = tree->Verify(now);
-  const bool sound = verify.ok() && (!full_verify || report.ok());
-
   if (metrics_only) {
     // Just the registry snapshot (the open + verification walk already
     // populated the device and buffer counters).
     obs::MetricsRegistry registry;
     tree->RegisterMetrics(&registry, "tree.");
     std::printf("%s\n", registry.ToJson().c_str());
-    return sound ? 0 : 1;
+    return verify.ok() ? 0 : 1;
   }
 
   if (json) {
@@ -108,12 +90,6 @@ int RunOnce(const std::string& path, Time now, uint32_t page_size, bool json,
     w.KV("meta_slot_errors", tree->meta_slot_errors());
     w.KV("verify_ok", verify.ok());
     if (!verify.ok()) w.KV("verify_error", verify.ToString());
-    if (full_verify) {
-      // The same finding schema rexp_fsck emits ("ok" plus a "findings"
-      // array of {check, page?, level?, detail}), so CI scripts can
-      // consume either tool interchangeably.
-      verify::WriteReportJson(report, &w);
-    }
     if (verify.ok()) {
       TreeStats<2> stats = CollectStats(tree.get(), now);
       w.KV("height", stats.height);
@@ -145,7 +121,7 @@ int RunOnce(const std::string& path, Time now, uint32_t page_size, bool json,
     w.Key("metrics").RawValue(registry.ToJson());
     w.EndObject();
     std::printf("%s\n", w.str().c_str());
-    return sound ? 0 : 1;
+    return verify.ok() ? 0 : 1;
   }
 
   std::printf("index %s (page size %u)\n", path.c_str(), page_size);
@@ -172,11 +148,7 @@ int RunOnce(const std::string& path, Time now, uint32_t page_size, bool json,
               tree->horizon().DecisionHorizon());
   std::printf("expired leaf fraction at t=%.2f: %.2f%%\n", now,
               100 * tree->ExpiredLeafFraction(now));
-  if (full_verify) {
-    std::printf("invariant catalog: %s",
-                report.ok() ? "OK\n" : report.ToString().c_str());
-  }
-  return sound ? 0 : 1;
+  return 0;
 }
 
 }  // namespace
@@ -188,26 +160,11 @@ int main(int argc, char** argv) {
   uint32_t page_size = 4096;
   bool json = false;
   bool metrics_only = false;
-  bool full_verify = false;
-  bool watch = false;
-  double watch_interval = 1.0;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       metrics_only = true;
-    } else if (std::strcmp(argv[i], "--verify") == 0) {
-      full_verify = true;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      watch = true;
-      // Optional numeric refresh period.
-      if (i + 1 < argc) {
-        double s = 0;
-        if (ParsePositiveDouble(argv[i + 1], &s)) {
-          watch_interval = s;
-          ++i;
-        }
-      }
     } else if (std::strcmp(argv[i], "--now") == 0 ||
                std::strcmp(argv[i], "--page-size") == 0) {
       if (i + 1 >= argc) {
@@ -235,14 +192,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!watch) {
-    return RunOnce(path, now, page_size, json, metrics_only, full_verify);
-  }
-  while (true) {
-    std::printf("\033[H\033[2J");
-    RunOnce(path, now, page_size, json, metrics_only, full_verify);
-    std::fflush(stdout);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(watch_interval));
-  }
+  return Inspect(path, now, page_size, json, metrics_only);
 }
