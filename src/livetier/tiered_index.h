@@ -95,7 +95,7 @@ class TieredIndex {
       ExpireAndCleanLocked(now);
       const Tpbr<kDims>* current = live_.Find(oid);
       if (current != nullptr) {
-        found = SamePoint(*current, old_record);
+        found = SameRecord(*current, old_record);
         live_.Report(oid, new_record, now);
       } else {
         // The old copy (if it exists and is unexpired) is in the tree;
@@ -118,7 +118,7 @@ class TieredIndex {
     ExpireAndCleanLocked(now);
     const Tpbr<kDims>* current = live_.Find(oid);
     if (current != nullptr) {
-      if (!SamePoint(*current, point)) return false;
+      if (!SameRecord(*current, point)) return false;
       typename LiveTier<kDims>::DeadEntry dead;
       live_.Remove(oid, &dead);
       if (dead.has_tree_record) {
@@ -398,14 +398,6 @@ class TieredIndex {
                                      const TreeConfig& config) {
     options.expire = config.expire_entries;
     return options;
-  }
-
-  static bool SamePoint(const Tpbr<kDims>& a, const Tpbr<kDims>& b) {
-    if (a.t_exp != b.t_exp) return false;
-    for (int d = 0; d < kDims; ++d) {
-      if (a.lo[d] != b.lo[d] || a.vlo[d] != b.vlo[d]) return false;
-    }
-    return true;
   }
 
   void AdvanceTimeLocked(Time now) REQUIRES(mu_) {

@@ -356,19 +356,15 @@ class PartitionedIndex {
     std::vector<std::vector<size_t>> batch_slots(trees_.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       const UpdateRequest& r = requests[i];
-      const double speed = SpeedOf(r.new_record);
-      histogram_.Record(speed);
-      ++stats_.updates;
-      const int target = RouteLocked(speed);
-      const uint32_t* current = class_of_.Find(r.oid);
-      if (current != nullptr && static_cast<int>(*current) == target) {
-        AbsorbLocked(target, r.new_record, speed);
-        batches[static_cast<size_t>(target)].push_back(r);
-        batch_slots[static_cast<size_t>(target)].push_back(i);
-      } else {
-        results[i] =
-            MigrateLocked(r.oid, r.old_record, r.new_record, speed, now);
+      bool found = false;
+      const int stay =
+          RouteUpdateLocked(r.oid, r.old_record, r.new_record, now, &found);
+      if (stay < 0) {
+        results[i] = found;
+        continue;
       }
+      batches[static_cast<size_t>(stay)].push_back(r);
+      batch_slots[static_cast<size_t>(stay)].push_back(i);
     }
     for (size_t c = 0; c < trees_.size(); ++c) {
       if (batches[c].empty()) continue;
@@ -547,16 +543,14 @@ class PartitionedIndex {
 
   // Registers router telemetry under `prefix` + "partition." (routing,
   // migration, merge, and fan-out counters; active-partition and
-  // per-class population gauges) and, with `per_tree`, each class's full
-  // tree telemetry under `prefix` + "p<i>.tree.". Owner-scoped: bindings
-  // drop when the index is destroyed.
+  // per-class population gauges) and each class's full tree telemetry
+  // under `prefix` + "p<i>.tree.". Owner-scoped: bindings drop when the
+  // index is destroyed.
   void RegisterMetrics(obs::MetricsRegistry* registry,
-                       const std::string& prefix, bool per_tree = true) {
-    if (per_tree) {
-      for (size_t i = 0; i < trees_.size(); ++i) {
-        trees_[i]->RegisterMetrics(
-            registry, prefix + "p" + std::to_string(i) + ".tree.");
-      }
+                       const std::string& prefix) {
+    for (size_t i = 0; i < trees_.size(); ++i) {
+      trees_[i]->RegisterMetrics(
+          registry, prefix + "p" + std::to_string(i) + ".tree.");
     }
     metrics_registration_.Reset();
     const obs::OwnerId owner = registry->NewOwner();
@@ -788,6 +782,22 @@ class PartitionedIndex {
   bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                     const Tpbr<kDims>& new_record, Time now)
       REQUIRES(router_mu_) {
+    bool found = false;
+    const int stay =
+        RouteUpdateLocked(oid, old_record, new_record, now, &found);
+    if (stay < 0) return found;
+    return trees_[static_cast<size_t>(stay)]->Update(oid, old_record,
+                                                     new_record, now);
+  }
+
+  // Routes one update by the new record's speed. An object that stays in
+  // its class has the new record absorbed into that class's bound, and
+  // its class is returned for the caller to update the tree. Any other
+  // object migrates here (see MigrateLocked): returns -1 with `*found`
+  // set to whether the old record was found.
+  int RouteUpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
+                        const Tpbr<kDims>& new_record, Time now, bool* found)
+      REQUIRES(router_mu_) {
     ++stats_.updates;
     const double speed = SpeedOf(new_record);
     histogram_.Record(speed);
@@ -795,10 +805,10 @@ class PartitionedIndex {
     const uint32_t* current = class_of_.Find(oid);
     if (current != nullptr && static_cast<int>(*current) == target) {
       AbsorbLocked(target, new_record, speed);
-      return trees_[static_cast<size_t>(target)]->Update(oid, old_record,
-                                                         new_record, now);
+      return target;
     }
-    return MigrateLocked(oid, old_record, new_record, speed, now);
+    *found = MigrateLocked(oid, old_record, new_record, speed, now);
+    return -1;
   }
 
   // Boundary-crossing (or unknown-class) update: remove the old record

@@ -110,6 +110,8 @@ class ReferenceIndex {
     Tpbr<kDims> point;
   };
 
+  // Its own copy of SameRecord (tree/tree.h) on purpose: the oracle
+  // shares no code with the indexes it checks.
   static bool SamePoint(const Tpbr<kDims>& a, const Tpbr<kDims>& b) {
     if (a.t_exp != b.t_exp) return false;
     for (int d = 0; d < kDims; ++d) {

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/parse.h"
 #include "common/float_round.h"
-#include "obs/flight_recorder.h"
 #include "sched/thread_pool.h"
 #include "tpbr/integrals.h"
 #include "tpbr/intersect.h"
@@ -216,21 +215,6 @@ Status Tree<kDims>::Commit() {
   obs::GlobalFlightRecorder().Record(obs::FlightOp::kCommit, meta_epoch_, 0,
                                      s.code(), io);
   return s;
-}
-
-template <int kDims>
-void Tree<kDims>::WriteBackSpanned() {
-  const uint64_t before = buffer_.stats().Total();
-  if (tracer_ != nullptr) tracer_->BeginSpan("write_back");
-  if (config_.crash_consistent) {
-    REXP_CHECK_OK(CommitLocked());
-  } else {
-    REXP_CHECK_OK(buffer_.FlushDirty());
-  }
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(
-        {{"io", static_cast<double>(buffer_.stats().Total() - before)}});
-  }
 }
 
 template <int kDims>
@@ -674,12 +658,14 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
 
 template <int kDims>
 std::vector<typename Tree<kDims>::PathStep> Tree<kDims>::ChoosePath(
-    const Tpbr<kDims>& region, int target_level, Time now) {
+    const Tpbr<kDims>& region, int target_level, Time now,
+    Node<kDims>* target) {
   REXP_CHECK(root_ != kInvalidPageId);
   REXP_CHECK(target_level <= height_ - 1);
   std::vector<PathStep> path;
   path.push_back(PathStep{root_});
-  Node<kDims> node = ReadNode(root_);
+  Node<kDims>& node = *target;
+  ReadNodeInto(root_, &node);
   while (node.level > target_level) {
     int idx = ChooseSubtree(node, region, now);
     ++op_stats_.choose_subtree_calls;
@@ -691,7 +677,7 @@ std::vector<typename Tree<kDims>::PathStep> Tree<kDims>::ChoosePath(
     }
     PageId child = node.entries[idx].id;
     path.push_back(PathStep{child});
-    node = ReadNode(child);
+    ReadNodeInto(child, &node);
   }
   REXP_CHECK(node.level == target_level);
   return path;
@@ -961,7 +947,7 @@ void Tree<kDims>::FixPath(const std::vector<PathStep>& path,
         root_ = stored_id;
         REXP_CHECK_OK(PinRoot(root_));
       }
-      MaybeShrinkRoot(now);
+      MaybeShrinkRoot(std::move(node));
       return;
     }
 
@@ -1015,10 +1001,8 @@ void Tree<kDims>::GrowRoot(PageId left, PageId right, Time now) {
 }
 
 template <int kDims>
-void Tree<kDims>::MaybeShrinkRoot(Time now) {
-  (void)now;
-  while (root_ != kInvalidPageId) {
-    Node<kDims> root = ReadNode(root_);
+void Tree<kDims>::MaybeShrinkRoot(Node<kDims> root) {
+  for (;;) {
     if (root.level == 0) return;  // Leaf roots may hold any count.
     if (root.entries.size() == 1) {
       // CT4: declare the only child the new root.
@@ -1036,6 +1020,7 @@ void Tree<kDims>::MaybeShrinkRoot(Time now) {
       }
       REXP_CHECK_OK(PinRoot(root_));
       FreeNode(old_root);
+      root = ReadNode(root_);
       continue;
     }
     if (root.entries.empty()) {
@@ -1093,9 +1078,9 @@ void Tree<kDims>::InsertPending(Pending pending, Time now) {
     return;
   }
   EnsureHeightFor(pending.level, now);
+  Node<kDims> node;
   std::vector<PathStep> path =
-      ChoosePath(pending.entry.region, pending.level, now);
-  Node<kDims> node = ReadNode(path.back().id);
+      ChoosePath(pending.entry.region, pending.level, now, &node);
   PurgeExpired(&node, now);
   node.entries.push_back(pending.entry);
   level_counts_[pending.level] += 1;
@@ -1121,6 +1106,80 @@ void Tree<kDims>::DrainPending(Time now) {
 // Public operations.
 
 template <int kDims>
+template <typename Body>
+bool Tree<kDims>::RunMutation(obs::FlightOp op, uint64_t subject, Time now,
+                              Body&& body) {
+  obs::Histogram* io_hist = &op_stats_.update_io;
+  obs::Histogram* latency_hist = &op_stats_.update_latency_us;
+  if (op == obs::FlightOp::kInsert) {
+    io_hist = &op_stats_.insert_io;
+    latency_hist = &op_stats_.insert_latency_us;
+  } else if (op == obs::FlightOp::kDelete) {
+    io_hist = &op_stats_.delete_io;
+    latency_hist = &op_stats_.delete_latency_us;
+  }
+  reinserted_levels_ = 0;
+  const uint64_t io_before = TotalIo();
+  const uint64_t fast_before =
+      op_stats_.update_fast.load(std::memory_order_relaxed);
+  obs::LatencyTimer timer(latency_hist);
+  if (tracer_ != nullptr) {
+    const char* subject_key =
+        op == obs::FlightOp::kGroupUpdate ? "batch" : "oid";
+    tracer_->BeginSpan(obs::FlightOpName(op),
+                       {{subject_key, static_cast<double>(subject)},
+                        {"now", now}});
+  }
+  const bool found = body();
+
+  // The end-of-operation flush (a commit in crash-consistent mode), in a
+  // "write_back" child span attributing the write-out I/O to this one.
+  const uint64_t write_back_before = TotalIo();
+  if (tracer_ != nullptr) tracer_->BeginSpan("write_back");
+  if (config_.crash_consistent) {
+    REXP_CHECK_OK(CommitLocked());
+  } else {
+    REXP_CHECK_OK(buffer_.FlushDirty());
+  }
+  const uint64_t io = TotalIo() - io_before;
+  io_hist->Record(static_cast<double>(io));
+  if (tracer_ != nullptr) {
+    tracer_->EndSpan(
+        {{"io", static_cast<double>(TotalIo() - write_back_before)}});
+    const double found_field = found ? 1.0 : 0.0;
+    const double io_field = static_cast<double>(io);
+    if (op == obs::FlightOp::kUpdate) {
+      const bool fast =
+          op_stats_.update_fast.load(std::memory_order_relaxed) != fast_before;
+      tracer_->EndSpan({{"found", found_field},
+                        {"fast", fast ? 1.0 : 0.0},
+                        {"io", io_field}});
+    } else if (op == obs::FlightOp::kDelete) {
+      tracer_->EndSpan({{"found", found_field}, {"io", io_field}});
+    } else {
+      tracer_->EndSpan({{"io", io_field}});
+    }
+  }
+  obs::GlobalFlightRecorder().Record(
+      op, subject, timer.ElapsedUs(),
+      found ? StatusCode::kOk : StatusCode::kNotFound, io);
+  ParanoidVerify(now);
+  return found;
+}
+
+template <int kDims>
+void Tree<kDims>::NoteReport(Time now) {
+  if (!horizon_.RecordInsertion(now, leaf_entries())) return;
+  ++op_stats_.horizon_retunes;
+  if (tracer_ != nullptr) {
+    tracer_->Emit("horizon_retune", {{"now", now},
+                                     {"ui", horizon_.ui()},
+                                     {"w", horizon_.w()},
+                                     {"h", horizon_.DecisionHorizon()}});
+  }
+}
+
+template <int kDims>
 void Tree<kDims>::Insert(ObjectId oid, const Tpbr<kDims>& point, Time now) {
   const Tpbr<kDims> p = CanonicalRecord(point);
 #ifndef NDEBUG
@@ -1129,35 +1188,69 @@ void Tree<kDims>::Insert(ObjectId oid, const Tpbr<kDims>& point, Time now) {
   }
 #endif
   sched::WriterMutexLock epoch(&epoch_mu_);
-  reinserted_levels_ = 0;
   ++op_stats_.inserts;
-  const uint64_t io_before = buffer_.stats().Total();
-  obs::LatencyTimer timer(&op_stats_.insert_latency_us);
-  if (tracer_ != nullptr) {
-    tracer_->BeginSpan("insert",
-                       {{"oid", static_cast<double>(oid)}, {"now", now}});
+  auto insert = [&]() REQUIRES(epoch_mu_) {
+    NoteReport(now);
+    InsertPending(Pending{0, NodeEntry<kDims>{p, oid}}, now);
+    DrainPending(now);
+    return true;
+  };
+  RunMutation(obs::FlightOp::kInsert, oid, now, insert);
+}
+
+template <int kDims>
+bool Tree<kDims>::Delete(ObjectId oid, const Tpbr<kDims>& point, Time now,
+                         bool see_expired) {
+  sched::WriterMutexLock epoch(&epoch_mu_);
+  ++op_stats_.deletes;
+  if (root_ == kInvalidPageId) {
+    ++op_stats_.delete_misses;
+    return false;
   }
-  if (horizon_.RecordInsertion(
-          now, level_counts_.empty() ? 0 : level_counts_[0])) {
-    ++op_stats_.horizon_retunes;
-    if (tracer_ != nullptr) {
-      tracer_->Emit("horizon_retune", {{"now", now},
-                                       {"ui", horizon_.ui()},
-                                       {"w", horizon_.w()},
-                                       {"h", horizon_.DecisionHorizon()}});
-    }
+  // Canonicalize the probe so it compares equal to what Insert stored even
+  // when the caller kept the record in full double precision.
+  const Tpbr<kDims> p = CanonicalRecord(point);
+  auto remove = [&]() REQUIRES(epoch_mu_) {
+    const bool found = RemoveRecord(oid, p, now, see_expired);
+    if (!found) ++op_stats_.delete_misses;
+    return found;
+  };
+  return RunMutation(obs::FlightOp::kDelete, oid, now, remove);
+}
+
+// ---------------------------------------------------------------------------
+// Record removal.
+
+template <int kDims>
+bool Tree<kDims>::RemoveRecord(ObjectId oid, const Tpbr<kDims>& point,
+                               Time now, bool see_expired) {
+  if (root_ == kInvalidPageId) return false;
+  const DatEntry* de = dat_.Find(oid);
+  const PageId leaf =
+      (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+  bool found = false;
+  if (de == nullptr) {
+    // The DAT tracks every physical copy; no entry means no copy anywhere
+    // in the tree, so a descent could not succeed either.
+    ++op_stats_.delete_bottom_up;
+  } else if (leaf != kInvalidPageId &&
+             BuildPathFromDat(leaf, &path_scratch_)) {
+    // The DAT pins the object's single physical copy: the whole removal
+    // resolves at that leaf, with no overlap-guided descent.
+    Node<kDims>& node = update_scratch_;
+    ReadNodeInto(leaf, &node);
+    const int match = FindLeafMatch(node, oid, point, now, see_expired);
+    ++op_stats_.delete_bottom_up;
+    // No match: the single copy is not the probed record.
+    found = match >= 0;
+    if (found) EraseLeafEntry(path_scratch_, &node, match, now);
+  } else {
+    path_scratch_.clear();
+    found = DeleteRecurse(root_, height_ - 1, oid, point, now, see_expired,
+                          &path_scratch_);
   }
-  InsertPending(Pending{0, NodeEntry<kDims>{p, oid}}, now);
-  DrainPending(now);
-  WriteBackSpanned();
-  const uint64_t io = buffer_.stats().Total() - io_before;
-  op_stats_.insert_io.Record(static_cast<double>(io));
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan({{"io", static_cast<double>(io)}});
-  }
-  obs::GlobalFlightRecorder().Record(obs::FlightOp::kInsert, oid,
-                                     timer.ElapsedUs(), StatusCode::kOk, io);
-  ParanoidVerify(now);
+  if (found) DrainPending(now);
+  return found;
 }
 
 template <int kDims>
@@ -1179,21 +1272,9 @@ bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
                           ? static_cast<Time>(point.t_exp)
                           : now;
   if (node.IsLeaf()) {
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const NodeEntry<kDims>& e = node.entries[i];
-      if (e.id != oid) continue;
-      if (!see_expired && !EntryLive(e, now)) continue;
-      bool match = e.region.t_exp == point.t_exp;
-      for (int d = 0; match && d < kDims; ++d) {
-        match = e.region.lo[d] == point.lo[d] &&
-                e.region.vlo[d] == point.vlo[d];
-      }
-      if (!match) continue;
-      dat_.ReleaseRef(e.id);
-      node.entries.erase(node.entries.begin() + i);
-      level_counts_[0] -= 1;
-      PurgeExpired(&node, now);
-      FixPath(*path, std::move(node), now);
+    const int match = FindLeafMatch(node, oid, point, now, see_expired);
+    if (match >= 0) {
+      EraseLeafEntry(*path, &node, match, now);
       return true;
     }
   } else {
@@ -1217,82 +1298,31 @@ bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
 }
 
 template <int kDims>
-bool Tree<kDims>::Delete(ObjectId oid, const Tpbr<kDims>& point, Time now,
-                         bool see_expired) {
-  sched::WriterMutexLock epoch(&epoch_mu_);
-  if (root_ == kInvalidPageId) {
-    ++op_stats_.deletes;
-    ++op_stats_.delete_misses;
-    return false;
-  }
-  reinserted_levels_ = 0;
-  ++op_stats_.deletes;
-  const uint64_t io_before = buffer_.stats().Total();
-  obs::LatencyTimer timer(&op_stats_.delete_latency_us);
-  if (tracer_ != nullptr) {
-    tracer_->BeginSpan("delete",
-                       {{"oid", static_cast<double>(oid)}, {"now", now}});
-  }
-  // Canonicalize the probe so it compares equal to what Insert stored even
-  // when the caller kept the record in full double precision.
-  const Tpbr<kDims> p = CanonicalRecord(point);
-  // When the DAT pins the object's single physical copy the whole
-  // operation resolves at that leaf — no overlap-guided descent.
-  bool found;
-  DatDelete direct = DeleteViaDat(oid, p, now, see_expired);
-  if (direct == DatDelete::kUnknown) {
-    path_scratch_.clear();
-    found = DeleteRecurse(root_, height_ - 1, oid, p, now, see_expired,
-                          &path_scratch_);
-  } else {
-    found = direct == DatDelete::kDeleted;
-  }
-  if (found) {
-    DrainPending(now);
-  } else {
-    ++op_stats_.delete_misses;
-  }
-  WriteBackSpanned();
-  const uint64_t io = buffer_.stats().Total() - io_before;
-  op_stats_.delete_io.Record(static_cast<double>(io));
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan({{"found", found ? 1.0 : 0.0},
-                      {"io", static_cast<double>(io)}});
-  }
-  obs::GlobalFlightRecorder().Record(
-      obs::FlightOp::kDelete, oid, timer.ElapsedUs(),
-      found ? StatusCode::kOk : StatusCode::kNotFound, io);
-  ParanoidVerify(now);
-  return found;
-}
-
-// ---------------------------------------------------------------------------
-// Bottom-up updates (DESIGN.md §10).
-
-namespace {
-
-// Index of the leaf entry matching (oid, point) under Delete's predicate,
-// or -1. Exact-match on the canonical record: a degenerate TPBR is fully
-// determined by its reference position, lower velocity, and expiry.
-template <int kDims>
-int FindLeafMatch(const Node<kDims>& node, ObjectId oid,
-                  const Tpbr<kDims>& point, Time now, bool see_expired,
-                  bool expire_entries) {
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    const NodeEntry<kDims>& e = node.entries[i];
-    if (e.id != oid) continue;
-    if (!see_expired && expire_entries && e.region.t_exp < now) continue;
-    bool match = e.region.t_exp == point.t_exp;
-    for (int d = 0; match && d < kDims; ++d) {
-      match = e.region.lo[d] == point.lo[d] &&
-              e.region.vlo[d] == point.vlo[d];
+int Tree<kDims>::FindLeafMatch(const Node<kDims>& leaf, ObjectId oid,
+                               const Tpbr<kDims>& point, Time now,
+                               bool see_expired) const {
+  for (size_t i = 0; i < leaf.entries.size(); ++i) {
+    const NodeEntry<kDims>& e = leaf.entries[i];
+    if (e.id == oid && (see_expired || EntryLive(e, now)) &&
+        SameRecord(e.region, point)) {
+      return static_cast<int>(i);
     }
-    if (match) return static_cast<int>(i);
   }
   return -1;
 }
 
-}  // namespace
+template <int kDims>
+void Tree<kDims>::EraseLeafEntry(const std::vector<PathStep>& path,
+                                 Node<kDims>* leaf, int idx, Time now) {
+  dat_.ReleaseRef(leaf->entries[idx].id);
+  leaf->entries.erase(leaf->entries.begin() + idx);
+  level_counts_[0] -= 1;
+  PurgeExpired(leaf, now);
+  FixPath(path, std::move(*leaf), now);
+}
+
+// ---------------------------------------------------------------------------
+// Bottom-up updates (DESIGN.md §10).
 
 template <int kDims>
 Status Tree<kDims>::RebuildDat() {
@@ -1347,73 +1377,53 @@ bool Tree<kDims>::BuildPathFromDat(PageId leaf, std::vector<PathStep>* path) {
 }
 
 template <int kDims>
-bool Tree<kDims>::RecordCoveredByBound(const Tpbr<kDims>& bound,
-                                       const Tpbr<kDims>& rec,
-                                       Time now) const {
-  if (config_.expire_entries && IsFiniteTime(rec.t_exp)) {
-    if (rec.t_exp < now) return false;  // Already expired: not admissible.
-    // Both sides are linear in t, so endpoint containment over the
-    // record's remaining lifetime is exact containment.
-    return bound.Bounds(rec, now, rec.t_exp, 0.0);
-  }
-  // Unbounded lifetime (TPR mode): velocity nesting plus position
-  // containment now imply containment at every t >= now.
-  for (int d = 0; d < kDims; ++d) {
-    if (bound.vlo[d] > rec.vlo[d] || rec.vhi[d] > bound.vhi[d]) return false;
-    if (bound.LoAt(d, now) > rec.LoAt(d, now) ||
-        rec.HiAt(d, now) > bound.HiAt(d, now)) {
-      return false;
-    }
-  }
-  return true;
+const Tpbr<kDims>* Tree<kDims>::ReadParentBound(PageId leaf) {
+  if (leaf == root_) return nullptr;
+  const PageId* parent = parent_of_.Find(leaf);
+  if (parent == nullptr) return nullptr;
+  ReadNodeInto(*parent, &fix_scratch_);
+  const int idx = fix_scratch_.FindId(leaf);
+  return idx >= 0 ? &fix_scratch_.entries[idx].region : nullptr;
 }
 
 template <int kDims>
-typename Tree<kDims>::DatDelete Tree<kDims>::DeleteViaDat(
-    ObjectId oid, const Tpbr<kDims>& point, Time now, bool see_expired) {
-  const DatEntry* de = dat_.Find(oid);
-  if (de == nullptr) {
-    // The DAT tracks every physical copy; no entry means no copy anywhere
-    // in the tree, so a descent could not succeed either.
-    ++op_stats_.delete_bottom_up;
-    return DatDelete::kAbsent;
+typename Tree<kDims>::Admission Tree<kDims>::Admit(
+    PageId leaf, const Tpbr<kDims>* bound, const Tpbr<kDims>& rec,
+    Time now) const {
+  // A leaf root has no parent-facing bound to respect.
+  if (leaf == root_) return Admission::kInPlace;
+  if (bound == nullptr) return Admission::kNone;  // Broken parent chain.
+  // Geometric cover: `bound` contains `rec` over rec's whole lifetime.
+  if (config_.expire_entries && IsFiniteTime(rec.t_exp)) {
+    if (rec.t_exp < now) return Admission::kNone;  // Already expired.
+    // Both sides are linear in t, so endpoint containment over the
+    // record's remaining lifetime is exact containment.
+    if (!bound->Bounds(rec, now, rec.t_exp, 0.0)) return Admission::kNone;
+  } else {
+    // Unbounded lifetime (TPR mode): velocity nesting plus position
+    // containment now imply containment at every t >= now.
+    for (int d = 0; d < kDims; ++d) {
+      if (bound->vlo[d] > rec.vlo[d] || rec.vhi[d] > bound->vhi[d] ||
+          bound->LoAt(d, now) > rec.LoAt(d, now) ||
+          rec.HiAt(d, now) > bound->HiAt(d, now)) {
+        return Admission::kNone;
+      }
+    }
   }
-  if (de->count != 1 || de->leaf == kInvalidPageId) {
-    return DatDelete::kUnknown;
+  // Expiry cover: queries prune internal entries by effective expiry, so
+  // a pure in-place write additionally needs the parent entry to outlive
+  // the new record.
+  if (config_.expire_entries && bound->EffectiveExpiry(0) < rec.t_exp) {
+    return Admission::kPropagate;
   }
-  const PageId leaf = de->leaf;
-  if (!BuildPathFromDat(leaf, &path_scratch_)) return DatDelete::kUnknown;
-  Node<kDims>& node = update_scratch_;
-  ReadNodeInto(leaf, &node);
-  const int match = FindLeafMatch(node, oid, point, now, see_expired,
-                                  config_.expire_entries);
-  ++op_stats_.delete_bottom_up;
-  if (match < 0) {
-    // The object's single physical copy does not match the probe.
-    return DatDelete::kAbsent;
-  }
-  dat_.ReleaseRef(oid);
-  node.entries.erase(node.entries.begin() + match);
-  level_counts_[0] -= 1;
-  PurgeExpired(&node, now);
-  FixPath(path_scratch_, std::move(node), now);
-  return DatDelete::kDeleted;
+  return Admission::kInPlace;
 }
 
 template <int kDims>
 bool Tree<kDims>::UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                                const Tpbr<kDims>& new_record, Time now) {
   ++op_stats_.updates;
-  if (horizon_.RecordInsertion(
-          now, level_counts_.empty() ? 0 : level_counts_[0])) {
-    ++op_stats_.horizon_retunes;
-    if (tracer_ != nullptr) {
-      tracer_->Emit("horizon_retune", {{"now", now},
-                                       {"ui", horizon_.ui()},
-                                       {"w", horizon_.w()},
-                                       {"h", horizon_.DecisionHorizon()}});
-    }
-  }
+  NoteReport(now);
 
   // Fast path: the DAT pins the object's single physical copy to a leaf.
   const DatEntry* de =
@@ -1425,77 +1435,45 @@ bool Tree<kDims>::UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
     Node<kDims>& node = update_scratch_;
     ReadNodeInto(leaf, &node);
     const int match = FindLeafMatch(node, oid, old_record, now,
-                                    /*see_expired=*/false,
-                                    config_.expire_entries);
-    if (match >= 0) {
-      bool covered = false;
-      bool expiry_ok = false;
-      if (leaf == root_) {
-        // A leaf root has no parent-facing bound to respect.
-        covered = expiry_ok = true;
-      } else {
-        PageId* parent = parent_of_.Find(leaf);
-        if (parent != nullptr) {
-          ReadNodeInto(*parent, &fix_scratch_);
-          const int pidx = fix_scratch_.FindId(leaf);
-          if (pidx >= 0) {
-            const Tpbr<kDims>& bound = fix_scratch_.entries[pidx].region;
-            covered = RecordCoveredByBound(bound, new_record, now);
-            // Queries prune internal entries by effective expiry, so a
-            // pure in-place write additionally needs the parent entry to
-            // outlive the new record.
-            expiry_ok = !config_.expire_entries ||
-                        bound.EffectiveExpiry(0) >= new_record.t_exp;
-          }
-        }
-      }
-      if (covered && expiry_ok && !config_.crash_consistent) {
-        // Tier 1: a single leaf write — no purge, no parent touch, zero
-        // descents. Ancestors stay sound: the parent entry covers the new
-        // record over its whole remaining lifetime, and every ancestor
-        // covers the parent entry up to its recorded expiry, which the
-        // admission rule keeps at or above the new record's.
-        node.entries[match].region = new_record;
-        WriteNode(leaf, node);
-        ++op_stats_.update_fast;
-        return true;
-      }
-      if (covered && BuildPathFromDat(leaf, &path_scratch_)) {
-        // Tier 2: replace in the leaf, then let FixPath recompute every
-        // ancestor bound/expiry up the parent chain — still no
-        // ChooseSubtree descent. This is the usual case when the new
-        // record outlives the recorded parent expiry, and the only
-        // admissible bottom-up form under copy-on-write (the leaf's page
-        // id changes on every store).
-        node.entries[match].region = new_record;
-        PurgeExpired(&node, now);
-        FixPath(path_scratch_, std::move(node), now);
-        DrainPending(now);
-        ++op_stats_.update_fast;
-        ++op_stats_.update_fast_propagations;
-        return true;
-      }
+                                    /*see_expired=*/false);
+    // The leaf first, then its parent-facing bound.
+    const Admission admit =
+        match < 0 ? Admission::kNone
+                  : Admit(leaf, ReadParentBound(leaf), new_record, now);
+    if (admit == Admission::kInPlace && !config_.crash_consistent) {
+      // Tier 1: a single leaf write — no purge, no parent touch, zero
+      // descents. Ancestors stay sound: the parent entry covers the new
+      // record over its whole remaining lifetime, and every ancestor
+      // covers the parent entry up to its recorded expiry, which the
+      // admission rule keeps at or above the new record's.
+      node.entries[match].region = new_record;
+      WriteNode(leaf, node);
+      ++op_stats_.update_fast;
+      return true;
+    }
+    if (admit != Admission::kNone && BuildPathFromDat(leaf, &path_scratch_)) {
+      // Tier 2: replace in the leaf, then let FixPath recompute every
+      // ancestor bound/expiry up the parent chain — still no
+      // ChooseSubtree descent. This is the usual case when the new
+      // record outlives the recorded parent expiry, and the only
+      // admissible bottom-up form under copy-on-write (the leaf's page
+      // id changes on every store).
+      node.entries[match].region = new_record;
+      PurgeExpired(&node, now);
+      FixPath(path_scratch_, std::move(node), now);
+      DrainPending(now);
+      ++op_stats_.update_fast;
+      ++op_stats_.update_fast_propagations;
+      return true;
     }
   } else {
     ++op_stats_.dat_misses;
   }
 
-  // Fallback: localized delete (bottom-up when the DAT can resolve it,
-  // overlap-guided descent otherwise) followed by a regular insert.
+  // Fallback: remove the old record, then a regular insert.
   ++op_stats_.update_fallback;
-  bool found = false;
-  if (root_ != kInvalidPageId) {
-    DatDelete direct = DeleteViaDat(oid, old_record, now,
-                                    /*see_expired=*/false);
-    if (direct == DatDelete::kUnknown) {
-      path_scratch_.clear();
-      found = DeleteRecurse(root_, height_ - 1, oid, old_record, now,
-                            /*see_expired=*/false, &path_scratch_);
-    } else {
-      found = direct == DatDelete::kDeleted;
-    }
-    if (found) DrainPending(now);
-  }
+  const bool found = RemoveRecord(oid, old_record, now,
+                                  /*see_expired=*/false);
   InsertPending(Pending{0, NodeEntry<kDims>{new_record, oid}}, now);
   DrainPending(now);
   return found;
@@ -1505,32 +1483,11 @@ template <int kDims>
 bool Tree<kDims>::Update(ObjectId oid, const Tpbr<kDims>& old_record,
                          const Tpbr<kDims>& new_record, Time now) {
   sched::WriterMutexLock epoch(&epoch_mu_);
-  reinserted_levels_ = 0;
-  const uint64_t io_before = buffer_.stats().Total();
-  const uint64_t fast_before =
-      op_stats_.update_fast.load(std::memory_order_relaxed);
-  obs::LatencyTimer timer(&op_stats_.update_latency_us);
-  if (tracer_ != nullptr) {
-    tracer_->BeginSpan("update",
-                       {{"oid", static_cast<double>(oid)}, {"now", now}});
-  }
-  bool found = UpdateLocked(oid, CanonicalRecord(old_record),
-                            CanonicalRecord(new_record), now);
-  WriteBackSpanned();
-  const uint64_t io = buffer_.stats().Total() - io_before;
-  op_stats_.update_io.Record(static_cast<double>(io));
-  if (tracer_ != nullptr) {
-    const bool fast =
-        op_stats_.update_fast.load(std::memory_order_relaxed) != fast_before;
-    tracer_->EndSpan({{"found", found ? 1.0 : 0.0},
-                      {"fast", fast ? 1.0 : 0.0},
-                      {"io", static_cast<double>(io)}});
-  }
-  obs::GlobalFlightRecorder().Record(
-      obs::FlightOp::kUpdate, oid, timer.ElapsedUs(),
-      found ? StatusCode::kOk : StatusCode::kNotFound, io);
-  ParanoidVerify(now);
-  return found;
+  auto update = [&]() REQUIRES(epoch_mu_) {
+    return UpdateLocked(oid, CanonicalRecord(old_record),
+                        CanonicalRecord(new_record), now);
+  };
+  return RunMutation(obs::FlightOp::kUpdate, oid, now, update);
 }
 
 template <int kDims>
@@ -1540,70 +1497,48 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
   if (requests.empty()) return results;
   sched::WriterMutexLock epoch(&epoch_mu_);
   ++op_stats_.group_update_batches;
-  const uint64_t io_before = buffer_.stats().Total();
-  obs::LatencyTimer timer(&op_stats_.update_latency_us);
-  if (tracer_ != nullptr) {
-    tracer_->BeginSpan(
-        "group_update",
-        {{"batch", static_cast<double>(requests.size())}, {"now", now}});
-  }
+  auto apply = [&]() REQUIRES(epoch_mu_) {
+    std::vector<UpdateRequest> reqs = requests;
+    for (UpdateRequest& r : reqs) {
+      r.old_record = CanonicalRecord(r.old_record);
+      r.new_record = CanonicalRecord(r.new_record);
+    }
 
-  std::vector<UpdateRequest> reqs = requests;
-  for (UpdateRequest& r : reqs) {
-    r.old_record = CanonicalRecord(r.old_record);
-    r.new_record = CanonicalRecord(r.new_record);
-  }
+    // Order the batch by DAT-pinned target leaf — stable, so requests for
+    // the same object keep their batch order — and coalesce same-leaf
+    // updates into one read-modify-write.
+    std::vector<std::pair<PageId, size_t>> order;
+    order.reserve(reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      const DatEntry* de =
+          root_ != kInvalidPageId ? dat_.Find(reqs[i].oid) : nullptr;
+      const PageId leaf =
+          (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+      order.emplace_back(leaf, i);
+    }
+    std::stable_sort(
+        order.begin(), order.end(),
+        [](const std::pair<PageId, size_t>& a,
+           const std::pair<PageId, size_t>& b) { return a.first < b.first; });
 
-  // Order the batch by DAT-pinned target leaf — stable, so requests for
-  // the same object keep their batch order — and coalesce same-leaf
-  // updates into one read-modify-write.
-  std::vector<std::pair<PageId, size_t>> order;
-  order.reserve(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    const DatEntry* de =
-        root_ != kInvalidPageId ? dat_.Find(reqs[i].oid) : nullptr;
-    const PageId leaf =
-        (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
-    order.emplace_back(leaf, i);
-  }
-  std::stable_sort(
-      order.begin(), order.end(),
-      [](const std::pair<PageId, size_t>& a,
-         const std::pair<PageId, size_t>& b) { return a.first < b.first; });
-
-  std::vector<char> done(reqs.size(), 0);
-  // Pass 1: per pinned leaf, apply every tier-1-admissible replacement to
-  // one in-memory copy and write the page once. Copy-on-write mode
-  // relocates the leaf on every store (invalidating the grouping), so it
-  // takes the singles pass only.
-  if (!config_.crash_consistent) {
-    size_t g = 0;
+    std::vector<char> done(reqs.size(), 0);
+    // Pass 1: per pinned leaf, apply every tier-1-admissible replacement
+    // to one in-memory copy and write the page once. Copy-on-write mode
+    // relocates the leaf on every store (invalidating the grouping), so
+    // it takes the singles pass only.
+    size_t g = config_.crash_consistent ? order.size() : 0;
     while (g < order.size()) {
       const PageId leaf = order[g].first;
       size_t g_end = g;
       while (g_end < order.size() && order[g_end].first == leaf) ++g_end;
-      if (leaf == kInvalidPageId) {
+      // The leaf's parent-facing bound gates every admission in this
+      // group: read it once, before the leaf. Unpinned requests and a
+      // broken parent chain go to the singles pass.
+      const Tpbr<kDims>* bound =
+          leaf == kInvalidPageId ? nullptr : ReadParentBound(leaf);
+      if (leaf == kInvalidPageId || (bound == nullptr && leaf != root_)) {
         g = g_end;
         continue;
-      }
-      // The leaf's parent-facing bound gates every admission in this
-      // group; read it once.
-      bool have_bound = leaf == root_;
-      Tpbr<kDims> bound;
-      if (leaf != root_) {
-        PageId* parent = parent_of_.Find(leaf);
-        if (parent != nullptr) {
-          ReadNodeInto(*parent, &fix_scratch_);
-          const int pidx = fix_scratch_.FindId(leaf);
-          if (pidx >= 0) {
-            have_bound = true;
-            bound = fix_scratch_.entries[pidx].region;
-          }
-        }
-        if (!have_bound) {
-          g = g_end;  // Broken parent chain: singles pass.
-          continue;
-        }
       }
       Node<kDims>& node = update_scratch_;
       ReadNodeInto(leaf, &node);
@@ -1611,15 +1546,11 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
       for (size_t k = g; k < g_end; ++k) {
         const UpdateRequest& r = reqs[order[k].second];
         const int match = FindLeafMatch(node, r.oid, r.old_record, now,
-                                        /*see_expired=*/false,
-                                        config_.expire_entries);
-        if (match < 0) continue;
-        const bool admit =
-            leaf == root_ ||
-            (RecordCoveredByBound(bound, r.new_record, now) &&
-             (!config_.expire_entries ||
-              bound.EffectiveExpiry(0) >= r.new_record.t_exp));
-        if (!admit) continue;
+                                        /*see_expired=*/false);
+        if (match < 0 ||
+            Admit(leaf, bound, r.new_record, now) != Admission::kInPlace) {
+          continue;
+        }
         node.entries[match].region = r.new_record;
         dirty = true;
         done[order[k].second] = 1;
@@ -1627,35 +1558,22 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
         ++op_stats_.updates;
         ++op_stats_.update_fast;
         ++op_stats_.dat_hits;
-        if (horizon_.RecordInsertion(
-                now, level_counts_.empty() ? 0 : level_counts_[0])) {
-          ++op_stats_.horizon_retunes;
-        }
+        NoteReport(now);
       }
       if (dirty) WriteNode(leaf, node);
       g = g_end;
     }
-  }
 
-  // Pass 2: the rest through the single-update path, in batch order.
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (done[i] != 0) continue;
-    reinserted_levels_ = 0;
-    results[i] =
-        UpdateLocked(reqs[i].oid, reqs[i].old_record, reqs[i].new_record,
-                     now);
-  }
-
-  WriteBackSpanned();
-  const uint64_t io = buffer_.stats().Total() - io_before;
-  op_stats_.update_io.Record(static_cast<double>(io));
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan({{"io", static_cast<double>(io)}});
-  }
-  obs::GlobalFlightRecorder().Record(obs::FlightOp::kGroupUpdate,
-                                     requests.size(), timer.ElapsedUs(),
-                                     StatusCode::kOk, io);
-  ParanoidVerify(now);
+    // Pass 2: the rest through the single-update path, in batch order.
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      if (done[i] != 0) continue;
+      reinserted_levels_ = 0;
+      results[i] = UpdateLocked(reqs[i].oid, reqs[i].old_record,
+                                reqs[i].new_record, now);
+    }
+    return true;
+  };
+  RunMutation(obs::FlightOp::kGroupUpdate, requests.size(), now, apply);
   return results;
 }
 

@@ -43,6 +43,7 @@
 #include "common/random.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -172,6 +173,19 @@ struct TreeOpStats {
 template <int kDims>
 Tpbr<kDims> MakeMovingPoint(const Vec<kDims>& pos, const Vec<kDims>& vel,
                             Time t_obs, Time t_exp);
+
+// Whether two canonical moving-point records (MakeMovingPoint) are the
+// same record. A degenerate TPBR is fully determined by its reference
+// position, lower velocity, and expiry, so exact equality of those is the
+// record identity Delete, Update, and the tiered index match on.
+template <int kDims>
+bool SameRecord(const Tpbr<kDims>& a, const Tpbr<kDims>& b) {
+  if (a.t_exp != b.t_exp) return false;
+  for (int d = 0; d < kDims; ++d) {
+    if (a.lo[d] != b.lo[d] || a.vlo[d] != b.vlo[d]) return false;
+  }
+  return true;
+}
 
 template <int kDims>
 class Tree {
@@ -449,11 +463,28 @@ class Tree {
   void PurgeExpired(Node<kDims>* node, Time now,
                     uint32_t skip_id = kInvalidPageId) REQUIRES(epoch_mu_);
 
+  // --- mutation scope ---
+  // Runs `body` (returning whether the operation found its target) as
+  // one Insert/Delete/Update/GroupUpdate: resets the forced-reinsert
+  // budget, opens the span named after `op`, writes back (commits in
+  // crash-consistent mode), records the I/O and latency histograms, the
+  // span's closing fields and one flight record for `subject` (the oid,
+  // or the batch size), then runs the paranoid check. Returns the body's
+  // result.
+  template <typename Body>
+  bool RunMutation(obs::FlightOp op, uint64_t subject, Time now, Body&& body)
+      REQUIRES(epoch_mu_);
+  // Feeds one report (an insertion or an update) to the horizon estimator
+  // and traces the UI retune it may complete.
+  void NoteReport(Time now) REQUIRES(epoch_mu_);
+
   // --- insertion machinery ---
   void InsertPending(Pending pending, Time now) REQUIRES(epoch_mu_);
+  // Descends from the root to `target_level`, leaving the decoded target
+  // node in `*target`.
   std::vector<PathStep> ChoosePath(const Tpbr<kDims>& region,
-                                   int target_level, Time now)
-      REQUIRES(epoch_mu_);
+                                   int target_level, Time now,
+                                   Node<kDims>* target) REQUIRES(epoch_mu_);
   int ChooseSubtree(const Node<kDims>& node, const Tpbr<kDims>& region,
                     Time now) REQUIRES(epoch_mu_);
   // Propagates changes from the node at path.back() (already purged and
@@ -464,7 +495,8 @@ class Tree {
   Node<kDims> SplitNode(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void RemoveForReinsert(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void GrowRoot(PageId left, PageId right, Time now) REQUIRES(epoch_mu_);
-  void MaybeShrinkRoot(Time now) REQUIRES(epoch_mu_);
+  // Collapses single-child roots; `root` is the root node as just stored.
+  void MaybeShrinkRoot(Node<kDims> root) REQUIRES(epoch_mu_);
   void EnsureHeightFor(int level, Time now) REQUIRES(epoch_mu_);
   void DrainPending(Time now) REQUIRES(epoch_mu_);
 
@@ -481,10 +513,26 @@ class Tree {
                             Time now, int parent_level) REQUIRES(epoch_mu_);
   double TpbrHorizonForLevel(int parent_level) const;
 
-  // --- search ---
+  // --- record removal ---
+  // Removes `oid`'s live leaf record equal to `point` (any leaf record
+  // with `see_expired`) and reinserts the orphans the removal left.
+  // Resolved at the leaf when the DAT pins the object's single physical
+  // copy, by an overlap-guided descent otherwise. Returns whether the
+  // record was found.
+  bool RemoveRecord(ObjectId oid, const Tpbr<kDims>& point, Time now,
+                    bool see_expired) REQUIRES(epoch_mu_);
   bool DeleteRecurse(PageId id, int level, ObjectId oid,
                      const Tpbr<kDims>& point, Time now, bool see_expired,
                      std::vector<PathStep>* path) REQUIRES(epoch_mu_);
+  // Index of `leaf`'s entry for (oid, point) under SameRecord, skipping
+  // expired entries unless `see_expired`; -1 if none.
+  int FindLeafMatch(const Node<kDims>& leaf, ObjectId oid,
+                    const Tpbr<kDims>& point, Time now,
+                    bool see_expired) const;
+  // Erases entry `idx` of `*leaf`, the node at path.back(), and propagates
+  // the change up the path (CondenseTree).
+  void EraseLeafEntry(const std::vector<PathStep>& path, Node<kDims>* leaf,
+                      int idx, Time now) REQUIRES(epoch_mu_);
 
   // --- bottom-up updates (DESIGN.md §10) ---
   // Feeds the DAT and parent-pointer map from a node hitting the page
@@ -502,15 +550,19 @@ class Tree {
   // caller then falls back to a descent.
   bool BuildPathFromDat(PageId leaf, std::vector<PathStep>* path)
       REQUIRES(epoch_mu_);
-  // Whether `bound` covers `rec` over rec's whole lifetime from `now`
-  // (the geometric half of the fast-path admission rule).
-  bool RecordCoveredByBound(const Tpbr<kDims>& bound, const Tpbr<kDims>& rec,
-                            Time now) const;
-  // Delete through the DAT when it pins the oid's single copy; returns
-  // kUnknown when the DAT cannot decide and a descent is required.
-  enum class DatDelete { kDeleted, kAbsent, kUnknown };
-  DatDelete DeleteViaDat(ObjectId oid, const Tpbr<kDims>& point, Time now,
-                         bool see_expired) REQUIRES(epoch_mu_);
+  // The bound `leaf`'s parent entry holds (decoded into fix_scratch_, so
+  // valid until that is next reused); null for the root or on a broken
+  // parent chain.
+  const Tpbr<kDims>* ReadParentBound(PageId leaf) REQUIRES(epoch_mu_);
+  // The in-place admission rule for replacing a record of `leaf` by `rec`
+  // under the leaf's parent-facing `bound` (from ReadParentBound):
+  // kInPlace — a leaf root, or `bound` covers `rec` over its whole
+  // lifetime from `now` and outlives it (a tier-1 leaf write);
+  // kPropagate — covered, but the parent's expiry must grow (tier 2);
+  // kNone — not admissible in place.
+  enum class Admission { kNone, kPropagate, kInPlace };
+  Admission Admit(PageId leaf, const Tpbr<kDims>* bound,
+                  const Tpbr<kDims>& rec, Time now) const;
   // Update body run under the exclusive epoch (shared by Update and
   // GroupUpdate's singles pass).
   bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
@@ -547,11 +599,6 @@ class Tree {
   // call it while already holding the exclusive epoch (the lock is not
   // reentrant).
   Status CommitLocked() REQUIRES(epoch_mu_);
-
-  // The end-of-operation flush (commit in crash-consistent mode), wrapped
-  // in a "write_back" child span attributing the write-out I/O to the
-  // enclosing operation span.
-  void WriteBackSpanned() REQUIRES(epoch_mu_);
 
   // Single-writer / multi-reader epoch lock (DESIGN.md §8): structure-
   // modifying operations (Insert, BulkLoad, Delete, Commit, the invariant

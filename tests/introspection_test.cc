@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/registry.h"
+#include "obs/trace.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
 #include "tools/monitor_stream.h"
@@ -575,6 +576,216 @@ TEST(TreeIntrospectionTest, MonitorOverLiveTreeStreamsHeatmap) {
   ASSERT_NE(heatmap, nullptr);
   ASSERT_FALSE(heatmap->array.empty());
   EXPECT_GE(heatmap->array[0].Find("accesses")->NumberOr(-1), 0.0);
+}
+
+// Every Tree mutation closes the same way: one top-level span named after
+// the operation with a fixed attribute set and the operation's exact I/O
+// delta, one flight record of the matching kind, and a horizon_retune
+// event for every UI retune it caused. One call per path: Insert, a
+// Delete hit and miss, the three Update tiers, and a GroupUpdate batch
+// large enough to retune the horizon inside its in-place pass.
+TEST(TreeIntrospectionTest, MutationSpansAndFlightRecordsMatchEachOp) {
+#ifndef REXP_NO_TELEMETRY
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 1024;
+  // Conservative bounds with recorded expiry: a record on its old
+  // trajectory stays covered, and outliving the parent's recorded expiry
+  // is exactly what sends an update to tier 2.
+  config.tpbr_kind = TpbrKind::kConservative;
+  config.store_tpbr_expiration = true;
+  MemoryPageFile file(config.page_size);
+  Tree<2> tree(config, &file);
+  auto record = [](ObjectId oid, double shift, Time t_exp) {
+    const Vec<2> pos = {(oid % 25) * 40.0 + shift, (oid / 25) * 40.0};
+    const Vec<2> vel = {(oid % 7) * 0.25 - 0.75, (oid % 5) * 0.25 - 0.5};
+    return MakeMovingPoint<2>(pos, vel, 0.0, t_exp);
+  };
+  const ObjectId n = 500;
+  Time now = 0;
+  for (ObjectId oid = 0; oid < n; ++oid) {
+    now += 0.01;
+    tree.Insert(oid, record(oid, 0, 100), now);
+  }
+  ASSERT_GE(tree.height(), 2) << "every leaf must have a parent bound";
+
+  const std::string path =
+      ::testing::TempDir() + "/rexp_mutation_spans_test.jsonl";
+  std::unique_ptr<obs::Tracer> tracer =
+      std::move(obs::Tracer::OpenFile(path).value());
+  tree.set_tracer(tracer.get());
+  const uint64_t flights_before = obs::GlobalFlightRecorder().recorded();
+
+  struct Expected {
+    const char* op;
+    std::vector<std::string> end_keys;
+    uint64_t subject;
+    bool ok;
+    uint64_t io;
+    uint64_t retunes;
+  };
+  std::vector<Expected> expected;
+  const TreeOpStats& ops = tree.op_stats();
+  auto run = [&](const char* op, std::vector<std::string> end_keys,
+                 uint64_t subject, auto&& body) {
+    const uint64_t io_before = tree.TotalIo();
+    const uint64_t retunes_before = ops.horizon_retunes.load();
+    const bool ok = body();
+    expected.push_back(Expected{op, std::move(end_keys), subject, ok,
+                                tree.TotalIo() - io_before,
+                                ops.horizon_retunes.load() - retunes_before});
+  };
+  auto tier_counts = [&ops] {
+    return std::vector<uint64_t>{ops.update_fast.load(),
+                                 ops.update_fast_propagations.load(),
+                                 ops.update_fallback.load()};
+  };
+  auto tier_delta = [&](const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> after = tier_counts();
+    for (size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  now += 1;
+  run("insert", {"io"}, n, [&] {
+    tree.Insert(n, record(n, 0, 100), now);
+    return true;
+  });
+  run("delete", {"found", "io"}, n, [&] {
+    return tree.Delete(n, record(n, 0, 100), now);
+  });
+  run("delete", {"found", "io"}, n, [&] {
+    return tree.Delete(n, record(n, 0, 100), now);
+  });
+  EXPECT_TRUE(expected[1].ok);
+  EXPECT_FALSE(expected[2].ok);
+
+  // Tier 1: same trajectory, shorter life — one in-place leaf write.
+  std::vector<uint64_t> before = tier_counts();
+  run("update", {"found", "fast", "io"}, 1, [&] {
+    return tree.Update(1, record(1, 0, 100), record(1, 0, 90), now);
+  });
+  EXPECT_EQ(tier_delta(before), (std::vector<uint64_t>{1, 0, 0}));
+  // Tier 2: same trajectory outliving the parent's recorded expiry.
+  before = tier_counts();
+  run("update", {"found", "fast", "io"}, 2, [&] {
+    return tree.Update(2, record(2, 0, 100), record(2, 0, 1000), now);
+  });
+  EXPECT_EQ(tier_delta(before), (std::vector<uint64_t>{1, 1, 0}));
+  // Fallback: moved far outside every bound.
+  before = tier_counts();
+  run("update", {"found", "fast", "io"}, 3, [&] {
+    return tree.Update(3, record(3, 0, 100), record(3, 5000, 100), now);
+  });
+  EXPECT_EQ(tier_delta(before), (std::vector<uint64_t>{0, 0, 1}));
+
+  // A tier-1 batch longer than one horizon batch (the leaf capacity), at
+  // a later time, so its in-place pass retunes the UI estimate.
+  now += 1;
+  std::vector<Tree<2>::UpdateRequest> batch;
+  for (ObjectId oid = 100; oid < n; ++oid) {
+    batch.push_back({oid, record(oid, 0, 100), record(oid, 0, 95)});
+  }
+  ASSERT_GE(batch.size(), static_cast<size_t>(tree.codec().leaf_capacity()));
+  before = tier_counts();
+  run("group_update", {"io"}, batch.size(), [&] {
+    const std::vector<bool> found = tree.GroupUpdate(batch, now);
+    return std::count(found.begin(), found.end(), true) ==
+           static_cast<std::ptrdiff_t>(batch.size());
+  });
+  EXPECT_TRUE(expected.back().ok);
+  EXPECT_EQ(tier_delta(before),
+            (std::vector<uint64_t>{batch.size(), 0, 0}));
+  EXPECT_GE(expected.back().retunes, 1u);
+
+  tree.set_tracer(nullptr);
+  tracer.reset();
+  const std::vector<std::string> lines = SplitLines(ReadAll(path));
+  std::remove(path.c_str());
+
+  // Top-level spans in order, with their attribute keys, I/O, and the
+  // horizon_retune events emitted while each was open.
+  struct Span {
+    std::string op;
+    std::vector<std::string> begin_keys;
+    std::vector<std::string> end_keys;
+    double io = -1;
+    uint64_t retunes = 0;
+  };
+  std::vector<Span> spans;
+  double open_span = 0;
+  auto keys_of = [](const tools::JsonValue& event) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : event.object) {
+      if (key == "seq" || key == "type" || key == "ph" || key == "span" ||
+          key == "parent" || key == "dur_us") {
+        continue;
+      }
+      keys.push_back(key);
+    }
+    return keys;
+  };
+  for (const std::string& line : lines) {
+    tools::JsonValue event;
+    ASSERT_TRUE(tools::ParseJson(line, &event)) << line;
+    const std::string type = event.Find("type")->StringOr("");
+    const tools::JsonValue* ph = event.Find("ph");
+    const double span = event.Find("span") ? event.Find("span")->number : 0;
+    if (ph != nullptr && event.Find("parent") == nullptr && open_span == 0) {
+      ASSERT_EQ(ph->string, "B") << line;
+      spans.push_back(Span{type, keys_of(event), {}, -1, 0});
+      open_span = span;
+    } else if (ph != nullptr && span == open_span) {
+      ASSERT_EQ(ph->string, "E") << line;
+      spans.back().end_keys = keys_of(event);
+      spans.back().io = event.Find("io")->NumberOr(-1);
+      open_span = 0;
+    } else if (type == "horizon_retune") {
+      ASSERT_NE(open_span, 0) << "retune outside any operation span";
+      ++spans.back().retunes;
+    }
+  }
+  ASSERT_EQ(spans.size(), expected.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Expected& want = expected[i];
+    SCOPED_TRACE(std::string("operation ") + std::to_string(i) + " (" +
+                 want.op + ")");
+    EXPECT_EQ(spans[i].op, want.op);
+    const std::vector<std::string> begin_keys =
+        spans[i].op == "group_update"
+            ? std::vector<std::string>{"batch", "now"}
+            : std::vector<std::string>{"oid", "now"};
+    EXPECT_EQ(spans[i].begin_keys, begin_keys);
+    EXPECT_EQ(spans[i].end_keys, want.end_keys);
+    EXPECT_EQ(spans[i].io, static_cast<double>(want.io));
+    EXPECT_EQ(spans[i].retunes, want.retunes);
+  }
+
+  const std::string dump_path =
+      ::testing::TempDir() + "/rexp_mutation_flight_test.json";
+  ASSERT_TRUE(obs::GlobalFlightRecorder().DumpToFile(dump_path, "ops").ok());
+  tools::JsonValue dump;
+  ASSERT_TRUE(tools::ParseJson(ReadAll(dump_path), &dump));
+  std::remove(dump_path.c_str());
+  std::vector<const tools::JsonValue*> records;
+  for (const tools::JsonValue& e : dump.Find("events")->array) {
+    if (e.Find("seq")->number >= static_cast<double>(flights_before)) {
+      records.push_back(&e);
+    }
+  }
+  ASSERT_EQ(records.size(), expected.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Expected& want = expected[i];
+    SCOPED_TRACE(std::string("flight record ") + std::to_string(i));
+    EXPECT_EQ(records[i]->Find("op")->string, want.op);
+    EXPECT_EQ(records[i]->Find("oid")->number,
+              static_cast<double>(want.subject));
+    const StatusCode status =
+        want.ok ? StatusCode::kOk : StatusCode::kNotFound;
+    EXPECT_EQ(records[i]->Find("status")->number,
+              static_cast<double>(static_cast<int>(status)));
+    EXPECT_EQ(records[i]->Find("io")->number, static_cast<double>(want.io));
+  }
+#endif
 }
 
 }  // namespace
