@@ -49,49 +49,6 @@ double Seconds(std::chrono::steady_clock::time_point from) {
       .count();
 }
 
-// The committed meta slot with the highest epoch (as recovery picks it).
-PageId BestMetaSlot(PageFile* file, uint32_t page_size) {
-  Page page(page_size);
-  uint64_t best_epoch = 0;
-  PageId best = kInvalidPageId;
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic) continue;
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch > best_epoch && (epoch & 1) == slot) {
-      best_epoch = epoch;
-      best = slot;
-    }
-  }
-  return best;
-}
-
-// Descends first-child pointers from the committed root to `level`.
-PageId FindPageAtLevel(PageFile* file, const TreeConfig& config,
-                       int level) {
-  Page page(config.page_size);
-  const PageId slot = BestMetaSlot(file, config.page_size);
-  if (slot == kInvalidPageId ||
-      !file->ReadPage(slot, &page).ok()) {
-    return kInvalidPageId;
-  }
-  PageId id = page.Read<uint32_t>(kMetaRootFieldOffset);
-  int node_level =
-      static_cast<int>(page.Read<uint32_t>(kMetaHeightFieldOffset)) - 1;
-  if (node_level < level) return kInvalidPageId;
-  NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                     config.store_tpbr_expiration);
-  Node<2> node;
-  while (node_level > level) {
-    if (!file->ReadPage(id, &page).ok()) return kInvalidPageId;
-    codec.Decode(page, &node);
-    if (node.entries.empty()) return kInvalidPageId;
-    id = node.entries[0].id;
-    --node_level;
-  }
-  return id;
-}
-
 int Main() {
   const uint64_t num_objects = EnvU64("REXP_REPAIR_OBJECTS", 200000);
   TreeConfig config = TreeConfig::Rexp();
@@ -156,7 +113,8 @@ int Main() {
   {
     auto file =
         DiskPageFile::Open(path, config.page_size, /*keep=*/true).value();
-    const PageId internal = FindPageAtLevel(file.get(), config, 1);
+    const PageId internal =
+        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
     if (internal == kInvalidPageId) {
       std::fprintf(stderr, "index too shallow to seed corruption\n");
       return 1;
@@ -191,11 +149,10 @@ int Main() {
   {
     auto file =
         DiskPageFile::Open(path, config.page_size, /*keep=*/true).value();
-    Page page(config.page_size);
+    Page junk(config.page_size);
+    std::memset(junk.data(), 0xa5, junk.size());
     for (PageId s = 0; s < kNumMetaSlots; ++s) {
-      if (!file->ReadPage(s, &page).ok()) return 1;
-      page.Write<uint32_t>(kMetaMagicFieldOffset, 0xdeadbeef);
-      if (!file->WritePage(s, page).ok()) return 1;
+      if (!file->WritePage(s, junk).ok()) return 1;
     }
     std::remove(fresh_path.c_str());
     auto fresh = DiskPageFile::Open(fresh_path, config.page_size,

@@ -21,6 +21,10 @@
 #      src/sched/. Everything else must use sched::Mutex and friends so
 #      the lock-rank checker and the Clang thread-safety annotations see
 #      every acquisition. A std::mutex elsewhere is invisible to both.
+#   4. The meta page's layout has one owner. kMetaMagic, the
+#      kMeta*FieldOffset constants and kMetaFreeListOffset may appear only
+#      in src/tree/meta_format.{h,cc}; everything else encodes and reads
+#      the page through EncodeMeta and ReadMeta (DESIGN.md §13).
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -76,6 +80,15 @@ for f in "${files[@]}"; do
   done < <(grep -nE \
     'std::(mutex|shared_mutex|timed_mutex|recursive_mutex|lock_guard|unique_lock|shared_lock|scoped_lock|condition_variable(_any)?)([^A-Za-z_]|$)|#[[:space:]]*include[[:space:]]*<(mutex|shared_mutex|condition_variable)>' \
     "$f" || true)
+done
+
+# --- Rule 4: meta layout constants outside tree/meta_format ---------------
+for f in "${files[@]}"; do
+  case "$f" in src/tree/meta_format.h|src/tree/meta_format.cc) continue ;; esac
+  while IFS= read -r hit; do
+    report "meta-layout" "$f:$hit (use EncodeMeta / ReadMeta)"
+  done < <(grep -nE \
+    'kMetaMagic|kMeta[A-Za-z]*FieldOffset|kMetaFreeListOffset' "$f" || true)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -31,42 +31,6 @@ void AddFinding(verify::Report* report,
       verify::Finding{check, kInvalidPageId, -1, std::move(detail)});
 }
 
-// Parses the newest valid meta slot of a closed partition file, exactly
-// as Tree::Open and TreeVerifier::VerifyFile do. Returns false when no
-// slot is usable (the per-file verification already reported why).
-bool ParseMeta(PageFile* file, uint32_t page_size, int dims, PageId* root,
-               int* height) {
-  if (file->capacity_pages() < kNumMetaSlots) return false;
-  Page page(page_size);
-  Page best(page_size);
-  uint64_t best_epoch = 0;
-  bool found = false;
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic ||
-        page.Read<uint32_t>(kMetaVersionFieldOffset) != kMetaVersion ||
-        page.Read<uint32_t>(kMetaDimsFieldOffset) !=
-            static_cast<uint32_t>(dims)) {
-      continue;
-    }
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch == 0 || (epoch & 1) != slot) continue;
-    if (epoch > best_epoch) {
-      best_epoch = epoch;
-      best = page;
-      found = true;
-    }
-  }
-  if (!found) return false;
-  *root = best.Read<uint32_t>(kMetaRootFieldOffset);
-  *height = static_cast<int>(best.Read<uint32_t>(kMetaHeightFieldOffset));
-  if (*height < 0 || *height > kMetaMaxLevels ||
-      (*root == kInvalidPageId) != (*height == 0)) {
-    return false;
-  }
-  return true;
-}
-
 // One live leaf record seen by the cross-partition walk.
 struct LiveRecord {
   int partition;
@@ -78,16 +42,16 @@ struct LiveRecord {
 // structural damage cuts the walk short — the per-file catalog already
 // reported it, and cross-checks on a half-walked file would misfire.
 template <int kDims>
-bool CollectLiveRecords(PageFile* file, const TreeConfig& config, Time now,
-                        int partition,
+bool CollectLiveRecords(PageFile* file, const TreeConfig& config,
+                        const MetaRead& meta, Time now, int partition,
                         std::unordered_map<ObjectId, LiveRecord>* first_seen,
                         verify::Report* report,
                         const verify::VerifyOptions& options) {
-  PageId root = kInvalidPageId;
-  int height = 0;
-  if (!ParseMeta(file, config.page_size, kDims, &root, &height)) {
-    return false;
-  }
+  // A device error on one slot only hides that slot; an inconsistent
+  // newest slot leaves nothing to walk (the per-file catalog reported it).
+  if (!meta.walkable()) return false;
+  const PageId root = meta.state.root;
+  const int height = meta.state.height;
   if (root == kInvalidPageId) return true;  // Empty partition.
 
   const NodeCodec<kDims> codec(config.page_size, config.StoresVelocities(),
@@ -177,33 +141,14 @@ verify::Report VerifyPartitionedImpl(const std::string& manifest_path,
     }
     PageFile* file = file_or.value().get();
 
-    verify::Report sub =
-        verify::TreeVerifier<kDims>::VerifyFile(file, config, options);
-    report.pages_walked += sub.pages_walked;
-    report.entries_checked += sub.entries_checked;
-    report.leaf_records_checked += sub.leaf_records_checked;
-    report.live_leaf_entries += sub.live_leaf_entries;
-    report.underfull_nodes += sub.underfull_nodes;
-    report.damaged_meta_slots += sub.damaged_meta_slots;
-    report.findings_suppressed += sub.findings_suppressed;
-    report.walk_complete = report.walk_complete && sub.walk_complete;
-    for (verify::Finding& f : sub.findings) {
-      // Built with += (GCC 12's -Wrestrict misfires on chained
-      // const char* + std::string&& here).
-      std::string prefixed = "p";
-      prefixed += std::to_string(i);
-      prefixed += ": ";
-      prefixed += f.detail;
-      f.detail = std::move(prefixed);
-      if (report.findings.size() >= options.max_findings) {
-        ++report.findings_suppressed;
-      } else {
-        report.findings.push_back(std::move(f));
-      }
-    }
+    const MetaRead meta = ReadMeta(file, kDims);
+    verify::MergePartitionReport(
+        verify::TreeVerifier<kDims>::VerifyCommitted(file, config, meta,
+                                                     options),
+        i, options, &report);
 
     const bool complete = CollectLiveRecords<kDims>(
-        file, config, options.now, static_cast<int>(i), &first_seen,
+        file, config, meta, options.now, static_cast<int>(i), &first_seen,
         &report, options);
     if (!complete) {
       report.walk_complete = false;

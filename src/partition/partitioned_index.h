@@ -989,25 +989,8 @@ class PartitionedIndex {
     verify::Report merged;
     std::vector<std::vector<verify::DatSnapshotEntry>> dats(trees_.size());
     for (size_t i = 0; i < trees_.size(); ++i) {
-      verify::Report r = trees_[i]->Verify(now);
-      merged.pages_walked += r.pages_walked;
-      merged.entries_checked += r.entries_checked;
-      merged.leaf_records_checked += r.leaf_records_checked;
-      merged.live_leaf_entries += r.live_leaf_entries;
-      merged.underfull_nodes += r.underfull_nodes;
-      merged.damaged_meta_slots += r.damaged_meta_slots;
-      merged.findings_suppressed += r.findings_suppressed;
-      merged.walk_complete = merged.walk_complete && r.walk_complete;
-      for (verify::Finding& f : r.findings) {
-        // Built with += (GCC 12's -Wrestrict misfires on chained
-        // const char* + std::string&& here).
-        std::string prefixed = "p";
-        prefixed += std::to_string(i);
-        prefixed += ": ";
-        prefixed += f.detail;
-        f.detail = std::move(prefixed);
-        merged.findings.push_back(std::move(f));
-      }
+      verify::MergePartitionReport(trees_[i]->Verify(now), i,
+                                   verify::VerifyOptions{}, &merged);
       dats[i] = trees_[i]->DatSnapshotForTest();
     }
     // Router cross-checks against the physical per-tree DATs.

@@ -20,8 +20,6 @@
 namespace rexp {
 namespace {
 
-// Slot layout and field offsets live in tree/meta_format.h, shared with
-// the offline verifier.
 constexpr int kMaxLevels = kMetaMaxLevels;
 
 // Number of area-enlargement-best candidates to which the quadratic R*
@@ -114,9 +112,6 @@ Status Tree<kDims>::Init() {
     }
     REXP_RETURN_IF_ERROR(Commit());
   } else {
-    if (file_->capacity_pages() < kNumMetaSlots) {
-      return Status::Corruption("index file holds no complete meta slot");
-    }
     // No other thread can reach the tree yet, but recovery mutates the
     // epoch-guarded state (DAT, parent map), so it runs under the writer
     // epoch like every other mutation — uncontended here.
@@ -149,58 +144,6 @@ Tree<kDims>::~Tree() {
 // ---------------------------------------------------------------------------
 // Metadata persistence.
 
-// raw-page-ok: serializes into the caller's pinned meta frame.
-template <int kDims>
-void Tree<kDims>::SerializeMeta(uint64_t epoch, Page* page) const {
-  page->Clear();
-  uint32_t off = 0;
-  page->Write<uint32_t>(off, kMetaMagic);
-  off += 4;
-  page->Write<uint32_t>(off, kMetaVersion);
-  off += 4;
-  page->Write<uint32_t>(off, static_cast<uint32_t>(kDims));
-  off += 4;
-  off += 4;  // Reserved.
-  page->Write<uint64_t>(off, epoch);
-  off += 8;
-  page->Write<uint32_t>(off, root_);
-  off += 4;
-  page->Write<uint32_t>(off, static_cast<uint32_t>(height_));
-  off += 4;
-  // Device extent at commit time: pages at or beyond this are uncommitted
-  // growth and are reclaimed on recovery.
-  page->Write<uint64_t>(off, file_->capacity_pages());
-  off += 8;
-  page->Write<uint64_t>(off, underfull_remnants_);
-  off += 8;
-  page->Write<double>(off, horizon_.ui());
-  off += 8;
-  for (int l = 0; l < kMaxLevels; ++l) {
-    uint64_t n = l < static_cast<int>(level_counts_.size())
-                     ? level_counts_[l]
-                     : 0;
-    page->Write<uint64_t>(off, n);
-    off += 8;
-  }
-  // Persist the device free list (as much of it as fits on the meta page)
-  // so that page reuse resumes after a re-open; the overflow is counted as
-  // leaked.
-  const std::vector<PageId>& free_ids = file_->free_list();
-  uint32_t max_ids = (config_.page_size - kMetaFreeListOffset) / 4;
-  uint32_t persisted = static_cast<uint32_t>(
-      std::min<size_t>(free_ids.size(), max_ids));
-  uint64_t leaked = file_->leaked_pages() + (free_ids.size() - persisted);
-  page->Write<uint32_t>(off, persisted);
-  off += 4;
-  page->Write<uint64_t>(off, leaked);
-  off += 8;
-  REXP_CHECK(off == kMetaFreeListOffset);
-  for (uint32_t i = 0; i < persisted; ++i) {
-    page->Write<uint32_t>(off, free_ids[i]);
-    off += 4;
-  }
-}
-
 template <int kDims>
 Status Tree<kDims>::Commit() {
   sched::WriterMutexLock epoch(&epoch_mu_);
@@ -225,9 +168,19 @@ Status Tree<kDims>::CommitLocked() {
   // state no longer references become reusable — and only now is the meta
   // slot write safe.
   file_->PublishDeferredFrees();
-  const uint64_t epoch = meta_epoch_ + 1;
+  MetaState state;
+  state.epoch = meta_epoch_ + 1;
+  state.root = root_;
+  state.height = height_;
+  state.committed = file_->capacity_pages();
+  state.underfull_remnants = underfull_remnants_;
+  state.ui = horizon_.ui();
+  state.level_counts = level_counts_;
+  state.free_list = file_->free_list();
+  state.leaked = file_->leaked_pages();
   Page page(config_.page_size);
-  SerializeMeta(epoch, &page);
+  EncodeMeta(kDims, state, &page);
+  const uint64_t epoch = state.epoch;
   REXP_RETURN_IF_ERROR(
       file_->WritePage(static_cast<PageId>(epoch & 1), page));
   REXP_RETURN_IF_ERROR(file_->Sync());
@@ -237,112 +190,51 @@ Status Tree<kDims>::CommitLocked() {
 
 template <int kDims>
 Status Tree<kDims>::LoadMeta() {
-  // Probe both slots; recover from the valid one with the newest epoch.
-  Page page(config_.page_size);
-  Page best(config_.page_size);
-  uint64_t best_epoch = 0;
-  int best_slot = -1;
-  std::string slot_findings;
-  auto note_slot = [&slot_findings](PageId slot, const std::string& why) {
-    if (!slot_findings.empty()) slot_findings += "; ";
-    slot_findings += "slot " + std::to_string(slot) + ": " + why;
-  };
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    Status s = file_->ReadPage(slot, &page);
-    if (!s.ok()) {
-      if (s.IsIOError()) return s;  // Device broken, not slot damage.
-      ++meta_slot_errors_;
-      note_slot(slot, s.message());
-      continue;
+  MetaRead meta = ReadMeta(file_, kDims);
+  for (const MetaSlotProbe& probe : meta.slots) {
+    if (probe.outcome == MetaSlotOutcome::kMissing) {
+      return Status::Corruption("index file holds no complete meta slot");
     }
-    if (page.Read<uint32_t>(0) == 0) {
-      // An all-zero slot is one never committed to (a fresh file's slot 0,
-      // or the older slot of an index committed exactly once) — empty, not
-      // damaged.
-      note_slot(slot, "empty (never committed)");
-      continue;
-    }
-    if (page.Read<uint32_t>(0) != kMetaMagic ||
-        page.Read<uint32_t>(4) != kMetaVersion ||
-        page.Read<uint32_t>(8) != static_cast<uint32_t>(kDims)) {
-      ++meta_slot_errors_;
-      note_slot(slot, "bad magic/version/dims");
-      continue;
-    }
-    const uint64_t epoch = page.Read<uint64_t>(16);
-    if (epoch == 0 || (epoch & 1) != slot) {
-      ++meta_slot_errors_;
-      note_slot(slot, "epoch " + std::to_string(epoch) +
-                          " fails slot-parity check");
-      continue;
-    }
-    if (epoch > best_epoch) {
-      best_epoch = epoch;
-      best_slot = static_cast<int>(slot);
-      best = page;
+    // A broken device, not slot damage: fail the open.
+    if (probe.outcome == MetaSlotOutcome::kDeviceError) {
+      return probe.read_status;
     }
   }
-  if (best_slot < 0) {
+  meta_slot_errors_ = meta.damaged_slots();
+  if (!meta.found()) {
+    if (const int dims = meta.other_dims(); dims != 0) {
+      return Status::Corruption(
+          "index records " + std::to_string(dims) + " dims; open it as a " +
+          std::to_string(dims) + "-d tree, not " + std::to_string(kDims) +
+          "-d (" + meta.SlotSummary() + ")");
+    }
     return Status::Corruption(
-        "no valid meta slot (" + slot_findings +
+        "no valid meta slot (" + meta.SlotSummary() +
         "); run `rexp_fsck --salvage` to rebuild from surviving leaf pages");
   }
-
-  uint32_t off = 24;
-  root_ = best.Read<uint32_t>(off);
-  off += 4;
-  height_ = static_cast<int>(best.Read<uint32_t>(off));
-  off += 4;
-  const uint64_t committed_capacity = best.Read<uint64_t>(off);
-  off += 8;
-  underfull_remnants_ = best.Read<uint64_t>(off);
-  off += 8;
-  double ui = best.Read<double>(off);
-  off += 8;
-  if (height_ < 0 || height_ > kMaxLevels ||
-      (root_ == kInvalidPageId) != (height_ == 0) ||
-      committed_capacity < kNumMetaSlots ||
-      committed_capacity > file_->capacity_pages() ||
-      (root_ != kInvalidPageId &&
-       (root_ < kNumMetaSlots || root_ >= committed_capacity))) {
-    return Status::Corruption("meta slot " + std::to_string(best_slot) +
-                              " (epoch " + std::to_string(best_epoch) +
-                              ") is internally inconsistent");
+  if (meta.consistency != MetaConsistency::kConsistent) {
+    return Status::Corruption(meta.InconsistencyDetail());
   }
-  level_counts_.assign(height_, 0);
-  for (int l = 0; l < kMaxLevels; ++l) {
-    uint64_t n = best.Read<uint64_t>(off);
-    off += 8;
-    if (l < height_) level_counts_[l] = n;
-  }
-  if (ui > 0) horizon_.RestoreUi(ui);
-  uint32_t persisted = best.Read<uint32_t>(off);
-  off += 4;
-  uint64_t leaked = best.Read<uint64_t>(off);
-  off += 8;
-  if (persisted > (config_.page_size - kMetaFreeListOffset) / 4) {
-    return Status::Corruption("meta free list overruns the slot");
-  }
-  std::vector<PageId> free_ids;
-  free_ids.reserve(persisted);
-  for (uint32_t i = 0; i < persisted; ++i) {
-    PageId id = best.Read<uint32_t>(off);
-    off += 4;
-    if (id < kNumMetaSlots || id >= committed_capacity) {
+  MetaState& state = meta.state;
+  for (PageId id : state.free_list) {
+    if (id < kNumMetaSlots || id >= state.committed) {
       return Status::Corruption("meta free list holds invalid page " +
                                 std::to_string(id));
     }
-    free_ids.push_back(id);
   }
-  file_->RestoreFreeList(std::move(free_ids), leaked);
+  root_ = state.root;
+  height_ = state.height;
+  underfull_remnants_ = state.underfull_remnants;
+  level_counts_ = std::move(state.level_counts);
+  if (state.ui > 0) horizon_.RestoreUi(state.ui);
+  file_->RestoreFreeList(std::move(state.free_list), state.leaked);
   // Pages the device grew past the committed extent (writes after the
   // last commit, including a torn tail) are unreferenced by the recovered
   // state; reclaim them.
-  for (uint64_t id = committed_capacity; id < file_->capacity_pages();
-       ++id) {
+  for (uint64_t id = state.committed; id < file_->capacity_pages(); ++id) {
     file_->Free(static_cast<PageId>(id));
   }
-  meta_epoch_ = best_epoch;
+  meta_epoch_ = state.epoch;
   return Status::OK();
 }
 

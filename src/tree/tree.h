@@ -587,9 +587,6 @@ class Tree {
                                           int level, Time now, double fill)
       REQUIRES(epoch_mu_);
 
-  // Serializes the metadata payload for `epoch` into `page`.
-  void SerializeMeta(uint64_t epoch, Page* page) const  // raw-page-ok
-      REQUIRES(epoch_mu_);
   // Recovers state from the newest valid meta slot (device reads bypass
   // the buffer). kCorruption if no slot is valid.
   Status LoadMeta() REQUIRES(epoch_mu_);

@@ -65,72 +65,6 @@ Tpbr<kDims> HullOf(const std::vector<NodeEntry<kDims>>& entries) {
   return h;
 }
 
-// The committed meta state repair starts from, parsed exactly as
-// Tree::LoadMeta / TreeVerifier::VerifyFile do. `ok == false` means no
-// slot yields an internally consistent state — salvage territory.
-struct ParsedMeta {
-  bool ok = false;
-  int slot = -1;
-  uint64_t epoch = 0;
-  PageId root = kInvalidPageId;
-  int height = 0;
-  uint64_t committed = 0;
-  uint64_t underfull = 0;
-  double ui = 60.0;
-  std::vector<PageId> free_list;
-  uint64_t leaked = 0;
-};
-
-template <int kDims>
-ParsedMeta ParseMeta(PageFile* file, const TreeConfig& config) {
-  ParsedMeta m;
-  if (file->capacity_pages() < kNumMetaSlots) return m;
-  Page page(config.page_size);
-  Page best(config.page_size);
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic ||
-        page.Read<uint32_t>(kMetaVersionFieldOffset) != kMetaVersion ||
-        page.Read<uint32_t>(kMetaDimsFieldOffset) !=
-            static_cast<uint32_t>(kDims)) {
-      continue;
-    }
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch == 0 || (epoch & 1) != slot) continue;
-    if (epoch > m.epoch) {
-      m.epoch = epoch;
-      m.slot = static_cast<int>(slot);
-      best = page;
-    }
-  }
-  if (m.slot < 0) return m;
-  m.root = best.Read<uint32_t>(kMetaRootFieldOffset);
-  m.height = static_cast<int>(best.Read<uint32_t>(kMetaHeightFieldOffset));
-  m.committed = best.Read<uint64_t>(kMetaCapacityFieldOffset);
-  m.underfull = best.Read<uint64_t>(kMetaUnderfullFieldOffset);
-  const double ui = best.Read<double>(kMetaUiFieldOffset);
-  if (ui > 0) m.ui = ui;
-  if (m.height < 0 || m.height > kMetaMaxLevels ||
-      (m.root == kInvalidPageId) != (m.height == 0) ||
-      m.committed < kNumMetaSlots ||
-      m.committed > file->capacity_pages() ||
-      (m.root != kInvalidPageId &&
-       (m.root < kNumMetaSlots || m.root >= m.committed))) {
-    return m;  // ok stays false: internally inconsistent.
-  }
-  const uint32_t persisted = best.Read<uint32_t>(kMetaFreeCountFieldOffset);
-  if (persisted <= (config.page_size - kMetaFreeListOffset) / 4) {
-    m.free_list.reserve(persisted);
-    for (uint32_t i = 0; i < persisted; ++i) {
-      m.free_list.push_back(
-          best.Read<uint32_t>(kMetaFreeListOffset + 4 * i));
-    }
-    m.leaked = best.Read<uint64_t>(kMetaLeakedFieldOffset);
-  }
-  m.ok = true;
-  return m;
-}
-
 template <int kDims>
 struct FixCtx {
   PageFile* file = nullptr;
@@ -357,72 +291,22 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
   return out;
 }
 
-// Serializes repaired metadata exactly as Tree::SerializeMeta does, from
-// the rebuilt bookkeeping.
-template <int kDims>
-void SerializeRepairedMeta(const TreeConfig& config, uint64_t epoch,
-                           PageId root, int height, uint64_t committed,
-                           uint64_t underfull, double ui,
-                           const std::vector<uint64_t>& level_counts,
-                           const std::vector<PageId>& free_ids,
-                           uint64_t prior_leaked,
-                           Page* page) {  // raw-page-ok: caller's frame.
-  page->Clear();
-  uint32_t off = 0;
-  page->Write<uint32_t>(off, kMetaMagic);
-  off += 4;
-  page->Write<uint32_t>(off, kMetaVersion);
-  off += 4;
-  page->Write<uint32_t>(off, static_cast<uint32_t>(kDims));
-  off += 4;
-  off += 4;  // Reserved.
-  page->Write<uint64_t>(off, epoch);
-  off += 8;
-  page->Write<uint32_t>(off, root);
-  off += 4;
-  page->Write<uint32_t>(off, static_cast<uint32_t>(height));
-  off += 4;
-  page->Write<uint64_t>(off, committed);
-  off += 8;
-  page->Write<uint64_t>(off, underfull);
-  off += 8;
-  page->Write<double>(off, ui);
-  off += 8;
-  for (int l = 0; l < kMetaMaxLevels; ++l) {
-    const uint64_t n = l < static_cast<int>(level_counts.size())
-                           ? level_counts[static_cast<size_t>(l)]
-                           : 0;
-    page->Write<uint64_t>(off, n);
-    off += 8;
-  }
-  const uint32_t max_ids = (config.page_size - kMetaFreeListOffset) / 4;
-  const uint32_t persisted =
-      static_cast<uint32_t>(std::min<size_t>(free_ids.size(), max_ids));
-  const uint64_t leaked = prior_leaked + (free_ids.size() - persisted);
-  page->Write<uint32_t>(off, persisted);
-  off += 4;
-  page->Write<uint64_t>(off, leaked);
-  off += 8;
-  REXP_CHECK(off == kMetaFreeListOffset);
-  for (uint32_t i = 0; i < persisted; ++i) {
-    page->Write<uint32_t>(off, free_ids[i]);
-    off += 4;
-  }
-}
-
 }  // namespace
 
 template <int kDims>
 StatusOr<RepairReport> TreeRepairer<kDims>::Repair(
     PageFile* file, const TreeConfig& config, const RepairOptions& options) {
   RepairReport report;
-  report.before =
-      TreeVerifier<kDims>::VerifyFile(file, config, options.verify);
+  const MetaRead read = ReadMeta(file, kDims);
+  report.before = TreeVerifier<kDims>::VerifyCommitted(file, config, read,
+                                                       options.verify);
   report.after = report.before;
   if (report.before.ok()) return report;  // Nothing to fix.
 
-  ParsedMeta meta = ParseMeta<kDims>(file, config);
-  if (!meta.ok) {
+  // Repair starts from the newest valid slot whatever the verifier made
+  // of the other one (a device error there included). A free list that
+  // overruns the page is no obstacle: repair rebuilds it from the walk.
+  if (!read.walkable()) {
     report.needs_salvage = true;
     report.actions.push_back(
         "no internally consistent meta slot; use salvage to rebuild from "
@@ -439,7 +323,9 @@ StatusOr<RepairReport> TreeRepairer<kDims>::Repair(
   ctx.options = &options;
   ctx.report = &report;
   ctx.now = options.verify.now;
-  ctx.never_expires_horizon = ctx.now + 10 * meta.ui;
+  const MetaState& meta = read.state;
+  const double ui = meta.ui > 0 ? meta.ui : TreeView{}.ui;
+  ctx.never_expires_horizon = ctx.now + 10 * ui;
   ctx.committed = meta.committed;
   ctx.root = meta.root;
   ctx.level_counts.assign(static_cast<size_t>(std::max(meta.height, 0)), 0);
@@ -517,12 +403,19 @@ StatusOr<RepairReport> TreeRepairer<kDims>::Repair(
 
   report.meta_rewritten = true;
   if (!options.dry_run) {
+    MetaState repaired;
+    repaired.epoch = meta.epoch + 1;
+    repaired.root = root;
+    repaired.height = height;
+    repaired.committed = device_capacity;
+    repaired.underfull_remnants = ctx.underfull;
+    repaired.ui = ui;
+    repaired.level_counts = std::move(ctx.level_counts);
+    repaired.free_list = std::move(free_ids);
     Page page(config.page_size);
-    SerializeRepairedMeta<kDims>(config, meta.epoch + 1, root, height,
-                                 device_capacity, ctx.underfull, meta.ui,
-                                 ctx.level_counts, free_ids, 0, &page);
-    REXP_RETURN_IF_ERROR(
-        file->WritePage(static_cast<PageId>((meta.epoch + 1) & 1), page));
+    EncodeMeta(kDims, repaired, &page);
+    REXP_RETURN_IF_ERROR(file->WritePage(
+        static_cast<PageId>(repaired.epoch & 1), page));
     REXP_RETURN_IF_ERROR(file->Sync());
     report.after =
         TreeVerifier<kDims>::VerifyFile(file, config, options.verify);

@@ -10,7 +10,6 @@
 
 #include "common/float_round.h"
 #include "obs/json_writer.h"
-#include "tree/meta_format.h"
 
 namespace rexp {
 namespace verify {
@@ -496,132 +495,137 @@ template <int kDims>
 Report TreeVerifier<kDims>::VerifyFile(PageFile* file,
                                        const TreeConfig& config,
                                        const VerifyOptions& options) {
-  Report report;
+  return VerifyCommitted(file, config, ReadMeta(file, kDims), options);
+}
 
-  // Probe both meta slots, mirroring Tree::LoadMeta but reporting typed
-  // findings instead of a single Status.
-  Page page(config.page_size);
-  Page best(config.page_size);
-  uint64_t best_epoch = 0;
-  int best_slot = -1;
-  int damaged = 0;
-  if (file->capacity_pages() < kNumMetaSlots) {
-    AddFinding(&report, options, CheckId::kMetaSlot, kInvalidPageId, -1,
-               "file holds no complete meta slot");
-    return report;
-  }
+template <int kDims>
+Report TreeVerifier<kDims>::VerifyCommitted(PageFile* file,
+                                            const TreeConfig& config,
+                                            const MetaRead& meta,
+                                            const VerifyOptions& options) {
+  Report report;
   for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    Status s = file->ReadPage(slot, &page);
-    if (!s.ok()) {
-      if (s.IsIOError()) {
-        AddFinding(&report, options, CheckId::kMetaSlot, slot, -1,
-                   "device error: " + s.ToString());
-        return report;
-      }
-      ++damaged;
-      continue;
+    const MetaSlotProbe& probe = meta.slots[slot];
+    if (probe.outcome == MetaSlotOutcome::kMissing) {
+      AddFinding(&report, options, CheckId::kMetaSlot, kInvalidPageId, -1,
+                 "file holds no complete meta slot");
+      return report;
     }
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) == 0) continue;  // Empty.
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic ||
-        page.Read<uint32_t>(kMetaVersionFieldOffset) != kMetaVersion ||
-        page.Read<uint32_t>(kMetaDimsFieldOffset) !=
-            static_cast<uint32_t>(kDims)) {
-      ++damaged;
-      continue;
-    }
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch == 0 || (epoch & 1) != slot) {
-      ++damaged;
-      continue;
-    }
-    if (epoch > best_epoch) {
-      best_epoch = epoch;
-      best_slot = static_cast<int>(slot);
-      best = page;
+    if (probe.outcome == MetaSlotOutcome::kDeviceError) {
+      AddFinding(&report, options, CheckId::kMetaSlot, slot, -1,
+                 "device error: " + probe.read_status.ToString());
+      return report;
     }
   }
-  if (best_slot < 0) {
+  if (!meta.found()) {
+    const int dims = meta.other_dims();
     AddFinding(&report, options, CheckId::kMetaSlot, kInvalidPageId, -1,
-               "no valid meta slot (" + std::to_string(damaged) +
-                   " damaged)");
+               dims != 0 ? "no valid meta slot: the index records " +
+                               std::to_string(dims) + " dims, checked as " +
+                               std::to_string(kDims)
+                         : "no valid meta slot (" +
+                               std::to_string(meta.damaged_slots()) +
+                               " damaged)");
     return report;
   }
   // One damaged slot next to a valid one is the legal signature of a
   // commit torn mid-metadata-write; it is tolerated (and reported as
   // context), exactly as Tree::Open tolerates it.
-  report.damaged_meta_slots = damaged;
-  report.meta_epoch = best_epoch;
+  const MetaState& state = meta.state;
+  report.damaged_meta_slots = meta.damaged_slots();
+  report.meta_epoch = state.epoch;
+  if (meta.consistency != MetaConsistency::kConsistent) {
+    AddFinding(&report, options, CheckId::kMetaSlot,
+               static_cast<PageId>(meta.slot), -1,
+               meta.InconsistencyDetail());
+    return report;
+  }
 
   TreeView view;
-  view.meta_epoch = best_epoch;
-  view.root = best.Read<uint32_t>(kMetaRootFieldOffset);
-  view.height =
-      static_cast<int>(best.Read<uint32_t>(kMetaHeightFieldOffset));
-  const uint64_t committed = best.Read<uint64_t>(kMetaCapacityFieldOffset);
-  view.underfull_remnants = best.Read<uint64_t>(kMetaUnderfullFieldOffset);
-  const double ui = best.Read<double>(kMetaUiFieldOffset);
-  if (ui > 0) view.ui = ui;
-  if (view.height < 0 || view.height > kMetaMaxLevels ||
-      (view.root == kInvalidPageId) != (view.height == 0) ||
-      committed < kNumMetaSlots || committed > file->capacity_pages() ||
-      (view.root != kInvalidPageId &&
-       (view.root < kNumMetaSlots || view.root >= committed))) {
-    AddFinding(&report, options, CheckId::kMetaSlot,
-               static_cast<PageId>(best_slot), -1,
-               "meta slot (epoch " + std::to_string(best_epoch) +
-                   ") is internally inconsistent");
-    return report;
-  }
-  view.level_counts.assign(static_cast<size_t>(view.height), 0);
-  for (int l = 0; l < view.height; ++l) {
-    view.level_counts[static_cast<size_t>(l)] = best.Read<uint64_t>(
-        kMetaLevelCountsFieldOffset + 8 * static_cast<uint32_t>(l));
-  }
-  const uint32_t persisted = best.Read<uint32_t>(kMetaFreeCountFieldOffset);
-  const uint64_t leaked = best.Read<uint64_t>(kMetaLeakedFieldOffset);
-  if (persisted > (config.page_size - kMetaFreeListOffset) / 4) {
-    AddFinding(&report, options, CheckId::kMetaSlot,
-               static_cast<PageId>(best_slot), -1,
-               "meta free list overruns the slot");
-    return report;
-  }
-  view.free_list.reserve(persisted);
-  for (uint32_t i = 0; i < persisted; ++i) {
-    view.free_list.push_back(
-        best.Read<uint32_t>(kMetaFreeListOffset + 4 * i));
-  }
+  view.meta_epoch = state.epoch;
+  view.root = state.root;
+  view.height = state.height;
+  view.level_counts = state.level_counts;
+  view.underfull_remnants = state.underfull_remnants;
+  if (state.ui > 0) view.ui = state.ui;
+  view.free_list = state.free_list;
   view.check_free_list = true;
-  view.page_limit = committed;
+  view.page_limit = state.committed;
 
   // Page accounting over the committed extent: every committed page is a
   // meta slot, on the free list, accounted leaked, or a reachable node.
   // (Pages the device grew past the committed extent are uncommitted
   // writes; recovery reclaims them, so they are not findings.)
   const uint64_t overhead =
-      kNumMetaSlots + view.free_list.size() + leaked;
-  if (overhead > committed) {
+      kNumMetaSlots + view.free_list.size() + state.leaked;
+  if (overhead > state.committed) {
     AddFinding(&report, options, CheckId::kPageAccounting, kInvalidPageId,
                -1,
                "free list (" + std::to_string(view.free_list.size()) +
-                   ") and leaked pages (" + std::to_string(leaked) +
+                   ") and leaked pages (" + std::to_string(state.leaked) +
                    ") exceed the committed capacity of " +
-                   std::to_string(committed));
+                   std::to_string(state.committed));
     return report;
   }
-  view.expected_reachable = committed - overhead;
+  view.expected_reachable = state.committed - overhead;
 
   Report walk = VerifyView(file, config, view, options);
   walk.damaged_meta_slots = report.damaged_meta_slots;
-  walk.meta_epoch = best_epoch;
-  walk.findings.insert(walk.findings.begin(),
-                       std::make_move_iterator(report.findings.begin()),
-                       std::make_move_iterator(report.findings.end()));
   return walk;
+}
+
+void MergePartitionReport(Report part, size_t partition,
+                          const VerifyOptions& options, Report* into) {
+  // Built with += (GCC 12's -Wrestrict misfires on chained
+  // const char* + std::string&&).
+  std::string prefix = "p";
+  prefix += std::to_string(partition);
+  prefix += ": ";
+  into->pages_walked += part.pages_walked;
+  into->entries_checked += part.entries_checked;
+  into->leaf_records_checked += part.leaf_records_checked;
+  into->live_leaf_entries += part.live_leaf_entries;
+  into->underfull_nodes += part.underfull_nodes;
+  into->damaged_meta_slots += part.damaged_meta_slots;
+  into->findings_suppressed += part.findings_suppressed;
+  into->walk_complete = into->walk_complete && part.walk_complete;
+  for (Finding& f : part.findings) {
+    f.detail.insert(0, prefix);
+    if (into->findings.size() >= options.max_findings) {
+      ++into->findings_suppressed;
+    } else {
+      into->findings.push_back(std::move(f));
+    }
+  }
+}
+
+template <int kDims>
+PageId CommittedPageAtLevel(PageFile* file, const TreeConfig& config,
+                            int level) {
+  const MetaRead meta = ReadMeta(file, kDims);
+  if (!meta.walkable() || meta.state.height - 1 < level) {
+    return kInvalidPageId;
+  }
+  const NodeCodec<kDims> codec(config.page_size, config.StoresVelocities(),
+                               config.store_tpbr_expiration);
+  Page page(config.page_size);
+  Node<kDims> node;
+  PageId id = meta.state.root;
+  for (int l = meta.state.height - 1; l > level; --l) {
+    if (!file->ReadPage(id, &page).ok()) return kInvalidPageId;
+    codec.Decode(page, &node);
+    if (node.entries.empty()) return kInvalidPageId;
+    id = node.entries[0].id;
+  }
+  return id;
 }
 
 template class TreeVerifier<1>;
 template class TreeVerifier<2>;
 template class TreeVerifier<3>;
+template PageId CommittedPageAtLevel<1>(PageFile*, const TreeConfig&, int);
+template PageId CommittedPageAtLevel<2>(PageFile*, const TreeConfig&, int);
+template PageId CommittedPageAtLevel<3>(PageFile*, const TreeConfig&, int);
 
 }  // namespace verify
 }  // namespace rexp

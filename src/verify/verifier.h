@@ -36,6 +36,7 @@
 
 #include "common/types.h"
 #include "storage/page_file.h"
+#include "tree/meta_format.h"
 #include "tree/node.h"
 #include "tree/tree_config.h"
 
@@ -113,6 +114,13 @@ struct [[nodiscard]] Report {
   std::string ToString() const;
 };
 
+// Folds partition `partition`'s report into `into`: sums the counters and
+// appends the findings with "p<partition>: " prefixed to each detail,
+// recording at most options.max_findings and counting the rest as
+// suppressed.
+void MergePartitionReport(Report part, size_t partition,
+                          const VerifyOptions& options, Report* into);
+
 // Appends the shared finding-report fields to an open JSON object in `w`:
 // "ok" and a "findings" array of {check, page?, level?, detail} objects,
 // plus "findings_suppressed". This is rexp_fsck's finding schema, the
@@ -154,11 +162,17 @@ template <int kDims>
 class TreeVerifier {
  public:
   // Verifies a closed index straight off `file` (typically a DiskPageFile
-  // opened on a persisted index): parses the dual-slot metadata itself and
-  // walks the committed state. `config` must match the index's creation
+  // opened on a persisted index): reads the dual-slot metadata and walks
+  // the committed state. `config` must match the index's creation
   // configuration. Never aborts; all damage lands in the report.
   static Report VerifyFile(PageFile* file, const TreeConfig& config,
                            const VerifyOptions& options);
+
+  // VerifyFile over a meta read the caller already holds (ReadMeta(file,
+  // kDims)), for callers that go on to use the committed state.
+  static Report VerifyCommitted(PageFile* file, const TreeConfig& config,
+                                const MetaRead& meta,
+                                const VerifyOptions& options);
 
   // Verifies the state described by `view` (pages read through
   // `file->ReadPage`, so the caller must have flushed any buffered
@@ -176,6 +190,15 @@ class TreeVerifier {
                           const VerifyOptions& options, PageId id, int level,
                           const Tpbr<kDims>* bound, WalkState* state);
 };
+
+// The page reached from the committed root by following first-child
+// pointers down to `level` (0 = leaf): a fixed target for seeding a fault
+// into a persisted index. kInvalidPageId when no meta slot describes a
+// walkable tree, the tree is shallower than `level`, or a page on the
+// way is unreadable.
+template <int kDims>
+PageId CommittedPageAtLevel(PageFile* file, const TreeConfig& config,
+                            int level);
 
 }  // namespace verify
 }  // namespace rexp

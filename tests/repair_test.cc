@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -22,7 +23,6 @@
 #include "common/random.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
-#include "tree/meta_format.h"
 #include "tree/node.h"
 #include "tree/tree.h"
 #include "verify/repair.h"
@@ -31,6 +31,8 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::EditCommittedMeta;
+using ::rexp::testing::FindPageAtLevel;
 using ::rexp::testing::RandomPoint;
 using verify::RepairOptions;
 using verify::RepairReport;
@@ -150,45 +152,14 @@ std::set<ObjectId> LiveOids(const std::string& path, const TreeConfig& config,
   return std::set<ObjectId>(hits.begin(), hits.end());
 }
 
-PageId BestMetaSlot(PageFile* file, uint32_t page_size) {
-  Page page(page_size);
-  uint64_t best_epoch = 0;
-  PageId best = kInvalidPageId;
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic) continue;
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch > best_epoch && (epoch & 1) == slot) {
-      best_epoch = epoch;
-      best = slot;
-    }
+// Overwrites both meta slots with junk that does not parse as metadata.
+// WritePage keeps the frames checksum-valid, so only salvage recovers.
+void ClobberMetaSlots(PageFile* file) {
+  Page junk(file->page_size());
+  std::memset(junk.data(), 0xa5, junk.size());
+  for (PageId s = 0; s < kNumMetaSlots; ++s) {
+    ASSERT_TRUE(file->WritePage(s, junk).ok());
   }
-  EXPECT_NE(best, kInvalidPageId) << "no committed meta slot";
-  return best;
-}
-
-PageId FindPageAtLevel(PageFile* file, const TreeConfig& config, int level) {
-  Page page(config.page_size);
-  const PageId slot = BestMetaSlot(file, config.page_size);
-  EXPECT_TRUE(file->ReadPage(slot, &page).ok());
-  PageId id = page.Read<uint32_t>(kMetaRootFieldOffset);
-  int node_level =
-      static_cast<int>(page.Read<uint32_t>(kMetaHeightFieldOffset)) - 1;
-  EXPECT_GE(node_level, level) << "tree too shallow for the test";
-  NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                     config.store_tpbr_expiration);
-  Node<2> node;
-  while (node_level > level) {
-    EXPECT_TRUE(file->ReadPage(id, &page).ok());
-    codec.Decode(page, &node);
-    if (node.entries.empty()) {
-      ADD_FAILURE() << "empty internal node " << id;
-      return id;
-    }
-    id = node.entries[0].id;
-    --node_level;
-  }
-  return id;
 }
 
 template <typename Mutator>
@@ -273,13 +244,10 @@ TEST(Repair, OrphanedPageIsReclaimed) {
   Oracle oracle = BuildDiskIndex(path, config, 600, 450, 43);
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    ASSERT_GT(count, 0u) << "churn did not free any page";
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count - 1);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [](MetaState* meta) {
+      ASSERT_FALSE(meta->free_list.empty()) << "churn did not free any page";
+      meta->free_list.pop_back();
+    }));
   }
   RepairReport report = Repair(path, config, oracle.now);
   EXPECT_TRUE(report.ok()) << report.after.ToString();
@@ -296,13 +264,9 @@ TEST(Repair, StaleFreeListEntryIsRebuilt) {
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
     const PageId leaf = FindPageAtLevel(file.get(), config, 0);
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    page.Write<uint32_t>(kMetaFreeListOffset + 4 * count, leaf);
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count + 1);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [leaf](MetaState* meta) {
+      meta->free_list.push_back(leaf);
+    }));
   }
   ExpectRepairRestores(path, config, oracle);
   std::remove(path.c_str());
@@ -340,13 +304,9 @@ TEST(Repair, WrongLevelCountIsRebuilt) {
   Oracle oracle = BuildDiskIndex(path, config, 600, 0, 83);
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint64_t leaf_count =
-        page.Read<uint64_t>(kMetaLevelCountsFieldOffset);
-    page.Write<uint64_t>(kMetaLevelCountsFieldOffset, leaf_count + 5);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [](MetaState* meta) {
+      meta->level_counts[0] += 5;
+    }));
   }
   ExpectRepairRestores(path, config, oracle);
   std::remove(path.c_str());
@@ -466,12 +426,7 @@ TEST(Salvage, BothMetaSlotsDamagedRebuildsEverything) {
   Oracle oracle = BuildDiskIndex(path, config, 600, 0, 101);
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    Page page(config.page_size);
-    for (PageId s = 0; s < kNumMetaSlots; ++s) {
-      ASSERT_TRUE(file->ReadPage(s, &page).ok());
-      page.Write<uint32_t>(kMetaMagicFieldOffset, 0xdeadbeef);
-      ASSERT_TRUE(file->WritePage(s, page).ok());
-    }
+    ClobberMetaSlots(file.get());
   }
   // Tree::Open must now point operators at salvage by name.
   {
@@ -524,12 +479,7 @@ TEST(Salvage, DropsExpiredRecordsAndKeepsLiveOnes) {
   ASSERT_LT(still_live.size(), oracle.live.size());
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    Page page(config.page_size);
-    for (PageId s = 0; s < kNumMetaSlots; ++s) {
-      ASSERT_TRUE(file->ReadPage(s, &page).ok());
-      page.Write<uint32_t>(kMetaMagicFieldOffset, 0xdeadbeef);
-      ASSERT_TRUE(file->WritePage(s, page).ok());
-    }
+    ClobberMetaSlots(file.get());
   }
   std::vector<verify::QuarantinedPage> quarantine;
   SalvageReport report = Salvage(path, config, later, &quarantine);

@@ -1,23 +1,52 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // Shared helpers for the rexp test suite: random generation of canonical
-// moving points, TPBR entry sets, and queries.
+// moving points, TPBR entry sets, and queries; fault seeding into a
+// committed on-disk index.
 
 #ifndef REXP_TESTS_TEST_UTIL_H_
 #define REXP_TESTS_TEST_UTIL_H_
 
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "common/query.h"
 #include "common/random.h"
 #include "common/types.h"
+#include "storage/page_file.h"
 #include "tpbr/tpbr.h"
+#include "tree/meta_format.h"
 #include "tree/tree.h"
+#include "verify/verifier.h"
 
 namespace rexp::testing {
 
 inline constexpr double kSpace = 1000.0;  // World extent per dimension.
 inline constexpr double kMaxSpeed = 3.0;
+
+// Decodes the committed meta of a `dims`-dimensional index in `file`, lets
+// `edit` change the state, and re-encodes it into the same slot. WritePage
+// re-seals the frame checksum, so the damage is logical. False when no
+// slot holds a walkable tree or the write fails.
+template <typename Edit>
+bool EditCommittedMeta(PageFile* file, int dims, Edit edit) {
+  MetaRead meta = ReadMeta(file, dims);
+  if (!meta.walkable()) return false;
+  edit(&meta.state);
+  Page page(file->page_size());
+  EncodeMeta(dims, meta.state, &page);
+  return file->WritePage(static_cast<PageId>(meta.slot), page).ok();
+}
+
+// verify::CommittedPageAtLevel on a 2-d index, failing the test when the
+// committed tree has no page at `level`.
+inline PageId FindPageAtLevel(PageFile* file, const TreeConfig& config,
+                              int level) {
+  const PageId id = verify::CommittedPageAtLevel<2>(file, config, level);
+  EXPECT_NE(id, kInvalidPageId) << "no committed page at level " << level;
+  return id;
+}
 
 // A random canonical moving point observed at `now`, with expiration in
 // (now, now + max_life].

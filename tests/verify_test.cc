@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
-#include "tree/meta_format.h"
 #include "tree/node.h"
 #include "tree/tree.h"
 #include "verify/verifier.h"
@@ -28,6 +27,8 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::EditCommittedMeta;
+using ::rexp::testing::FindPageAtLevel;
 using ::rexp::testing::RandomPoint;
 using verify::CheckId;
 using verify::Report;
@@ -90,51 +91,6 @@ Report Fsck(const std::string& path, const TreeConfig& config, Time now) {
   VerifyOptions options;
   options.now = now;
   return TreeVerifier<2>::VerifyFile(file.get(), config, options);
-}
-
-// The committed meta slot with the highest epoch (the one recovery picks).
-PageId BestMetaSlot(PageFile* file, uint32_t page_size) {
-  Page page(page_size);
-  uint64_t best_epoch = 0;
-  PageId best = kInvalidPageId;
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic) continue;
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch > best_epoch && (epoch & 1) == slot) {
-      best_epoch = epoch;
-      best = slot;
-    }
-  }
-  EXPECT_NE(best, kInvalidPageId) << "no committed meta slot";
-  return best;
-}
-
-// Descends from the committed root to a node at `level` (0 = leaf; the
-// root's level is height-1). Follows first-child pointers.
-PageId FindPageAtLevel(PageFile* file, const TreeConfig& config,
-                       int level) {
-  Page page(config.page_size);
-  const PageId slot = BestMetaSlot(file, config.page_size);
-  EXPECT_TRUE(file->ReadPage(slot, &page).ok());
-  PageId id = page.Read<uint32_t>(kMetaRootFieldOffset);
-  int node_level =
-      static_cast<int>(page.Read<uint32_t>(kMetaHeightFieldOffset)) - 1;
-  EXPECT_GE(node_level, level) << "tree too shallow for the test";
-  NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                     config.store_tpbr_expiration);
-  Node<2> node;
-  while (node_level > level) {
-    EXPECT_TRUE(file->ReadPage(id, &page).ok());
-    codec.Decode(page, &node);
-    if (node.entries.empty()) {
-      ADD_FAILURE() << "empty internal node " << id;
-      return id;
-    }
-    id = node.entries[0].id;
-    --node_level;
-  }
-  return id;
 }
 
 // Decode -> mutate -> re-encode a node page. WritePage re-seals the
@@ -282,13 +238,10 @@ TEST(VerifyCorruption, OrphanedPageIsPageAccounting) {
   const Time now = BuildDiskIndex(path, config, 600, 450, 43);
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    ASSERT_GT(count, 0u) << "churn did not free any page";
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count - 1);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [](MetaState* meta) {
+      ASSERT_FALSE(meta->free_list.empty()) << "churn did not free any page";
+      meta->free_list.pop_back();
+    }));
   }
   Report report = Fsck(path, config, now);
   EXPECT_FALSE(report.ok());
@@ -306,13 +259,9 @@ TEST(VerifyCorruption, ReachableFreePageIsFreeListFinding) {
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
     const PageId leaf = FindPageAtLevel(file.get(), config, 0);
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    page.Write<uint32_t>(kMetaFreeListOffset + 4 * count, leaf);
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count + 1);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [leaf](MetaState* meta) {
+      meta->free_list.push_back(leaf);
+    }));
   }
   Report report = Fsck(path, config, now);
   EXPECT_FALSE(report.ok());
@@ -397,13 +346,9 @@ TEST(VerifyCorruption, WrongLevelCountIsLevelBookkeeping) {
   const Time now = BuildDiskIndex(path, config, 600, 0, 83);
   {
     auto file = DiskPageFile::Open(path, config.page_size, true).value();
-    const PageId slot = BestMetaSlot(file.get(), config.page_size);
-    Page page(config.page_size);
-    ASSERT_TRUE(file->ReadPage(slot, &page).ok());
-    const uint64_t leaf_count =
-        page.Read<uint64_t>(kMetaLevelCountsFieldOffset);
-    page.Write<uint64_t>(kMetaLevelCountsFieldOffset, leaf_count + 5);
-    ASSERT_TRUE(file->WritePage(slot, page).ok());
+    ASSERT_TRUE(EditCommittedMeta(file.get(), 2, [](MetaState* meta) {
+      meta->level_counts[0] += 5;
+    }));
   }
   Report report = Fsck(path, config, now);
   EXPECT_FALSE(report.ok());

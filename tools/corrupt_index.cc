@@ -45,6 +45,7 @@
 #include "tree/node.h"
 #include "tree/tree.h"
 #include "tree/tree_config.h"
+#include "verify/verifier.h"
 
 using namespace rexp;
 
@@ -60,48 +61,6 @@ int Usage(const char* argv0) {
                "both-meta none\n",
                argv0);
   return 2;
-}
-
-// The committed meta slot with the highest epoch (the one recovery picks).
-PageId BestMetaSlot(PageFile* file, uint32_t page_size) {
-  Page page(page_size);
-  uint64_t best_epoch = 0;
-  PageId best = kInvalidPageId;
-  for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
-    if (!file->ReadPage(slot, &page).ok()) continue;
-    if (page.Read<uint32_t>(kMetaMagicFieldOffset) != kMetaMagic) continue;
-    const uint64_t epoch = page.Read<uint64_t>(kMetaEpochFieldOffset);
-    if (epoch > best_epoch && (epoch & 1) == slot) {
-      best_epoch = epoch;
-      best = slot;
-    }
-  }
-  return best;
-}
-
-// Descends from the committed root to a node at `level` (0 = leaf),
-// following first-child pointers. kInvalidPageId when the tree is too
-// shallow.
-PageId FindPageAtLevel(PageFile* file, const TreeConfig& config, int level) {
-  Page page(config.page_size);
-  const PageId slot = BestMetaSlot(file, config.page_size);
-  if (slot == kInvalidPageId) return kInvalidPageId;
-  if (!file->ReadPage(slot, &page).ok()) return kInvalidPageId;
-  PageId id = page.Read<uint32_t>(kMetaRootFieldOffset);
-  int node_level =
-      static_cast<int>(page.Read<uint32_t>(kMetaHeightFieldOffset)) - 1;
-  if (id == kInvalidPageId || node_level < level) return kInvalidPageId;
-  NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                     config.store_tpbr_expiration);
-  Node<2> node;
-  while (node_level > level) {
-    if (!file->ReadPage(id, &page).ok()) return kInvalidPageId;
-    codec.Decode(page, &node);
-    if (node.entries.empty()) return kInvalidPageId;
-    id = node.entries[0].id;
-    --node_level;
-  }
-  return id;
 }
 
 // Decode -> mutate -> re-encode a node page. WritePage re-seals the frame
@@ -188,7 +147,8 @@ bool SeedCorruption(const std::string& path, const TreeConfig& config,
   auto file = std::move(file_or).value();
 
   if (cls == "parent-bound") {
-    const PageId internal = FindPageAtLevel(file.get(), config, 1);
+    const PageId internal =
+        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
     if (internal == kInvalidPageId) return false;
     return EditNode(file.get(), config, internal, [](Node<2>* node) {
       node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
@@ -200,7 +160,8 @@ bool SeedCorruption(const std::string& path, const TreeConfig& config,
       std::fprintf(stderr, "undercut-expiry requires --stored-expiry\n");
       return false;
     }
-    const PageId internal = FindPageAtLevel(file.get(), config, 1);
+    const PageId internal =
+        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
     if (internal == kInvalidPageId) return false;
     const Time undercut = now + 1e-3;
     return EditNode(file.get(), config, internal, [undercut](Node<2>* node) {
@@ -208,7 +169,8 @@ bool SeedCorruption(const std::string& path, const TreeConfig& config,
     });
   }
   if (cls == "noncanonical-record") {
-    const PageId leaf = FindPageAtLevel(file.get(), config, 0);
+    const PageId leaf =
+        verify::CommittedPageAtLevel<2>(file.get(), config, 0);
     if (leaf == kInvalidPageId) return false;
     return EditNode(file.get(), config, leaf, [](Node<2>* node) {
       const double inf = std::numeric_limits<double>::infinity();
@@ -217,48 +179,46 @@ bool SeedCorruption(const std::string& path, const TreeConfig& config,
     });
   }
 
-  const PageId slot = BestMetaSlot(file.get(), config.page_size);
-  if (slot == kInvalidPageId) return false;
-  Page page(config.page_size);
-  if (!file->ReadPage(slot, &page).ok()) return false;
+  if (cls == "both-meta") {
+    // Invalidate both slots through the checksum layer: the frames stay
+    // valid but hold junk that does not parse as metadata, so only
+    // salvage can recover.
+    Page junk(config.page_size);
+    std::memset(junk.data(), 0xa5, junk.size());
+    for (PageId s = 0; s < kNumMetaSlots; ++s) {
+      if (!file->WritePage(s, junk).ok()) return false;
+    }
+    return true;
+  }
 
+  // The remaining classes edit the committed meta: decode, change the
+  // state, re-encode into the same slot.
+  MetaRead meta = ReadMeta(file.get(), 2);
+  if (!meta.walkable()) return false;
+  MetaState& state = meta.state;
   if (cls == "orphan-page") {
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    if (count == 0) {
+    if (state.free_list.empty()) {
       std::fprintf(stderr,
                    "orphan-page needs a non-empty free list (use "
                    "--deletes)\n");
       return false;
     }
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count - 1);
-    return file->WritePage(slot, page).ok();
-  }
-  if (cls == "stale-free") {
-    const PageId leaf = FindPageAtLevel(file.get(), config, 0);
+    state.free_list.pop_back();
+  } else if (cls == "stale-free") {
+    const PageId leaf =
+        verify::CommittedPageAtLevel<2>(file.get(), config, 0);
     if (leaf == kInvalidPageId) return false;
-    const uint32_t count = page.Read<uint32_t>(kMetaFreeCountFieldOffset);
-    page.Write<uint32_t>(kMetaFreeListOffset + 4 * count, leaf);
-    page.Write<uint32_t>(kMetaFreeCountFieldOffset, count + 1);
-    return file->WritePage(slot, page).ok();
+    state.free_list.push_back(leaf);
+  } else if (cls == "level-count") {
+    if (state.level_counts.empty()) return false;
+    state.level_counts[0] += 5;
+  } else {
+    std::fprintf(stderr, "unknown corruption class %s\n", cls.c_str());
+    return false;
   }
-  if (cls == "level-count") {
-    const uint64_t leaf_count =
-        page.Read<uint64_t>(kMetaLevelCountsFieldOffset);
-    page.Write<uint64_t>(kMetaLevelCountsFieldOffset, leaf_count + 5);
-    return file->WritePage(slot, page).ok();
-  }
-  if (cls == "both-meta") {
-    // Invalidate both slots through the checksum layer: the frames stay
-    // valid but neither parses as metadata, so only salvage can recover.
-    for (PageId s = 0; s < kNumMetaSlots; ++s) {
-      if (!file->ReadPage(s, &page).ok()) return false;
-      page.Write<uint32_t>(kMetaMagicFieldOffset, 0xdeadbeef);
-      if (!file->WritePage(s, page).ok()) return false;
-    }
-    return true;
-  }
-  std::fprintf(stderr, "unknown corruption class %s\n", cls.c_str());
-  return false;
+  Page page(config.page_size);
+  EncodeMeta(2, state, &page);
+  return file->WritePage(static_cast<PageId>(meta.slot), page).ok();
 }
 
 }  // namespace

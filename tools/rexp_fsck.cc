@@ -2,10 +2,10 @@
 //
 // rexp_fsck: offline integrity checker *and repairer* for persisted
 // R^exp-tree indexes. Opens a closed index file (no running tree
-// required), parses the dual-slot metadata itself, walks every reachable
-// page, and runs the full invariant catalog from verify/verifier.h —
-// page checksums, node structure, fan-out/occupancy, TPBR
-// conservativeness at sampled timestamps, expiration monotonicity,
+// required), reads the dual-slot metadata (tree/meta_format.h), walks
+// every reachable page, and runs the full invariant catalog from
+// verify/verifier.h — page checksums, node structure, fan-out/occupancy,
+// TPBR conservativeness at sampled timestamps, expiration monotonicity,
 // canonical leaf records, free-list and page accounting. All damage is
 // enumerated in one pass as typed findings; nothing aborts.
 //
@@ -42,8 +42,11 @@
 // requested mode can fix.
 //
 // The configuration flags must match the ones the index was created with
-// (defaults: the standard 2-d R^exp-tree configuration, like
-// inspect_index).
+// (defaults: the standard R^exp-tree configuration, like inspect_index).
+// Dims are the exception: they are read from the newest valid meta slot.
+// An explicit --dims that disagrees with them is a usage error (exit 2,
+// nothing written); --dims (default 2) decides only when no slot is
+// readable.
 
 #include <cstdint>
 #include <cstdio>
@@ -57,6 +60,7 @@
 #include "obs/json_writer.h"
 #include "partition/partition_verify.h"
 #include "storage/page_file.h"
+#include "tree/meta_format.h"
 #include "tree/tree_config.h"
 #include "verify/repair.h"
 #include "verify/verifier.h"
@@ -89,7 +93,7 @@ struct FsckOptions {
   std::string path;
   verify::VerifyOptions verify;
   TreeConfig config = TreeConfig::Rexp();
-  int dims = 2;
+  int dims = 0;  // 0: unset; the index's recorded dims decide.
   bool manifest = false;  // `path` names a partition manifest instead.
   bool repair = false;
   bool salvage = false;
@@ -510,6 +514,22 @@ int main(int argc, char** argv) {
   }
   auto file = std::move(file_or).value();
   PageFile* raw = file.get();
+
+  // Dims come from the newest valid meta slot, as --manifest mode takes
+  // them from the manifest. --dims must agree with them; it decides only
+  // when no slot is readable.
+  const MetaRead meta = ReadMeta(raw, kAnyMetaDims);
+  const int recorded = meta.found() ? meta.slots[meta.slot].dims : 0;
+  if (recorded >= 1 && recorded <= 3) {
+    if (opt.dims != 0 && opt.dims != recorded) {
+      std::fprintf(stderr,
+                   "--dims %d disagrees with the %d dims %s records; "
+                   "nothing was checked or written\n",
+                   opt.dims, recorded, opt.path.c_str());
+      return kExitUsage;
+    }
+    opt.dims = recorded;
+  }
 
   Outcome out;
   switch (opt.dims) {
