@@ -17,17 +17,15 @@
 // migration runs between bursts and is timed separately.
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/parse.h"
 #include "common/random.h"
 #include "common/vec.h"
+#include "harness/bench_export.h"
+#include "harness/experiment.h"
 #include "livetier/tiered_index.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -36,17 +34,6 @@
 
 namespace rexp {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  uint64_t v = 0;
-  if (!ParseU64(env, &v)) {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", name, env);
-    std::exit(2);
-  }
-  return v;
-}
 
 // One pre-generated report. Short-expiry reports are one-shot inserts;
 // fleet reports replace `old_record`.
@@ -272,26 +259,10 @@ int Main() {
   w.KV("migration_batch_count", migration_batches);
   w.EndObject();
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("REXP_BENCH_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
-  }
-  std::string path = dir + "/BENCH_livetier.json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "open '%s': %s\n", path.c_str(),
-                 std::strerror(errno));
+  if (Status s = WriteBenchJson("livetier", w.str()); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  std::string json = w.str();
-  json += '\n';
-  size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0 || n != json.size()) {
-    std::fprintf(stderr, "write '%s' failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 

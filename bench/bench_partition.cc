@@ -25,11 +25,9 @@
 // updates_per_sec is exported for information only.
 // REXP_SCALE / REXP_BENCH_DIR as for the figure benchmarks.
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -391,26 +389,10 @@ int Main() {
   w.EndArray();
   w.EndObject();
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("REXP_BENCH_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_partition.json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "open '%s': %s\n", path.c_str(),
-                 std::strerror(errno));
+  if (Status s = WriteBenchJson("partition", w.str()); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  std::string json = w.str();
-  json += '\n';
-  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0 || n != json.size()) {
-    std::fprintf(stderr, "write '%s' failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   return gates_ok ? 0 : 1;
 }
 

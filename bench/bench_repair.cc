@@ -8,7 +8,6 @@
 // (REXP_BENCH_DIR redirects the output directory, as for the figure
 // benchmarks). REXP_REPAIR_OBJECTS scales the index.
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -17,9 +16,10 @@
 #include <string>
 #include <vector>
 
-#include "common/parse.h"
 #include "common/random.h"
 #include "common/vec.h"
+#include "harness/bench_export.h"
+#include "harness/experiment.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "storage/page_file.h"
@@ -31,17 +31,6 @@
 
 namespace rexp {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  uint64_t v = 0;
-  if (!ParseU64(env, &v)) {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", name, env);
-    std::exit(2);
-  }
-  return v;
-}
 
 double Seconds(std::chrono::steady_clock::time_point from) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -56,11 +45,7 @@ int Main() {
       EnvU64("REXP_REPAIR_PAGE_SIZE", 4096));
   obs::telemetry::SetEnabled(false);
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("REXP_BENCH_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
-  }
+  const std::string dir = BenchDir();
   const std::string path = dir + "/bench_repair_index.bin";
   const std::string fresh_path = dir + "/bench_repair_salvaged.bin";
 
@@ -113,22 +98,15 @@ int Main() {
   {
     auto file =
         DiskPageFile::Open(path, config.page_size, /*keep=*/true).value();
-    const PageId internal =
-        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
-    if (internal == kInvalidPageId) {
+    const bool seeded = verify::EditCommittedNode<2>(
+        file.get(), config, 1, [](Node<2>* node) {
+          node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
+          node->entries[0].region.vhi[0] = node->entries[0].region.vlo[0];
+        });
+    if (!seeded) {
       std::fprintf(stderr, "index too shallow to seed corruption\n");
       return 1;
     }
-    Page page(config.page_size);
-    NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                       config.store_tpbr_expiration);
-    Node<2> node;
-    if (!file->ReadPage(internal, &page).ok()) return 1;
-    codec.Decode(page, &node);
-    node.entries[0].region.hi[0] = node.entries[0].region.lo[0];
-    node.entries[0].region.vhi[0] = node.entries[0].region.vlo[0];
-    codec.Encode(node, &page);
-    if (!file->WritePage(internal, page).ok()) return 1;
 
     verify::RepairOptions repair_options;
     repair_options.verify = verify_options;
@@ -207,21 +185,10 @@ int Main() {
   w.KV("records_salvaged", records_salvaged);
   w.EndObject();
 
-  std::string out = dir + "/BENCH_repair.json";
-  std::FILE* f = std::fopen(out.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "open '%s': %s\n", out.c_str(),
-                 std::strerror(errno));
+  if (Status s = WriteBenchJson("repair", w.str()); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  std::string json = w.str();
-  json += '\n';
-  size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0 || n != json.size()) {
-    std::fprintf(stderr, "write '%s' failed\n", out.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out.c_str());
   return 0;
 }
 

@@ -14,17 +14,15 @@
 // so all three modes apply byte-identical requests in the same order.
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/parse.h"
 #include "common/random.h"
 #include "common/vec.h"
+#include "harness/bench_export.h"
+#include "harness/experiment.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "storage/page_file.h"
@@ -32,17 +30,6 @@
 
 namespace rexp {
 namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  uint64_t v = 0;
-  if (!ParseU64(env, &v)) {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", name, env);
-    std::exit(2);
-  }
-  return v;
-}
 
 struct TimedRequest {
   RexpTree2::UpdateRequest request;
@@ -201,26 +188,10 @@ int Main() {
   w.KV("fast_path_rate", fast_path_rate);
   w.EndObject();
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("REXP_BENCH_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
-  }
-  std::string path = dir + "/BENCH_update.json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "open '%s': %s\n", path.c_str(),
-                 std::strerror(errno));
+  if (Status s = WriteBenchJson("update", w.str()); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.message().c_str());
     return 1;
   }
-  std::string json = w.str();
-  json += '\n';
-  size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  if (std::fclose(f) != 0 || n != json.size()) {
-    std::fprintf(stderr, "write '%s' failed\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 

@@ -25,6 +25,12 @@
 #      kMeta*FieldOffset constants and kMetaFreeListOffset may appear only
 #      in src/tree/meta_format.{h,cc}; everything else encodes and reads
 #      the page through EncodeMeta and ReadMeta (DESIGN.md §13).
+#   5. The node page header has one owner. Reads and writes of the level
+#      tag and entry count (`Read<uint16_t>(0|2)`, `Write<uint16_t>(0|2)`)
+#      may appear in src/, tools/ and bench/ only in src/tree/node.cc
+#      (NodeCodec) and in src/btree/btree.cc (the B-tree's own format);
+#      everything else reads node pages through NodeCodec::DecodeChecked
+#      (DESIGN.md §13). Tests may spell the offsets out to seed damage.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,6 +95,18 @@ for f in "${files[@]}"; do
     report "meta-layout" "$f:$hit (use EncodeMeta / ReadMeta)"
   done < <(grep -nE \
     'kMetaMagic|kMeta[A-Za-z]*FieldOffset|kMetaFreeListOffset' "$f" || true)
+done
+
+# --- Rule 5: node header offsets outside NodeCodec -------------------------
+for f in "${files[@]}"; do
+  case "$f" in
+    src/tree/node.cc|src/btree/btree.cc) continue ;;
+    src/*|tools/*|bench/*) ;;
+    *) continue ;;
+  esac
+  while IFS= read -r hit; do
+    report "node-header" "$f:$hit (use NodeCodec::DecodeChecked)"
+  done < <(grep -nE '(Read|Write)<uint16_t>\((0|2)[,)]' "$f" || true)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -12,6 +12,28 @@
 
 namespace rexp {
 
+std::string BenchDir() {
+  const char* env = std::getenv("REXP_BENCH_DIR");
+  return env != nullptr && env[0] != '\0' ? env : ".";
+}
+
+Status WriteBenchJson(const std::string& name, std::string json) {
+  const std::string path = BenchDir() + "/BENCH_" + name + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IOError("open '" + path + "': " + std::strerror(errno));
+  }
+  json += '\n';
+  const size_t n = std::fwrite(json.data(), 1, json.size(), f);
+  const int close_rc = std::fclose(f);
+  if (n != json.size() || close_rc != 0) {
+    return Status::IOError("write '" + path + "' failed");
+  }
+  std::printf("wrote %s\n", path.c_str());
+  std::fflush(stdout);
+  return Status::OK();
+}
+
 BenchExport::BenchExport(std::string name, double scale)
     : name_(std::move(name)), scale_(scale) {}
 
@@ -76,26 +98,7 @@ std::string BenchExport::ToJson() const {
 }
 
 Status BenchExport::WriteFile() const {
-  std::string dir = ".";
-  if (const char* env = std::getenv("REXP_BENCH_DIR");
-      env != nullptr && env[0] != '\0') {
-    dir = env;
-  }
-  std::string path = dir + "/BENCH_" + name_ + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("open '" + path + "': " + std::strerror(errno));
-  }
-  std::string json = ToJson();
-  json += '\n';
-  size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  int close_rc = std::fclose(f);
-  if (n != json.size() || close_rc != 0) {
-    return Status::IOError("write '" + path + "' failed");
-  }
-  std::printf("wrote %s\n", path.c_str());
-  std::fflush(stdout);
-  return Status::OK();
+  return WriteBenchJson(name_, ToJson());
 }
 
 }  // namespace rexp

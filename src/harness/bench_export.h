@@ -18,7 +18,8 @@
 //              "metrics": {<MetricsRegistry::ToJson()>}}, ...]}
 //
 // The output directory defaults to the working directory and can be
-// redirected with REXP_BENCH_DIR.
+// redirected with REXP_BENCH_DIR. Benchmarks that build their own JSON
+// write it with WriteBenchJson, so every artifact lands the same way.
 
 #ifndef REXP_HARNESS_BENCH_EXPORT_H_
 #define REXP_HARNESS_BENCH_EXPORT_H_
@@ -31,6 +32,13 @@
 #include "harness/table_printer.h"
 
 namespace rexp {
+
+// The directory benchmark artifacts go to: REXP_BENCH_DIR, default ".".
+std::string BenchDir();
+
+// Writes `json` plus a newline to `<BenchDir()>/BENCH_<name>.json` and
+// reports the path on stdout.
+Status WriteBenchJson(const std::string& name, std::string json);
 
 class BenchExport {
  public:
@@ -49,8 +57,7 @@ class BenchExport {
   // Serializes the accumulated data as one JSON object.
   std::string ToJson() const;
 
-  // Writes ToJson() to `<dir>/BENCH_<name>.json` where `dir` is
-  // REXP_BENCH_DIR (default "."). Reports the path on stdout.
+  // Writes ToJson() as BENCH_<name>.json (WriteBenchJson).
   Status WriteFile() const;
 
  private:

@@ -229,4 +229,15 @@ double ScaleFromEnv(double fallback) {
   return scale;
 }
 
+uint64_t EnvU64(const char* name, uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return fallback;
+  uint64_t v = 0;
+  if (!ParseU64(env, &v)) {
+    std::fprintf(stderr, "%s: not a number: '%s'\n", name, env);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace rexp

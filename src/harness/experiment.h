@@ -65,6 +65,10 @@ RunResult RunExperiment(const WorkloadSpec& spec, const VariantSpec& variant);
 // 1M insertions).
 double ScaleFromEnv(double fallback = 0.05);
 
+// Reads the unsigned integer environment variable `name` (`fallback` when
+// unset or empty); exits with status 2 when it is not a number.
+uint64_t EnvU64(const char* name, uint64_t fallback);
+
 }  // namespace rexp
 
 #endif  // REXP_HARNESS_EXPERIMENT_H_

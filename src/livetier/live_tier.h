@@ -435,16 +435,6 @@ class LiveTier {
     return static_cast<size_t>(h % bins_.size());
   }
 
-  static void ExtendBound(Tpbr<kDims>* bound, const Tpbr<kDims>& r) {
-    for (int d = 0; d < kDims; ++d) {
-      bound->lo[d] = std::min(bound->lo[d], r.lo[d]);
-      bound->hi[d] = std::max(bound->hi[d], r.hi[d]);
-      bound->vlo[d] = std::min(bound->vlo[d], r.vlo[d]);
-      bound->vhi[d] = std::max(bound->vhi[d], r.vhi[d]);
-    }
-    bound->t_exp = std::max(bound->t_exp, r.t_exp);
-  }
-
   size_t AddToBin(ObjectId oid, const Tpbr<kDims>& record, Time now) {
     size_t idx = BinIndexFor(record, now);
     Bin& bin = bins_[idx];
@@ -452,7 +442,7 @@ class LiveTier {
       bin.bound = record;
       bin.stale_removals = 0;
     } else {
-      ExtendBound(&bin.bound, record);
+      bin.bound.Extend(record);
     }
     bin.members.push_back(oid);
     return idx;
@@ -484,7 +474,7 @@ class LiveTier {
         bin->bound = e->record;
         first = false;
       } else {
-        ExtendBound(&bin->bound, e->record);
+        bin->bound.Extend(e->record);
       }
     }
     ++stats_.bin_rebuilds;

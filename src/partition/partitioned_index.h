@@ -746,13 +746,7 @@ class PartitionedIndex {
       p.bound_empty = false;
       return;
     }
-    for (int d = 0; d < kDims; ++d) {
-      p.bound.lo[d] = std::min(p.bound.lo[d], point.lo[d]);
-      p.bound.hi[d] = std::max(p.bound.hi[d], point.hi[d]);
-      p.bound.vlo[d] = std::min(p.bound.vlo[d], point.vlo[d]);
-      p.bound.vhi[d] = std::max(p.bound.vhi[d], point.vhi[d]);
-    }
-    p.bound.t_exp = std::max(p.bound.t_exp, point.t_exp);
+    p.bound.Extend(point);
   }
 
   bool DeleteLocked(ObjectId oid, const Tpbr<kDims>& point, Time now,
@@ -899,22 +893,14 @@ class PartitionedIndex {
       Tpbr<kDims> region;
     };
     std::vector<LiveRecord> live;
-    if (source->root() != kInvalidPageId) {
-      std::vector<std::pair<PageId, int>> stack;
-      stack.emplace_back(source->root(), source->height() - 1);
-      while (!stack.empty()) {
-        const auto [page, level] = stack.back();
-        stack.pop_back();
-        const Node<kDims> node = source->ReadNodeForTest(page);
-        for (const NodeEntry<kDims>& e : node.entries) {
-          if (level > 0) {
-            stack.emplace_back(e.id, level - 1);
-          } else if (!config_.expire_entries || e.region.t_exp >= now) {
-            live.push_back(LiveRecord{e.id, e.region});
-          }
+    REXP_CHECK_OK(source->ForEachNode([&](PageId, const Node<kDims>& node) {
+      if (!node.IsLeaf()) return;
+      for (const NodeEntry<kDims>& e : node.entries) {
+        if (!config_.expire_entries || e.region.t_exp >= now) {
+          live.push_back(LiveRecord{e.id, e.region});
         }
       }
-    }
+    }));
     for (const LiveRecord& r : live) {
       const bool found =
           source->Delete(r.oid, r.region, now, /*see_expired=*/false);

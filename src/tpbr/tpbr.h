@@ -17,6 +17,7 @@
 #ifndef REXP_TPBR_TPBR_H_
 #define REXP_TPBR_TPBR_H_
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -101,6 +102,20 @@ struct Tpbr {
       }
     }
     return true;
+  }
+
+  // Grows this rectangle to the componentwise union with `r`: min of the
+  // lower positions and velocities, max of the upper ones and of the
+  // expiries. The result contains both inputs for all t >= 0 (both are in
+  // reference-time-0 coordinates).
+  void Extend(const Tpbr& r) {
+    for (int d = 0; d < kDims; ++d) {
+      lo[d] = std::min(lo[d], r.lo[d]);
+      hi[d] = std::max(hi[d], r.hi[d]);
+      vlo[d] = std::min(vlo[d], r.vlo[d]);
+      vhi[d] = std::max(vhi[d], r.vhi[d]);
+    }
+    t_exp = std::max(t_exp, r.t_exp);
   }
 
   // The "natural" expiration time of a shrinking rectangle: the first time

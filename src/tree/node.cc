@@ -147,6 +147,23 @@ void NodeCodec<kDims>::Decode(const Page& page, Node<kDims>* node) const {
   }
 }
 
+template <int kDims>
+NodeHeader NodeCodec<kDims>::DecodeChecked(const Page& page,
+                                           int expected_level,
+                                           Node<kDims>* node) const {
+  NodeHeader header;
+  header.level = page.Read<uint16_t>(0);
+  header.count = page.Read<uint16_t>(2);
+  if (header.level != expected_level) {
+    header.fault = NodeHeader::Fault::kLevel;
+  } else if (header.count > Capacity(expected_level)) {
+    header.fault = NodeHeader::Fault::kCount;
+  } else {
+    Decode(page, node);
+  }
+  return header;
+}
+
 template class NodeCodec<1>;
 template class NodeCodec<2>;
 template class NodeCodec<3>;

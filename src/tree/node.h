@@ -49,6 +49,19 @@ struct Node {
   }
 };
 
+// The header of a node page that came off the device, as DecodeChecked
+// found it. A page fails when its level tag is not the level the walk
+// expects there (kLevel), or when it claims more entries than a node of
+// that level holds (kCount) — decoding it would run past the page end.
+struct NodeHeader {
+  enum class Fault { kNone, kLevel, kCount };
+  Fault fault = Fault::kNone;
+  int level = 0;  // The stored level tag.
+  int count = 0;  // The stored entry count.
+
+  bool ok() const { return fault == Fault::kNone; }
+};
+
 // Encodes/decodes nodes for a fixed page geometry. The layout depends on
 // the tree configuration (velocities stored? expiration stored?).
 template <int kDims>
@@ -70,6 +83,12 @@ class NodeCodec {
   // pinned frame's page; the codec never owns one.
   void Encode(const Node<kDims>& node, Page* page) const;  // raw-page-ok
   void Decode(const Page& page, Node<kDims>* node) const;
+  // The checked read of a page that came off the device: validates the
+  // level tag against `expected_level` and the count against
+  // Capacity(expected_level), and decodes into `node` only when both
+  // hold. Every reader of a page it did not just write goes through this.
+  NodeHeader DecodeChecked(const Page& page, int expected_level,
+                           Node<kDims>* node) const;
 
  private:
   bool store_velocities_;

@@ -28,14 +28,9 @@ TreeStats<kDims> CollectStats(Tree<kDims>* tree, Time now) {
   };
   std::vector<Accumulator> acc(stats.height);
 
-  std::vector<std::pair<PageId, int>> stack;
-  stack.push_back({tree->root(), stats.height - 1});
   const bool expires = tree->config().expire_entries;
-  while (!stack.empty()) {
-    auto [id, level] = stack.back();
-    stack.pop_back();
-    Node<kDims> node = tree->ReadNodeForTest(id);
-    REXP_CHECK(node.level == level);
+  REXP_CHECK_OK(tree->ForEachNode([&](PageId, const Node<kDims>& node) {
+    const int level = node.level;
     LevelStats& ls = stats.levels[level];
     Accumulator& a = acc[level];
     ls.nodes += 1;
@@ -43,18 +38,15 @@ TreeStats<kDims> CollectStats(Tree<kDims>* tree, Time now) {
     a.fill_sum += static_cast<double>(node.entries.size()) /
                   tree->codec().Capacity(level);
     for (const NodeEntry<kDims>& e : node.entries) {
-      bool live = !expires || e.region.t_exp >= now;
-      if (live) {
-        ls.live_entries += 1;
-        for (int d = 0; d < kDims; ++d) {
-          a.extent_sum += e.region.ExtentAt(d, now);
-          a.growth_sum += e.region.vhi[d] - e.region.vlo[d];
-          a.live_dims += 1;
-        }
+      if (expires && e.region.t_exp < now) continue;
+      ls.live_entries += 1;
+      for (int d = 0; d < kDims; ++d) {
+        a.extent_sum += e.region.ExtentAt(d, now);
+        a.growth_sum += e.region.vhi[d] - e.region.vlo[d];
+        a.live_dims += 1;
       }
-      if (level > 0) stack.push_back({e.id, level - 1});
     }
-  }
+  }));
   for (int l = 0; l < stats.height; ++l) {
     LevelStats& ls = stats.levels[l];
     if (ls.nodes > 0) {

@@ -27,6 +27,19 @@ constexpr int kMaxLevels = kMetaMaxLevels;
 // optimization; it suggests 32).
 constexpr int kOverlapCandidates = 32;
 
+// OK when page `id`'s header passed NodeCodec::DecodeChecked at
+// `expected_level`, else the kCorruption naming its fault.
+Status HeaderStatus(PageId id, int expected_level, const NodeHeader& header) {
+  if (header.ok()) return Status::OK();
+  return Status::Corruption(
+      "page " + std::to_string(id) + ": " +
+      (header.fault == NodeHeader::Fault::kLevel
+           ? "node level " + std::to_string(header.level) + ", expected " +
+                 std::to_string(expected_level)
+           : std::to_string(header.count) +
+                 " entries exceed the node capacity"));
+}
+
 }  // namespace
 
 template <int kDims>
@@ -97,12 +110,6 @@ Tree<kDims>::Tree(const TreeConfig& config, PageFile* file)
 
 template <int kDims>
 Status Tree<kDims>::Init() {
-  if (config_.io_max_retries > 0) {
-    file_->set_retry_policy({config_.io_max_retries,
-                             config_.io_backoff_initial_us,
-                             config_.io_backoff_multiplier,
-                             config_.io_backoff_max_us});
-  }
   if (file_->allocated_pages() == 0) {
     // Fresh file: reserve the two meta slots and make the empty tree
     // durable (epoch 1 lands in slot 1; slot 0 stays zero until epoch 2).
@@ -1221,34 +1228,18 @@ Status Tree<kDims>::RebuildDat() {
   dat_.Clear();
   parent_of_.Clear();
   if (root_ == kInvalidPageId) return Status::OK();
-  REXP_RETURN_IF_ERROR(RebuildDatWalk(root_, height_ - 1));
+  REXP_RETURN_IF_ERROR(
+      ForEachNodeLocked([this](PageId id, const Node<kDims>& node) {
+        for (const NodeEntry<kDims>& e : node.entries) {
+          if (node.IsLeaf()) {
+            dat_.AddRef(e.id);
+            dat_.NoteLeaf(e.id, id);
+          } else {
+            parent_of_.Put(e.id, id);
+          }
+        }
+      }));
   ++op_stats_.dat_rebuilds;
-  return Status::OK();
-}
-
-template <int kDims>
-Status Tree<kDims>::RebuildDatWalk(PageId id, int level) {
-  Node<kDims> node;
-  {
-    REXP_ASSIGN_OR_RETURN(PageGuard guard, buffer_.Fetch(id));
-    codec_.Decode(*guard, &node);
-  }
-  if (node.level != level) {
-    return Status::Corruption(
-        "page " + std::to_string(id) + ": node level " +
-        std::to_string(node.level) + ", expected " + std::to_string(level));
-  }
-  if (node.IsLeaf()) {
-    for (const NodeEntry<kDims>& e : node.entries) {
-      dat_.AddRef(e.id);
-      dat_.NoteLeaf(e.id, id);
-    }
-  } else {
-    for (const NodeEntry<kDims>& e : node.entries) {
-      parent_of_.Put(e.id, id);
-      REXP_RETURN_IF_ERROR(RebuildDatWalk(e.id, level - 1));
-    }
-  }
   return Status::OK();
 }
 
@@ -1970,27 +1961,48 @@ void Tree<kDims>::CheckInvariants(Time now) {
 
 template <int kDims>
 double Tree<kDims>::ExpiredLeafFraction(Time now) {
-  sched::WriterMutexLock epoch(&epoch_mu_);
-  if (root_ == kInvalidPageId) return 0;
   uint64_t total = 0, expired = 0;
-  std::vector<std::pair<PageId, int>> stack;
-  stack.push_back({root_, height_ - 1});
-  while (!stack.empty()) {
-    auto [id, level] = stack.back();
-    stack.pop_back();
-    Node<kDims> node = ReadNode(id);
+  REXP_CHECK_OK(ForEachNode([&](PageId, const Node<kDims>& node) {
+    if (!node.IsLeaf()) return;
     for (const NodeEntry<kDims>& e : node.entries) {
-      if (node.IsLeaf()) {
-        ++total;
-        if (e.region.t_exp < now) ++expired;
-      } else {
-        stack.push_back({e.id, level - 1});
-      }
+      ++total;
+      if (e.region.t_exp < now) ++expired;
     }
-  }
+  }));
   return total == 0
              ? 0
              : static_cast<double>(expired) / static_cast<double>(total);
+}
+
+template <int kDims>
+Status Tree<kDims>::ForEachNode(const NodeVisitor& visit) {
+  sched::WriterMutexLock epoch(&epoch_mu_);
+  return ForEachNodeLocked(visit);
+}
+
+template <int kDims>
+Status Tree<kDims>::ForEachNodeLocked(const NodeVisitor& visit) {
+  if (root_ == kInvalidPageId) return Status::OK();
+  std::vector<std::pair<PageId, int>> stack;
+  stack.emplace_back(root_, height_ - 1);
+  Node<kDims> node;
+  while (!stack.empty()) {
+    const auto [id, level] = stack.back();
+    stack.pop_back();
+    {
+      REXP_ASSIGN_OR_RETURN(PageGuard guard, buffer_.Fetch(id));
+      REXP_RETURN_IF_ERROR(
+          HeaderStatus(id, level, codec_.DecodeChecked(*guard, level, &node)));
+    }
+    op_stats_.level_reads[std::min(level, TreeOpStats::kMaxTrackedLevels - 1)]
+        .fetch_add(1, std::memory_order_relaxed);
+    visit(id, node);
+    if (level == 0) continue;
+    for (const NodeEntry<kDims>& e : node.entries) {
+      stack.emplace_back(e.id, level - 1);
+    }
+  }
+  return Status::OK();
 }
 
 template <int kDims>
@@ -1998,12 +2010,8 @@ Status Tree<kDims>::VerifySubtree(PageId id, int level) {
   Page page(config_.page_size);
   REXP_RETURN_IF_ERROR(file_->ReadPage(id, &page));
   Node<kDims> node;
-  codec_.Decode(page, &node);
-  if (node.level != level) {
-    return Status::Corruption(
-        "page " + std::to_string(id) + ": node level " +
-        std::to_string(node.level) + ", expected " + std::to_string(level));
-  }
+  REXP_RETURN_IF_ERROR(
+      HeaderStatus(id, level, codec_.DecodeChecked(page, level, &node)));
   if (level > 0) {
     for (const NodeEntry<kDims>& e : node.entries) {
       REXP_RETURN_IF_ERROR(VerifySubtree(e.id, level - 1));

@@ -381,8 +381,19 @@ class Tree {
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
-  // Reads a node (counted as I/O like any other access). Test/checker
-  // hook; takes its own shared epoch, so callers must not already hold it.
+  // Visits every node reachable from the root under the exclusive epoch
+  // (DESIGN.md §8): the one walk behind the expired-entry accounting, the
+  // direct-access-table rebuild on open, CollectStats and the partition
+  // merge. Pages are read through the buffer pool (measured I/O) with the
+  // codec's checked decode, depth first: children are pushed in entry
+  // order and the last one is popped first. Returns the first fetch error,
+  // or kCorruption for a page whose header fails the check, and visits
+  // nothing further. `visit` must not call back into the tree.
+  using NodeVisitor = std::function<void(PageId, const Node<kDims>&)>;
+  Status ForEachNode(const NodeVisitor& visit) EXCLUDES(epoch_mu_);
+
+  // Reads a node (counted as I/O like any other access). Test hook; takes
+  // its own shared epoch, so callers must not already hold it.
   Node<kDims> ReadNodeForTest(PageId id) EXCLUDES(epoch_mu_) {
     sched::ReaderMutexLock epoch(&epoch_mu_);
     return ReadNode(id);
@@ -544,7 +555,8 @@ class Tree {
   void ReleaseLeafRefs(const Node<kDims>& node) REQUIRES(epoch_mu_);
   // Rebuilds the DAT and parent map from a full walk (on re-open).
   Status RebuildDat() REQUIRES(epoch_mu_);
-  Status RebuildDatWalk(PageId id, int level) REQUIRES(epoch_mu_);
+  // ForEachNode's body, for callers already holding the exclusive epoch.
+  Status ForEachNodeLocked(const NodeVisitor& visit) REQUIRES(epoch_mu_);
   // Reconstructs the root→leaf path ending at `leaf` from the parent
   // map. Returns false (path untouched) if the chain is broken — the
   // caller then falls back to a descent.

@@ -89,18 +89,6 @@ struct TreeConfig {
   // and commits add a meta write + sync per operation.
   bool crash_consistent = false;
 
-  // Transient-I/O retry policy applied to the page device on open (see
-  // RetryPolicy in storage/page_file.h). With io_max_retries > 0, a
-  // failed frame transfer is retried up to that many times with
-  // exponential backoff before the error propagates, so one flaky I/O no
-  // longer aborts an operation a reread would have served. Off by default
-  // to preserve fail-fast semantics (and exact error accounting in
-  // fault-injection tests).
-  uint32_t io_max_retries = 0;
-  uint32_t io_backoff_initial_us = 100;
-  double io_backoff_multiplier = 2.0;
-  uint32_t io_backoff_max_us = 10000;
-
   // Seed for the engine's internal randomness (near-optimal TPBR dimension
   // order).
   uint64_t seed = 1;
@@ -116,7 +104,6 @@ struct TreeConfig {
     REXP_CHECK(reinsert_fraction >= 0 && reinsert_fraction < 0.5);
     REXP_CHECK(horizon_alpha >= 0);
     REXP_CHECK(initial_ui > 0);
-    REXP_CHECK(io_backoff_multiplier >= 1.0);
     if (!expire_entries) {
       // Without expiration semantics only conservative rectangles are
       // sound (the others rely on finite lifetimes).

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/float_round.h"
 #include "storage/page.h"
 #include "tree/meta_format.h"
 #include "tree/node.h"
@@ -23,26 +22,6 @@ namespace {
 
 constexpr Time kNoLiveContent = -std::numeric_limits<Time>::infinity();
 
-bool IsFloatExact(double x) { return ToFloatExactly(x) == x; }
-
-// The canonical-record contract the verifier checks at the leaves
-// (degenerate, finite, float-exact, valid expiration). Records failing it
-// cannot have been produced by MakeMovingPoint and are dropped by repair.
-template <int kDims>
-bool IsCanonicalLeafRecord(const Tpbr<kDims>& r) {
-  for (int d = 0; d < kDims; ++d) {
-    if (!(r.lo[d] == r.hi[d]) || !(r.vlo[d] == r.vhi[d])) return false;
-    if (!std::isfinite(r.lo[d]) || !std::isfinite(r.vlo[d])) return false;
-    if (!IsFloatExact(r.lo[d]) || !IsFloatExact(r.vlo[d])) return false;
-  }
-  if (std::isnan(r.t_exp) ||
-      r.t_exp == -std::numeric_limits<Time>::infinity()) {
-    return false;
-  }
-  if (IsFiniteTime(r.t_exp) && !IsFloatExact(r.t_exp)) return false;
-  return true;
-}
-
 // Conservative hull of a set of entry regions in reference-time-0
 // coordinates: componentwise min/max of positions and velocities, so the
 // hull contains every input region for all t >= 0 (the codec additionally
@@ -52,16 +31,7 @@ template <int kDims>
 Tpbr<kDims> HullOf(const std::vector<NodeEntry<kDims>>& entries) {
   REXP_CHECK(!entries.empty());
   Tpbr<kDims> h = entries[0].region;
-  for (size_t i = 1; i < entries.size(); ++i) {
-    const Tpbr<kDims>& r = entries[i].region;
-    for (int d = 0; d < kDims; ++d) {
-      h.lo[d] = std::min(h.lo[d], r.lo[d]);
-      h.hi[d] = std::max(h.hi[d], r.hi[d]);
-      h.vlo[d] = std::min(h.vlo[d], r.vlo[d]);
-      h.vhi[d] = std::max(h.vhi[d], r.vhi[d]);
-    }
-    h.t_exp = std::max(h.t_exp, r.t_exp);
-  }
+  for (size_t i = 1; i < entries.size(); ++i) h.Extend(entries[i].region);
   return h;
 }
 
@@ -92,30 +62,14 @@ struct SubtreeFix {
   Time live_expiry = kNoLiveContent;
 };
 
-// Mirrors the verifier's sampled containment check: does `region` escape
-// `bound` at any sampled time across its live lifetime?
+// The verifier's sampled containment rule: does `region` escape `bound`
+// at any sampled time across its live lifetime?
 template <int kDims>
 bool EscapesBound(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
                   Time true_expiry, const FixCtx<kDims>& ctx) {
-  const Time now = ctx.now;
-  Time to = true_expiry;
-  if (!IsFiniteTime(to) || !ctx.config->expire_entries) {
-    to = ctx.never_expires_horizon;
-  }
-  if (to < now) to = now;
-  const int samples = std::max(0, ctx.options->verify.horizon_samples);
-  const double eps = ctx.options->verify.eps;
-  for (int s = 0; s <= samples + 1; ++s) {
-    const Time t = now + (to - now) * static_cast<double>(s) /
-                             static_cast<double>(samples + 1);
-    for (int d = 0; d < kDims; ++d) {
-      if (bound.LoAt(d, t) > region.LoAt(d, t) + eps ||
-          bound.HiAt(d, t) < region.HiAt(d, t) - eps) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return FindEscape(bound, region, true_expiry, ctx.config->expire_entries,
+                    ctx.never_expires_horizon, ctx.options->verify)
+      .escaped();
 }
 
 // Walks and fixes the subtree rooted at `id` bottom-up. Leaf pages drop
@@ -138,18 +92,15 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
                               "); in-place repair cannot recover it");
     return out;
   }
-  const int node_level = page.Read<uint16_t>(0);
-  const int count = page.Read<uint16_t>(2);
-  const int cap = ctx->codec->Capacity(level);
-  if (node_level != level || count > cap) {
+  Node<kDims> node;
+  const NodeHeader header = ctx->codec->DecodeChecked(page, level, &node);
+  if (!header.ok()) {
     report->actions.push_back(
         "page " + std::to_string(id) + " undecodable (level tag " +
-        std::to_string(node_level) + ", count " + std::to_string(count) +
-        "); in-place repair cannot recover it");
+        std::to_string(header.level) + ", count " +
+        std::to_string(header.count) + "); in-place repair cannot recover it");
     return out;
   }
-  Node<kDims> node;
-  ctx->codec->Decode(page, &node);
 
   const bool expire = ctx->config->expire_entries;
   const Time now = ctx->now;
@@ -162,7 +113,7 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
     uint64_t dropped_expired = 0;
     uint64_t dropped_noncanonical = 0;
     for (const NodeEntry<kDims>& e : node.entries) {
-      if (!IsCanonicalLeafRecord(e.region)) {
+      if (!CanonicalRecordFaults(e).empty()) {
         ++dropped_noncanonical;
         continue;
       }
@@ -279,6 +230,7 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
     }
   }
   ctx->level_counts[static_cast<size_t>(level)] += kept.size();
+  const int cap = ctx->codec->Capacity(level);
   const int min_entries =
       std::max(2, static_cast<int>(static_cast<double>(cap) *
                                    ctx->config->min_fill_fraction));
@@ -358,14 +310,13 @@ StatusOr<RepairReport> TreeRepairer<kDims>::Repair(
       } else {
         while (height > 1) {
           Page page(file->page_size());
+          Node<kDims> node;
           Status s = file->ReadPage(root, &page);
-          if (!s.ok()) {
-            if (s.IsIOError()) return s;
+          if (s.IsIOError()) return s;
+          if (!s.ok() || !codec.DecodeChecked(page, height - 1, &node).ok()) {
             report.needs_salvage = true;
             return report;
           }
-          Node<kDims> node;
-          codec.Decode(page, &node);
           if (node.entries.size() != 1) break;
           ctx.reachable.erase(root);
           ctx.level_counts[static_cast<size_t>(height - 1)] -= 1;
@@ -461,17 +412,14 @@ StatusOr<SalvageReport> TreeRepairer<kDims>::Salvage(
       }
       continue;
     }
-    const int level = page.Read<uint16_t>(0);
-    const int count = page.Read<uint16_t>(2);
-    if (level != 0 || count > codec.leaf_capacity()) {
+    Node<kDims> node;
+    if (!codec.DecodeChecked(page, /*expected_level=*/0, &node).ok()) {
       continue;  // Internal node (no records) or not a tree page at all.
     }
     ++report.leaf_pages;
-    Node<kDims> node;
-    codec.Decode(page, &node);
     for (const NodeEntry<kDims>& e : node.entries) {
       ++report.records_seen;
-      if (!IsCanonicalLeafRecord(e.region)) {
+      if (!CanonicalRecordFaults(e).empty()) {
         ++report.records_dropped_noncanonical;
         continue;
       }

@@ -99,8 +99,6 @@ void WriteReportJson(const Report& report, obs::JsonWriter* w) {
   w->EndArray();
 }
 
-namespace {
-
 void AddFinding(Report* report, const VerifyOptions& options, CheckId check,
                 PageId page, int level, std::string detail) {
   if (report->findings.size() >= options.max_findings) {
@@ -110,6 +108,8 @@ void AddFinding(Report* report, const VerifyOptions& options, CheckId check,
   report->findings.push_back(
       Finding{check, page, level, std::move(detail)});
 }
+
+namespace {
 
 bool IsFloatExact(double x) { return ToFloatExactly(x) == x; }
 
@@ -122,8 +122,60 @@ std::string Num(double x) {
 }  // namespace
 
 template <int kDims>
+std::vector<std::string> CanonicalRecordFaults(const NodeEntry<kDims>& e) {
+  std::vector<std::string> faults;
+  auto fault = [&faults, &e](const std::string& what) {
+    faults.push_back("oid " + std::to_string(e.id) + what);
+  };
+  for (int d = 0; d < kDims; ++d) {
+    const double lo = e.region.lo[d];
+    const double vlo = e.region.vlo[d];
+    auto dim = [d] { return " dim " + std::to_string(d); };
+    if (lo != e.region.hi[d] || vlo != e.region.vhi[d]) {
+      fault(dim() + " is not a degenerate point");
+    } else if (!std::isfinite(lo) || !std::isfinite(vlo)) {
+      fault(dim() + " is not finite (pos " + Num(lo) + ", vel " + Num(vlo) +
+            ")");
+    } else if (!IsFloatExact(lo) || !IsFloatExact(vlo)) {
+      fault(dim() + " is not float-exact");
+    }
+  }
+  const Time t_exp = e.region.t_exp;
+  if (std::isnan(t_exp) || t_exp == -std::numeric_limits<Time>::infinity()) {
+    fault(" expiration " + Num(t_exp) + " is not a valid time");
+  } else if (IsFiniteTime(t_exp) && !IsFloatExact(t_exp)) {
+    fault(" expiration " + Num(t_exp) + " is not float-exact");
+  }
+  return faults;
+}
+
+template <int kDims>
+Escape FindEscape(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
+                  Time true_expiry, bool expire_entries,
+                  Time never_expires_horizon, const VerifyOptions& options) {
+  const Time now = options.now;
+  Time to = true_expiry;
+  if (!IsFiniteTime(to) || !expire_entries) to = never_expires_horizon;
+  if (to < now) to = now;
+  const int samples = std::max(0, options.horizon_samples);
+  for (int s = 0; s <= samples + 1; ++s) {
+    // s == 0 and s == samples + 1 hit the interval endpoints exactly.
+    const Time t = now + (to - now) * static_cast<double>(s) /
+                             static_cast<double>(samples + 1);
+    for (int d = 0; d < kDims; ++d) {
+      if (bound.LoAt(d, t) > region.LoAt(d, t) + options.eps ||
+          bound.HiAt(d, t) < region.HiAt(d, t) - options.eps) {
+        return Escape{d, t};
+      }
+    }
+  }
+  return Escape{};
+}
+
+template <int kDims>
 struct TreeVerifier<kDims>::WalkState {
   Report* report;
+  const LiveRecordVisitor* visit;
   std::unordered_set<PageId> seen;
   std::vector<uint64_t> level_entry_counts;
   // Upper bound on containment checks for never-expiring content.
@@ -158,28 +210,23 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
   }
   ++report->pages_walked;
 
-  // Validate the header before decoding: a corrupt level tag or entry
-  // count would otherwise send the codec past the page end.
-  const int node_level = page.Read<uint16_t>(0);
-  const int count = page.Read<uint16_t>(2);
-  if (node_level != level) {
-    AddFinding(report, options, CheckId::kNodeStructure, id, level,
-               "node level tag " + std::to_string(node_level) +
-                   ", expected " + std::to_string(level));
-    report->walk_complete = false;
-    return kNoLiveContent;
-  }
-  const int cap = codec.Capacity(level);
-  if (count > cap) {
-    AddFinding(report, options, CheckId::kFanout, id, level,
-               std::to_string(count) + " entries exceed the capacity of " +
-                   std::to_string(cap));
-    report->walk_complete = false;
-    return kNoLiveContent;
-  }
-
   Node<kDims> node;
-  codec.Decode(page, &node);
+  const NodeHeader header = codec.DecodeChecked(page, level, &node);
+  const int cap = codec.Capacity(level);
+  if (header.fault == NodeHeader::Fault::kLevel) {
+    AddFinding(report, options, CheckId::kNodeStructure, id, level,
+               "node level tag " + std::to_string(header.level) +
+                   ", expected " + std::to_string(level));
+  } else if (header.fault == NodeHeader::Fault::kCount) {
+    AddFinding(report, options, CheckId::kFanout, id, level,
+               std::to_string(header.count) +
+                   " entries exceed the capacity of " + std::to_string(cap));
+  }
+  if (!header.ok()) {
+    report->walk_complete = false;
+    return kNoLiveContent;
+  }
+  const int count = header.count;
   report->entries_checked += node.entries.size();
   if (static_cast<size_t>(level) < state->level_entry_counts.size()) {
     state->level_entry_counts[level] += node.entries.size();
@@ -230,42 +277,10 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
         copies.first += 1;
         copies.second = id;
       }
-
-      // Canonical-record contract (the ToFloatExactly contract from the
-      // concurrency PR): leaf records are degenerate points, finite, and
-      // bit-exact under the 32-bit on-page round trip.
-      for (int d = 0; d < kDims; ++d) {
-        const double lo = e.region.lo[d];
-        const double vlo = e.region.vlo[d];
-        if (lo != e.region.hi[d] || vlo != e.region.vhi[d]) {
-          AddFinding(report, options, CheckId::kCanonicalRecord, id, level,
-                     "oid " + std::to_string(e.id) + " dim " +
-                         std::to_string(d) + " is not a degenerate point");
-          continue;
-        }
-        if (!std::isfinite(lo) || !std::isfinite(vlo)) {
-          AddFinding(report, options, CheckId::kCanonicalRecord, id, level,
-                     "oid " + std::to_string(e.id) + " dim " +
-                         std::to_string(d) + " is not finite (pos " +
-                         Num(lo) + ", vel " + Num(vlo) + ")");
-          continue;
-        }
-        if (!IsFloatExact(lo) || !IsFloatExact(vlo)) {
-          AddFinding(report, options, CheckId::kCanonicalRecord, id, level,
-                     "oid " + std::to_string(e.id) + " dim " +
-                         std::to_string(d) + " is not float-exact");
-        }
-      }
-      const Time t_exp = e.region.t_exp;
-      if (std::isnan(t_exp) ||
-          t_exp == -std::numeric_limits<Time>::infinity()) {
+      if (live && *state->visit) (*state->visit)(e);
+      for (std::string& fault : CanonicalRecordFaults(e)) {
         AddFinding(report, options, CheckId::kCanonicalRecord, id, level,
-                   "oid " + std::to_string(e.id) + " expiration " +
-                       Num(t_exp) + " is not a valid time");
-      } else if (IsFiniteTime(t_exp) && !IsFloatExact(t_exp)) {
-        AddFinding(report, options, CheckId::kCanonicalRecord, id, level,
-                   "oid " + std::to_string(e.id) + " expiration " +
-                       Num(t_exp) + " is not float-exact");
+                   std::move(fault));
       }
     } else {
       // Child pointer validity and acyclicity.
@@ -308,37 +323,20 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
     // query results, so no bound needs to cover them.
     if (bound != nullptr && region_numeric && live &&
         (!config.expire_entries || true_expiry >= now)) {
-      Time to = true_expiry;
-      if (!IsFiniteTime(to) || !config.expire_entries) {
-        to = state->never_expires_horizon;
-      }
-      if (to < now) to = now;
-      const int samples = std::max(0, options.horizon_samples);
-      for (int s = 0; s <= samples + 1; ++s) {
-        // s == 0 and s == samples + 1 hit the interval endpoints exactly.
-        const Time t = now + (to - now) * static_cast<double>(s) /
-                                 static_cast<double>(samples + 1);
-        bool contained = true;
-        int bad_dim = 0;
-        for (int d = 0; d < kDims; ++d) {
-          if (bound->LoAt(d, t) > e.region.LoAt(d, t) + options.eps ||
-              bound->HiAt(d, t) < e.region.HiAt(d, t) - options.eps) {
-            contained = false;
-            bad_dim = d;
-            break;
-          }
-        }
-        if (!contained) {
-          AddFinding(
-              report, options, CheckId::kParentContainment, id, level,
-              "entry " + std::to_string(i) + " escapes its parent bound in "
-                  "dim " + std::to_string(bad_dim) + " at t=" + Num(t) +
-                  " (bound [" + Num(bound->LoAt(bad_dim, t)) + ", " +
-                  Num(bound->HiAt(bad_dim, t)) + "], entry [" +
-                  Num(e.region.LoAt(bad_dim, t)) + ", " +
-                  Num(e.region.HiAt(bad_dim, t)) + "])");
-          break;  // One finding per entry keeps reports readable.
-        }
+      const Escape escape =
+          FindEscape(*bound, e.region, true_expiry, config.expire_entries,
+                     state->never_expires_horizon, options);
+      if (escape.escaped()) {
+        const int d = escape.dim;
+        const Time t = escape.t;
+        AddFinding(report, options, CheckId::kParentContainment, id, level,
+                   "entry " + std::to_string(i) +
+                       " escapes its parent bound in dim " +
+                       std::to_string(d) + " at t=" + Num(t) + " (bound [" +
+                       Num(bound->LoAt(d, t)) + ", " +
+                       Num(bound->HiAt(d, t)) + "], entry [" +
+                       Num(e.region.LoAt(d, t)) + ", " +
+                       Num(e.region.HiAt(d, t)) + "])");
       }
     }
 
@@ -353,7 +351,8 @@ template <int kDims>
 Report TreeVerifier<kDims>::VerifyView(PageFile* file,
                                        const TreeConfig& config,
                                        const TreeView& view,
-                                       const VerifyOptions& options) {
+                                       const VerifyOptions& options,
+                                       const LiveRecordVisitor& visit) {
   Report report;
   report.meta_epoch = view.meta_epoch;
   report.height = view.height;
@@ -365,11 +364,13 @@ Report TreeVerifier<kDims>::VerifyView(PageFile* file,
     AddFinding(&report, options, CheckId::kMetaSlot, kInvalidPageId, -1,
                "root/height disagree: root " + std::to_string(view.root) +
                    ", height " + std::to_string(view.height));
+    report.walk_complete = false;
     return report;
   }
 
   WalkState state;
   state.report = &report;
+  state.visit = &visit;
   state.level_entry_counts.assign(
       static_cast<size_t>(std::max(view.height, 0)), 0);
   state.never_expires_horizon = options.now + 10 * view.ui;
@@ -502,8 +503,11 @@ template <int kDims>
 Report TreeVerifier<kDims>::VerifyCommitted(PageFile* file,
                                             const TreeConfig& config,
                                             const MetaRead& meta,
-                                            const VerifyOptions& options) {
+                                            const VerifyOptions& options,
+                                            const LiveRecordVisitor& visit) {
+  // Every return before VerifyView refuses the committed state unwalked.
   Report report;
+  report.walk_complete = false;
   for (PageId slot = 0; slot < kNumMetaSlots; ++slot) {
     const MetaSlotProbe& probe = meta.slots[slot];
     if (probe.outcome == MetaSlotOutcome::kMissing) {
@@ -569,7 +573,7 @@ Report TreeVerifier<kDims>::VerifyCommitted(PageFile* file,
   }
   view.expected_reachable = state.committed - overhead;
 
-  Report walk = VerifyView(file, config, view, options);
+  Report walk = VerifyView(file, config, view, options, visit);
   walk.damaged_meta_slots = report.damaged_meta_slots;
   return walk;
 }
@@ -612,20 +616,47 @@ PageId CommittedPageAtLevel(PageFile* file, const TreeConfig& config,
   Node<kDims> node;
   PageId id = meta.state.root;
   for (int l = meta.state.height - 1; l > level; --l) {
-    if (!file->ReadPage(id, &page).ok()) return kInvalidPageId;
-    codec.Decode(page, &node);
-    if (node.entries.empty()) return kInvalidPageId;
+    if (!file->ReadPage(id, &page).ok() ||
+        !codec.DecodeChecked(page, l, &node).ok() || node.entries.empty()) {
+      return kInvalidPageId;
+    }
     id = node.entries[0].id;
   }
   return id;
 }
 
-template class TreeVerifier<1>;
-template class TreeVerifier<2>;
-template class TreeVerifier<3>;
-template PageId CommittedPageAtLevel<1>(PageFile*, const TreeConfig&, int);
-template PageId CommittedPageAtLevel<2>(PageFile*, const TreeConfig&, int);
-template PageId CommittedPageAtLevel<3>(PageFile*, const TreeConfig&, int);
+template <int kDims>
+bool EditCommittedNode(PageFile* file, const TreeConfig& config, int level,
+                       const std::function<void(Node<kDims>*)>& edit) {
+  const PageId id = CommittedPageAtLevel<kDims>(file, config, level);
+  if (id == kInvalidPageId) return false;
+  const NodeCodec<kDims> codec(config.page_size, config.StoresVelocities(),
+                               config.store_tpbr_expiration);
+  Page page(config.page_size);
+  Node<kDims> node;
+  if (!file->ReadPage(id, &page).ok() ||
+      !codec.DecodeChecked(page, level, &node).ok() || node.entries.empty()) {
+    return false;
+  }
+  edit(&node);
+  codec.Encode(node, &page);
+  return file->WritePage(id, page).ok();
+}
+
+#define REXP_INSTANTIATE(D)                                                   \
+  template class TreeVerifier<D>;                                             \
+  template std::vector<std::string> CanonicalRecordFaults<D>(                 \
+      const NodeEntry<D>&);                                                   \
+  template Escape FindEscape<D>(const Tpbr<D>&, const Tpbr<D>&, Time, bool,   \
+                                Time, const VerifyOptions&);                  \
+  template PageId CommittedPageAtLevel<D>(PageFile*, const TreeConfig&, int); \
+  template bool EditCommittedNode<D>(PageFile*, const TreeConfig&, int,       \
+                                     const std::function<void(Node<D>*)>&);
+
+REXP_INSTANTIATE(1)
+REXP_INSTANTIATE(2)
+REXP_INSTANTIATE(3)
+#undef REXP_INSTANTIATE
 
 }  // namespace verify
 }  // namespace rexp

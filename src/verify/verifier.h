@@ -30,6 +30,7 @@
 #define REXP_VERIFY_VERIFIER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -103,8 +104,10 @@ struct [[nodiscard]] Report {
   int damaged_meta_slots = 0;  // Tolerated (torn-commit) slot damage.
   uint64_t meta_epoch = 0;
   int height = 0;
-  // False when a structural finding cut the walk short, in which case the
-  // accounting checks are skipped (they would double-report).
+  // False when the tree was not walked to the end: a structural finding
+  // cut the walk short (the accounting checks are then skipped, as they
+  // would double-report), or the committed state was refused before any
+  // walk began.
   bool walk_complete = true;
 
   bool ok() const { return findings.empty() && findings_suppressed == 0; }
@@ -113,6 +116,33 @@ struct [[nodiscard]] Report {
   }
   std::string ToString() const;
 };
+
+// Records a finding in `report`, or counts it as suppressed past
+// options.max_findings.
+void AddFinding(Report* report, const VerifyOptions& options, CheckId check,
+                PageId page, int level, std::string detail);
+
+// Why leaf record `e` breaks the canonical-record contract (the
+// ToFloatExactly contract: a degenerate point, finite, float-exact, with
+// a valid expiration), one message per violation; empty when it holds.
+// Records failing it cannot come from MakeMovingPoint.
+template <int kDims>
+std::vector<std::string> CanonicalRecordFaults(const NodeEntry<kDims>& e);
+
+// Where `region` first escapes `bound` under the sampled parent-
+// containment rule (paper Section 4.1): `bound` must contain `region` at
+// options.horizon_samples + 2 evenly spaced times from options.now to
+// the end of its live lifetime `true_expiry` (`never_expires_horizon`
+// when that is infinite or entries do not expire), within options.eps.
+struct Escape {
+  int dim = -1;  // -1: contained at every sample.
+  Time t = 0;
+  bool escaped() const { return dim >= 0; }
+};
+template <int kDims>
+Escape FindEscape(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
+                  Time true_expiry, bool expire_entries,
+                  Time never_expires_horizon, const VerifyOptions& options);
 
 // Folds partition `partition`'s report into `into`: sums the counters and
 // appends the findings with "p<partition>: " prefixed to each detail,
@@ -161,6 +191,10 @@ struct TreeView {
 template <int kDims>
 class TreeVerifier {
  public:
+  // Called with every live leaf record a walk decodes (live: not expired
+  // at VerifyOptions::now, or the configuration never expires entries).
+  using LiveRecordVisitor = std::function<void(const NodeEntry<kDims>&)>;
+
   // Verifies a closed index straight off `file` (typically a DiskPageFile
   // opened on a persisted index): reads the dual-slot metadata and walks
   // the committed state. `config` must match the index's creation
@@ -169,18 +203,21 @@ class TreeVerifier {
                            const VerifyOptions& options);
 
   // VerifyFile over a meta read the caller already holds (ReadMeta(file,
-  // kDims)), for callers that go on to use the committed state.
+  // kDims)), for callers that go on to use the committed state. `visit`
+  // sees the live leaf records of the walk; they are the whole committed
+  // record set only when the report says walk_complete.
   static Report VerifyCommitted(PageFile* file, const TreeConfig& config,
                                 const MetaRead& meta,
-                                const VerifyOptions& options);
+                                const VerifyOptions& options,
+                                const LiveRecordVisitor& visit = {});
 
   // Verifies the state described by `view` (pages read through
   // `file->ReadPage`, so the caller must have flushed any buffered
   // changes first). Used by VerifyFile after parsing the metadata and by
   // Tree::Verify with the live in-memory state.
   static Report VerifyView(PageFile* file, const TreeConfig& config,
-                           const TreeView& view,
-                           const VerifyOptions& options);
+                           const TreeView& view, const VerifyOptions& options,
+                           const LiveRecordVisitor& visit = {});
 
  private:
   struct WalkState;
@@ -199,6 +236,15 @@ class TreeVerifier {
 template <int kDims>
 PageId CommittedPageAtLevel(PageFile* file, const TreeConfig& config,
                             int level);
+
+// Seeds a logical fault into a persisted index: reads the page
+// CommittedPageAtLevel(level) names, lets `edit` change its decoded node
+// and writes it back (WritePage re-seals the frame checksum, so the
+// damage does not show as rot). False when there is no such page, it
+// fails the checked read, it holds no entry, or the write fails.
+template <int kDims>
+bool EditCommittedNode(PageFile* file, const TreeConfig& config, int level,
+                       const std::function<void(Node<kDims>*)>& edit);
 
 }  // namespace verify
 }  // namespace rexp

@@ -339,6 +339,8 @@ class MetaMatrix : public ::testing::Test {
           verify::TreeVerifier<2>::VerifyFile(file.get(), config, vopt);
       out += " | " + Checks(r) +
              " damaged=" + std::to_string(r.damaged_meta_slots);
+      ExpectWalkedUnlessRefused(r, "VerifyFile");
+      EXPECT_EQ(r.walk_complete, r.pages_walked > 0);
     }
     SeedTree(row);
     {
@@ -359,8 +361,17 @@ class MetaMatrix : public ::testing::Test {
       verify::Report r = partition::VerifyPartitioned<2>(ManifestPath(),
                                                          config, vopt);
       out += " | " + Checks(r);
+      ExpectWalkedUnlessRefused(r, "VerifyPartitioned");
     }
     return out;
+  }
+
+  // A refused meta slot leaves its tree unwalked, and the report must say
+  // so: walk_complete is false exactly when a meta-slot finding stands.
+  static void ExpectWalkedUnlessRefused(const verify::Report& r,
+                                        const char* reader) {
+    const bool refused = Checks(r).find("meta-slot") != std::string::npos;
+    EXPECT_EQ(r.walk_complete, !refused) << reader << ": " << r.ToString();
   }
 
   std::string base_;
@@ -386,6 +397,7 @@ TEST_F(MetaMatrix, HealthyFilesVerifyClean) {
 TEST_F(MetaMatrix, EveryReaderKeepsItsVerdict) {
   int i = 0;
   for (const Row& row : kMatrix) {
+    SCOPED_TRACE("row " + std::to_string(i));
     EXPECT_EQ(Verdict(row), row.verdict) << "row " << i;
     ++i;
   }

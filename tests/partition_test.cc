@@ -10,9 +10,12 @@
 // verification of a closed partitioned index (the rexp_fsck --manifest
 // code path), clean and with a seeded routing violation.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -27,6 +30,7 @@
 #include "sched/thread_pool.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
+#include "tree/meta_format.h"
 #include "tree/reference_index.h"
 #include "tree/tree.h"
 
@@ -597,6 +601,120 @@ TEST(PartitionFsck, ClosedIndexVerifiesCleanAndSeededDamageIsFound) {
     std::remove((base + ".p" + std::to_string(i)).c_str());
   }
   std::remove(manifest_path.c_str());
+}
+
+// The offline partition checker's class-discipline verdicts, each seeded
+// into a closed two-class index: oids 0-29 are slow (class 0) and 30-59
+// fast (class 1). The damage goes in through a plain Tree on one
+// partition file, through the manifest, or as raw page bytes.
+class PartitionFsckClasses : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = ::testing::TempDir() + "/rexp_part_classes." +
+            std::to_string(getpid());
+    RemoveFiles();
+    PartitionedOptions options;
+    options.partitions = 2;
+    options.retune_every = 0;
+    options.initial_max_speed = 3.0;
+    options.query_threads = -1;
+    auto index = PartitionedIndex<2>::OpenDisk(SmallConfig(), base_, options)
+                     .value();
+    Rng rng(41);
+    for (int i = 0; i < 60; ++i) {
+      const double speed = i < 30 ? 0.5 : 2.5;
+      index->Insert(static_cast<ObjectId>(i),
+                    PointWithSpeed(&rng, speed, 0.0, 1e6), 0.0);
+    }
+    ASSERT_EQ(index->ClassOfForTest(0), 0);
+    ASSERT_EQ(index->ClassOfForTest(30), 1);
+    ASSERT_TRUE(index->Commit().ok());
+  }
+  void TearDown() override { RemoveFiles(); }
+
+  void RemoveFiles() const {
+    for (int i = 0; i < 2; ++i) std::remove(PartPath(i).c_str());
+    std::remove(ManifestPath().c_str());
+  }
+  std::string PartPath(int i) const {
+    return base_ + ".p" + std::to_string(i);
+  }
+  std::string ManifestPath() const { return base_ + ".manifest"; }
+
+  verify::Report Check() const {
+    verify::VerifyOptions vopt;
+    vopt.now = 1.0;
+    return partition::VerifyPartitioned<2>(ManifestPath(), SmallConfig(),
+                                           vopt);
+  }
+
+  void EditManifest(
+      const std::function<void(partition::Manifest*)>& edit) const {
+    partition::Manifest manifest =
+        partition::ReadManifest(ManifestPath()).value();
+    edit(&manifest);
+    ASSERT_TRUE(partition::WriteManifest(manifest, ManifestPath()).ok());
+  }
+
+  static std::vector<std::string> RoutingFindings(const verify::Report& r) {
+    std::vector<std::string> out;
+    for (const verify::Finding& f : r.findings) {
+      if (f.check == verify::CheckId::kPartitionRouting) {
+        out.push_back(f.detail);
+      }
+    }
+    return out;
+  }
+
+  std::string base_;
+};
+
+TEST_F(PartitionFsckClasses, OidLiveInTwoPartitionsIsFound) {
+  {
+    auto file = DiskPageFile::Open(PartPath(1), 512, /*keep=*/true).value();
+    auto tree = Tree<2>::Open(SmallConfig(), file.get()).value();
+    Rng rng(43);
+    tree->Insert(5, PointWithSpeed(&rng, 2.5, 0.0, 1e6), 0.0);
+  }  // Closing commits.
+  const verify::Report r = Check();
+  EXPECT_TRUE(r.walk_complete);
+  const std::vector<std::string> routing = RoutingFindings(r);
+  ASSERT_EQ(routing.size(), 1u) << r.ToString();
+  EXPECT_EQ(routing[0], "oid 5 live in partition 0 and 1");
+  EXPECT_EQ(r.TotalFindings(), 1u) << r.ToString();
+}
+
+TEST_F(PartitionFsckClasses, MergedAwayPartitionHoldingRecordsIsFound) {
+  EditManifest([](partition::Manifest* m) { m->entries[1].active = false; });
+  const verify::Report r = Check();
+  const std::vector<std::string> routing = RoutingFindings(r);
+  ASSERT_EQ(routing.size(), 1u) << r.ToString();
+  EXPECT_EQ(routing[0], "merged-away partition 1 still holds 30 live records");
+  EXPECT_EQ(r.TotalFindings(), 1u) << r.ToString();
+}
+
+// A damaged level tag cuts partition 0's walk short: its structural
+// finding stands, and no class-discipline check runs over the half-walked
+// file (its clamped speed ceiling would otherwise be flagged).
+TEST_F(PartitionFsckClasses, DamagedNodeSkipsThatPartitionsClassChecks) {
+  EditManifest([](partition::Manifest* m) { m->entries[0].vmax = 0.01; });
+  ASSERT_EQ(RoutingFindings(Check()).size(), 1u)
+      << "the clamped ceiling must be flagged while the file is intact";
+  {
+    auto file = DiskPageFile::Open(PartPath(0), 512, /*keep=*/true).value();
+    const MetaRead meta = ReadMeta(file.get(), 2);
+    ASSERT_TRUE(meta.walkable());
+    Page page(512);
+    ASSERT_TRUE(file->ReadPage(meta.state.root, &page).ok());
+    page.Write<uint16_t>(0, static_cast<uint16_t>(meta.state.height + 5));
+    ASSERT_TRUE(file->WritePage(meta.state.root, page).ok());
+  }
+  const verify::Report r = Check();
+  EXPECT_FALSE(r.walk_complete);
+  EXPECT_TRUE(RoutingFindings(r).empty()) << r.ToString();
+  ASSERT_EQ(r.TotalFindings(), 1u) << r.ToString();
+  EXPECT_EQ(r.findings[0].check, verify::CheckId::kNodeStructure);
+  EXPECT_EQ(r.findings[0].detail.rfind("p0: ", 0), 0u) << r.ToString();
 }
 
 }  // namespace

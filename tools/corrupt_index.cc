@@ -63,23 +63,6 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-// Decode -> mutate -> re-encode a node page. WritePage re-seals the frame
-// checksum, so the corruption is logical, not detectable as rot.
-template <typename Mutator>
-bool EditNode(PageFile* file, const TreeConfig& config, PageId id,
-              Mutator mutate) {
-  Page page(config.page_size);
-  if (!file->ReadPage(id, &page).ok()) return false;
-  NodeCodec<2> codec(config.page_size, config.StoresVelocities(),
-                     config.store_tpbr_expiration);
-  Node<2> node;
-  codec.Decode(page, &node);
-  if (node.entries.empty()) return false;
-  mutate(&node);
-  codec.Encode(node, &page);
-  return file->WritePage(id, page).ok();
-}
-
 bool BuildIndex(const std::string& path, const TreeConfig& config,
                 int inserts, int deletes, Time now, double life,
                 uint64_t seed) {
@@ -147,36 +130,30 @@ bool SeedCorruption(const std::string& path, const TreeConfig& config,
   auto file = std::move(file_or).value();
 
   if (cls == "parent-bound") {
-    const PageId internal =
-        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
-    if (internal == kInvalidPageId) return false;
-    return EditNode(file.get(), config, internal, [](Node<2>* node) {
-      node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
-      node->entries[0].region.vhi[0] = node->entries[0].region.vlo[0];
-    });
+    return verify::EditCommittedNode<2>(
+        file.get(), config, 1, [](Node<2>* node) {
+          node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
+          node->entries[0].region.vhi[0] = node->entries[0].region.vlo[0];
+        });
   }
   if (cls == "undercut-expiry") {
     if (!config.store_tpbr_expiration) {
       std::fprintf(stderr, "undercut-expiry requires --stored-expiry\n");
       return false;
     }
-    const PageId internal =
-        verify::CommittedPageAtLevel<2>(file.get(), config, 1);
-    if (internal == kInvalidPageId) return false;
     const Time undercut = now + 1e-3;
-    return EditNode(file.get(), config, internal, [undercut](Node<2>* node) {
-      node->entries[0].region.t_exp = undercut;
-    });
+    return verify::EditCommittedNode<2>(
+        file.get(), config, 1, [undercut](Node<2>* node) {
+          node->entries[0].region.t_exp = undercut;
+        });
   }
   if (cls == "noncanonical-record") {
-    const PageId leaf =
-        verify::CommittedPageAtLevel<2>(file.get(), config, 0);
-    if (leaf == kInvalidPageId) return false;
-    return EditNode(file.get(), config, leaf, [](Node<2>* node) {
-      const double inf = std::numeric_limits<double>::infinity();
-      node->entries[0].region.lo[0] = inf;
-      node->entries[0].region.hi[0] = inf;
-    });
+    return verify::EditCommittedNode<2>(
+        file.get(), config, 0, [](Node<2>* node) {
+          const double inf = std::numeric_limits<double>::infinity();
+          node->entries[0].region.lo[0] = inf;
+          node->entries[0].region.hi[0] = inf;
+        });
   }
 
   if (cls == "both-meta") {
