@@ -31,6 +31,14 @@
 #      (NodeCodec) and in src/btree/btree.cc (the B-tree's own format);
 #      everything else reads node pages through NodeCodec::DecodeChecked
 #      (DESIGN.md §13). Tests may spell the offsets out to seed damage.
+#   6. Storage telemetry has one owner per layer. AddCounter, AddGauge and
+#      AddHistogram calls that name a "buffer." or "device." metric (on
+#      the call's line or the line after) may appear in src/, tools/,
+#      bench/ and examples/ only under src/storage/, where
+#      BufferManager::RegisterMetrics and PageFile::RegisterMetrics walk
+#      the IoStats and DeviceStats lists; every other component calls
+#      those, so none can register a hand-picked subset (DESIGN.md §13).
+#      Tests may bind such names to exercise the registry itself.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -107,6 +115,24 @@ for f in "${files[@]}"; do
   while IFS= read -r hit; do
     report "node-header" "$f:$hit (use NodeCodec::DecodeChecked)"
   done < <(grep -nE '(Read|Write)<uint16_t>\((0|2)[,)]' "$f" || true)
+done
+
+# --- Rule 6: buffer./device. metric names outside src/storage/ -----------
+for f in "${files[@]}"; do
+  case "$f" in
+    src/storage/*) continue ;;
+    src/*|tools/*|bench/*|examples/*) ;;
+    *) continue ;;
+  esac
+  while IFS= read -r hit; do
+    report "storage-metrics" \
+      "$f:$hit (use BufferManager/PageFile::RegisterMetrics)"
+  done < <(awk '
+    pending && /"(buffer|device)\./ { print FNR ":" $0 }
+    { pending = 0 }
+    /Add(Counter|Gauge|Histogram)\(/ {
+      if ($0 ~ /"(buffer|device)\./) print FNR ":" $0; else pending = 1
+    }' "$f")
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -46,28 +46,8 @@ void BTree::RegisterMetrics(obs::MetricsRegistry* registry,
   // again) removes all of its bindings at once.
   metrics_registration_.Reset();
   const obs::OwnerId owner = registry->NewOwner();
-  const IoStats& io = buffer_.stats();
-  registry->AddCounter(prefix + "buffer.reads", &io.reads, owner);
-  registry->AddCounter(prefix + "buffer.writes", &io.writes, owner);
-  registry->AddCounter(prefix + "buffer.hits", &io.hits, owner);
-  registry->AddCounter(prefix + "buffer.misses", &io.misses, owner);
-  registry->AddCounter(prefix + "buffer.evictions_clean",
-                       &io.evictions_clean, owner);
-  registry->AddCounter(prefix + "buffer.evictions_dirty",
-                       &io.evictions_dirty, owner);
-  registry->AddCounter(prefix + "buffer.write_backs", &io.write_backs,
-                       owner);
-  registry->AddCounter(prefix + "buffer.flush_errors", &io.flush_errors,
-                       owner);
-  registry->AddGauge(prefix + "buffer.hit_rate",
-                     [&io] { return io.HitRate(); }, owner);
-  const DeviceStats& dev = file_->device_stats();
-  registry->AddCounter(prefix + "device.frame_reads", &dev.frame_reads,
-                       owner);
-  registry->AddCounter(prefix + "device.frame_writes", &dev.frame_writes,
-                       owner);
-  registry->AddCounter(prefix + "device.checksum_failures",
-                       &dev.checksum_failures, owner);
+  buffer_.RegisterMetrics(registry, prefix, owner);
+  file_->RegisterMetrics(registry, prefix, owner);
   registry->AddGauge(prefix + "btree.size", [this] {
     return static_cast<double>(size_);
   }, owner);

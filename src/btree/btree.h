@@ -67,10 +67,11 @@ class BTree {
   const IoStats& io_stats() const { return buffer_.stats(); }
   void ResetIoStats() { buffer_.ResetStats(); }
 
-  // Registers the queue's telemetry — buffer-pool and device counters
-  // plus size/height gauges — under `prefix` (e.g. "queue."). Bindings
-  // are owner-scoped: they unregister automatically when the queue is
-  // destroyed (or when RegisterMetrics is called again).
+  // Registers the queue's telemetry — the same buffer-pool and device
+  // names a Tree registers, plus size/height/pages gauges — under
+  // `prefix` (e.g. "queue."). Bindings are owner-scoped: they unregister
+  // automatically when the queue is destroyed (or when RegisterMetrics
+  // is called again).
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) const;
 
@@ -107,8 +108,6 @@ class BTree {
   void WriteNode(PageId id, const BtNode& node);
   PageId AllocNode(const BtNode& node);
 
-  int LeafCapacity() const { return leaf_capacity_; }
-  int InternalCapacity() const { return internal_capacity_; }
   int Capacity(const BtNode& n) const {
     return n.level == 0 ? leaf_capacity_ : internal_capacity_;
   }

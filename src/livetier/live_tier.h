@@ -43,6 +43,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "common/vec.h"
+#include "obs/metrics.h"
 #include "tpbr/intersect.h"
 #include "tpbr/tpbr.h"
 #include "tree/dat.h"
@@ -67,9 +68,6 @@ struct LiveTierOptions {
   size_t num_bins = 64;
   // Edge length of the grid cells hashed into bins.
   double bin_cell = 100.0;
-  // R^exp semantics: filter expired records at query time. false mirrors
-  // the plain TPR-tree (expired records are reported as false drops).
-  bool expire = true;
 };
 
 template <int kDims>
@@ -83,6 +81,17 @@ class LiveTier {
     uint64_t migrated = 0;          // Records handed to the tree.
     uint64_t migration_kept = 0;    // ...of which a fresh report raced in.
     uint64_t bin_rebuilds = 0;      // Bin bound recomputations.
+
+    // The one list of the counters; TieredIndex::RegisterMetrics binds
+    // each entry as `livetier.<name>`.
+    static constexpr obs::NamedField<Stats, uint64_t>
+        kCounters[] = {{"admitted", &Stats::admitted},
+                       {"updates_absorbed", &Stats::updates_absorbed},
+                       {"died_in_place", &Stats::died_in_place},
+                       {"died_with_tree_copy", &Stats::died_with_tree_copy},
+                       {"migrated", &Stats::migrated},
+                       {"migration_kept", &Stats::migration_kept},
+                       {"bin_rebuilds", &Stats::bin_rebuilds}};
   };
 
   // One record to apply to the tree: replace `tree_record` (when present)
@@ -110,8 +119,13 @@ class LiveTier {
     double dist_sq = 0;
   };
 
-  explicit LiveTier(const LiveTierOptions& options)
+  // `expire` selects R^exp semantics: filter expired records at query
+  // time. false mirrors the plain TPR-tree (expired records are reported
+  // as false drops). TieredIndex passes TreeConfig::expire_entries so both
+  // tiers agree.
+  LiveTier(const LiveTierOptions& options, bool expire)
       : options_(options),
+        expire_(expire),
         bins_(options.num_bins == 0 ? 1 : options.num_bins) {}
 
   size_t resident() const { return map_.size(); }
@@ -311,14 +325,14 @@ class LiveTier {
       const Bin& bin = bins_[i];
       if (bin.members.empty()) continue;
       if (!Intersects(bin.bound, query,
-                      options_.expire ? bin.bound.t_exp : kNeverExpires)) {
+                      expire_ ? bin.bound.t_exp : kNeverExpires)) {
         continue;
       }
       for (ObjectId oid : bin.members) {
         const Entry* e = map_.Find(oid);
         REXP_DCHECK(e != nullptr && e->bin == i);
         const Time expiry =
-            options_.expire ? e->record.t_exp : kNeverExpires;
+            expire_ ? e->record.t_exp : kNeverExpires;
         if (Intersects(e->record, query, expiry)) out->push_back(oid);
       }
     }
@@ -330,7 +344,7 @@ class LiveTier {
   void NnCandidates(const Vec<kDims>& point, Time t,
                     std::vector<Candidate>* out) const {
     map_.ForEach([&](uint32_t oid, const Entry& e) {
-      if (options_.expire && !e.record.LiveAt(t)) return;
+      if (expire_ && !e.record.LiveAt(t)) return;
       double d2 = 0;
       for (int d = 0; d < kDims; ++d) {
         double delta = e.record.LoAt(d, t) - point[d];
@@ -481,6 +495,7 @@ class LiveTier {
   }
 
   LiveTierOptions options_;
+  const bool expire_;
   U32HashMap<Entry> map_;
   std::vector<Bin> bins_;
   std::priority_queue<HeapItem, std::vector<HeapItem>,

@@ -55,7 +55,7 @@ class TieredIndex {
  public:
   TieredIndex(const TreeConfig& config, PageFile* file,
               const LiveTierOptions& live_options = LiveTierOptions{})
-      : tree_(config, file), live_(MatchExpiry(live_options, config)) {}
+      : tree_(config, file), live_(live_options, config.expire_entries) {}
 
   ~TieredIndex() { StopMigrator(); }
 
@@ -315,15 +315,6 @@ class TieredIndex {
     sched::MutexLock lk(&mu_);
     return tree_cleanup_deletes_;
   }
-  const obs::Histogram& migration_batch_size() const {
-    return migration_batch_size_;
-  }
-
-  // Logical time of the last mutation (what the migrator migrates "at").
-  Time last_now() const EXCLUDES(mu_) {
-    sched::MutexLock lk(&mu_);
-    return last_now_;
-  }
 
   // Registers the inner tree under `prefix` + "tree." and the live tier
   // under `prefix` + "livetier.": admission/death/migration counters,
@@ -335,27 +326,14 @@ class TieredIndex {
     tree_.RegisterMetrics(registry, prefix + "tree.");
     metrics_registration_.Reset();
     const obs::OwnerId owner = registry->NewOwner();
-    auto stat = [this](uint64_t LiveTier<kDims>::Stats::*field) {
-      return [this, field]() -> uint64_t {
-        sched::MutexLock lk(&mu_);
-        return live_.stats().*field;
-      };
-    };
-    using S = typename LiveTier<kDims>::Stats;
-    registry->AddCounter(prefix + "livetier.admitted", stat(&S::admitted),
-                         owner);
-    registry->AddCounter(prefix + "livetier.updates_absorbed",
-                         stat(&S::updates_absorbed), owner);
-    registry->AddCounter(prefix + "livetier.died_in_place",
-                         stat(&S::died_in_place), owner);
-    registry->AddCounter(prefix + "livetier.died_with_tree_copy",
-                         stat(&S::died_with_tree_copy), owner);
-    registry->AddCounter(prefix + "livetier.migrated", stat(&S::migrated),
-                         owner);
-    registry->AddCounter(prefix + "livetier.migration_kept",
-                         stat(&S::migration_kept), owner);
-    registry->AddCounter(prefix + "livetier.bin_rebuilds",
-                         stat(&S::bin_rebuilds), owner);
+    for (const auto& [name, field] : LiveTier<kDims>::Stats::kCounters) {
+      registry->AddCounter(prefix + "livetier." + name,
+                           [this, counter = field]() -> uint64_t {
+                             sched::MutexLock lk(&mu_);
+                             return live_.stats().*counter;
+                           },
+                           owner);
+    }
     registry->AddCounter(prefix + "livetier.migration_batches",
                          std::function<uint64_t()>([this] {
                            sched::MutexLock lk(&mu_);
@@ -392,14 +370,6 @@ class TieredIndex {
   }
 
  private:
-  // The live tier must agree with the tree about whether expiration
-  // filters query answers (TreeConfig::expire_entries).
-  static LiveTierOptions MatchExpiry(LiveTierOptions options,
-                                     const TreeConfig& config) {
-    options.expire = config.expire_entries;
-    return options;
-  }
-
   void AdvanceTimeLocked(Time now) REQUIRES(mu_) {
     if (now > last_now_) last_now_ = now;
   }

@@ -54,15 +54,12 @@ inline void SetEnabled(bool on) {
 
 }  // namespace telemetry
 
-// Monotone event counter. Plain uint64_t semantics; exists so stats
-// structs read as self-describing and so the registry can take a stable
-// pointer to the value.
-struct Counter {
-  uint64_t value = 0;
-
-  void Inc(uint64_t n = 1) { value += n; }
-  void Reset() { value = 0; }
-};
+// One entry of a stats struct's field list: the metric name (without the
+// layer prefix) and the member it reads. Each stats struct keeps one list
+// per member type, and both its Reset and its registration walk that list,
+// so every counter is named exactly once.
+template <typename Stats, typename T>
+using NamedField = std::pair<const char*, T Stats::*>;
 
 // Fixed-bucket histogram. `bounds` are inclusive upper bounds of the
 // first N buckets; one implicit overflow bucket catches everything above
@@ -84,25 +81,8 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds)
       : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {}
 
-  Histogram(const Histogram& other) { *this = other; }
-  // NO_THREAD_SAFETY_ANALYSIS: address-ordered dual acquisition of two
-  // peer locks of equal rank — lower address first, matching the LockRank
-  // equal-rank rule — which the static analysis cannot express.
-  Histogram& operator=(const Histogram& other) NO_THREAD_SAFETY_ANALYSIS {
-    if (this == &other) return *this;
-    sched::Mutex* first = &mu_;
-    sched::Mutex* second = &other.mu_;
-    if (second < first) std::swap(first, second);
-    sched::MutexLock lock_first(first);
-    sched::MutexLock lock_second(second);
-    bounds_ = other.bounds_;
-    counts_ = other.counts_;
-    count_ = other.count_;
-    sum_ = other.sum_;
-    min_ = other.min_;
-    max_ = other.max_;
-    return *this;
-  }
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
   void Record(double v) {
 #ifndef REXP_NO_TELEMETRY

@@ -218,6 +218,23 @@ class PartitionedIndex {
     uint64_t retunes = 0;
     uint64_t merges = 0;
     uint64_t merge_moves = 0;  // Live records re-homed by merges.
+
+    // The one list of the counters; RegisterMetrics binds each entry as
+    // `partition.<name>`.
+    static constexpr obs::NamedField<Stats, uint64_t>
+        kCounters[] = {{"inserts", &Stats::inserts},
+                       {"deletes", &Stats::deletes},
+                       {"delete_fallback_scans", &Stats::delete_fallback_scans},
+                       {"updates", &Stats::updates},
+                       {"migrations", &Stats::migrations},
+                       {"group_batches", &Stats::group_batches},
+                       {"searches", &Stats::searches},
+                       {"nn_searches", &Stats::nn_searches},
+                       {"partitions_pruned", &Stats::partitions_pruned},
+                       {"partitions_searched", &Stats::partitions_searched},
+                       {"retunes", &Stats::retunes},
+                       {"merges", &Stats::merges},
+                       {"merge_moves", &Stats::merge_moves}};
   };
 
   // Builds over caller-owned per-class page files (files.size() == K,
@@ -543,8 +560,9 @@ class PartitionedIndex {
 
   // Registers router telemetry under `prefix` + "partition." (routing,
   // migration, merge, and fan-out counters; active-partition and
-  // per-class population gauges) and each class's full tree telemetry
-  // under `prefix` + "p<i>.tree.". Owner-scoped: bindings drop when the
+  // mapped-object gauges) and each class's full tree telemetry under
+  // `prefix` + "p<i>.tree." (a class's population is its
+  // `p<i>.tree.tree.leaf_entries`). Owner-scoped: bindings drop when the
   // index is destroyed.
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) {
@@ -554,38 +572,14 @@ class PartitionedIndex {
     }
     metrics_registration_.Reset();
     const obs::OwnerId owner = registry->NewOwner();
-    auto counter = [this](uint64_t Stats::*field) {
-      return std::function<uint64_t()>([this, field]() -> uint64_t {
-        sched::MutexLock lk(&router_mu_);
-        return stats_.*field;
-      });
-    };
-    registry->AddCounter(prefix + "partition.inserts",
-                         counter(&Stats::inserts), owner);
-    registry->AddCounter(prefix + "partition.deletes",
-                         counter(&Stats::deletes), owner);
-    registry->AddCounter(prefix + "partition.delete_fallback_scans",
-                         counter(&Stats::delete_fallback_scans), owner);
-    registry->AddCounter(prefix + "partition.updates",
-                         counter(&Stats::updates), owner);
-    registry->AddCounter(prefix + "partition.migrations",
-                         counter(&Stats::migrations), owner);
-    registry->AddCounter(prefix + "partition.group_batches",
-                         counter(&Stats::group_batches), owner);
-    registry->AddCounter(prefix + "partition.searches",
-                         counter(&Stats::searches), owner);
-    registry->AddCounter(prefix + "partition.nn_searches",
-                         counter(&Stats::nn_searches), owner);
-    registry->AddCounter(prefix + "partition.partitions_pruned",
-                         counter(&Stats::partitions_pruned), owner);
-    registry->AddCounter(prefix + "partition.partitions_searched",
-                         counter(&Stats::partitions_searched), owner);
-    registry->AddCounter(prefix + "partition.retunes",
-                         counter(&Stats::retunes), owner);
-    registry->AddCounter(prefix + "partition.merges",
-                         counter(&Stats::merges), owner);
-    registry->AddCounter(prefix + "partition.merge_moves",
-                         counter(&Stats::merge_moves), owner);
+    for (const auto& [name, field] : Stats::kCounters) {
+      registry->AddCounter(prefix + "partition." + name,
+                           [this, counter = field]() -> uint64_t {
+                             sched::MutexLock lk(&router_mu_);
+                             return stats_.*counter;
+                           },
+                           owner);
+    }
     registry->AddGauge(prefix + "partition.active_partitions",
                        [this] {
                          sched::MutexLock lk(&router_mu_);
@@ -602,13 +596,6 @@ class PartitionedIndex {
                          return static_cast<double>(class_of_.size());
                        },
                        owner);
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      Tree<kDims>* tree = trees_[i].get();
-      registry->AddGauge(
-          prefix + "partition.p" + std::to_string(i) + ".population",
-          [tree] { return static_cast<double>(tree->leaf_entries()); },
-          owner);
-    }
     metrics_registration_ = registry->MakeScoped(owner);
   }
 

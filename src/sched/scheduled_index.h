@@ -101,11 +101,6 @@ class ScheduledIndex {
     return tree_.ExpiredLeafFraction(now);
   }
 
-  // Total scheduled deletions executed by PumpDue.
-  uint64_t scheduled_deletions_fired() const {
-    return scheduled_deletions_fired_;
-  }
-
   // Attaches a trace sink to the primary tree (scheduled-deletion events
   // are emitted through the same sink).
   void set_tracer(obs::Tracer* tracer) { tree_.set_tracer(tracer); }

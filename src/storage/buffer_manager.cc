@@ -231,6 +231,24 @@ std::string BufferManager::HeatmapJson(size_t top_n) const {
   return w.str();
 }
 
+void BufferManager::RegisterMetrics(obs::MetricsRegistry* registry,
+                                    const std::string& prefix,
+                                    obs::OwnerId owner) const {
+  for (const auto& [name, counter] : IoStats::kCounters) {
+    registry->AddCounter(prefix + "buffer." + name, &(stats_.*counter),
+                         owner);
+  }
+  registry->AddGauge(prefix + "buffer.hit_rate",
+                     [this] { return stats_.HitRate(); }, owner);
+  registry->AddGauge(prefix + "buffer.pinned_frames", [this] {
+    return static_cast<double>(PinnedFrames());
+  }, owner);
+  registry->AddGauge(prefix + "buffer.heat_max_accesses", [this] {
+    auto heat = Heatmap(1);
+    return heat.empty() ? 0.0 : static_cast<double>(heat[0].accesses);
+  }, owner);
+}
+
 bool BufferManager::IsBuffered(PageId id) const {
   sched::MutexLock lock(&pool_mu_);
   return frame_of_.count(id) > 0;

@@ -53,6 +53,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "obs/registry.h"
 #include "sched/mutex.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -239,6 +240,13 @@ class BufferManager {
   uint32_t num_frames() const { return num_frames_; }
   const IoStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
+
+  // Binds every IoStats counter as `prefix` + "buffer.<name>", plus the
+  // hit_rate, pinned_frames and heat_max_accesses gauges, under `owner`.
+  // The caller holds the owner's ScopedRegistration and must drop it
+  // before this pool dies.
+  void RegisterMetrics(obs::MetricsRegistry* registry,
+                       const std::string& prefix, obs::OwnerId owner) const;
 
  private:
   friend class PageGuard;

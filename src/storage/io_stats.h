@@ -13,16 +13,20 @@
 // tree epochs, see DESIGN.md §8) can bump them without tearing and the
 // metrics registry can sample them from another thread. Relaxed ordering
 // is enough: each counter is an independent monotone event count, never
-// used to synchronize other memory. Copying an IoStats (the before/after
-// snapshot idiom the harness uses) takes a relaxed load of each field;
-// cross-field consistency of a snapshot taken mid-operation is not
-// guaranteed and not needed.
+// used to synchronize other memory. Readers load one field at a time;
+// cross-field consistency of reads taken mid-operation is not guaranteed
+// and not needed.
+//
+// `kCounters` is the one list of the counters: Reset walks it, and
+// BufferManager::RegisterMetrics binds each entry as `buffer.<name>`.
 
 #ifndef REXP_STORAGE_IO_STATS_H_
 #define REXP_STORAGE_IO_STATS_H_
 
 #include <atomic>
 #include <cstdint>
+
+#include "obs/metrics.h"
 
 namespace rexp {
 
@@ -56,12 +60,17 @@ struct IoStats {
   // visible in telemetry (`buffer.flush_errors`).
   std::atomic<uint64_t> flush_errors{0};
 
-  IoStats() = default;
-  IoStats(const IoStats& other) { CopyFrom(other); }
-  IoStats& operator=(const IoStats& other) {
-    CopyFrom(other);
-    return *this;
-  }
+  static constexpr obs::NamedField<IoStats, std::atomic<uint64_t>>
+      kCounters[] = {{"reads", &IoStats::reads},
+                     {"writes", &IoStats::writes},
+                     {"hits", &IoStats::hits},
+                     {"misses", &IoStats::misses},
+                     {"evictions_clean", &IoStats::evictions_clean},
+                     {"evictions_dirty", &IoStats::evictions_dirty},
+                     {"write_backs", &IoStats::write_backs},
+                     {"pins", &IoStats::pins},
+                     {"unpins", &IoStats::unpins},
+                     {"flush_errors", &IoStats::flush_errors}};
 
   uint64_t Total() const { return reads + writes; }
 
@@ -73,41 +82,10 @@ struct IoStats {
                : static_cast<double>(h) / static_cast<double>(fetches);
   }
 
-  IoStats operator-(const IoStats& other) const {
-    IoStats d;
-    d.reads = reads - other.reads;
-    d.writes = writes - other.writes;
-    d.hits = hits - other.hits;
-    d.misses = misses - other.misses;
-    d.evictions_clean = evictions_clean - other.evictions_clean;
-    d.evictions_dirty = evictions_dirty - other.evictions_dirty;
-    d.write_backs = write_backs - other.write_backs;
-    d.pins = pins - other.pins;
-    d.unpins = unpins - other.unpins;
-    d.flush_errors = flush_errors - other.flush_errors;
-    return d;
-  }
-
   void Reset() {
-    for (std::atomic<uint64_t>* c :
-         {&reads, &writes, &hits, &misses, &evictions_clean,
-          &evictions_dirty, &write_backs, &pins, &unpins, &flush_errors}) {
-      c->store(0, std::memory_order_relaxed);
+    for (const auto& [name, counter] : kCounters) {
+      (this->*counter).store(0, std::memory_order_relaxed);
     }
-  }
-
- private:
-  void CopyFrom(const IoStats& other) {
-    reads = other.reads.load(std::memory_order_relaxed);
-    writes = other.writes.load(std::memory_order_relaxed);
-    hits = other.hits.load(std::memory_order_relaxed);
-    misses = other.misses.load(std::memory_order_relaxed);
-    evictions_clean = other.evictions_clean.load(std::memory_order_relaxed);
-    evictions_dirty = other.evictions_dirty.load(std::memory_order_relaxed);
-    write_backs = other.write_backs.load(std::memory_order_relaxed);
-    pins = other.pins.load(std::memory_order_relaxed);
-    unpins = other.unpins.load(std::memory_order_relaxed);
-    flush_errors = other.flush_errors.load(std::memory_order_relaxed);
   }
 };
 

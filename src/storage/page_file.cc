@@ -118,6 +118,19 @@ void PageFile::RestoreFreeList(std::vector<PageId> ids, uint64_t leaked) {
   leaked_ = leaked;
 }
 
+void PageFile::RegisterMetrics(obs::MetricsRegistry* registry,
+                               const std::string& prefix,
+                               obs::OwnerId owner) const {
+  for (const auto& [name, counter] : DeviceStats::kCounters) {
+    registry->AddCounter(prefix + "device." + name, &(device_stats_.*counter),
+                         owner);
+  }
+  for (const auto& [name, histogram] : DeviceStats::kHistograms) {
+    registry->AddHistogram(prefix + "device." + name,
+                           &(device_stats_.*histogram), owner);
+  }
+}
+
 Status PageFile::ReadPage(PageId id, Page* page) {
   Status s = ReadPageAttempt(id, page);
   // Retry both kIOError and kCorruption: a transiently garbled transfer

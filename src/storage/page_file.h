@@ -46,6 +46,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/metrics.h"
+#include "obs/registry.h"
 #include "storage/page.h"
 
 namespace rexp {
@@ -78,15 +79,29 @@ struct DeviceStats {
   obs::Histogram read_latency_us{obs::LatencyBoundsUs()};
   obs::Histogram write_latency_us{obs::LatencyBoundsUs()};
 
+  // The one list of each member type: Reset walks both, and
+  // PageFile::RegisterMetrics binds each entry as `device.<name>`.
+  static constexpr obs::NamedField<DeviceStats, std::atomic<uint64_t>>
+      kCounters[] = {{"frame_reads", &DeviceStats::frame_reads},
+                     {"frame_writes", &DeviceStats::frame_writes},
+                     {"read_errors", &DeviceStats::read_errors},
+                     {"write_errors", &DeviceStats::write_errors},
+                     {"checksum_failures", &DeviceStats::checksum_failures},
+                     {"read_retries", &DeviceStats::read_retries},
+                     {"write_retries", &DeviceStats::write_retries},
+                     {"read_giveups", &DeviceStats::read_giveups},
+                     {"write_giveups", &DeviceStats::write_giveups}};
+  static constexpr obs::NamedField<DeviceStats, obs::Histogram>
+      kHistograms[] = {{"read_latency_us", &DeviceStats::read_latency_us},
+                       {"write_latency_us", &DeviceStats::write_latency_us}};
+
   void Reset() {
-    for (std::atomic<uint64_t>* c :
-         {&frame_reads, &frame_writes, &read_errors, &write_errors,
-          &checksum_failures, &read_retries, &write_retries, &read_giveups,
-          &write_giveups}) {
-      c->store(0, std::memory_order_relaxed);
+    for (const auto& [name, counter] : kCounters) {
+      (this->*counter).store(0, std::memory_order_relaxed);
     }
-    read_latency_us.Reset();
-    write_latency_us.Reset();
+    for (const auto& [name, histogram] : kHistograms) {
+      (this->*histogram).Reset();
+    }
   }
 };
 
@@ -175,11 +190,16 @@ class PageFile {
   const DeviceStats& device_stats() const { return device_stats_; }
   void ResetDeviceStats() { device_stats_.Reset(); }
 
+  // Binds every DeviceStats counter and histogram as
+  // `prefix` + "device.<name>" under `owner`. The caller holds the
+  // owner's ScopedRegistration and must drop it before this file dies.
+  void RegisterMetrics(obs::MetricsRegistry* registry,
+                       const std::string& prefix, obs::OwnerId owner) const;
+
   // Transient-fault retry policy applied by ReadPage/WritePage (see
   // RetryPolicy). The default performs no retries. Not thread-safe; set
   // before the device is shared (Tree::Open does this from TreeConfig).
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   // Checksummed page transfer. `page->size()` must equal page_size() and
   // `id` must be allocated-or-free within capacity (anything else is a

@@ -68,21 +68,6 @@ struct Tpbr {
   // still valid exactly at its expiration time.
   bool LiveAt(Time t) const { return t <= t_exp; }
 
-  // A degenerate TPBR for a moving point whose position is `pos` and
-  // velocity `vel` *as observed at time t_obs*; bounds are normalized to
-  // reference time 0.
-  static Tpbr ForPoint(const Vec<kDims>& pos, const Vec<kDims>& vel,
-                       Time t_obs, Time t_exp) {
-    Tpbr b;
-    for (int d = 0; d < kDims; ++d) {
-      double ref = pos[d] - vel[d] * t_obs;
-      b.lo[d] = b.hi[d] = ref;
-      b.vlo[d] = b.vhi[d] = vel[d];
-    }
-    b.t_exp = t_exp;
-    return b;
-  }
-
   // Position of a degenerate (point) TPBR at time t.
   Vec<kDims> PointAt(Time t) const {
     Vec<kDims> p;

@@ -42,7 +42,6 @@ class HorizonEstimator {
       if (dt > 0 && live_leaf_entries > 0) {
         ui_ = dt / static_cast<double>(batch_) *
               static_cast<double>(live_leaf_entries);
-        ++retunes_;
         retuned = true;
       }
       timer_start_ = now;
@@ -54,9 +53,6 @@ class HorizonEstimator {
 
   double ui() const { return ui_; }
   double w() const { return alpha_ * ui_; }
-
-  // Number of times the UI estimate was recomputed from a full batch.
-  uint64_t retunes() const { return retunes_; }
 
   // Restores a previously persisted estimate (index re-open).
   void RestoreUi(double ui) {
@@ -89,7 +85,6 @@ class HorizonEstimator {
   Time timer_start_ = 0;
   bool timer_started_ = false;
   uint32_t inserts_in_batch_ = 0;
-  uint64_t retunes_ = 0;
 };
 
 }  // namespace rexp

@@ -21,14 +21,14 @@ NodeCodec<kDims>::NodeCodec(uint32_t page_size, bool store_velocities,
                             bool store_expiration)
     : store_velocities_(store_velocities),
       store_expiration_(store_expiration) {
-  leaf_entry_size_ = 2 * kDims * 4 + 4 /*t_exp*/ + 4 /*oid*/;
-  internal_entry_size_ = 2 * kDims * 4 + 4 /*child*/;
-  if (store_velocities_) internal_entry_size_ += 2 * kDims * 4;
-  if (store_expiration_) internal_entry_size_ += 4;
+  const uint32_t leaf_entry_size = 2 * kDims * 4 + 4 /*t_exp*/ + 4 /*oid*/;
+  uint32_t internal_entry_size = 2 * kDims * 4 + 4 /*child*/;
+  if (store_velocities_) internal_entry_size += 2 * kDims * 4;
+  if (store_expiration_) internal_entry_size += 4;
   leaf_capacity_ = static_cast<int>((page_size - kHeaderSize) /
-                                    leaf_entry_size_);
+                                    leaf_entry_size);
   internal_capacity_ = static_cast<int>((page_size - kHeaderSize) /
-                                        internal_entry_size_);
+                                        internal_entry_size);
   REXP_CHECK(leaf_capacity_ >= 4 && internal_capacity_ >= 4);
 }
 

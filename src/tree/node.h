@@ -76,9 +76,6 @@ class NodeCodec {
     return level == 0 ? leaf_capacity_ : internal_capacity_;
   }
 
-  uint32_t leaf_entry_size() const { return leaf_entry_size_; }
-  uint32_t internal_entry_size() const { return internal_entry_size_; }
-
   // The node must fit (entries <= capacity). The caller passes the
   // pinned frame's page; the codec never owns one.
   void Encode(const Node<kDims>& node, Page* page) const;  // raw-page-ok
@@ -93,8 +90,6 @@ class NodeCodec {
  private:
   bool store_velocities_;
   bool store_expiration_;
-  uint32_t leaf_entry_size_;
-  uint32_t internal_entry_size_;
   int leaf_capacity_;
   int internal_capacity_;
 };

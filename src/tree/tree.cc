@@ -1786,121 +1786,24 @@ void Tree<kDims>::RegisterMetrics(obs::MetricsRegistry* registry,
   metrics_registration_.Reset();
   const obs::OwnerId owner = registry->NewOwner();
 
-  // Buffer-pool accounting (the paper's I/O metric plus pool behavior).
-  const IoStats& io = buffer_.stats();
-  registry->AddCounter(prefix + "buffer.reads", &io.reads, owner);
-  registry->AddCounter(prefix + "buffer.writes", &io.writes, owner);
-  registry->AddCounter(prefix + "buffer.hits", &io.hits, owner);
-  registry->AddCounter(prefix + "buffer.misses", &io.misses, owner);
-  registry->AddCounter(prefix + "buffer.evictions_clean",
-                       &io.evictions_clean, owner);
-  registry->AddCounter(prefix + "buffer.evictions_dirty",
-                       &io.evictions_dirty, owner);
-  registry->AddCounter(prefix + "buffer.write_backs", &io.write_backs,
-                       owner);
-  registry->AddCounter(prefix + "buffer.pins", &io.pins, owner);
-  registry->AddCounter(prefix + "buffer.unpins", &io.unpins, owner);
-  registry->AddCounter(prefix + "buffer.flush_errors", &io.flush_errors,
-                       owner);
-  registry->AddGauge(prefix + "buffer.hit_rate",
-                     [&io] { return io.HitRate(); }, owner);
-  registry->AddGauge(prefix + "buffer.pinned_frames", [this] {
-    return static_cast<double>(buffer_.PinnedFrames());
-  }, owner);
-  registry->AddGauge(prefix + "buffer.heat_max_accesses", [this] {
-    auto heat = buffer_.Heatmap(1);
-    return heat.empty() ? 0.0 : static_cast<double>(heat[0].accesses);
-  }, owner);
+  // Buffer-pool and device telemetry, named by the layers that own it.
+  buffer_.RegisterMetrics(registry, prefix, owner);
+  file_->RegisterMetrics(registry, prefix, owner);
 
-  // Device-level transfer and integrity counters.
-  const DeviceStats& dev = file_->device_stats();
-  registry->AddCounter(prefix + "device.frame_reads", &dev.frame_reads,
-                       owner);
-  registry->AddCounter(prefix + "device.frame_writes", &dev.frame_writes,
-                       owner);
-  registry->AddCounter(prefix + "device.read_errors", &dev.read_errors,
-                       owner);
-  registry->AddCounter(prefix + "device.write_errors", &dev.write_errors,
-                       owner);
-  registry->AddCounter(prefix + "device.checksum_failures",
-                       &dev.checksum_failures, owner);
-  registry->AddCounter(prefix + "device.read_retries", &dev.read_retries,
-                       owner);
-  registry->AddCounter(prefix + "device.write_retries", &dev.write_retries,
-                       owner);
-  registry->AddCounter(prefix + "device.read_giveups", &dev.read_giveups,
-                       owner);
-  registry->AddCounter(prefix + "device.write_giveups", &dev.write_giveups,
-                       owner);
-  registry->AddHistogram(prefix + "device.read_latency_us",
-                         &dev.read_latency_us, owner);
-  registry->AddHistogram(prefix + "device.write_latency_us",
-                         &dev.write_latency_us, owner);
-
-  // Tree operation counters.
-  const TreeOpStats& ops = op_stats_;
-  registry->AddCounter(prefix + "ops.inserts", &ops.inserts, owner);
-  registry->AddCounter(prefix + "ops.deletes", &ops.deletes, owner);
-  registry->AddCounter(prefix + "ops.delete_misses", &ops.delete_misses,
-                       owner);
-  registry->AddCounter(prefix + "ops.searches", &ops.searches, owner);
-  registry->AddCounter(prefix + "ops.nn_searches", &ops.nn_searches, owner);
-  registry->AddCounter(prefix + "ops.updates", &ops.updates, owner);
-  registry->AddCounter(prefix + "ops.update_fast", &ops.update_fast, owner);
-  registry->AddCounter(prefix + "ops.update_fast_propagations",
-                       &ops.update_fast_propagations, owner);
-  registry->AddCounter(prefix + "ops.update_fallback", &ops.update_fallback,
-                       owner);
-  registry->AddCounter(prefix + "ops.group_update_batches",
-                       &ops.group_update_batches, owner);
-  registry->AddCounter(prefix + "ops.dat_hits", &ops.dat_hits, owner);
-  registry->AddCounter(prefix + "ops.dat_misses", &ops.dat_misses, owner);
-  registry->AddCounter(prefix + "ops.dat_rebuilds", &ops.dat_rebuilds,
-                       owner);
-  registry->AddCounter(prefix + "ops.delete_bottom_up",
-                       &ops.delete_bottom_up, owner);
-  registry->AddCounter(prefix + "ops.choose_subtree_calls",
-                       &ops.choose_subtree_calls, owner);
-  registry->AddCounter(prefix + "ops.splits", &ops.splits, owner);
-  registry->AddCounter(prefix + "ops.forced_reinserts",
-                       &ops.forced_reinserts, owner);
-  registry->AddCounter(prefix + "ops.reinserted_entries",
-                       &ops.reinserted_entries, owner);
-  registry->AddCounter(prefix + "ops.orphaned_entries",
-                       &ops.orphaned_entries, owner);
-  registry->AddCounter(prefix + "ops.purged_entries", &ops.purged_entries,
-                       owner);
-  registry->AddCounter(prefix + "ops.purged_subtrees",
-                       &ops.purged_subtrees, owner);
-  registry->AddCounter(prefix + "ops.nodes_visited_search",
-                       &ops.nodes_visited_search, owner);
-  registry->AddCounter(prefix + "ops.tpbr_recomputes",
-                       &ops.tpbr_recomputes, owner);
-  registry->AddCounter(prefix + "ops.horizon_retunes",
-                       &ops.horizon_retunes, owner);
-  registry->AddCounter(prefix + "ops.root_grows", &ops.root_grows, owner);
-  registry->AddCounter(prefix + "ops.root_shrinks", &ops.root_shrinks,
-                       owner);
+  for (const auto& [name, counter] : TreeOpStats::kCounters) {
+    registry->AddCounter(prefix + "ops." + name, &(op_stats_.*counter),
+                         owner);
+  }
   // Per-level node-read counters (level 0 = leaves); the top tracked
   // level absorbs anything deeper.
   for (int l = 0; l < TreeOpStats::kMaxTrackedLevels; ++l) {
     registry->AddCounter(prefix + "ops.level_reads." + std::to_string(l),
-                         &ops.level_reads[l], owner);
+                         &op_stats_.level_reads[l], owner);
   }
-  registry->AddHistogram(prefix + "ops.insert_io", &ops.insert_io, owner);
-  registry->AddHistogram(prefix + "ops.delete_io", &ops.delete_io, owner);
-  registry->AddHistogram(prefix + "ops.search_io", &ops.search_io, owner);
-  registry->AddHistogram(prefix + "ops.update_io", &ops.update_io, owner);
-  registry->AddHistogram(prefix + "ops.insert_latency_us",
-                         &ops.insert_latency_us, owner);
-  registry->AddHistogram(prefix + "ops.delete_latency_us",
-                         &ops.delete_latency_us, owner);
-  registry->AddHistogram(prefix + "ops.search_latency_us",
-                         &ops.search_latency_us, owner);
-  registry->AddHistogram(prefix + "ops.update_latency_us",
-                         &ops.update_latency_us, owner);
-  registry->AddHistogram(prefix + "ops.nn_latency_us", &ops.nn_latency_us,
-                         owner);
+  for (const auto& [name, histogram] : TreeOpStats::kHistograms) {
+    registry->AddHistogram(prefix + "ops." + name, &(op_stats_.*histogram),
+                           owner);
+  }
 
   // Structure and horizon-estimator gauges. These read fields that
   // writers mutate under the exclusive epoch, so each callback takes the
@@ -1928,10 +1831,6 @@ void Tree<kDims>::RegisterMetrics(obs::MetricsRegistry* registry,
   registry->AddGauge(prefix + "tree.meta_epoch", [this] {
     sched::ReaderMutexLock epoch(&epoch_mu_);
     return static_cast<double>(meta_epoch_);
-  }, owner);
-  registry->AddCounter(prefix + "horizon.retunes", [this]() -> uint64_t {
-    sched::ReaderMutexLock epoch(&epoch_mu_);
-    return horizon_.retunes();
   }, owner);
   registry->AddGauge(prefix + "horizon.ui", [this] {
     sched::ReaderMutexLock epoch(&epoch_mu_);

@@ -122,44 +122,60 @@ struct TreeOpStats {
   obs::Histogram update_latency_us{obs::LatencyBoundsUs()};
   obs::Histogram nn_latency_us{obs::LatencyBoundsUs()};
 
+  // The one list of each member type: Reset walks both (plus
+  // level_reads), and Tree::RegisterMetrics binds each entry as
+  // `ops.<name>`.
+  static constexpr obs::NamedField<TreeOpStats, std::atomic<uint64_t>>
+      kCounters[] = {{"inserts", &TreeOpStats::inserts},
+                     {"deletes", &TreeOpStats::deletes},
+                     {"delete_misses", &TreeOpStats::delete_misses},
+                     {"searches", &TreeOpStats::searches},
+                     {"nn_searches", &TreeOpStats::nn_searches},
+                     {"updates", &TreeOpStats::updates},
+                     {"update_fast", &TreeOpStats::update_fast},
+                     {"update_fast_propagations",
+                      &TreeOpStats::update_fast_propagations},
+                     {"update_fallback", &TreeOpStats::update_fallback},
+                     {"group_update_batches",
+                      &TreeOpStats::group_update_batches},
+                     {"dat_hits", &TreeOpStats::dat_hits},
+                     {"dat_misses", &TreeOpStats::dat_misses},
+                     {"dat_rebuilds", &TreeOpStats::dat_rebuilds},
+                     {"delete_bottom_up", &TreeOpStats::delete_bottom_up},
+                     {"choose_subtree_calls",
+                      &TreeOpStats::choose_subtree_calls},
+                     {"splits", &TreeOpStats::splits},
+                     {"forced_reinserts", &TreeOpStats::forced_reinserts},
+                     {"reinserted_entries", &TreeOpStats::reinserted_entries},
+                     {"orphaned_entries", &TreeOpStats::orphaned_entries},
+                     {"purged_entries", &TreeOpStats::purged_entries},
+                     {"purged_subtrees", &TreeOpStats::purged_subtrees},
+                     {"nodes_visited_search",
+                      &TreeOpStats::nodes_visited_search},
+                     {"tpbr_recomputes", &TreeOpStats::tpbr_recomputes},
+                     {"horizon_retunes", &TreeOpStats::horizon_retunes},
+                     {"root_grows", &TreeOpStats::root_grows},
+                     {"root_shrinks", &TreeOpStats::root_shrinks}};
+  static constexpr obs::NamedField<TreeOpStats, obs::Histogram>
+      kHistograms[] = {{"insert_io", &TreeOpStats::insert_io},
+                       {"delete_io", &TreeOpStats::delete_io},
+                       {"search_io", &TreeOpStats::search_io},
+                       {"update_io", &TreeOpStats::update_io},
+                       {"insert_latency_us", &TreeOpStats::insert_latency_us},
+                       {"delete_latency_us", &TreeOpStats::delete_latency_us},
+                       {"search_latency_us", &TreeOpStats::search_latency_us},
+                       {"update_latency_us", &TreeOpStats::update_latency_us},
+                       {"nn_latency_us", &TreeOpStats::nn_latency_us}};
+
   void Reset() {
-    obs::Histogram* hists[] = {&insert_io,         &delete_io,
-                               &search_io,         &update_io,
-                               &insert_latency_us, &delete_latency_us,
-                               &search_latency_us, &update_latency_us,
-                               &nn_latency_us};
-    for (obs::Histogram* h : hists) h->Reset();
-    std::atomic<uint64_t>* counters[] = {&inserts,
-                                         &deletes,
-                                         &delete_misses,
-                                         &searches,
-                                         &nn_searches,
-                                         &updates,
-                                         &update_fast,
-                                         &update_fast_propagations,
-                                         &update_fallback,
-                                         &group_update_batches,
-                                         &dat_hits,
-                                         &dat_misses,
-                                         &dat_rebuilds,
-                                         &delete_bottom_up,
-                                         &choose_subtree_calls,
-                                         &splits,
-                                         &forced_reinserts,
-                                         &reinserted_entries,
-                                         &orphaned_entries,
-                                         &purged_entries,
-                                         &purged_subtrees,
-                                         &nodes_visited_search,
-                                         &tpbr_recomputes,
-                                         &horizon_retunes,
-                                         &root_grows,
-                                         &root_shrinks};
-    for (std::atomic<uint64_t>* c : counters) {
-      c->store(0, std::memory_order_relaxed);
+    for (const auto& [name, counter] : kCounters) {
+      (this->*counter).store(0, std::memory_order_relaxed);
     }
     for (std::atomic<uint64_t>& c : level_reads) {
       c.store(0, std::memory_order_relaxed);
+    }
+    for (const auto& [name, histogram] : kHistograms) {
+      (this->*histogram).Reset();
     }
   }
 };

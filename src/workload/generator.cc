@@ -252,7 +252,6 @@ void WorkloadGenerator::MaybeEmitQuery(Time now) {
     }
   }
   out_.push_back(op);
-  ++queries_emitted_;
 }
 
 // ---------------------------------------------------------------------------

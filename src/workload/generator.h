@@ -54,9 +54,6 @@ class WorkloadGenerator {
   // insert/update operations have been emitted.
   bool Next(Operation* op);
 
-  uint64_t insertions_emitted() const { return insertions_emitted_; }
-  uint64_t queries_emitted() const { return queries_emitted_; }
-
   // Number of records currently live (unexpired, not superseded) in the
   // simulated scenario — tracked so the population can be kept near
   // target_objects, and handy for test assertions.
@@ -112,7 +109,6 @@ class WorkloadGenerator {
       expiries_;
   std::deque<Operation> out_;
   uint64_t insertions_emitted_ = 0;
-  uint64_t queries_emitted_ = 0;
   uint64_t live_records_ = 0;
   uint64_t pending_first_reports_ = 0;
   uint64_t inserts_since_query_ = 0;

@@ -4,10 +4,12 @@
 // profiler (obs::Monitor), the flight recorder ring and its dump format,
 // the buffer heatmap, per-level read counters, and the owner-scoped
 // registry bindings a Tree installs — including the stale-binding
-// regression (destroy a bound tree, then snapshot).
+// regression (destroy a bound tree, then snapshot) — and the one
+// (name, member) list per stats struct that registration and Reset walk.
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,8 @@
 #include "obs/monitor.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "sched/scheduled_index.h"
+#include "storage/io_stats.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
 #include "tools/monitor_stream.h"
@@ -786,6 +790,137 @@ TEST(TreeIntrospectionTest, MutationSpansAndFlightRecordsMatchEachOp) {
     EXPECT_EQ(records[i]->Find("io")->number, static_cast<double>(want.io));
   }
 #endif
+}
+
+// ---------------------------------------------------------------------
+// Telemetry lists
+
+// Checks each counter in `list` against its binding `prefix` + name: the
+// binding exists and reads the member's current value, which must be 0
+// when `zero` is set.
+template <typename Stats, size_t N>
+void ExpectCountersBound(
+    const obs::MetricsRegistry& registry, const std::string& prefix,
+    const Stats& stats,
+    const obs::NamedField<Stats, std::atomic<uint64_t>> (&list)[N],
+    bool zero) {
+  for (const auto& [name, counter] : list) {
+    const uint64_t value = (stats.*counter).load();
+    double bound = -1;
+    ASSERT_TRUE(registry.Lookup(prefix + name, &bound)) << prefix << name;
+    EXPECT_EQ(bound, static_cast<double>(value)) << prefix << name;
+    if (zero) {
+      EXPECT_EQ(value, 0u) << prefix << name;
+    }
+  }
+}
+
+// The same for histograms, compared by sample count.
+template <typename Stats, size_t N>
+void ExpectHistogramsBound(
+    const obs::MetricsRegistry& registry, const std::string& prefix,
+    const Stats& stats, const obs::NamedField<Stats, obs::Histogram> (&list)[N],
+    bool zero) {
+  const std::vector<obs::HistogramSnapshot> snaps =
+      registry.SnapshotHistograms();
+  for (const auto& [name, histogram] : list) {
+    const uint64_t count = (stats.*histogram).count();
+    auto it = std::find_if(snaps.begin(), snaps.end(),
+                           [&](const obs::HistogramSnapshot& h) {
+                             return h.name == prefix + name;
+                           });
+    ASSERT_NE(it, snaps.end()) << prefix << name;
+    EXPECT_EQ(it->count, count) << prefix << name;
+    if (zero) {
+      EXPECT_EQ(count, 0u) << prefix << name;
+    }
+  }
+}
+
+TEST(TelemetryListsTest, EveryListedFieldIsRegisteredAndReset) {
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 512;
+  config.buffer_frames = 8;  // Small pool: misses, evictions, write-backs.
+  MemoryPageFile file(config.page_size);
+  Tree<2> tree(config, &file);
+  obs::MetricsRegistry registry;
+  tree.RegisterMetrics(&registry, "tree.");
+
+  Rng rng(5);
+  std::vector<Tpbr<2>> records;
+  for (ObjectId oid = 0; oid < 600; ++oid) {
+    records.push_back(RandomPoint<2>(&rng, 0.0));
+    tree.Insert(oid, records.back(), 0.0);
+  }
+  for (ObjectId oid = 0; oid < 100; ++oid) {
+    (void)tree.Delete(oid, records[oid], 1.0);
+  }
+  std::vector<ObjectId> hits;
+  for (int i = 0; i < 20; ++i) tree.Search(RandomQuery<2>(&rng, 1.0), &hits);
+
+  const IoStats& io = tree.io_stats();
+  const DeviceStats& dev = file.device_stats();
+  const TreeOpStats& ops = tree.op_stats();
+  ASSERT_GT(io.reads.load(), 0u);
+  ASSERT_GT(dev.frame_writes.load(), 0u);
+  ASSERT_GT(ops.inserts.load(), 0u);
+  for (bool zero : {false, true}) {
+    if (zero) {
+      tree.ResetIoStats();
+      file.ResetDeviceStats();
+      tree.ResetOpStats();
+    }
+    ExpectCountersBound(registry, "tree.buffer.", io, IoStats::kCounters,
+                        zero);
+    ExpectCountersBound(registry, "tree.device.", dev,
+                        DeviceStats::kCounters, zero);
+    ExpectHistogramsBound(registry, "tree.device.", dev,
+                          DeviceStats::kHistograms, zero);
+    ExpectCountersBound(registry, "tree.ops.", ops, TreeOpStats::kCounters,
+                        zero);
+    ExpectHistogramsBound(registry, "tree.ops.", ops,
+                          TreeOpStats::kHistograms, zero);
+  }
+  for (int l = 0; l < TreeOpStats::kMaxTrackedLevels; ++l) {
+    double reads = -1;
+    ASSERT_TRUE(registry.Lookup("tree.ops.level_reads." + std::to_string(l),
+                                &reads));
+    EXPECT_EQ(reads, 0.0) << "level " << l;
+  }
+}
+
+// The scheduled-deletion queue reports its cost under the same storage
+// names as the tree it sits beside: both register through the buffer
+// pool and the page file, so no hand-picked subset can drift.
+TEST(TelemetryListsTest, QueueCarriesEveryStorageNameOfItsTree) {
+  MemoryPageFile tree_file(4096);
+  MemoryPageFile queue_file(4096);
+  ScheduledIndex<2> index(TreeConfig::Rexp(), &tree_file, &queue_file);
+  obs::MetricsRegistry registry;
+  index.RegisterMetrics(&registry, "");
+
+  std::vector<std::string> names;
+  for (const obs::MetricSample& s : registry.Snapshot()) {
+    names.push_back(s.name);
+  }
+  for (const obs::HistogramSnapshot& h : registry.SnapshotHistograms()) {
+    names.push_back(h.name);
+  }
+  size_t storage_names = 0;
+  for (const std::string& name : names) {
+    if (name.rfind("tree.buffer.", 0) != 0 &&
+        name.rfind("tree.device.", 0) != 0) {
+      continue;
+    }
+    ++storage_names;
+    const std::string queue_name = "queue." + name.substr(5);
+    EXPECT_NE(std::find(names.begin(), names.end(), queue_name), names.end())
+        << queue_name;
+  }
+  // Every IoStats and DeviceStats entry plus the three pool gauges.
+  EXPECT_EQ(storage_names, std::size(IoStats::kCounters) + 3 +
+                               std::size(DeviceStats::kCounters) +
+                               std::size(DeviceStats::kHistograms));
 }
 
 }  // namespace

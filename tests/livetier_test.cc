@@ -38,7 +38,7 @@ TreeConfig SmallConfig() {
 // --- LiveTier unit tests ----------------------------------------------
 
 TEST(LiveTier, ReportAbsorbRemoveLifecycle) {
-  LiveTier<2> tier{LiveTierOptions{}};
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Tpbr<2> a = MakeMovingPoint<2>({10, 10}, {1, 1}, 0, 50.0);
   Tpbr<2> b = MakeMovingPoint<2>({20, 20}, {0, 0}, 1.0, 60.0);
 
@@ -64,7 +64,7 @@ TEST(LiveTier, ReportAbsorbRemoveLifecycle) {
 }
 
 TEST(LiveTier, ExpireDueSeparatesInPlaceDeathsFromTreeCleanup) {
-  LiveTier<2> tier{LiveTierOptions{}};
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Tpbr<2> short_lived = MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 2.0);
   Tpbr<2> with_copy = MakeMovingPoint<2>({2, 2}, {0, 0}, 0, 3.0);
   Tpbr<2> old_copy = MakeMovingPoint<2>({9, 9}, {0, 0}, 0, 1.5);
@@ -90,7 +90,7 @@ TEST(LiveTier, ExpireDueSeparatesInPlaceDeathsFromTreeCleanup) {
 }
 
 TEST(LiveTier, SupersededExpiryHeapItemsDoNotKillFreshRecords) {
-  LiveTier<2> tier{LiveTierOptions{}};
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Tpbr<2> dying = MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 1.0);
   tier.Report(5, dying, 0);
   // A fresh report extends the object's life; the old heap item must be
@@ -106,7 +106,7 @@ TEST(LiveTier, SupersededExpiryHeapItemsDoNotKillFreshRecords) {
 }
 
 TEST(LiveTier, MigrationGenerationProtocol) {
-  LiveTier<2> tier{LiveTierOptions{}};
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Tpbr<2> a = MakeMovingPoint<2>({10, 10}, {1, 0}, 0, 50.0);
   Tpbr<2> b = MakeMovingPoint<2>({500, 500}, {0, 1}, 0, 60.0);
   tier.Report(1, a, 0);
@@ -148,7 +148,7 @@ TEST(LiveTier, CollectBatchSkipsDyingAndHonorsQuietAge) {
   LiveTierOptions options;
   options.migrate_age = 5.0;
   options.min_residual_life = 1.0;
-  LiveTier<2> tier{options};
+  LiveTier<2> tier{options, /*expire=*/true};
   // Quiet and long-lived: eligible. Recently reported: not yet. About to
   // expire: never (dies in place instead).
   tier.Report(1, MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 100.0), 0.0);
@@ -171,7 +171,7 @@ TEST(LiveTier, CollectBatchSkipsDyingAndHonorsQuietAge) {
 TEST(LiveTier, BinBoundsRecomputeAfterChurn) {
   LiveTierOptions options;
   options.num_bins = 4;  // Force collisions so bins actually fill.
-  LiveTier<2> tier{options};
+  LiveTier<2> tier{options, /*expire=*/true};
   Rng rng(0x11FE);
   for (ObjectId oid = 0; oid < 200; ++oid) {
     tier.Report(oid, RandomPoint<2>(&rng, 0.0, 500.0), 0.0);

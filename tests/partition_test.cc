@@ -13,11 +13,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,7 @@
 
 #include "common/query.h"
 #include "common/random.h"
+#include "obs/registry.h"
 #include "partition/partition_verify.h"
 #include "partition/partitioned_index.h"
 #include "sched/thread_pool.h"
@@ -426,6 +429,45 @@ TEST(PartitionSearch, UnreachablePartitionIsPrunedWithoutIo) {
   EXPECT_EQ(stats.searches, 1u);
   EXPECT_EQ(stats.partitions_pruned, 1u);
   EXPECT_EQ(stats.partitions_searched, 1u);
+}
+
+// A monitor samples the registry while writers grow both classes' roots.
+// Every gauge must read tree structure under the tree's epoch: a
+// per-class population gauge that called Tree::leaf_entries() bare raced
+// GrowRoot's resize of the level counts (TSan reports it). A class's
+// population is its epoch-guarded `p<i>.tree.tree.leaf_entries`.
+TEST(PartitionMetrics, SnapshotWhileRootsGrowIsRaceFree) {
+  PartitionedOptions options;
+  options.partitions = 2;
+  options.retune_every = 0;
+  options.query_threads = -1;
+  TestIndex t(SmallConfig(), options);
+  obs::MetricsRegistry registry;
+  t.index->RegisterMetrics(&registry, "");
+
+  std::atomic<bool> done{false};
+  std::thread monitor([&] {
+    while (!done.load(std::memory_order_relaxed)) (void)registry.Snapshot();
+  });
+  Rng rng(29);
+  for (ObjectId oid = 0; oid < 1500; ++oid) {
+    const double speed = oid % 2 == 0 ? 0.5 : 2.5;
+    t.index->Insert(oid, PointWithSpeed(&rng, speed, 0.0), 0.0);
+  }
+  done.store(true, std::memory_order_relaxed);
+  monitor.join();
+
+  const char* const kLeafEntries[] = {"p0.tree.tree.leaf_entries",
+                                      "p1.tree.tree.leaf_entries"};
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_GE(t.index->tree(i)->height(), 3) << "class " << i;
+    double entries = 0;
+    ASSERT_TRUE(registry.Lookup(kLeafEntries[i], &entries));
+    EXPECT_EQ(entries,
+              static_cast<double>(t.index->tree(i)->leaf_entries()));
+  }
+  double unused = 0;
+  EXPECT_FALSE(registry.Lookup("partition.p0.population", &unused));
 }
 
 TEST(PartitionSearch, SharedPoolFanOutMatchesSequential) {
