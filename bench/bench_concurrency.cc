@@ -1,7 +1,9 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
-// Multi-threaded query throughput benchmark: ParallelSearch over a
-// fig-style uniform workload at 1, 2, and 4 worker threads, reported as
+// Multi-threaded query throughput benchmark: sched::ParallelFor over
+// Tree::Search on a fig-style uniform workload at 1, 2, and 4 worker
+// threads (one pool per thread count, built outside the timed region,
+// each Search under its own shared epoch), reported as
 // queries/second and speedup over single-threaded, exported as
 // BENCH_concurrency.json (REXP_BENCH_DIR redirects the output directory,
 // as for the figure benchmarks).
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "harness/experiment.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
+#include "sched/thread_pool.h"
 #include "storage/page_file.h"
 #include "tree/tree.h"
 
@@ -95,12 +99,24 @@ int Main() {
     }
   }
 
+  // Answers every query on `pool` (inline when null) into `results`.
+  std::vector<std::vector<ObjectId>> results(queries.size());
+  auto search_all = [&](sched::ThreadPool* pool) {
+    sched::ParallelFor(pool, queries.size(), [&](size_t i) {
+      results[i].clear();
+      tree.Search(queries[i], &results[i]);
+    });
+  };
+  auto total_hits = [&results] {
+    uint64_t hits = 0;
+    for (const auto& result : results) hits += result.size();
+    return hits;
+  };
+
   // Warmup: faults the working set into the buffer and fixes the
   // expected total result count for the sanity check below.
-  uint64_t expected_hits = 0;
-  for (const auto& result : tree.ParallelSearch(queries, 1)) {
-    expected_hits += result.size();
-  }
+  search_all(nullptr);
+  const uint64_t expected_hits = total_hits();
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("=== concurrency ===\n");
@@ -120,14 +136,15 @@ int Main() {
 
   std::vector<Run> runs;
   for (int threads : {1, 2, 4}) {
+    std::optional<sched::ThreadPool> pool;
+    if (threads > 1) pool.emplace(threads);
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       auto start = std::chrono::steady_clock::now();
-      auto results = tree.ParallelSearch(queries, threads);
+      search_all(pool ? &*pool : nullptr);
       std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start;
-      uint64_t hits = 0;
-      for (const auto& result : results) hits += result.size();
+      const uint64_t hits = total_hits();
       if (hits != expected_hits) {
         std::fprintf(stderr,
                      "result mismatch at %d threads: %llu hits, expected "

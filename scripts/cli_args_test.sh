@@ -102,6 +102,20 @@ if ! "$TOOLS_DIR/rexp_fsck" "$IDX" --page-size 512 --quiet; then
   fails=$((fails + 1))
 fi
 
+# inspect_index only reads: a tree that is opened, queried and closed
+# must not commit on close, so the fixture keeps its exact bytes.
+BEFORE="$(sha256sum < "$IDX")"
+for mode in "" "--json"; do
+  if ! "$TOOLS_DIR/inspect_index" "$IDX" --page-size 512 $mode \
+      >/dev/null 2>&1; then
+    echo "FAIL: inspect_index $mode rejected the clean fixture"
+    fails=$((fails + 1))
+  elif [[ "$(sha256sum < "$IDX")" != "$BEFORE" ]]; then
+    echo "FAIL: inspect_index $mode rewrote its input"
+    fails=$((fails + 1))
+  fi
+done
+
 # rexp_top --once over a stream with a torn tail (a writer caught
 # mid-append) and a zero-histogram sample: must render the last complete
 # sample and exit 0 — never hang, crash, or print the torn line.

@@ -13,7 +13,6 @@
 #include "common/parse.h"
 #include "livetier/live_tier.h"
 #include "livetier/tiered_index.h"
-#include "sched/background_worker.h"
 #include "sched/lock_rank.h"
 #include "sched/mutex.h"
 #include "sched/scheduled_index.h"

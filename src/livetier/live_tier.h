@@ -14,10 +14,10 @@
 // queries answer with), and optionally `tree_record`, the copy that was
 // last migrated into the paged tree and is now stale there. While an
 // object is resident ("owned") the tier's answer wins and the tree's copy
-// must be suppressed from query results; migration replaces the tree copy
-// with the current record via Tree::GroupUpdate and then either releases
-// the object (generation unchanged) or records the migrated copy as the
-// new `tree_record` (a fresh report raced in).
+// must be suppressed from query results. Migration takes a batch out of
+// the tier (TakeBatch) and the caller replaces each tree copy with the
+// current record via Tree::GroupUpdate in the same critical section, so
+// no report can land between taking an entry and writing it.
 //
 // Records whose expiration passes while resident simply die in place — an
 // expiry min-heap pops them lazily on the next operation, with zero page
@@ -25,8 +25,9 @@
 // paper predicts for most short-lived reports, and the whole point of the
 // tier.
 //
-// Thread safety: none. TieredIndex serializes all access under one mutex
-// and keeps the lock order live-tier-then-tree everywhere.
+// Thread safety: none. TieredIndex serializes all access, migration
+// included, under one mutex and keeps the lock order live-tier-then-tree
+// everywhere.
 
 #ifndef REXP_LIVETIER_LIVE_TIER_H_
 #define REXP_LIVETIER_LIVE_TIER_H_
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -79,7 +81,6 @@ class LiveTier {
     uint64_t died_in_place = 0;     // Expired with no tree copy: zero I/O.
     uint64_t died_with_tree_copy = 0;  // Expired; caller cleans the tree.
     uint64_t migrated = 0;          // Records handed to the tree.
-    uint64_t migration_kept = 0;    // ...of which a fresh report raced in.
     uint64_t bin_rebuilds = 0;      // Bin bound recomputations.
 
     // The one list of the counters; TieredIndex::RegisterMetrics binds
@@ -90,19 +91,16 @@ class LiveTier {
                        {"died_in_place", &Stats::died_in_place},
                        {"died_with_tree_copy", &Stats::died_with_tree_copy},
                        {"migrated", &Stats::migrated},
-                       {"migration_kept", &Stats::migration_kept},
                        {"bin_rebuilds", &Stats::bin_rebuilds}};
   };
 
   // One record to apply to the tree: replace `tree_record` (when present)
-  // with `record`; `generation` lets FinalizeMigration detect reports
-  // that raced in while the tree was being written.
+  // with `record`.
   struct MigrationItem {
     ObjectId oid = 0;
     Tpbr<kDims> record;
     bool has_tree_record = false;
     Tpbr<kDims> tree_record;
-    uint64_t generation = 0;
   };
 
   // An object that left the tier (expiry or deletion) possibly leaving a
@@ -157,7 +155,6 @@ class LiveTier {
       RemoveFromBin(e->bin, oid);
       e->record = record;
       e->last_report = now;
-      e->generation = ++generation_counter_;
       e->bin = AddToBin(oid, record, now);
       ++stats_.updates_absorbed;
     } else {
@@ -169,14 +166,12 @@ class LiveTier {
         ++owned_in_tree_;
       }
       fresh.last_report = now;
-      fresh.generation = ++generation_counter_;
       fresh.bin = AddToBin(oid, record, now);
       map_.Put(oid, fresh);
       ++stats_.admitted;
     }
     if (IsFiniteTime(record.t_exp)) {
-      expiry_heap_.push(HeapItem{record.t_exp, oid,
-                                 generation_counter_});
+      expiry_heap_.push(HeapItem{record.t_exp, oid});
     }
     return absorbed;
   }
@@ -215,7 +210,7 @@ class LiveTier {
       fresh.reserve(map_.size());
       map_.ForEach([&](uint32_t oid, const Entry& e) {
         if (IsFiniteTime(e.record.t_exp)) {
-          fresh.push_back(HeapItem{e.record.t_exp, oid, e.generation});
+          fresh.push_back(HeapItem{e.record.t_exp, oid});
         }
       });
       expiry_heap_ = decltype(expiry_heap_)(std::greater<HeapItem>(),
@@ -225,10 +220,9 @@ class LiveTier {
       HeapItem item = expiry_heap_.top();
       expiry_heap_.pop();
       Entry* e = map_.Find(item.oid);
-      // A newer report superseded this heap entry (its own heap entry is
-      // still pending), or the object already left the tier.
-      if (e == nullptr || e->generation != item.generation) continue;
-      if (e->record.LiveAt(now)) continue;  // Defensive; gen should match.
+      // The object already left the tier, or a newer report with another
+      // expiry superseded this item (that report's own item is pending).
+      if (e == nullptr || e->record.t_exp != item.t_exp) continue;
       if (e->has_tree_record) {
         --owned_in_tree_;
         ++stats_.died_with_tree_copy;
@@ -241,16 +235,17 @@ class LiveTier {
     }
   }
 
-  // Collects up to options.max_batch migration-eligible records: live,
-  // not about to expire, and either quiet for migrate_age or squeezed out
-  // by occupancy pressure (oldest reports first; `force` treats every
-  // record as under pressure, for drains). Stamps each item with the
-  // entry's generation for FinalizeMigration.
-  void CollectBatch(Time now, std::vector<MigrationItem>* out,
-                    bool force = false) {
+  // Takes up to options.max_batch migration-eligible records out of the
+  // tier: live, not about to expire, and either quiet for migrate_age or
+  // squeezed out by occupancy pressure (oldest reports first, ties by oid;
+  // `force` treats every record as under pressure, for drains). The
+  // caller writes each returned item into the tree before it releases
+  // the lock that serializes the tier.
+  void TakeBatch(Time now, std::vector<MigrationItem>* out,
+                 bool force = false) {
     out->clear();
     const bool pressure = force || map_.size() > options_.max_resident;
-    std::vector<MigrationItem> eligible;
+    std::vector<std::pair<Time, ObjectId>> eligible;
     map_.ForEach([&](uint32_t oid, const Entry& e) {
       if (!e.record.LiveAt(now)) return;  // Dying in place.
       if (IsFiniteTime(e.record.t_exp) &&
@@ -258,62 +253,21 @@ class LiveTier {
         return;
       }
       if (!pressure && now - e.last_report < options_.migrate_age) return;
-      MigrationItem item;
-      item.oid = oid;
-      item.record = e.record;
-      item.has_tree_record = e.has_tree_record;
-      item.tree_record = e.tree_record;
-      item.generation = e.generation;
-      // Reuse last_report (via generation order) for oldest-first; stash
-      // the report time in dist-free fashion below.
-      eligible.push_back(item);
-      report_times_scratch_.push_back(e.last_report);
-    });
-    // Oldest reports first, ties by oid for determinism.
-    std::vector<size_t> order(eligible.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (report_times_scratch_[a] != report_times_scratch_[b]) {
-        return report_times_scratch_[a] < report_times_scratch_[b];
-      }
-      return eligible[a].oid < eligible[b].oid;
+      eligible.emplace_back(e.last_report, oid);
     });
     const size_t take = std::min(eligible.size(), options_.max_batch);
+    std::partial_sort(eligible.begin(), eligible.begin() + take,
+                      eligible.end());
     out->reserve(take);
-    for (size_t i = 0; i < take; ++i) out->push_back(eligible[order[i]]);
-    report_times_scratch_.clear();
-  }
-
-  // Settles a batch after the caller wrote it into the tree: entries
-  // whose generation is unchanged leave the tier (the tree now owns
-  // them); entries that received a fresh report while the tree was being
-  // written stay, with the migrated record as their new tree_record.
-  // Items whose object left the tier entirely mid-migration (expired or
-  // deleted) are appended to *orphaned: the migrated copy sits in the
-  // tree with no owner, and the caller must delete it if it is still
-  // live (a deleted object must not be resurrected by its migration).
-  void FinalizeMigration(const std::vector<MigrationItem>& batch,
-                         std::vector<MigrationItem>* orphaned) {
-    for (const MigrationItem& item : batch) {
-      Entry* e = map_.Find(item.oid);
-      if (e == nullptr) {  // Expired or deleted mid-migration.
-        orphaned->push_back(item);
-        continue;
-      }
-      if (e->generation == item.generation) {
-        if (e->has_tree_record) --owned_in_tree_;
-        RemoveFromBin(e->bin, item.oid);
-        map_.Erase(item.oid);
-        ++stats_.migrated;
-      } else {
-        // The raced-in report is newer than what we migrated; remember
-        // what the tree holds now so the next migration replaces it.
-        if (!e->has_tree_record) ++owned_in_tree_;
-        e->has_tree_record = true;
-        e->tree_record = item.record;
-        ++stats_.migrated;
-        ++stats_.migration_kept;
-      }
+    for (size_t i = 0; i < take; ++i) {
+      const ObjectId oid = eligible[i].second;
+      const Entry* e = map_.Find(oid);
+      out->push_back(
+          MigrationItem{oid, e->record, e->has_tree_record, e->tree_record});
+      if (e->has_tree_record) --owned_in_tree_;
+      RemoveFromBin(e->bin, oid);
+      map_.Erase(oid);
+      ++stats_.migrated;
     }
   }
 
@@ -413,14 +367,12 @@ class LiveTier {
     Tpbr<kDims> tree_record;
     bool has_tree_record = false;
     Time last_report = 0;
-    uint64_t generation = 0;
     size_t bin = 0;
   };
 
   struct HeapItem {
     Time t_exp;
     ObjectId oid;
-    uint64_t generation;
     bool operator>(const HeapItem& other) const {
       if (t_exp != other.t_exp) return t_exp > other.t_exp;
       return oid > other.oid;
@@ -501,11 +453,8 @@ class LiveTier {
   std::priority_queue<HeapItem, std::vector<HeapItem>,
                       std::greater<HeapItem>>
       expiry_heap_;
-  uint64_t generation_counter_ = 0;
   size_t owned_in_tree_ = 0;
   Stats stats_;
-  // Scratch for CollectBatch (parallel to its `eligible` vector).
-  mutable std::vector<Time> report_times_scratch_;
 };
 
 }  // namespace rexp

@@ -3,8 +3,8 @@
 // TieredIndex: the paged R^exp-tree fronted by the in-memory live tier.
 // Position reports land in the live tier without touching a page; window
 // and nearest-neighbor queries consult both tiers and merge with
-// newest-per-oid-wins semantics; short-expiry records die in place; a
-// background migrator drains quiet records into the tree in batches via
+// newest-per-oid-wins semantics; short-expiry records die in place;
+// migration ticks drain quiet records into the tree in batches via
 // GroupUpdate (which sorts them by their DAT-pinned target leaf). The
 // public surface mirrors Tree so harnesses, verifiers, telemetry, and
 // benchmarks run against either engine unchanged.
@@ -16,14 +16,17 @@
 //     tree is a superseded prior report and is suppressed from answers.
 //   * Records still in the live tier are volatile by design: a crash
 //     loses exactly the reports that were never migrated, never a
-//     migrated one (migration writes the tree before releasing the
-//     entry). Commit persists the tree only.
-//   * Lock order is live-tier mutex, then tree (whose own epoch mutex
-//     serializes the migrator against foreground writers); nothing ever
-//     takes them in the other order, including the background migrator,
-//     which applies tree writes with the live-tier mutex released.
-//     Queries hold the live-tier mutex across both tiers, so a tree hit
-//     is suppressed by probing the tier's table directly.
+//     migrated one. Commit persists the tree only.
+//   * One critical section per operation: every public operation,
+//     migration ticks included, holds the live-tier mutex from start to
+//     finish, and calls into the tree (whose epoch mutex it takes next)
+//     from inside it. Nothing takes them in the other order. A migration
+//     tick therefore takes its batch out of the tier and writes it into
+//     the tree with no report, delete or query in between, and a query
+//     suppresses a tree hit by probing the tier's table directly.
+//   * Migration runs on the caller's thread: MigrateTick from a loop (or
+//     a thread the caller owns), and a pressure tick inside Insert or
+//     Update once the tier holds more than max_resident objects.
 
 #ifndef REXP_LIVETIER_TIERED_INDEX_H_
 #define REXP_LIVETIER_TIERED_INDEX_H_
@@ -42,11 +45,11 @@
 #include "livetier/live_tier.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
-#include "sched/background_worker.h"
 #include "sched/mutex.h"
 #include "storage/page_file.h"
 #include "tree/tree.h"
 #include "tree/tree_config.h"
+#include "verify/verifier.h"
 
 namespace rexp {
 
@@ -57,8 +60,6 @@ class TieredIndex {
               const LiveTierOptions& live_options = LiveTierOptions{})
       : tree_(config, file), live_(live_options, config.expire_entries) {}
 
-  ~TieredIndex() { StopMigrator(); }
-
   TieredIndex(const TieredIndex&) = delete;
   TieredIndex& operator=(const TieredIndex&) = delete;
 
@@ -67,15 +68,11 @@ class TieredIndex {
   // degrades to last-write-wins, like a self-update.)
   void Insert(ObjectId oid, const Tpbr<kDims>& point, Time now)
       EXCLUDES(mu_) {
-    bool pressure = false;
-    {
-      sched::MutexLock lk(&mu_);
-      AdvanceTimeLocked(now);
-      ExpireAndCleanLocked(now);
-      live_.Report(oid, point, now);
-      pressure = live_.resident() > live_.options().max_resident;
-    }
-    if (pressure) RequestMigration();
+    sched::MutexLock lk(&mu_);
+    AdvanceTimeLocked(now);
+    ExpireAndCleanLocked(now);
+    live_.Report(oid, point, now);
+    RelievePressureLocked();
   }
 
   // Re-reports a resident or previously migrated object; equivalent to
@@ -87,25 +84,20 @@ class TieredIndex {
   [[nodiscard]] bool Update(ObjectId oid, const Tpbr<kDims>& old_record,
                             const Tpbr<kDims>& new_record, Time now)
       EXCLUDES(mu_) {
-    bool found;
-    bool pressure = false;
-    {
-      sched::MutexLock lk(&mu_);
-      AdvanceTimeLocked(now);
-      ExpireAndCleanLocked(now);
-      const Tpbr<kDims>* current = live_.Find(oid);
-      if (current != nullptr) {
-        found = SameRecord(*current, old_record);
-        live_.Report(oid, new_record, now);
-      } else {
-        // The old copy (if it exists and is unexpired) is in the tree;
-        // remember it so migration replaces rather than duplicates it.
-        live_.Report(oid, new_record, now, &old_record);
-        found = true;
-      }
-      pressure = live_.resident() > live_.options().max_resident;
+    sched::MutexLock lk(&mu_);
+    AdvanceTimeLocked(now);
+    ExpireAndCleanLocked(now);
+    bool found = true;
+    const Tpbr<kDims>* current = live_.Find(oid);
+    if (current != nullptr) {
+      found = SameRecord(*current, old_record);
+      live_.Report(oid, new_record, now);
+    } else {
+      // The old copy (if it exists and is unexpired) is in the tree;
+      // remember it so migration replaces rather than duplicates it.
+      live_.Report(oid, new_record, now, &old_record);
     }
-    if (pressure) RequestMigration();
+    RelievePressureLocked();
     return found;
   }
 
@@ -133,8 +125,8 @@ class TieredIndex {
   // Window query over both tiers. For objects resident in the live tier
   // the tier's record answers; tree hits for those objects are prior
   // reports and are suppressed. One critical section covers both tiers
-  // (live-then-tree lock order), so no migration can settle between the
-  // live scan and the ownership probes of the tree hits.
+  // (live-then-tree lock order), so no migration tick can run between
+  // the live scan and the ownership probes of the tree hits.
   void Search(const Query<kDims>& query, std::vector<ObjectId>* out)
       EXCLUDES(mu_) {
     out->clear();
@@ -182,90 +174,27 @@ class TieredIndex {
     }
   }
 
-  // Starts the background migrator: every `interval_s` seconds (and on
-  // occupancy pressure) one batch of quiet records is drained into the
-  // tree. Idempotent.
-  void StartMigrator(double interval_s = 0.05) {
-    migrator_.Start([this] { MigrateTick(); }, interval_s);
-  }
-
-  // Stops and joins the migrator thread. Records still resident stay
-  // resident (and would be lost by a crash — the documented contract);
-  // call DrainLiveTier first for a clean handoff.
-  void StopMigrator() { migrator_.Stop(); }
-
-  // Runs one synchronous migration step at the index's current logical
-  // time; returns how many records moved. Deterministic alternative to
-  // the background thread for tests and benchmarks. Concurrent ticks
-  // (worker + pressure-triggered foreground) serialize on migrate_mu_ —
-  // overlapping batches would double-apply records.
-  size_t MigrateTick() EXCLUDES(mu_, migrate_mu_) {
-    sched::MutexLock tick(&migrate_mu_);
-    Time now;
-    std::vector<typename LiveTier<kDims>::MigrationItem> batch;
-    {
-      sched::MutexLock lk(&mu_);
-      now = last_now_;
-      ExpireAndCleanLocked(now);
-      live_.CollectBatch(now, &batch, drain_all_);
-    }
-    if (batch.empty()) return 0;
-
-    // Apply to the tree with the live-tier mutex released: foreground
-    // reports keep landing in memory while the pages are written. The
-    // tree's own epoch mutex serializes us against foreground tree ops.
-    std::vector<typename Tree<kDims>::UpdateRequest> replacements;
-    replacements.reserve(batch.size());
-    for (const auto& item : batch) {
-      if (item.has_tree_record) {
-        replacements.push_back({item.oid, item.tree_record, item.record});
-      } else {
-        tree_.Insert(item.oid, item.record, now);
-      }
-    }
-    // Per-request results were already reported (optimistically) by
-    // Update; the settle here has nothing further to do with them.
-    if (!replacements.empty()) (void)tree_.GroupUpdate(replacements, now);
-
-    {
-      sched::MutexLock lk(&mu_);
-      orphan_scratch_.clear();
-      live_.FinalizeMigration(batch, &orphan_scratch_);
-      // An orphaned item's object left the tier while the tree was being
-      // written. If it expired, the migrated copy is invisible and lazy
-      // purge handles it; if it was deleted (still live now), the copy
-      // must go too or the deletion would be silently undone.
-      const Time fnow = last_now_;
-      for (const auto& item : orphan_scratch_) {
-        if (!item.record.LiveAt(fnow)) continue;
-        (void)tree_.Delete(item.oid, item.record, fnow, /*see_expired=*/true);
-        ++tree_cleanup_deletes_;
-      }
-      ++migration_batches_;
-    }
-    migration_batch_size_.Record(static_cast<double>(batch.size()));
-    return batch.size();
+  // Runs one migration step at the index's current logical time and
+  // returns how many records moved: expired records die, then one batch
+  // of quiet records (all of them under occupancy pressure) moves into
+  // the tree. The whole tick holds the live-tier mutex, so a caller that
+  // wants migration off its report path runs this from a thread of its
+  // own; reports from other threads wait for up to one tick.
+  size_t MigrateTick() EXCLUDES(mu_) {
+    sched::MutexLock lk(&mu_);
+    return MigrateTickLocked(/*drain=*/false);
   }
 
   // Migrates every record the policy would ever migrate (ignoring age,
   // honoring min_residual_life: records about to expire still die in
   // place). Returns the number migrated. Used for clean shutdown and by
   // crash-semantics tests to establish the "post-migration" tree state.
-  size_t DrainLiveTier(Time now) EXCLUDES(mu_, migrate_mu_) {
-    {
-      sched::MutexLock lk(&mu_);
-      AdvanceTimeLocked(now);
-      drain_all_ = true;
-    }
+  size_t DrainLiveTier(Time now) EXCLUDES(mu_) {
+    sched::MutexLock lk(&mu_);
+    AdvanceTimeLocked(now);
     size_t total = 0;
-    for (;;) {
-      size_t moved = MigrateTick();
-      if (moved == 0) break;
+    while (const size_t moved = MigrateTickLocked(/*drain=*/true)) {
       total += moved;
-    }
-    {
-      sched::MutexLock lk(&mu_);
-      drain_all_ = false;
     }
     return total;
   }
@@ -274,17 +203,14 @@ class TieredIndex {
   // by design and are NOT persisted — drain first if they must survive.
   Status Commit() { return tree_.Commit(); }
 
-  // The live-tier analog of Tree::CheckInvariants plus the cross-tier
-  // contract: live-tier structure is sound, every owned object's live
-  // (unexpired) tree copies consist of at most the recorded tree_record,
-  // and the tree's own invariant catalog passes.
+  // Checks both tiers: the live tier's structure, then the tree's full
+  // invariant catalog (Tree::Verify). Never aborts; a tree finding comes
+  // back as kCorruption carrying the verifier's report.
   Status CheckInvariants(Time now) EXCLUDES(mu_) {
-    {
-      sched::MutexLock lk(&mu_);
-      Status live = live_.CheckInvariants();
-      if (!live.ok()) return live;
-    }
-    tree_.CheckInvariants(now);  // CHECK-fails on violation.
+    sched::MutexLock lk(&mu_);
+    REXP_RETURN_IF_ERROR(live_.CheckInvariants());
+    const verify::Report report = tree_.Verify(now);
+    if (!report.ok()) return Status::Corruption(report.ToString());
     return Status::OK();
   }
 
@@ -299,14 +225,15 @@ class TieredIndex {
 
   // Reference to the live tier for quiescent inspection (tests, drained
   // shutdown). NO_THREAD_SAFETY_ANALYSIS: hands out mu_-guarded state;
-  // callers must ensure no mutator or migrator is running.
+  // callers must ensure no other thread is using the index.
   const LiveTier<kDims>& live_tier() const NO_THREAD_SAFETY_ANALYSIS {
     return live_;
   }
 
-  // Counters are mutated by the background migrator under mu_, so
-  // sampling them must take the lock too (an unlocked read here raced
-  // with MigrateTick; see TieredConcurrency.CounterAccessorsLocked).
+  // Counters are mutated under mu_ by ticks that may run on another
+  // thread, so sampling them must take the lock too (an unlocked read
+  // here raced with MigrateTick; see
+  // TieredConcurrency.CounterAccessorsLocked).
   uint64_t migration_batches() const EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
     return migration_batches_;
@@ -387,11 +314,38 @@ class TieredIndex {
     }
   }
 
-  void RequestMigration() {
-    if (migrator_.running()) {
-      migrator_.Kick();
-    } else {
-      MigrateTick();
+  // Body of MigrateTick and DrainLiveTier (`drain` migrates regardless of
+  // age). TakeBatch removes the batch from the tier and the tree writes
+  // follow under the same lock, so nothing can report, delete or query
+  // one of these objects until the tree holds its migrated record.
+  size_t MigrateTickLocked(bool drain) REQUIRES(mu_) {
+    const Time now = last_now_;
+    ExpireAndCleanLocked(now);
+    std::vector<typename LiveTier<kDims>::MigrationItem> batch;
+    live_.TakeBatch(now, &batch, drain);
+    if (batch.empty()) return 0;
+    std::vector<typename Tree<kDims>::UpdateRequest> replacements;
+    replacements.reserve(batch.size());
+    for (const auto& item : batch) {
+      if (item.has_tree_record) {
+        replacements.push_back({item.oid, item.tree_record, item.record});
+      } else {
+        tree_.Insert(item.oid, item.record, now);
+      }
+    }
+    // Per-request results were already reported (optimistically) by
+    // Update; the settle here has nothing further to do with them.
+    if (!replacements.empty()) (void)tree_.GroupUpdate(replacements, now);
+    ++migration_batches_;
+    migration_batch_size_.Record(static_cast<double>(batch.size()));
+    return batch.size();
+  }
+
+  // The pressure tick: a report that takes the tier past max_resident
+  // migrates one batch before it returns.
+  void RelievePressureLocked() REQUIRES(mu_) {
+    if (live_.resident() > live_.options().max_resident) {
+      (void)MigrateTickLocked(/*drain=*/false);
     }
   }
 
@@ -399,15 +353,8 @@ class TieredIndex {
   mutable sched::Mutex mu_{sched::LockRank::kLiveTier, "live_tier"};
   LiveTier<kDims> live_ GUARDED_BY(mu_);
   Time last_now_ GUARDED_BY(mu_) = 0;
-  bool drain_all_ GUARDED_BY(mu_) = false;
   std::vector<typename LiveTier<kDims>::DeadEntry> dead_scratch_
       GUARDED_BY(mu_);
-  std::vector<typename LiveTier<kDims>::MigrationItem> orphan_scratch_
-      GUARDED_BY(mu_);
-  // Serializes MigrateTick invocations. Outermost lock of the index
-  // stack: a tick takes mu_, then the tree's epoch.
-  sched::Mutex migrate_mu_{sched::LockRank::kMigrate, "migrate"};
-  sched::BackgroundWorker migrator_;
   uint64_t migration_batches_ GUARDED_BY(mu_) = 0;
   uint64_t tree_cleanup_deletes_ GUARDED_BY(mu_) = 0;
   obs::Histogram migration_batch_size_{

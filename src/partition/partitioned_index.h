@@ -306,7 +306,6 @@ class PartitionedIndex {
     AbsorbLocked(c, point, speed);
     trees_[static_cast<size_t>(c)]->Insert(oid, point, now);
     class_of_.Put(oid, static_cast<uint32_t>(c));
-    ++pstate_[static_cast<size_t>(c)].live;
     MaintenanceLocked(now);
   }
 
@@ -621,9 +620,6 @@ class PartitionedIndex {
     // Widen-only maximum speed ever routed here since the last reset;
     // persisted to the manifest for offline speed-class verification.
     double vmax = 0;
-    // Router's live-population estimate (metrics only; merges and the
-    // verifier use physical counts).
-    uint64_t live = 0;
     // Conservative union TPBR over every record inserted since the
     // partition was last observed empty. `tracked` is false when the
     // partition was reopened non-empty (the union of the pre-existing
@@ -696,7 +692,6 @@ class PartitionedIndex {
       for (const verify::DatSnapshotEntry& e :
            trees_[i]->DatSnapshotForTest()) {
         class_of_.Put(e.oid, static_cast<uint32_t>(i));
-        ++p.live;
       }
     }
   }
@@ -724,7 +719,6 @@ class PartitionedIndex {
       p.bound_tracked = true;
       p.bound_empty = true;
       p.vmax = 0;
-      p.live = 0;
     }
     if (speed > p.vmax) p.vmax = speed;
     if (!p.bound_tracked) return;
@@ -740,10 +734,8 @@ class PartitionedIndex {
                     bool see_expired) REQUIRES(router_mu_) {
     const uint32_t* c = class_of_.Find(oid);
     if (c != nullptr) {
-      PartitionState& p = pstate_[*c];
       const bool found = trees_[*c]->Delete(oid, point, now, see_expired);
       class_of_.Erase(oid);
-      if (found && p.live > 0) --p.live;
       return found;
     }
     // Map miss: the router has never seen (or already forgot) this oid.
@@ -752,10 +744,7 @@ class PartitionedIndex {
     ++stats_.delete_fallback_scans;
     for (size_t i = 0; i < trees_.size(); ++i) {
       if (trees_[i]->leaf_entries() == 0) continue;
-      if (trees_[i]->Delete(oid, point, now, see_expired)) {
-        if (pstate_[i].live > 0) --pstate_[i].live;
-        return true;
-      }
+      if (trees_[i]->Delete(oid, point, now, see_expired)) return true;
     }
     return false;
   }
@@ -804,7 +793,6 @@ class PartitionedIndex {
     AbsorbLocked(target, new_record, speed);
     trees_[static_cast<size_t>(target)]->Insert(oid, new_record, now);
     class_of_.Put(oid, static_cast<uint32_t>(target));
-    ++pstate_[static_cast<size_t>(target)].live;
     if (had_class) ++stats_.migrations;
     return found;
   }
@@ -898,7 +886,6 @@ class PartitionedIndex {
       AbsorbLocked(target, r.region, speed);
       trees_[static_cast<size_t>(target)]->Insert(r.oid, r.region, now);
       class_of_.Put(r.oid, static_cast<uint32_t>(target));
-      ++pstate_[static_cast<size_t>(target)].live;
       ++stats_.merge_moves;
     }
     // Expired (or already purged) stragglers still mapped here would
@@ -908,7 +895,6 @@ class PartitionedIndex {
       if (c == i) stale.push_back(oid);
     });
     for (ObjectId oid : stale) class_of_.Erase(oid);
-    pstate_[i].live = 0;
     pstate_[i].vmax = 0;
     pstate_[i].bound_tracked = true;
     pstate_[i].bound_empty = true;

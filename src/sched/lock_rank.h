@@ -7,8 +7,8 @@
 // ranks only ever DECREASE down each thread's held-lock stack. That is
 // exactly the documented order of DESIGN.md §13:
 //
-//   kMonitor > kRegistry > kMigrate > kPartitionRouter > kLiveTier
-//           > kTreeEpoch > kFrameLatch > kBufferPool > kLeaf
+//   kMonitor > kRegistry > kPartitionRouter > kLiveTier > kTreeEpoch
+//           > kFrameLatch > kBufferPool > kLeaf
 //
 // A violation (acquiring a rank >= one already held, or an equal rank out
 // of address order) is a potential deadlock even if this particular
@@ -19,8 +19,8 @@
 // first sight.
 //
 // Equal ranks are allowed only in increasing address order (the
-// convention address-ordered dual acquisitions follow, e.g. Histogram's
-// copy-assign locking two peer histograms).
+// convention an address-ordered dual acquisition of two peer locks
+// follows).
 //
 // Cost model: compiled out entirely unless REXP_LOCK_RANK is defined —
 // CMake defines it for Debug builds and under -DREXP_LOCK_RANK=ON. In
@@ -64,16 +64,14 @@ enum class LockRank : int {
   kFrameLatch = 20,
   // Tree::epoch_mu_ — the single-writer/multi-reader epoch protocol.
   kTreeEpoch = 30,
-  // TieredIndex::mu_ — the live tier. Calls into the tree (epoch) while
-  // held; nothing takes it while holding tree or buffer locks.
+  // TieredIndex::mu_ — the live tier. Held for the whole of every tiered
+  // operation, migration ticks included, and calls into the tree (epoch)
+  // while held; nothing takes it while holding tree or buffer locks.
   kLiveTier = 40,
   // PartitionedIndex::router_mu_ — the speed-class routing table and
   // oid→class map. Calls into partition trees (epoch) while held;
   // nothing takes it while holding tree or buffer locks.
   kPartitionRouter = 45,
-  // TieredIndex::migrate_mu_ — serializes migration ticks. Outermost of
-  // the index stack: a tick takes the live tier, then the tree.
-  kMigrate = 50,
   // obs::MetricsRegistry::mu_ — snapshot callbacks run under it and take
   // component locks (live tier, shared epoch) beneath.
   kRegistry = 60,

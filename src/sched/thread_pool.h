@@ -1,8 +1,8 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // A small fixed-size worker pool plus ParallelFor, the one fan-out
-// primitive over it (Tree::ParallelSearch, PartitionedIndex's per-class
-// queries, the concurrency benchmark, and tests). Deliberately minimal:
+// primitive over it (PartitionedIndex's per-class queries, the
+// concurrency benchmark's batched Search, and tests). Deliberately minimal:
 // submit closures, wait for the batch to drain. Submitted work must do
 // its own synchronization against the index (the tree's epoch protocol,
 // DESIGN.md §8); the pool only provides the threads.

@@ -5,13 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <queue>
 
 #include "common/check.h"
 #include "common/parse.h"
 #include "common/float_round.h"
-#include "sched/thread_pool.h"
 #include "tpbr/integrals.h"
 #include "tpbr/intersect.h"
 #include "tpbr/tpbr_compute.h"
@@ -138,7 +136,7 @@ Status Tree<kDims>::Init() {
 
 template <int kDims>
 Tree<kDims>::~Tree() {
-  if (open_ok_) {
+  if (open_ok_ && uncommitted_) {
     Status s = Commit();
     if (!s.ok()) {
       std::fprintf(stderr, "Tree: commit on close failed: %s\n",
@@ -192,6 +190,7 @@ Status Tree<kDims>::CommitLocked() {
       file_->WritePage(static_cast<PageId>(epoch & 1), page));
   REXP_RETURN_IF_ERROR(file_->Sync());
   meta_epoch_ = epoch;
+  uncommitted_ = false;
   return Status::OK();
 }
 
@@ -1018,6 +1017,7 @@ bool Tree<kDims>::RunMutation(obs::FlightOp op, uint64_t subject, Time now,
     latency_hist = &op_stats_.delete_latency_us;
   }
   reinserted_levels_ = 0;
+  uncommitted_ = true;
   const uint64_t io_before = TotalIo();
   const uint64_t fast_before =
       op_stats_.update_fast.load(std::memory_order_relaxed);
@@ -1525,21 +1525,6 @@ void Tree<kDims>::Search(const Query<kDims>& query,
   obs::GlobalFlightRecorder().Record(obs::FlightOp::kSearch,
                                      out->size() - results_before,
                                      timer.ElapsedUs(), StatusCode::kOk, io);
-}
-
-template <int kDims>
-std::vector<std::vector<ObjectId>> Tree<kDims>::ParallelSearch(
-    const std::vector<Query<kDims>>& queries, int num_threads) {
-  std::vector<std::vector<ObjectId>> results(queries.size());
-  if (queries.empty()) return results;
-  num_threads = std::clamp<int>(num_threads, 1,
-                                static_cast<int>(queries.size()));
-  // Each Search takes its own shared epoch and writes a disjoint slot.
-  std::optional<sched::ThreadPool> pool;
-  if (num_threads > 1) pool.emplace(num_threads);
-  sched::ParallelFor(pool ? &*pool : nullptr, queries.size(),
-                     [&](size_t i) { Search(queries[i], &results[i]); });
-  return results;
 }
 
 // ---------------------------------------------------------------------------

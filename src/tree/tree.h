@@ -225,8 +225,10 @@ class Tree {
   Tree(const Tree&) = delete;
   Tree& operator=(const Tree&) = delete;
 
-  // Commits on close (best effort; failures are reported to stderr —
-  // callers that must observe them call Commit() themselves first).
+  // Commits on close when a mutation changed the tree since its last
+  // commit (best effort; failures are reported to stderr — callers that
+  // must observe them call Commit() themselves first). A tree that was
+  // only opened and queried writes nothing.
   ~Tree();
 
   // Durably persists the current state: flushes dirty nodes, publishes
@@ -323,14 +325,6 @@ class Tree {
   void NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                         std::vector<NnResult>* out,
                         const std::function<bool(ObjectId)>& skip = {});
-
-  // Answers `queries` with a pool of `num_threads` worker threads, each
-  // running Search under its own shared epoch (concurrent with the other
-  // workers and with external readers, exclusive against writers).
-  // results[i] corresponds to queries[i]. num_threads is clamped to
-  // [1, queries.size()]; 1 degenerates to a sequential loop.
-  std::vector<std::vector<ObjectId>> ParallelSearch(
-      const std::vector<Query<kDims>>& queries, int num_threads);
 
   // --- Introspection --------------------------------------------------
 
@@ -664,6 +658,10 @@ class Tree {
   // Set once Init() succeeds; the destructor only commits (i.e. writes to
   // the device) for a successfully opened tree.
   bool open_ok_ = false;
+  // Set by every mutation, cleared by every durable commit. The
+  // destructor commits only while it is set, so opening, querying and
+  // closing an index leaves its file byte-identical.
+  bool uncommitted_ GUARDED_BY(epoch_mu_) = false;
 
   // Per-operation state.
   std::vector<Pending> pending_ GUARDED_BY(epoch_mu_);

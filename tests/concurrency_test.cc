@@ -1,9 +1,9 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // Concurrency tests: the tree's single-writer / multi-reader epoch
-// protocol (DESIGN.md §8), ParallelSearch, the thread pool and its
-// ParallelFor fan-out, and the
-// buffer manager's guard-based pin accounting under injected faults.
+// protocol (DESIGN.md §8), the thread pool and its ParallelFor fan-out
+// over Search, and the buffer manager's guard-based pin accounting under
+// injected faults.
 // Designed to run under ThreadSanitizer (REXP_SANITIZE=thread), where the
 // reader/writer churn test doubles as a race detector for the whole
 // fetch-decode-search path.
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,20 @@ namespace tu = rexp::testing;
 std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+// Answers `queries` with sched::ParallelFor over Tree::Search on a pool of
+// `threads` workers (inline for 1), each Search under its own shared
+// epoch; results[i] answers queries[i].
+std::vector<std::vector<ObjectId>> SearchOnPool(
+    RexpTree2* tree, const std::vector<Query<2>>& queries, int threads) {
+  std::vector<std::vector<ObjectId>> results(queries.size());
+  std::optional<sched::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  sched::ParallelFor(pool ? &*pool : nullptr, queries.size(), [&](size_t i) {
+    tree->Search(queries[i], &results[i]);
+  });
+  return results;
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
@@ -168,9 +183,10 @@ TEST(ParallelSearchTest, MatchesSequentialSearchAtEveryThreadCount) {
     tree.Search(queries[i], &sequential[i]);
   }
 
-  // Thread counts below, at, and above the query count (clamped).
+  // Thread counts below, at, and above the query count (ParallelFor
+  // runs at most one task per query).
   for (int threads : {1, 3, 4, 128}) {
-    auto results = tree.ParallelSearch(queries, threads);
+    auto results = SearchOnPool(&tree, queries, threads);
     ASSERT_EQ(results.size(), queries.size()) << "threads=" << threads;
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(Sorted(results[i]), Sorted(sequential[i]))
@@ -182,7 +198,7 @@ TEST(ParallelSearchTest, MatchesSequentialSearchAtEveryThreadCount) {
     }
   }
 
-  EXPECT_TRUE(tree.ParallelSearch({}, 4).empty());
+  EXPECT_TRUE(SearchOnPool(&tree, {}, 4).empty());
 }
 
 // Regression test for a record-canonicalization bug: records are stored
@@ -364,7 +380,7 @@ TEST(ConcurrencyTest, ReadersSeeConsistentStateDuringWriterChurn) {
 
   std::vector<Query<2>> queries;
   for (int i = 0; i < 32; ++i) queries.push_back(tu::RandomQuery<2>(&rng, now));
-  auto results = tree.ParallelSearch(queries, kReaders);
+  auto results = SearchOnPool(&tree, queries, kReaders);
   for (size_t i = 0; i < queries.size(); ++i) {
     expected.clear();
     oracle.Search(queries[i], &expected);

@@ -6,6 +6,8 @@
 // brute-force oracle afterwards.
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +25,11 @@ namespace {
 
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in), {});
+}
 
 TEST(DiskPersistence, ChurnWithFullReopensMatchesOracle) {
   // The index lives in an ordinary file; between phases both the tree
@@ -193,6 +200,45 @@ TEST(DiskPersistence, FreeListRoundTripsThroughMetadata) {
       << "re-opened file grew before consuming its persisted free list";
   tree.reset();
   file.reset();
+  std::remove(path.c_str());
+}
+
+// A tree that is only opened, queried, verified and closed writes
+// nothing: the destructor commits only after a mutation, so reading an
+// index (as inspect_index does) leaves its file byte-identical.
+TEST(DiskPersistence, ReadOnlyReopenLeavesFileByteIdentical) {
+  std::string path = ::testing::TempDir() + "/rexp_disk_read_only.bin";
+  std::remove(path.c_str());
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 512;
+  config.buffer_frames = 8;
+  Rng rng(84);
+  const Time now = 1.0;
+  {
+    auto file = DiskPageFile::Open(path, 512, /*keep=*/true).value();
+    Tree<2> tree(config, file.get());
+    for (ObjectId oid = 0; oid < 300; ++oid) {
+      tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 60.0), 0.0);
+    }
+    ASSERT_TRUE(tree.Commit().ok());
+  }
+  const std::vector<char> committed = ReadBytes(path);
+  ASSERT_FALSE(committed.empty());
+
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    auto file = DiskPageFile::Open(path, 512, /*keep=*/true).value();
+    auto tree = Tree<2>::Open(config, file.get()).value();
+    std::vector<ObjectId> hits;
+    tree->Search(RandomQuery<2>(&rng, now), &hits);
+    std::vector<Tree<2>::NnResult> neighbors;
+    tree->NearestNeighbors({500, 500}, now, 8, &neighbors);
+    EXPECT_EQ(neighbors.size(), 8u);
+    EXPECT_TRUE(tree->Verify(now).ok());
+    EXPECT_GE(tree->ExpiredLeafFraction(now), 0.0);
+    tree.reset();
+    file.reset();
+    EXPECT_EQ(ReadBytes(path), committed) << "reopen " << reopen;
+  }
   std::remove(path.c_str());
 }
 

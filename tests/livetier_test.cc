@@ -2,13 +2,17 @@
 //
 // Tests for the in-memory live tier and the TieredIndex wrapper
 // (DESIGN.md §12): short-expiry records dying in place with zero page
-// I/O, query merge with suppression of stale tree copies, the migration
-// generation protocol (raced reports, orphaned items), oracle-backed
-// randomized churn with synchronous migration, DAT agreement after a
-// full drain, and answer stability under a live background migrator.
+// I/O, query merge with suppression of stale tree copies, TakeBatch
+// removing exactly the batch it returns, oracle-backed randomized churn
+// with synchronous migration, DAT agreement after a full drain, and
+// answer stability while a second thread ticks migration.
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "tests/test_util.h"
 #include "tree/reference_index.h"
 #include "tree/tree.h"
+#include "verify/verifier.h"
 
 namespace rexp {
 namespace {
@@ -94,7 +99,7 @@ TEST(LiveTier, SupersededExpiryHeapItemsDoNotKillFreshRecords) {
   Tpbr<2> dying = MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 1.0);
   tier.Report(5, dying, 0);
   // A fresh report extends the object's life; the old heap item must be
-  // recognized as stale by its generation and skipped.
+  // recognized as stale by its expiry and skipped.
   Tpbr<2> extended = MakeMovingPoint<2>({1, 1}, {0, 0}, 0.5, 100.0);
   tier.Report(5, extended, 0.5);
 
@@ -105,64 +110,68 @@ TEST(LiveTier, SupersededExpiryHeapItemsDoNotKillFreshRecords) {
   EXPECT_EQ(tier.stats().died_in_place, 0u);
 }
 
-TEST(LiveTier, MigrationGenerationProtocol) {
+TEST(LiveTier, TakeBatchRemovesWhatItReturns) {
   LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Tpbr<2> a = MakeMovingPoint<2>({10, 10}, {1, 0}, 0, 50.0);
   Tpbr<2> b = MakeMovingPoint<2>({500, 500}, {0, 1}, 0, 60.0);
+  Tpbr<2> b_in_tree = MakeMovingPoint<2>({400, 400}, {0, 1}, 0, 40.0);
   tier.Report(1, a, 0);
-  tier.Report(2, b, 0);
+  tier.Report(2, b, 0, &b_in_tree);  // Re-report of a migrated record.
+  ASSERT_EQ(tier.owned_in_tree(), 1u);
 
   std::vector<LiveTier<2>::MigrationItem> batch;
-  tier.CollectBatch(0.0, &batch, /*force=*/true);
+  tier.TakeBatch(0.0, &batch, /*force=*/true);
   ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].oid, 1u);
+  EXPECT_FALSE(batch[0].has_tree_record);
+  EXPECT_EQ(batch[0].record.t_exp, 50.0);
+  EXPECT_EQ(batch[1].oid, 2u);
+  ASSERT_TRUE(batch[1].has_tree_record);  // GroupUpdate replaces this copy.
+  EXPECT_EQ(batch[1].tree_record.t_exp, 40.0);
+  EXPECT_EQ(batch[1].record.t_exp, 60.0);
 
-  // While "the tree is being written": oid 1 gets a fresh report, oid 2
-  // is deleted outright.
-  Tpbr<2> fresh = MakeMovingPoint<2>({11, 10}, {1, 0}, 0.5, 55.0);
-  tier.Report(1, fresh, 0.5);
-  LiveTier<2>::DeadEntry dead;
-  ASSERT_TRUE(tier.Remove(2, &dead));
+  // The batch left the tier: the tree owns both objects now.
+  EXPECT_EQ(tier.resident(), 0u);
+  EXPECT_FALSE(tier.Owns(1));
+  EXPECT_FALSE(tier.Owns(2));
+  EXPECT_EQ(tier.owned_in_tree(), 0u);
+  EXPECT_EQ(tier.stats().migrated, 2u);
+  EXPECT_TRUE(tier.CheckInvariants().ok());
+  tier.TakeBatch(0.0, &batch, /*force=*/true);
+  EXPECT_TRUE(batch.empty());
 
-  std::vector<LiveTier<2>::MigrationItem> orphaned;
-  tier.FinalizeMigration(batch, &orphaned);
-
-  // Oid 1 stays resident: the migrated copy is its recorded tree copy.
-  EXPECT_TRUE(tier.Owns(1));
-  EXPECT_EQ(tier.owned_in_tree(), 1u);
-  EXPECT_EQ(tier.stats().migration_kept, 1u);
-  LiveTier<2>::DeadEntry dead1;
-  ASSERT_TRUE(tier.Remove(1, &dead1));
-  ASSERT_TRUE(dead1.has_tree_record);
-  EXPECT_EQ(dead1.tree_record.t_exp, 50.0);  // What migration wrote.
-
-  // Oid 2 left mid-migration: reported as orphaned for the caller to
-  // delete from the tree (it must not be resurrected).
-  ASSERT_EQ(orphaned.size(), 1u);
-  EXPECT_EQ(orphaned[0].oid, 2u);
-  // The orphan is not counted as migrated: its tree copy is deleted by
-  // the caller, so it never ends up owned by the tree.
-  EXPECT_EQ(tier.stats().migrated, 1u);
+  // Their expiry heap items are stale now: expiring past them kills
+  // nothing, and a re-report is a fresh admission.
+  std::vector<LiveTier<2>::DeadEntry> dead;
+  tier.ExpireDue(100.0, &dead);
+  EXPECT_TRUE(dead.empty());
+  EXPECT_EQ(tier.stats().died_in_place, 0u);
+  EXPECT_FALSE(tier.Report(1, a, 1.0));
+  EXPECT_EQ(tier.stats().admitted, 3u);
 }
 
-TEST(LiveTier, CollectBatchSkipsDyingAndHonorsQuietAge) {
+TEST(LiveTier, TakeBatchSkipsDyingAndHonorsQuietAge) {
   LiveTierOptions options;
   options.migrate_age = 5.0;
   options.min_residual_life = 1.0;
   LiveTier<2> tier{options, /*expire=*/true};
   // Quiet and long-lived: eligible. Recently reported: not yet. About to
   // expire: never (dies in place instead).
-  tier.Report(1, MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 100.0), 0.0);
+  const Tpbr<2> quiet = MakeMovingPoint<2>({1, 1}, {0, 0}, 0, 100.0);
+  tier.Report(1, quiet, 0.0);
   tier.Report(2, MakeMovingPoint<2>({2, 2}, {0, 0}, 9.0, 100.0), 9.0);
   tier.Report(3, MakeMovingPoint<2>({3, 3}, {0, 0}, 0, 10.5), 0.0);
 
   std::vector<LiveTier<2>::MigrationItem> batch;
-  tier.CollectBatch(10.0, &batch);
+  tier.TakeBatch(10.0, &batch);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].oid, 1u);
 
   // Under pressure (force) age no longer matters, but dying records are
-  // still skipped, and the oldest report goes first.
-  tier.CollectBatch(10.0, &batch, /*force=*/true);
+  // still skipped, and the oldest report goes first. (Oid 1 left with the
+  // first batch; re-admit it at its old report time.)
+  tier.Report(1, quiet, 0.0);
+  tier.TakeBatch(10.0, &batch, /*force=*/true);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].oid, 1u);
   EXPECT_EQ(batch[1].oid, 2u);
@@ -324,6 +333,34 @@ TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {
   EXPECT_TRUE(index.CheckInvariants(now).ok());
 }
 
+// A tree finding comes back as a non-OK Status; CheckInvariants never
+// aborts the process.
+TEST(TieredIndex, CheckInvariantsReturnsTreeFindings) {
+  MemoryPageFile file(512);
+  const TreeConfig config = SmallConfig();
+  TieredIndex<2> index(config, &file);
+  Rng rng(0xD1A6);
+  Time now = 0;
+  for (ObjectId oid = 0; oid < 200; ++oid) {
+    index.Insert(oid, RandomPoint<2>(&rng, now, 500.0), now);
+  }
+  ASSERT_GT(index.DrainLiveTier(now), 0u);
+  ASSERT_TRUE(index.Commit().ok());
+  ASSERT_GE(index.tree().height(), 2);
+  ASSERT_TRUE(index.CheckInvariants(now).ok());
+
+  // Collapse a committed internal entry's bound to a sliver in x: its
+  // subtree's records escape it.
+  ASSERT_TRUE(verify::EditCommittedNode<2>(
+      &file, config, 1, [](Node<2>* node) {
+        node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
+        node->entries[0].region.vhi[0] = node->entries[0].region.vlo[0];
+      }));
+  const Status status = index.CheckInvariants(now);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+}
+
 // --- Oracle-backed churn ----------------------------------------------
 
 // Ground-truth leaf walk for the post-drain DAT cross-check (same check
@@ -461,7 +498,30 @@ TEST(TieredChurn, MatchesReferenceOracle) {
   ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&index.tree()));
 }
 
-// The background migrator moves records between tiers underneath live
+// Calls MigrateTick from a thread of its own every `interval` until
+// destroyed: migration off the report path, as a deployment would run it.
+class TickThread {
+ public:
+  TickThread(TieredIndex<2>* index, std::chrono::microseconds interval)
+      : thread_([this, index, interval] {
+          while (!stop_.load(std::memory_order_relaxed)) {
+            (void)index->MigrateTick();
+            std::this_thread::sleep_for(interval);
+          }
+        }) {}
+  ~TickThread() {
+    stop_.store(true, std::memory_order_relaxed);
+    thread_.join();
+  }
+  TickThread(const TickThread&) = delete;
+  TickThread& operator=(const TickThread&) = delete;
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+// A second thread moves records between tiers underneath live
 // foreground traffic; every answer must stay oracle-exact regardless of
 // where each record happens to be when the query lands.
 TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
@@ -473,7 +533,8 @@ TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
   TieredIndex<2> index(config, &file, options);
   ReferenceIndex<2> reference(config.expire_entries);
   Rng rng(0xB16);
-  index.StartMigrator(/*interval_s=*/0.001);
+  std::optional<TickThread> ticker;
+  ticker.emplace(&index, std::chrono::microseconds(1000));
 
   struct LiveObj {
     ObjectId oid;
@@ -521,18 +582,18 @@ TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
       ASSERT_EQ(got, want) << "NN divergence at op " << op;
     }
   }
-  index.StopMigrator();
+  ticker.reset();
   index.DrainLiveTier(now);
   ASSERT_TRUE(index.CheckInvariants(now).ok());
   EXPECT_GT(index.migration_batches(), 0u);
 }
 
 // Regression: migration_batches() and tree_cleanup_deletes() read
-// counters the background migrator mutates under the live-tier mutex, so
-// the accessors must lock too — the old unlocked reads raced with
-// MigrateTick (caught by the GUARDED_BY sweep; TSan flags this test on
-// the unlocked version). Also checks the counters only move forward when
-// sampled concurrently with the migrator.
+// counters that MigrateTick, running on another thread, mutates under the
+// live-tier mutex, so the accessors must lock too — the old unlocked
+// reads raced with MigrateTick (caught by the GUARDED_BY sweep; TSan
+// flags this test on the unlocked version). Also checks the counters only
+// move forward when sampled concurrently with the ticking thread.
 TEST(TieredConcurrency, CounterAccessorsLocked) {
   MemoryPageFile file(512);
   TreeConfig config = SmallConfig();
@@ -541,7 +602,8 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
   options.max_batch = 4;
   TieredIndex<2> index(config, &file, options);
   Rng rng(0xC0DE);
-  index.StartMigrator(/*interval_s=*/0.0005);
+  std::optional<TickThread> ticker;
+  ticker.emplace(&index, std::chrono::microseconds(500));
 
   uint64_t last_batches = 0;
   uint64_t last_cleanups = 0;
@@ -561,7 +623,7 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
       live.pop_back();
       (void)index.Delete(oid, p, now);
     }
-    // Sample both counters while the migrator runs; each must be a
+    // Sample both counters while the ticking thread runs; each must be a
     // consistent (locked) read and monotone.
     const uint64_t batches = index.migration_batches();
     const uint64_t cleanups = index.tree_cleanup_deletes();
@@ -570,7 +632,7 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
     last_batches = batches;
     last_cleanups = cleanups;
   }
-  index.StopMigrator();
+  ticker.reset();
   index.DrainLiveTier(now);
   EXPECT_GT(index.migration_batches(), 0u);
   ASSERT_TRUE(index.CheckInvariants(now).ok());

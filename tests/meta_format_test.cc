@@ -119,6 +119,10 @@ void BuildTreeFile(const std::string& path) {
     live[k] = live.back();
     live.pop_back();
   }
+  // One more commit with nothing changed: the newest slot then holds the
+  // same state as the older one, one epoch ahead (the golden hashes
+  // below were recorded on this file).
+  ASSERT_TRUE(tree->Commit().ok());
 }
 
 enum class Damage {

@@ -13,7 +13,8 @@
 // Exit 0 when every page checksum verifies, 1 on damage (or an
 // unopenable file), 2 on usage errors. The full invariant catalog is
 // rexp_fsck's job; to follow an index another process is writing, run
-// `watch -n 1 inspect_index <index-file>`.
+// `watch -n 1 inspect_index <index-file>`. The file is only read: the
+// tree commits on close only after a mutation, so it keeps its bytes.
 //
 // The configuration flags must match the ones the index was created with
 // (defaults: the standard R^exp-tree configuration). Build an index to

@@ -21,6 +21,7 @@
 // target ("watch a live index" without writing a driver): run it in one
 // terminal, rexp_top in another, kill -TERM it and find the flight dump.
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -65,8 +66,9 @@ int RunSoak(const std::string& dir, double seconds, int objects,
   MemoryPageFile file(4096);
   TreeConfig config = TreeConfig::Rexp();
   // In tiered mode every report goes through the in-memory live tier and
-  // a background migrator bulk-moves the survivors (DESIGN.md §12); the
-  // monitor stream then carries livetier.* next to tree.*.
+  // a soak-owned thread ticks migration to bulk-move the survivors
+  // (DESIGN.md §12); the monitor stream then carries livetier.* next to
+  // tree.*.
   std::unique_ptr<TieredIndex<2>> tiered_index;
   std::unique_ptr<Tree<2>> plain_tree;
   if (tiered) {
@@ -100,7 +102,18 @@ int RunSoak(const std::string& dir, double seconds, int objects,
               objects, tiered ? " (tiered live-tier index)" : "",
               seconds > 0 ? "bounded run" : "running until killed");
   std::fflush(stdout);
-  if (tiered) tiered_index->StartMigrator(/*interval_s=*/0.1);
+  // Migration off the report path: a soak-owned thread calls
+  // MigrateTick every 100 ms.
+  std::atomic<bool> stop_migrator{false};
+  std::thread migrator;
+  if (tiered) {
+    migrator = std::thread([&] {
+      while (!stop_migrator.load(std::memory_order_relaxed)) {
+        (void)tiered_index->MigrateTick();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    });
+  }
 
   std::mt19937 rng(42);
   std::uniform_real_distribution<double> pos_dist(0.0, 100.0);
@@ -167,6 +180,10 @@ int RunSoak(const std::string& dir, double seconds, int objects,
                            .count();
       if (elapsed >= seconds) break;
     }
+  }
+  if (migrator.joinable()) {
+    stop_migrator.store(true, std::memory_order_relaxed);
+    migrator.join();
   }
   monitor.Stop();
   std::printf("soak: done\n");
