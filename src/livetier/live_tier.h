@@ -14,10 +14,13 @@
 // queries answer with), and optionally `tree_record`, the copy that was
 // last migrated into the paged tree and is now stale there. While an
 // object is resident ("owned") the tier's answer wins and the tree's copy
-// must be suppressed from query results. Migration takes a batch out of
-// the tier (TakeBatch) and the caller replaces each tree copy with the
-// current record via Tree::GroupUpdate in the same critical section, so
-// no report can land between taking an entry and writing it.
+// must be suppressed from query results. Every report also joins a
+// report-ordered queue; migration pops its oldest eligible entries off
+// the front (TakeBatch — skipping items a re-report or departure made
+// stale, so a tick touches O(batch) residents), and the caller writes
+// the batch — fresh records and replacements of tree copies — into the
+// tree as one Tree::GroupUpdate in the same critical section, so no
+// report can land between taking an entry and writing it.
 //
 // Records whose expiration passes while resident simply die in place — an
 // expiry min-heap pops them lazily on the next operation, with zero page
@@ -35,6 +38,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <queue>
 #include <string>
 #include <utility>
@@ -151,10 +155,12 @@ class LiveTier {
               const Tpbr<kDims>* tree_record = nullptr) {
     Entry* e = map_.Find(oid);
     const bool absorbed = e != nullptr;
+    const uint32_t seq = ++report_seq_;
     if (absorbed) {
       RemoveFromBin(e->bin, oid);
       e->record = record;
       e->last_report = now;
+      e->seq = seq;
       e->bin = AddToBin(oid, record, now);
       ++stats_.updates_absorbed;
     } else {
@@ -166,6 +172,7 @@ class LiveTier {
         ++owned_in_tree_;
       }
       fresh.last_report = now;
+      fresh.seq = seq;
       fresh.bin = AddToBin(oid, record, now);
       map_.Put(oid, fresh);
       ++stats_.admitted;
@@ -173,6 +180,7 @@ class LiveTier {
     if (IsFiniteTime(record.t_exp)) {
       expiry_heap_.push(HeapItem{record.t_exp, oid});
     }
+    queue_.push_back(QueueItem{now, oid, seq});
     return absorbed;
   }
 
@@ -241,26 +249,58 @@ class LiveTier {
   // `force` treats every record as under pressure, for drains). The
   // caller writes each returned item into the tree before it releases
   // the lock that serializes the tier.
+  //
+  // Candidates come off the front of the report queue, which is in
+  // report order and so — report times being non-decreasing, as the tree
+  // requires of `now` — oldest first; a tick touches O(batch) residents.
   void TakeBatch(Time now, std::vector<MigrationItem>* out,
                  bool force = false) {
     out->clear();
     const bool pressure = force || map_.size() > options_.max_resident;
-    std::vector<std::pair<Time, ObjectId>> eligible;
-    map_.ForEach([&](uint32_t oid, const Entry& e) {
-      if (!e.record.LiveAt(now)) return;  // Dying in place.
-      if (IsFiniteTime(e.record.t_exp) &&
-          e.record.t_exp - now < options_.min_residual_life) {
-        return;
+    // Re-reports and departures leave stale items behind; rebuild from
+    // the map when they dominate, as ExpireDue does for the heap.
+    if (queue_.size() > 4 * map_.size() + 64) RebuildQueue();
+    std::vector<QueueItem> taken;
+    while (!queue_.empty()) {
+      const QueueItem item = queue_.front();
+      // A full batch stops at the end of a run of equal report times:
+      // the cut below orders that run by oid.
+      if (!taken.empty() && taken.size() >= options_.max_batch &&
+          item.last_report != taken.back().last_report) {
+        break;
       }
-      if (!pressure && now - e.last_report < options_.migrate_age) return;
-      eligible.emplace_back(e.last_report, oid);
-    });
-    const size_t take = std::min(eligible.size(), options_.max_batch);
-    std::partial_sort(eligible.begin(), eligible.begin() + take,
-                      eligible.end());
+      const Entry* e = map_.Find(item.oid);
+      // The object left the tier, or re-reported (its newer item is
+      // further back).
+      if (e == nullptr || e->seq != item.seq) {
+        queue_.pop_front();
+        continue;
+      }
+      // Time only advances, so a dying record, or one within
+      // min_residual_life of its expiry, never becomes eligible again
+      // (a re-report queues it anew). It dies in place.
+      if (!e->record.LiveAt(now) ||
+          (IsFiniteTime(e->record.t_exp) &&
+           e->record.t_exp - now < options_.min_residual_life)) {
+        queue_.pop_front();
+        continue;
+      }
+      // Every later item was reported later still.
+      if (!pressure && now - item.last_report < options_.migrate_age) break;
+      taken.push_back(item);
+      queue_.pop_front();
+    }
+    const size_t take = std::min(taken.size(), options_.max_batch);
+    std::partial_sort(taken.begin(), taken.begin() + take, taken.end(),
+                      OlderReport);
+    // What the cut leaves — the rest of one run of equal report times —
+    // stays queued at the front.
+    for (size_t i = taken.size(); i > take; --i) {
+      queue_.push_front(taken[i - 1]);
+    }
     out->reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      const ObjectId oid = eligible[i].second;
+      const ObjectId oid = taken[i].oid;
       const Entry* e = map_.Find(oid);
       out->push_back(
           MigrationItem{oid, e->record, e->has_tree_record, e->tree_record});
@@ -366,9 +406,36 @@ class LiveTier {
     Tpbr<kDims> record;
     Tpbr<kDims> tree_record;
     bool has_tree_record = false;
+    uint32_t seq = 0;  // Sequence number of the newest report.
     Time last_report = 0;
     size_t bin = 0;
   };
+
+  // One report in the migration queue; current while `seq` is its
+  // entry's. The queue never holds 2^32 items, so a wrapped sequence
+  // number cannot match a stale item.
+  struct QueueItem {
+    Time last_report;
+    ObjectId oid;
+    uint32_t seq;
+  };
+  // TakeBatch's order: oldest report first, ties by oid.
+  static bool OlderReport(const QueueItem& a, const QueueItem& b) {
+    if (a.last_report != b.last_report) return a.last_report < b.last_report;
+    return a.oid < b.oid;
+  }
+
+  // Refills the queue with one current item per resident, in TakeBatch's
+  // order.
+  void RebuildQueue() {
+    std::vector<QueueItem> items;
+    items.reserve(map_.size());
+    map_.ForEach([&](uint32_t oid, const Entry& e) {
+      items.push_back(QueueItem{e.last_report, oid, e.seq});
+    });
+    std::sort(items.begin(), items.end(), OlderReport);
+    queue_.assign(items.begin(), items.end());
+  }
 
   struct HeapItem {
     Time t_exp;
@@ -453,6 +520,9 @@ class LiveTier {
   std::priority_queue<HeapItem, std::vector<HeapItem>,
                       std::greater<HeapItem>>
       expiry_heap_;
+  // One item per report, in report order (TakeBatch's candidates).
+  std::deque<QueueItem> queue_;
+  uint32_t report_seq_ = 0;
   size_t owned_in_tree_ = 0;
   Stats stats_;
 };

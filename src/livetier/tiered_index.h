@@ -4,8 +4,9 @@
 // Position reports land in the live tier without touching a page; window
 // and nearest-neighbor queries consult both tiers and merge with
 // newest-per-oid-wins semantics; short-expiry records die in place;
-// migration ticks drain quiet records into the tree in batches via
-// GroupUpdate (which sorts them by their DAT-pinned target leaf). The
+// each migration tick moves one batch of quiet records into the tree as
+// one GroupUpdate — fresh objects and replacements of their stale tree
+// copies together, one tree mutation, one write-back. The
 // public surface mirrors Tree so harnesses, verifiers, telemetry, and
 // benchmarks run against either engine unchanged.
 //
@@ -245,9 +246,9 @@ class TieredIndex {
 
   // Registers the inner tree under `prefix` + "tree." and the live tier
   // under `prefix` + "livetier.": admission/death/migration counters,
-  // resident/bin gauges, and the migration batch-size histogram. Counter
-  // reads take the live-tier mutex (the monitor samples from its own
-  // thread).
+  // resident/bin gauges, and the migration batch-size and tick-latency
+  // histograms. Counter reads take the live-tier mutex (the monitor
+  // samples from its own thread).
   void RegisterMetrics(obs::MetricsRegistry* registry,
                        const std::string& prefix) {
     tree_.RegisterMetrics(registry, prefix + "tree.");
@@ -293,6 +294,8 @@ class TieredIndex {
                        owner);
     registry->AddHistogram(prefix + "livetier.migration_batch_size",
                            &migration_batch_size_, owner);
+    registry->AddHistogram(prefix + "livetier.tick_latency_us",
+                           &tick_latency_us_, owner);
     metrics_registration_ = registry->MakeScoped(owner);
   }
 
@@ -319,23 +322,23 @@ class TieredIndex {
   // follow under the same lock, so nothing can report, delete or query
   // one of these objects until the tree holds its migrated record.
   size_t MigrateTickLocked(bool drain) REQUIRES(mu_) {
+    obs::LatencyTimer timer(&tick_latency_us_);
     const Time now = last_now_;
     ExpireAndCleanLocked(now);
     std::vector<typename LiveTier<kDims>::MigrationItem> batch;
     live_.TakeBatch(now, &batch, drain);
     if (batch.empty()) return 0;
-    std::vector<typename Tree<kDims>::UpdateRequest> replacements;
-    replacements.reserve(batch.size());
+    // One tree mutation per tick: fresh objects and replacements of
+    // their tree copies go in one GroupUpdate.
+    std::vector<typename Tree<kDims>::UpdateRequest> requests;
+    requests.reserve(batch.size());
     for (const auto& item : batch) {
-      if (item.has_tree_record) {
-        replacements.push_back({item.oid, item.tree_record, item.record});
-      } else {
-        tree_.Insert(item.oid, item.record, now);
-      }
+      requests.push_back(
+          {item.oid, item.tree_record, item.record, item.has_tree_record});
     }
     // Per-request results were already reported (optimistically) by
     // Update; the settle here has nothing further to do with them.
-    if (!replacements.empty()) (void)tree_.GroupUpdate(replacements, now);
+    (void)tree_.GroupUpdate(requests, now);
     ++migration_batches_;
     migration_batch_size_.Record(static_cast<double>(batch.size()));
     return batch.size();
@@ -359,6 +362,8 @@ class TieredIndex {
   uint64_t tree_cleanup_deletes_ GUARDED_BY(mu_) = 0;
   obs::Histogram migration_batch_size_{
       obs::ExponentialBounds(1.0, 2.0, 12)};
+  // Wall time of each migration tick (MigrateTickLocked), batch or not.
+  obs::Histogram tick_latency_us_{obs::LatencyBoundsUs()};
   mutable obs::ScopedRegistration metrics_registration_;
 };
 

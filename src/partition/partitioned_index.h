@@ -336,15 +336,17 @@ class PartitionedIndex {
     return found;
   }
 
-  // Mirrors Tree::GroupUpdate: result[i] is what Update would have
-  // returned for requests[i]. Non-crossing requests are grouped per
-  // class and applied through each tree's batched GroupUpdate;
-  // boundary-crossing ones migrate individually. Batches containing the
-  // same oid twice fall back to sequential per-request updates to keep
-  // batch-order semantics.
+  // Mirrors Tree::GroupUpdate for re-reports (every request has an old
+  // record; fresh objects go through Insert): result[i] is what Update
+  // would have returned for requests[i]. Non-crossing requests are
+  // grouped per class and applied through each tree's batched
+  // GroupUpdate; boundary-crossing ones migrate individually. Batches
+  // containing the same oid twice fall back to sequential per-request
+  // updates to keep batch-order semantics.
   [[nodiscard]] std::vector<bool> GroupUpdate(
       const std::vector<UpdateRequest>& requests, Time now)
       EXCLUDES(router_mu_) {
+    for (const UpdateRequest& r : requests) REXP_CHECK(r.has_old_record);
     sched::MutexLock lk(&router_mu_);
     ++stats_.group_batches;
     std::vector<bool> results(requests.size(), false);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/parse.h"
@@ -476,8 +477,20 @@ double MetricHorizon(double h, Time t_exp, Time now, bool use_expiration) {
 
 template <int kDims>
 int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
-                               const Tpbr<kDims>& region, Time now) {
+                               const Tpbr<kDims>& region, Time now,
+                               Tpbr<kDims>* what_if) {
   REXP_CHECK(!node.entries.empty());
+  ++op_stats_.choose_subtree_calls;
+  auto chosen = [&](const ScoredChild& s) {
+    if (what_if != nullptr) *what_if = s.what_if;
+    if (tracer_ != nullptr) {
+      tracer_->Emit("choose_subtree",
+                    {{"level", static_cast<double>(node.level)},
+                     {"entries", static_cast<double>(node.entries.size())},
+                     {"chosen", static_cast<double>(s.index)}});
+    }
+    return s.index;
+  };
   std::vector<ScoredChild>& scored = choose_scratch_;
   scored.clear();
   for (size_t i = 0; i < node.entries.size(); ++i) {
@@ -491,7 +504,10 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
       scored.emplace_back().index = static_cast<int>(i);
     }
   }
-  if (scored.size() == 1) return scored[0].index;
+  if (scored.size() == 1) {
+    scored[0].what_if = node.entries[scored[0].index].region;
+    return chosen(scored[0]);
+  }
 
   const double h = horizon_.DecisionHorizon();
   const bool honor_exp =
@@ -522,7 +538,7 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
   if (config_.use_overlap_enlargement && node.level == 1) {
     std::sort(scored.begin(), scored.end(), area_better);
     size_t top = std::min<size_t>(scored.size(), kOverlapCandidates);
-    int best = -1;
+    const ScoredChild* best = nullptr;
     double best_overlap = 0, best_enlargement = 0;
     for (size_t k = 0; k < top; ++k) {
       const ScoredChild& s = scored[k];
@@ -536,22 +552,22 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
                          OverlapIntegral(node.entries[s.index].region, other,
                                          now, t_cap);
       }
-      if (best < 0 || delta_overlap < best_overlap ||
+      if (best == nullptr || delta_overlap < best_overlap ||
           (delta_overlap == best_overlap &&
            s.area_enlargement < best_enlargement)) {
-        best = s.index;
+        best = &s;
         best_overlap = delta_overlap;
         best_enlargement = s.area_enlargement;
       }
     }
-    return best;
+    return chosen(*best);
   }
 
   const ScoredChild* best = &scored[0];
   for (const ScoredChild& s : scored) {
     if (area_better(s, *best)) best = &s;
   }
-  return best->index;
+  return chosen(*best);
 }
 
 template <int kDims>
@@ -565,14 +581,7 @@ std::vector<typename Tree<kDims>::PathStep> Tree<kDims>::ChoosePath(
   Node<kDims>& node = *target;
   ReadNodeInto(root_, &node);
   while (node.level > target_level) {
-    int idx = ChooseSubtree(node, region, now);
-    ++op_stats_.choose_subtree_calls;
-    if (tracer_ != nullptr) {
-      tracer_->Emit("choose_subtree",
-                    {{"level", static_cast<double>(node.level)},
-                     {"entries", static_cast<double>(node.entries.size())},
-                     {"chosen", static_cast<double>(idx)}});
-    }
+    const int idx = ChooseSubtree(node, region, now);
     PageId child = node.entries[idx].id;
     path.push_back(PathStep{child});
     ReadNodeInto(child, &node);
@@ -585,12 +594,22 @@ std::vector<typename Tree<kDims>::PathStep> Tree<kDims>::ChoosePath(
 // Split and forced reinsertion.
 
 template <int kDims>
+int Tree<kDims>::MinEntries(int level) const {
+  return std::max(
+      2, static_cast<int>(codec_.Capacity(level) * config_.min_fill_fraction));
+}
+
+template <int kDims>
+int Tree<kDims>::ReinsertCount(int total) const {
+  return std::clamp(static_cast<int>(config_.reinsert_fraction * total), 1,
+                    total - 2);
+}
+
+template <int kDims>
 Node<kDims> Tree<kDims>::SplitNode(Node<kDims>* node, Time now) {
   const int total = static_cast<int>(node->entries.size());
-  const int cap = codec_.Capacity(node->level);
-  const int min_entries =
-      std::max(2, static_cast<int>(cap * config_.min_fill_fraction));
-  REXP_CHECK(total > cap);
+  const int min_entries = MinEntries(node->level);
+  REXP_CHECK(total > codec_.Capacity(node->level));
   const uint64_t io_before = buffer_.stats().Total();
   if (tracer_ != nullptr) {
     tracer_->BeginSpan("split",
@@ -722,8 +741,7 @@ Node<kDims> Tree<kDims>::SplitNode(Node<kDims>* node, Time now) {
 template <int kDims>
 void Tree<kDims>::RemoveForReinsert(Node<kDims>* node, Time now) {
   const int total = static_cast<int>(node->entries.size());
-  int remove = static_cast<int>(config_.reinsert_fraction * total);
-  remove = std::clamp(remove, 1, total - 2);
+  const int remove = ReinsertCount(total);
 
   Tpbr<kDims> bound = ComputeBound(*node, now);
   const double h = horizon_.DecisionHorizon();
@@ -764,115 +782,121 @@ void Tree<kDims>::RemoveForReinsert(Node<kDims>* node, Time now) {
 template <int kDims>
 void Tree<kDims>::FixPath(const std::vector<PathStep>& path,
                           Node<kDims> node, Time now) {
-  bool have_extra = false;
-  NodeEntry<kDims> extra;
-  bool child_removed = false;
-
   for (int i = static_cast<int>(path.size()) - 1; i >= 0; --i) {
     const PageId id = path[i].id;
-    const bool is_root = (i == 0);
-    const int cap = codec_.Capacity(node.level);
-    const int min_entries =
-        std::max(2, static_cast<int>(cap * config_.min_fill_fraction));
-
-    child_removed = false;
-    have_extra = false;
-    // Where the node ends up: its own page normally, a fresh page under
-    // copy-on-write (see StoreNode).
-    PageId stored_id = kInvalidPageId;
-
-    if (is_root && config_.crash_consistent) {
-      // StoreNode is about to quarantine the root's current page, which
-      // must not be pinned when that happens.
-      REXP_CHECK_OK(PinRoot(kInvalidPageId));
-    }
-
-    if (static_cast<int>(node.entries.size()) > cap) {
-      const uint32_t level_bit = 1u << node.level;
-      if (!is_root && config_.reinsert_fraction > 0 &&
-          !(reinserted_levels_ & level_bit)) {
-        reinserted_levels_ |= level_bit;
-        RemoveForReinsert(&node, now);
-        stored_id = StoreNode(id, node);
-      } else {
-        Node<kDims> right = SplitNode(&node, now);
-        stored_id = StoreNode(id, node);
-        PageId right_id = AllocNode(right);
-        if (is_root) {
-          GrowRoot(stored_id, right_id, now);
-          return;
-        }
-        have_extra = true;
-        // Bound the new sibling as stored on its page (float-rounded), so
-        // that parent bounds always cover the on-page child exactly.
-        ReadNodeInto(right_id, &fix_scratch_);
-        extra = NodeEntry<kDims>{ComputeBound(fix_scratch_, now), right_id};
-      }
-    } else if (!is_root &&
-               static_cast<int>(node.entries.size()) < min_entries) {
-      if (pending_.size() + node.entries.size() > config_.max_orphans) {
-        // Orphan list is (almost) full: stop handling underfull nodes for
-        // this operation (paper Section 4.3). The node stays underfull —
-        // harmless for correctness — and a later modification fixes it.
-        ++underfull_remnants_;
-        stored_id = StoreNode(id, node);
-      } else {
-        // Underfull: orphan the live entries and dissolve the node (paper
-        // step PU2). Orphaned leaf records leave the leaf level until
-        // reinserted, so their DAT references drop here and come back in
-        // InsertPending.
-        if (node.level == 0) ReleaseLeafRefs(node);
-        for (const NodeEntry<kDims>& e : node.entries) {
-          pending_.push_back(Pending{node.level, e});
-        }
-        level_counts_[node.level] -= node.entries.size();
-        op_stats_.orphaned_entries += node.entries.size();
-        if (tracer_ != nullptr) {
-          tracer_->Emit("dissolve",
-                        {{"level", static_cast<double>(node.level)},
-                         {"orphaned",
-                          static_cast<double>(node.entries.size())}});
-        }
-        FreeNode(id);
-        child_removed = true;
-      }
-    } else {
-      stored_id = StoreNode(id, node);
-    }
-
-    if (is_root) {
-      if (config_.crash_consistent) {
-        root_ = stored_id;
-        REXP_CHECK_OK(PinRoot(root_));
-      }
-      MaybeShrinkRoot(std::move(node));
-      return;
-    }
-
+    NodeEntry<kDims> extra;
+    const PageId stored = SettleNode(id, i == 0, std::move(node), now, &extra);
+    if (i == 0) return;
     Node<kDims> parent = ReadNode(path[i - 1].id);
     // Purging may not drop the entry for the child we are updating: its
     // recorded expiration predates this operation's changes.
     PurgeExpired(&parent, now, /*skip_id=*/id);
-    int idx = parent.FindId(id);
-    if (child_removed) {
-      if (idx >= 0) {
-        parent.entries.erase(parent.entries.begin() + idx);
-        level_counts_[parent.level] -= 1;
-      }
-    } else {
-      REXP_CHECK(idx >= 0);
-      // Recompute the bound from the node as stored on its page: encoding
-      // rounds entries outward, and the parent bound must cover the
-      // on-page representation. Under copy-on-write the child also moved.
-      ReadNodeInto(stored_id, &fix_scratch_);
-      parent.entries[idx].region = ComputeBound(fix_scratch_, now);
-      parent.entries[idx].id = stored_id;
-    }
-    if (have_extra) {
-      parent.entries.push_back(extra);
-      level_counts_[parent.level] += 1;
-    }
+    ReattachChild(&parent, id, stored, extra, now);
     node = std::move(parent);
+  }
+}
+
+template <int kDims>
+PageId Tree<kDims>::SettleNode(PageId id, bool is_root, Node<kDims> node,
+                               Time now, NodeEntry<kDims>* extra) {
+  extra->id = kInvalidPageId;
+  const int cap = codec_.Capacity(node.level);
+  const int total = static_cast<int>(node.entries.size());
+  // Where the node ends up: its own page normally, a fresh page under
+  // copy-on-write (see StoreNode); kInvalidPageId once dissolved.
+  PageId stored_id = kInvalidPageId;
+
+  if (is_root && config_.crash_consistent) {
+    // StoreNode is about to quarantine the root's current page, which
+    // must not be pinned when that happens.
+    REXP_CHECK_OK(PinRoot(kInvalidPageId));
+  }
+
+  if (total > cap) {
+    const uint32_t level_bit = 1u << node.level;
+    // A forced reinsertion must leave a node that fits; a batch can
+    // overfill one past what the reinsertion takes out.
+    if (!is_root && config_.reinsert_fraction > 0 &&
+        !(reinserted_levels_ & level_bit) &&
+        total - ReinsertCount(total) <= cap) {
+      reinserted_levels_ |= level_bit;
+      RemoveForReinsert(&node, now);
+      stored_id = StoreNode(id, node);
+    } else {
+      Node<kDims> right = SplitNode(&node, now);
+      stored_id = StoreNode(id, node);
+      PageId right_id = AllocNode(right);
+      if (is_root) {
+        GrowRoot(stored_id, right_id, now);
+        return stored_id;
+      }
+      // Bound the new sibling as stored on its page (float-rounded), so
+      // that parent bounds always cover the on-page child exactly.
+      ReadNodeInto(right_id, &fix_scratch_);
+      *extra = NodeEntry<kDims>{ComputeBound(fix_scratch_, now), right_id};
+    }
+  } else if (!is_root && total < MinEntries(node.level)) {
+    if (pending_.size() + node.entries.size() > config_.max_orphans) {
+      // Orphan list is (almost) full: stop handling underfull nodes for
+      // this operation (paper Section 4.3). The node stays underfull —
+      // harmless for correctness — and a later modification fixes it.
+      ++underfull_remnants_;
+      stored_id = StoreNode(id, node);
+    } else {
+      // Underfull: orphan the live entries and dissolve the node (paper
+      // step PU2). Orphaned leaf records leave the leaf level until
+      // reinserted, so their DAT references drop here and come back in
+      // InsertPending.
+      if (node.level == 0) ReleaseLeafRefs(node);
+      for (const NodeEntry<kDims>& e : node.entries) {
+        pending_.push_back(Pending{node.level, e});
+      }
+      level_counts_[node.level] -= node.entries.size();
+      op_stats_.orphaned_entries += node.entries.size();
+      if (tracer_ != nullptr) {
+        tracer_->Emit("dissolve",
+                      {{"level", static_cast<double>(node.level)},
+                       {"orphaned",
+                        static_cast<double>(node.entries.size())}});
+      }
+      FreeNode(id);
+    }
+  } else {
+    stored_id = StoreNode(id, node);
+  }
+
+  if (is_root) {
+    if (config_.crash_consistent) {
+      root_ = stored_id;
+      REXP_CHECK_OK(PinRoot(root_));
+    }
+    MaybeShrinkRoot(std::move(node));
+  }
+  return stored_id;
+}
+
+template <int kDims>
+void Tree<kDims>::ReattachChild(Node<kDims>* parent, PageId child,
+                                PageId stored, const NodeEntry<kDims>& extra,
+                                Time now) {
+  const int idx = parent->FindId(child);
+  if (stored == kInvalidPageId) {
+    if (idx >= 0) {
+      parent->entries.erase(parent->entries.begin() + idx);
+      level_counts_[parent->level] -= 1;
+    }
+  } else {
+    REXP_CHECK(idx >= 0);
+    // Recompute the bound from the node as stored on its page: encoding
+    // rounds entries outward, and the parent bound must cover the
+    // on-page representation. Under copy-on-write the child also moved.
+    ReadNodeInto(stored, &fix_scratch_);
+    parent->entries[idx].region = ComputeBound(fix_scratch_, now);
+    parent->entries[idx].id = stored;
+  }
+  if (extra.id != kInvalidPageId) {
+    parent->entries.push_back(extra);
+    level_counts_[parent->level] += 1;
   }
 }
 
@@ -1122,7 +1146,7 @@ bool Tree<kDims>::Delete(ObjectId oid, const Tpbr<kDims>& point, Time now,
 
 template <int kDims>
 bool Tree<kDims>::RemoveRecord(ObjectId oid, const Tpbr<kDims>& point,
-                               Time now, bool see_expired) {
+                               Time now, bool see_expired, Batch* batch) {
   if (root_ == kInvalidPageId) return false;
   const DatEntry* de = dat_.Find(oid);
   const PageId leaf =
@@ -1136,19 +1160,25 @@ bool Tree<kDims>::RemoveRecord(ObjectId oid, const Tpbr<kDims>& point,
              BuildPathFromDat(leaf, &path_scratch_)) {
     // The DAT pins the object's single physical copy: the whole removal
     // resolves at that leaf, with no overlap-guided descent.
-    Node<kDims>& node = update_scratch_;
-    ReadNodeInto(leaf, &node);
-    const int match = FindLeafMatch(node, oid, point, now, see_expired);
+    Node<kDims>* node = &update_scratch_;
+    if (batch != nullptr) {
+      node = &BatchNode(batch, 0, leaf, now);
+    } else {
+      ReadNodeInto(leaf, node);
+    }
+    const int match = FindLeafMatch(*node, oid, point, now, see_expired);
     ++op_stats_.delete_bottom_up;
     // No match: the single copy is not the probed record.
     found = match >= 0;
-    if (found) EraseLeafEntry(path_scratch_, &node, match, now);
+    if (found) {
+      EraseLeafEntry(path_scratch_, node, match, now, batch != nullptr);
+    }
   } else {
     path_scratch_.clear();
     found = DeleteRecurse(root_, height_ - 1, oid, point, now, see_expired,
-                          &path_scratch_);
+                          &path_scratch_, batch);
   }
-  if (found) DrainPending(now);
+  if (found && batch == nullptr) DrainPending(now);
   return found;
 }
 
@@ -1156,7 +1186,7 @@ template <int kDims>
 bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
                                 const Tpbr<kDims>& point, Time now,
                                 bool see_expired,
-                                std::vector<PathStep>* path) {
+                                std::vector<PathStep>* path, Batch* batch) {
   path->push_back(PathStep{id});
   if (delete_scratch_.size() <= static_cast<size_t>(level)) {
     delete_scratch_.resize(level + 1);
@@ -1171,9 +1201,13 @@ bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
                           ? static_cast<Time>(point.t_exp)
                           : now;
   if (node.IsLeaf()) {
-    const int match = FindLeafMatch(node, oid, point, now, see_expired);
+    // A batch resolves the leaf against its own copy, which may already
+    // have lost or replaced entries.
+    Node<kDims>& leaf =
+        batch != nullptr ? BatchNode(batch, 0, id, now) : node;
+    const int match = FindLeafMatch(leaf, oid, point, now, see_expired);
     if (match >= 0) {
-      EraseLeafEntry(*path, &node, match, now);
+      EraseLeafEntry(*path, &leaf, match, now, batch != nullptr);
       return true;
     }
   } else {
@@ -1186,8 +1220,8 @@ bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
                    pos <= e.region.HiAt(d, t_test);
       }
       if (!contains) continue;
-      if (DeleteRecurse(e.id, level - 1, oid, point, now, see_expired,
-                        path)) {
+      if (DeleteRecurse(e.id, level - 1, oid, point, now, see_expired, path,
+                        batch)) {
         return true;
       }
     }
@@ -1212,10 +1246,12 @@ int Tree<kDims>::FindLeafMatch(const Node<kDims>& leaf, ObjectId oid,
 
 template <int kDims>
 void Tree<kDims>::EraseLeafEntry(const std::vector<PathStep>& path,
-                                 Node<kDims>* leaf, int idx, Time now) {
+                                 Node<kDims>* leaf, int idx, Time now,
+                                 bool batched) {
   dat_.ReleaseRef(leaf->entries[idx].id);
   leaf->entries.erase(leaf->entries.begin() + idx);
   level_counts_[0] -= 1;
+  if (batched) return;
   PurgeExpired(leaf, now);
   FixPath(path, std::move(*leaf), now);
 }
@@ -1260,13 +1296,18 @@ bool Tree<kDims>::BuildPathFromDat(PageId leaf, std::vector<PathStep>* path) {
 }
 
 template <int kDims>
-const Tpbr<kDims>* Tree<kDims>::ReadParentBound(PageId leaf) {
+const Tpbr<kDims>* Tree<kDims>::ReadParentBound(PageId leaf,
+                                                PageId* parent_id,
+                                                Node<kDims>* parent) {
   if (leaf == root_) return nullptr;
-  const PageId* parent = parent_of_.Find(leaf);
-  if (parent == nullptr) return nullptr;
-  ReadNodeInto(*parent, &fix_scratch_);
-  const int idx = fix_scratch_.FindId(leaf);
-  return idx >= 0 ? &fix_scratch_.entries[idx].region : nullptr;
+  const PageId* id = parent_of_.Find(leaf);
+  if (id == nullptr) return nullptr;
+  if (*id != *parent_id) {
+    ReadNodeInto(*id, parent);
+    *parent_id = *id;
+  }
+  const int idx = parent->FindId(leaf);
+  return idx >= 0 ? &parent->entries[idx].region : nullptr;
 }
 
 template <int kDims>
@@ -1320,9 +1361,12 @@ bool Tree<kDims>::UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
     const int match = FindLeafMatch(node, oid, old_record, now,
                                     /*see_expired=*/false);
     // The leaf first, then its parent-facing bound.
+    PageId parent = kInvalidPageId;
     const Admission admit =
-        match < 0 ? Admission::kNone
-                  : Admit(leaf, ReadParentBound(leaf), new_record, now);
+        match < 0
+            ? Admission::kNone
+            : Admit(leaf, ReadParentBound(leaf, &parent, &fix_scratch_),
+                    new_record, now);
     if (admit == Admission::kInPlace && !config_.crash_consistent) {
       // Tier 1: a single leaf write — no purge, no parent touch, zero
       // descents. Ancestors stay sound: the parent entry covers the new
@@ -1381,83 +1425,274 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
   sched::WriterMutexLock epoch(&epoch_mu_);
   ++op_stats_.group_update_batches;
   auto apply = [&]() REQUIRES(epoch_mu_) {
-    std::vector<UpdateRequest> reqs = requests;
-    for (UpdateRequest& r : reqs) {
-      r.old_record = CanonicalRecord(r.old_record);
-      r.new_record = CanonicalRecord(r.new_record);
-    }
+    // The parent node ReadParentBound last decoded. Nothing above the
+    // leaves changes before SettleBatch, so it stays valid until then.
+    PageId parent_id = kInvalidPageId;
+    Node<kDims> parent;
+    std::vector<char> done(requests.size(), 0);
 
-    // Order the batch by DAT-pinned target leaf — stable, so requests for
-    // the same object keep their batch order — and coalesce same-leaf
-    // updates into one read-modify-write.
-    std::vector<std::pair<PageId, size_t>> order;
-    order.reserve(reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      const DatEntry* de =
-          root_ != kInvalidPageId ? dat_.Find(reqs[i].oid) : nullptr;
-      const PageId leaf =
-          (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
-      order.emplace_back(leaf, i);
-    }
-    std::stable_sort(
-        order.begin(), order.end(),
-        [](const std::pair<PageId, size_t>& a,
-           const std::pair<PageId, size_t>& b) { return a.first < b.first; });
-
-    std::vector<char> done(reqs.size(), 0);
     // Pass 1: per pinned leaf, apply every tier-1-admissible replacement
-    // to one in-memory copy and write the page once. Copy-on-write mode
-    // relocates the leaf on every store (invalidating the grouping), so
-    // it takes the singles pass only.
-    size_t g = config_.crash_consistent ? order.size() : 0;
-    while (g < order.size()) {
-      const PageId leaf = order[g].first;
-      size_t g_end = g;
-      while (g_end < order.size() && order[g_end].first == leaf) ++g_end;
-      // The leaf's parent-facing bound gates every admission in this
-      // group: read it once, before the leaf. Unpinned requests and a
-      // broken parent chain go to the singles pass.
-      const Tpbr<kDims>* bound =
-          leaf == kInvalidPageId ? nullptr : ReadParentBound(leaf);
-      if (leaf == kInvalidPageId || (bound == nullptr && leaf != root_)) {
-        g = g_end;
-        continue;
+    // to one in-memory copy and write the page once. The order is by
+    // (parent, leaf) — stable, so requests for the same object keep their
+    // batch order — and each parent is decoded once. Copy-on-write mode
+    // relocates the leaf on every store, so it leaves all to pass 2.
+    if (!config_.crash_consistent) {
+      struct Target {
+        PageId parent, leaf;
+        size_t request;
+      };
+      std::vector<Target> order;
+      order.reserve(requests.size());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const DatEntry* de =
+            root_ != kInvalidPageId ? dat_.Find(requests[i].oid) : nullptr;
+        const PageId leaf =
+            (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+        const PageId* up =
+            leaf == kInvalidPageId ? nullptr : parent_of_.Find(leaf);
+        order.push_back({up == nullptr ? kInvalidPageId : *up, leaf, i});
       }
-      Node<kDims>& node = update_scratch_;
-      ReadNodeInto(leaf, &node);
-      bool dirty = false;
-      for (size_t k = g; k < g_end; ++k) {
-        const UpdateRequest& r = reqs[order[k].second];
-        const int match = FindLeafMatch(node, r.oid, r.old_record, now,
-                                        /*see_expired=*/false);
-        if (match < 0 ||
-            Admit(leaf, bound, r.new_record, now) != Admission::kInPlace) {
+      std::stable_sort(order.begin(), order.end(),
+                       [](const Target& a, const Target& b) {
+                         return std::tie(a.parent, a.leaf) <
+                                std::tie(b.parent, b.leaf);
+                       });
+      // Objects with a request left to pass 2: their later requests wait
+      // for it, so each object's requests stay in batch order.
+      std::vector<ObjectId> deferred;
+      size_t g = 0;
+      while (g < order.size()) {
+        const PageId leaf = order[g].leaf;
+        size_t g_end = g;
+        while (g_end < order.size() && order[g_end].leaf == leaf) ++g_end;
+        // The leaf's parent-facing bound gates every admission in this
+        // group. Unpinned requests and a broken parent chain go to pass 2.
+        const Tpbr<kDims>* bound =
+            leaf == kInvalidPageId ? nullptr
+                                   : ReadParentBound(leaf, &parent_id, &parent);
+        if (leaf == kInvalidPageId || (bound == nullptr && leaf != root_)) {
+          g = g_end;
           continue;
         }
-        node.entries[match].region = r.new_record;
-        dirty = true;
-        done[order[k].second] = 1;
-        results[order[k].second] = true;
-        ++op_stats_.updates;
-        ++op_stats_.update_fast;
-        ++op_stats_.dat_hits;
-        NoteReport(now);
+        Node<kDims>& node = update_scratch_;
+        ReadNodeInto(leaf, &node);
+        deferred.clear();
+        bool dirty = false;
+        for (size_t k = g; k < g_end; ++k) {
+          const size_t i = order[k].request;
+          const UpdateRequest& r = requests[i];
+          const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
+          const bool waits =
+              !r.has_old_record ||
+              std::find(deferred.begin(), deferred.end(), r.oid) !=
+                  deferred.end();
+          const int match =
+              waits ? -1
+                    : FindLeafMatch(node, r.oid, CanonicalRecord(r.old_record),
+                                    now, /*see_expired=*/false);
+          if (match < 0 ||
+              Admit(leaf, bound, new_record, now) != Admission::kInPlace) {
+            deferred.push_back(r.oid);
+            continue;
+          }
+          node.entries[match].region = new_record;
+          dirty = true;
+          done[i] = 1;
+          results[i] = true;
+          ++op_stats_.updates;
+          ++op_stats_.update_fast;
+          ++op_stats_.dat_hits;
+          NoteReport(now);
+        }
+        if (dirty) WriteNode(leaf, node);
+        g = g_end;
       }
-      if (dirty) WriteNode(leaf, node);
-      g = g_end;
     }
 
-    // Pass 2: the rest through the single-update path, in batch order.
-    for (size_t i = 0; i < reqs.size(); ++i) {
+    // Pass 2, in batch order, with every change held in the batch's node
+    // copies until SettleBatch. A replacement the leaf's parent bound
+    // admits stays in its leaf; any other old record leaves its leaf and
+    // the new record joins `routed`, with the fresh objects.
+    Batch batch;
+    std::vector<NodeEntry<kDims>> routed;
+    for (size_t i = 0; i < requests.size(); ++i) {
       if (done[i] != 0) continue;
-      reinserted_levels_ = 0;
-      results[i] = UpdateLocked(reqs[i].oid, reqs[i].old_record,
-                                reqs[i].new_record, now);
+      const UpdateRequest& r = requests[i];
+      const Tpbr<kDims> old_record = CanonicalRecord(r.old_record);
+      const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
+      NoteReport(now);
+      results[i] = true;
+      if (!r.has_old_record) {
+        ++op_stats_.inserts;
+        routed.push_back(NodeEntry<kDims>{new_record, r.oid});
+        continue;
+      }
+      ++op_stats_.updates;
+      // A record this batch has yet to place is the newest copy of its
+      // object: a later request for the object replaces it there.
+      auto pending = std::find_if(
+          routed.rbegin(), routed.rend(), [&](const NodeEntry<kDims>& e) {
+            return e.id == r.oid && EntryLive(e, now) &&
+                   SameRecord(e.region, old_record);
+          });
+      if (pending != routed.rend()) {
+        pending->region = new_record;
+        continue;
+      }
+      const DatEntry* de =
+          root_ != kInvalidPageId ? dat_.Find(r.oid) : nullptr;
+      const PageId leaf =
+          (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+      if (leaf != kInvalidPageId) {
+        ++op_stats_.dat_hits;
+        Node<kDims>& node = BatchNode(&batch, 0, leaf, now);
+        const int match = FindLeafMatch(node, r.oid, old_record, now,
+                                        /*see_expired=*/false);
+        if (match >= 0 &&
+            Admit(leaf, ReadParentBound(leaf, &parent_id, &parent),
+                  new_record, now) != Admission::kNone) {
+          node.entries[match].region = new_record;
+          ++op_stats_.update_fast;
+          ++op_stats_.update_fast_propagations;
+          continue;
+        }
+      } else {
+        ++op_stats_.dat_misses;
+      }
+      ++op_stats_.update_fallback;
+      results[i] = RemoveRecord(r.oid, old_record, now,
+                                /*see_expired=*/false, &batch);
+      routed.push_back(NodeEntry<kDims>{new_record, r.oid});
     }
+
+    for (;;) {
+      std::span<const NodeEntry<kDims>> to_route(routed);
+      if (!to_route.empty() && root_ == kInvalidPageId) {
+        // An empty tree: the first record becomes the root leaf.
+        InsertPending(Pending{0, to_route.front()}, now);
+        to_route = to_route.subspan(1);
+      }
+      if (!to_route.empty()) {
+        RouteBatch(&batch, height_ - 1, root_, to_route, now);
+      }
+      SettleBatch(&batch, now);
+      routed.clear();
+      // Leaf records the settle pushed out (forced reinsertion, dissolved
+      // leaves, spills) take another round; entries of internal levels
+      // go first, and singly (DrainPending, highest level first).
+      if (pending_.empty() ||
+          std::any_of(pending_.begin(), pending_.end(),
+                      [](const Pending& p) { return p.level > 0; })) {
+        break;
+      }
+      for (const Pending& p : pending_) routed.push_back(p.entry);
+      pending_.clear();
+    }
+    DrainPending(now);
     return true;
   };
   RunMutation(obs::FlightOp::kGroupUpdate, requests.size(), now, apply);
   return results;
+}
+
+template <int kDims>
+Node<kDims>& Tree<kDims>::BatchNode(Batch* batch, int level, PageId id,
+                                    Time now) {
+  auto [it, added] = batch->try_emplace({level, id});
+  if (added) {
+    ReadNodeInto(id, &it->second);
+    REXP_CHECK(it->second.level == level);
+    if (level == 0) PurgeExpired(&it->second, now);
+  }
+  return it->second;
+}
+
+template <int kDims>
+void Tree<kDims>::RouteBatch(Batch* batch, int level, PageId id,
+                             std::span<const NodeEntry<kDims>> records,
+                             Time now) {
+  Node<kDims>& node = BatchNode(batch, level, id, now);
+  if (level == 0) {
+    for (const NodeEntry<kDims>& rec : records) {
+      node.entries.push_back(rec);
+      dat_.AddRef(rec.id);
+      level_counts_[0] += 1;
+    }
+    return;
+  }
+  // Each record picks its child against the node as decoded, whose
+  // chosen entry then carries the record's what-if bound, so later
+  // records see the earlier ones' choices. The entries are re-bounded
+  // from their children in SettleBatch.
+  // (child page, record), grouped by child below. Pages, not entry
+  // indices: settling a leaf may erase its parent entry.
+  std::vector<std::pair<PageId, size_t>> chosen;
+  chosen.reserve(records.size());
+  for (size_t r = 0; r < records.size(); ++r) {
+    Tpbr<kDims> what_if;
+    const int idx = ChooseSubtree(node, records[r].region, now, &what_if);
+    node.entries[idx].region = what_if;
+    chosen.emplace_back(node.entries[idx].id, r);
+  }
+  std::stable_sort(chosen.begin(), chosen.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<NodeEntry<kDims>> group;
+  for (size_t g = 0; g < chosen.size();) {
+    const PageId child = chosen[g].first;
+    group.clear();
+    for (; g < chosen.size() && chosen[g].first == child; ++g) {
+      group.push_back(records[chosen[g].second]);
+    }
+    RouteBatch(batch, level - 1, child, group, now);
+    // A leaf is final once its group is in: settle it now, so the batch
+    // holds one routed leaf at a time.
+    if (level == 1) SettleBatchNode(batch, batch->find({0, child}), &node, now);
+  }
+}
+
+template <int kDims>
+void Tree<kDims>::SettleBatchNode(Batch* batch, typename Batch::iterator it,
+                                  Node<kDims>* parent, Time now) {
+  const auto [level, id] = it->first;
+  Node<kDims> node = std::move(it->second);
+  batch->erase(it);
+  // Leaves were purged as they were loaded; an internal node only now,
+  // with every touched child's entry re-bounded.
+  if (level > 0) PurgeExpired(&node, now);
+  // One split must leave two nodes that fit: the entries past that go
+  // through InsertPending (DrainPending), last arrivals first.
+  const size_t fits =
+      static_cast<size_t>(codec_.Capacity(level) + MinEntries(level));
+  while (node.entries.size() > fits) {
+    const NodeEntry<kDims> spill = node.entries.back();
+    node.entries.pop_back();
+    if (level == 0) dat_.ReleaseRef(spill.id);
+    level_counts_[level] -= 1;
+    pending_.push_back(Pending{level, spill});
+  }
+  NodeEntry<kDims> extra;
+  const PageId stored =
+      SettleNode(id, parent == nullptr, std::move(node), now, &extra);
+  if (parent != nullptr) ReattachChild(parent, id, stored, extra, now);
+}
+
+template <int kDims>
+void Tree<kDims>::SettleBatch(Batch* batch, Time now) {
+  // Map order is bottom-up, and settling a node loads its parent (a
+  // later key), so the front of the map is always ready to settle.
+  while (!batch->empty()) {
+    const auto it = batch->begin();
+    const auto [level, id] = it->first;
+    Node<kDims>* parent = nullptr;
+    if (id != root_) {
+      const PageId* parent_id = parent_of_.Find(id);
+      REXP_CHECK(parent_id != nullptr);
+      parent = &BatchNode(batch, level + 1, *parent_id, now);
+    }
+    SettleBatchNode(batch, it, parent, now);
+  }
 }
 
 template <int kDims>

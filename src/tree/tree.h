@@ -33,7 +33,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <string>
@@ -280,18 +283,25 @@ class Tree {
   [[nodiscard]] bool Update(ObjectId oid, const Tpbr<kDims>& old_record,
                             const Tpbr<kDims>& new_record, Time now);
 
-  // One pending position re-report for GroupUpdate.
+  // One pending position report for GroupUpdate: a re-report replacing
+  // `old_record`, or (has_old_record == false) a fresh object, whose
+  // `old_record` is ignored.
   struct UpdateRequest {
     ObjectId oid;
     Tpbr<kDims> old_record;
     Tpbr<kDims> new_record;
+    bool has_old_record = true;
   };
 
-  // Applies a batch of updates under one exclusive epoch, grouping the
-  // requests by their DAT-pinned target leaf so updates that land on the
-  // same leaf share one read-modify-write; the remainder run through the
-  // single-update path. result[i] is what Update would have returned for
-  // requests[i]. Requests for the same oid are applied in batch order.
+  // Applies a batch of reports as one mutation (DESIGN.md §10): one
+  // exclusive epoch, one write-back (one commit in crash-consistent
+  // mode). Tier-1 replacements share one read-modify-write per
+  // DAT-pinned leaf; everything else moves in one tree pass — old
+  // records leave in-memory copies of their leaves, the new and fresh
+  // records are routed top-down once, and each touched node is stored
+  // and re-bounded once, bottom-up. result[i] is what Update would have
+  // returned for requests[i] (true for a fresh object). Requests for the
+  // same oid are applied in batch order.
   [[nodiscard]] std::vector<bool> GroupUpdate(
       const std::vector<UpdateRequest>& requests, Time now);
 
@@ -451,6 +461,10 @@ class Tree {
     int level;
     NodeEntry<kDims> entry;
   };
+  // The nodes one GroupUpdate batch changes, keyed (level, page id) so
+  // map order is bottom-up: each is decoded once (BatchNode), changed in
+  // memory, then stored and re-bounded once (SettleBatchNode).
+  using Batch = std::map<std::pair<int, PageId>, Node<kDims>>;
 
   Tree(const TreeConfig& config, PageFile* file, PrivateTag);
 
@@ -506,13 +520,34 @@ class Tree {
   std::vector<PathStep> ChoosePath(const Tpbr<kDims>& region,
                                    int target_level, Time now,
                                    Node<kDims>* target) REQUIRES(epoch_mu_);
+  // The child of `node` to route `region` into, counted and traced as
+  // one descent step. *what_if (if given) receives the chosen child's
+  // bound grown by `region` — unchanged when it was the sole candidate.
   int ChooseSubtree(const Node<kDims>& node, const Tpbr<kDims>& region,
-                    Time now) REQUIRES(epoch_mu_);
+                    Time now, Tpbr<kDims>* what_if = nullptr)
+      REQUIRES(epoch_mu_);
   // Propagates changes from the node at path.back() (already purged and
   // modified, not yet written) up to the root: splits/forced reinsertion
   // on overflow, orphaning on underflow, TPBR recomputation otherwise.
   void FixPath(const std::vector<PathStep>& path, Node<kDims> node,
                Time now) REQUIRES(epoch_mu_);
+  // FixPath's step for one node (already purged and modified) that was
+  // at page `id`: forced reinsertion or a split on overflow, dissolution
+  // into orphans on underflow, else a plain store; the root also grows
+  // or shrinks. Returns where the node was stored (kInvalidPageId when
+  // dissolved) and sets *extra to a split sibling's parent entry (id
+  // kInvalidPageId when there is none).
+  PageId SettleNode(PageId id, bool is_root, Node<kDims> node, Time now,
+                    NodeEntry<kDims>* extra) REQUIRES(epoch_mu_);
+  // Points `parent`'s entry for `child` at where SettleNode stored it,
+  // bounded as stored (erased when `stored` is kInvalidPageId), and
+  // appends the split sibling's entry `extra`.
+  void ReattachChild(Node<kDims>* parent, PageId child, PageId stored,
+                     const NodeEntry<kDims>& extra, Time now)
+      REQUIRES(epoch_mu_);
+  int MinEntries(int level) const;
+  // Entries a forced reinsertion takes out of a node of `total` entries.
+  int ReinsertCount(int total) const;
   Node<kDims> SplitNode(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void RemoveForReinsert(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void GrowRoot(PageId left, PageId right, Time now) REQUIRES(epoch_mu_);
@@ -520,6 +555,29 @@ class Tree {
   void MaybeShrinkRoot(Node<kDims> root) REQUIRES(epoch_mu_);
   void EnsureHeightFor(int level, Time now) REQUIRES(epoch_mu_);
   void DrainPending(Time now) REQUIRES(epoch_mu_);
+
+  // --- batched mutation (GroupUpdate) ---
+  // The batch's copy of the node at page `id` on `level`, decoded on
+  // first use; a leaf is purged of expired entries as it is loaded.
+  Node<kDims>& BatchNode(Batch* batch, int level, PageId id, Time now)
+      REQUIRES(epoch_mu_);
+  // Routes `records` (leaf entries) from the node at page `id` on
+  // `level` down to the batch's leaf copies: ChooseSubtree per record
+  // against the node as decoded once, the chosen entry taking the
+  // record's what-if bound for the records after it. Each leaf is
+  // settled as soon as its group is in.
+  void RouteBatch(Batch* batch, int level, PageId id,
+                  std::span<const NodeEntry<kDims>> records, Time now)
+      REQUIRES(epoch_mu_);
+  // Takes the node at `it` out of the batch, stores it through
+  // SettleNode and re-bounds it into `parent`, its parent's batch copy
+  // (null for the root), through ReattachChild. Entries past what one
+  // split can hold go to the pending list first.
+  void SettleBatchNode(Batch* batch, typename Batch::iterator it,
+                       Node<kDims>* parent, Time now) REQUIRES(epoch_mu_);
+  // Settles every node left in the batch, lowest level first, so each
+  // touched node is stored and re-bounded once, after its children.
+  void SettleBatch(Batch* batch, Time now) REQUIRES(epoch_mu_);
 
   // --- bounds ---
   // The TPBR strategy used for grouping decisions (GroupingPolicy).
@@ -538,22 +596,26 @@ class Tree {
   // Removes `oid`'s live leaf record equal to `point` (any leaf record
   // with `see_expired`) and reinserts the orphans the removal left.
   // Resolved at the leaf when the DAT pins the object's single physical
-  // copy, by an overlap-guided descent otherwise. Returns whether the
-  // record was found.
+  // copy, by an overlap-guided descent otherwise. With a `batch`, the
+  // record leaves the batch's copy of its leaf instead, and the fix-up
+  // waits for SettleBatch. Returns whether the record was found.
   bool RemoveRecord(ObjectId oid, const Tpbr<kDims>& point, Time now,
-                    bool see_expired) REQUIRES(epoch_mu_);
+                    bool see_expired, Batch* batch = nullptr)
+      REQUIRES(epoch_mu_);
   bool DeleteRecurse(PageId id, int level, ObjectId oid,
                      const Tpbr<kDims>& point, Time now, bool see_expired,
-                     std::vector<PathStep>* path) REQUIRES(epoch_mu_);
+                     std::vector<PathStep>* path, Batch* batch)
+      REQUIRES(epoch_mu_);
   // Index of `leaf`'s entry for (oid, point) under SameRecord, skipping
   // expired entries unless `see_expired`; -1 if none.
   int FindLeafMatch(const Node<kDims>& leaf, ObjectId oid,
                     const Tpbr<kDims>& point, Time now,
                     bool see_expired) const;
   // Erases entry `idx` of `*leaf`, the node at path.back(), and propagates
-  // the change up the path (CondenseTree).
+  // the change up the path (CondenseTree) — unless `leaf` is a batch copy,
+  // which SettleBatch fixes up.
   void EraseLeafEntry(const std::vector<PathStep>& path, Node<kDims>* leaf,
-                      int idx, Time now) REQUIRES(epoch_mu_);
+                      int idx, Time now, bool batched) REQUIRES(epoch_mu_);
 
   // --- bottom-up updates (DESIGN.md §10) ---
   // Feeds the DAT and parent-pointer map from a node hitting the page
@@ -572,10 +634,12 @@ class Tree {
   // caller then falls back to a descent.
   bool BuildPathFromDat(PageId leaf, std::vector<PathStep>* path)
       REQUIRES(epoch_mu_);
-  // The bound `leaf`'s parent entry holds (decoded into fix_scratch_, so
-  // valid until that is next reused); null for the root or on a broken
-  // parent chain.
-  const Tpbr<kDims>* ReadParentBound(PageId leaf) REQUIRES(epoch_mu_);
+  // The bound `leaf`'s parent entry holds, found in `*parent`, which is
+  // decoded unless it already holds that parent (page `*parent_id`, kept
+  // current); null for the root or on a broken parent chain.
+  const Tpbr<kDims>* ReadParentBound(PageId leaf, PageId* parent_id,
+                                     Node<kDims>* parent)
+      REQUIRES(epoch_mu_);
   // The in-place admission rule for replacing a record of `leaf` by `rec`
   // under the leaf's parent-facing `bound` (from ReadParentBound):
   // kInPlace — a leaf root, or `bound` covers `rec` over its whole
@@ -585,8 +649,7 @@ class Tree {
   enum class Admission { kNone, kPropagate, kInPlace };
   Admission Admit(PageId leaf, const Tpbr<kDims>* bound,
                   const Tpbr<kDims>& rec, Time now) const;
-  // Update body run under the exclusive epoch (shared by Update and
-  // GroupUpdate's singles pass).
+  // Update body run under the exclusive epoch.
   bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                     const Tpbr<kDims>& new_record, Time now)
       REQUIRES(epoch_mu_);

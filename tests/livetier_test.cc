@@ -177,6 +177,87 @@ TEST(LiveTier, TakeBatchSkipsDyingAndHonorsQuietAge) {
   EXPECT_EQ(batch[1].oid, 2u);
 }
 
+// TakeBatch pops candidates off a report queue. It must return what a
+// scan of every resident would: the eligible records (live, outside
+// min_residual_life, quiet for migrate_age unless under pressure or
+// forced), oldest report first, ties by oid, at most max_batch. Coarse
+// time steps make equal report times common, so the cut often falls
+// inside a run of them; chatty objects make stale queue items pile up
+// until the queue is rebuilt.
+TEST(LiveTier, TakeBatchMatchesAScanOfEveryResident) {
+  LiveTierOptions options;
+  options.migrate_age = 2.0;
+  options.min_residual_life = 1.0;
+  options.max_resident = 40;
+  options.max_batch = 7;
+  LiveTier<2> tier{options, /*expire=*/true};
+  struct Resident {
+    Tpbr<2> record;
+    Time last_report;
+  };
+  std::map<ObjectId, Resident> model;
+  // The scan TakeBatch replaced, over the model.
+  auto scan = [&](Time now, bool force) {
+    const bool pressure = force || model.size() > options.max_resident;
+    std::vector<std::pair<Time, ObjectId>> eligible;
+    for (const auto& [oid, r] : model) {
+      if (!r.record.LiveAt(now) ||
+          r.record.t_exp - now < options.min_residual_life) {
+        continue;
+      }
+      if (!pressure && now - r.last_report < options.migrate_age) continue;
+      eligible.emplace_back(r.last_report, oid);
+    }
+    std::sort(eligible.begin(), eligible.end());
+    eligible.resize(std::min(eligible.size(), options.max_batch));
+    return eligible;
+  };
+
+  Rng rng(0xF1F0);
+  Time now = 0;
+  std::vector<LiveTier<2>::MigrationItem> batch;
+  std::vector<LiveTier<2>::DeadEntry> dead;
+  size_t batches = 0, full_batches = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (rng.Bernoulli(0.3)) now += 0.5;  // Many reports share a time.
+    const double roll = rng.NextDouble();
+    if (roll < 0.6) {
+      // Mostly a small, chatty population: re-reports leave stale items.
+      const auto oid = static_cast<ObjectId>(rng.UniformInt(60));
+      Tpbr<2> p = RandomPoint<2>(&rng, now, 12.0);
+      tier.Report(oid, p, now);
+      model[oid] = Resident{p, now};
+    } else if (roll < 0.65) {
+      LiveTier<2>::DeadEntry gone;
+      const auto oid = static_cast<ObjectId>(rng.UniformInt(60));
+      ASSERT_EQ(tier.Remove(oid, &gone), model.erase(oid) == 1);
+    } else if (roll < 0.75) {
+      dead.clear();
+      tier.ExpireDue(now, &dead);
+      std::erase_if(model, [&](const auto& kv) {
+        return kv.second.record.t_exp < now;
+      });
+    } else {
+      const bool force = rng.Bernoulli(0.2);
+      const auto want = scan(now, force);
+      tier.TakeBatch(now, &batch, force);
+      ASSERT_EQ(batch.size(), want.size()) << "op " << op;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(batch[i].oid, want[i].second) << "op " << op << " item " << i;
+        ASSERT_TRUE(SameRecord(batch[i].record, model[want[i].second].record));
+        model.erase(want[i].second);
+      }
+      ++batches;
+      if (batch.size() == options.max_batch) ++full_batches;
+    }
+    ASSERT_EQ(tier.resident(), model.size());
+  }
+  EXPECT_TRUE(tier.CheckInvariants().ok());
+  // The cut was exercised, not just drains of everything eligible.
+  EXPECT_GT(full_batches, 100u);
+  EXPECT_GT(batches, full_batches);
+}
+
 TEST(LiveTier, BinBoundsRecomputeAfterChurn) {
   LiveTierOptions options;
   options.num_bins = 4;  // Force collisions so bins actually fill.
@@ -398,6 +479,68 @@ void ExpectDatMatchesWalk(Tree<2>* tree) {
     }
   }
 }
+
+// Draining a full live tier into an empty tree moves 5000 records in
+// batches of max_batch, each one GroupUpdate that grows the root level by
+// level. The drained tree must answer like the same records inserted one
+// by one and like the oracle, verify clean, and keep its DAT exact — in
+// both write modes.
+class TieredDrain : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TieredDrain, BatchedDrainIntoEmptyTreeMatchesSingles) {
+  TreeConfig config = SmallConfig();
+  config.crash_consistent = GetParam();
+  MemoryPageFile tiered_file(512), single_file(512);
+  LiveTierOptions options;
+  options.max_resident = 1 << 20;  // No pressure ticks while filling.
+  TieredIndex<2> index(config, &tiered_file, options);
+  Tree<2> single(config, &single_file);
+  ReferenceIndex<2> reference(config.expire_entries);
+  Rng rng(0xD8A1);
+  const Time now = 1.0;
+  for (ObjectId oid = 0; oid < 5000; ++oid) {
+    // Every record outlives min_residual_life, so all of them migrate.
+    const Vec<2> pos{rng.Uniform(0, testing::kSpace),
+                     rng.Uniform(0, testing::kSpace)};
+    const Vec<2> vel{rng.Uniform(-3.0, 3.0), rng.Uniform(-3.0, 3.0)};
+    const Tpbr<2> p =
+        MakeMovingPoint<2>(pos, vel, now, now + rng.Uniform(2.0, 200.0));
+    index.Insert(oid, p, now);
+    single.Insert(oid, p, now);
+    reference.Insert(oid, p);
+  }
+  EXPECT_EQ(index.DrainLiveTier(now), 5000u);
+  EXPECT_EQ(index.live_tier().resident(), 0u);
+  EXPECT_GE(index.tree().height(), 3);
+  EXPECT_EQ(index.tree().leaf_entries(), 5000u);
+  for (int q = 0; q < 40; ++q) {
+    const Query<2> query = RandomQuery<2>(&rng, now, 10.0, 150.0);
+    std::vector<ObjectId> tiered, tree, want;
+    index.Search(query, &tiered);
+    single.Search(query, &tree);
+    reference.Search(query, &want);
+    std::sort(tiered.begin(), tiered.end());
+    std::sort(tree.begin(), tree.end());
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(tiered, want);
+    ASSERT_EQ(tree, want);
+    const Vec<2> point{rng.Uniform(0, testing::kSpace),
+                       rng.Uniform(0, testing::kSpace)};
+    std::vector<ObjectId> nn, nn_want;
+    index.NearestNeighbors(point, now + 1.0, 8, &nn);
+    reference.NearestNeighbors(point, now + 1.0, 8, &nn_want);
+    ASSERT_EQ(nn, nn_want);
+  }
+  const Status status = index.CheckInvariants(now);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&index.tree()));
+}
+
+INSTANTIATE_TEST_SUITE_P(WriteModes, TieredDrain, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& mode) {
+                           return mode.param ? "crash_consistent"
+                                             : "in_place";
+                         });
 
 // Randomized churn against the reference oracle with migration running
 // synchronously every few operations. The tiered answer must be

@@ -536,6 +536,209 @@ INSTANTIATE_TEST_SUITE_P(
       return flavor_info.param.name;
     });
 
+// --- Batch against singles ----------------------------------------------
+
+// Applies `batch` to `batched` as one GroupUpdate and request by request
+// (Insert for a fresh object, Update otherwise) to `single` and to the
+// oracle, then checks that every result equals the single path's, that
+// Search and NN answers equal the oracle's, that the batched tree
+// verifies clean, and that its DAT mirrors its leaves.
+void ApplyBatchAndSingles(Tree<2>* batched, Tree<2>* single,
+                          ReferenceIndex<2>* reference,
+                          const std::vector<Tree<2>::UpdateRequest>& batch,
+                          Time now, Rng* rng) {
+  const std::vector<bool> got = batched->GroupUpdate(batch, now);
+  ASSERT_EQ(got.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Tree<2>::UpdateRequest& r = batch[i];
+    bool want = true;
+    if (r.has_old_record) {
+      want = single->Update(r.oid, r.old_record, r.new_record, now);
+      ASSERT_EQ(reference->Update(r.oid, r.old_record, r.new_record, now),
+                want)
+          << "oracle/single divergence at request " << i;
+    } else {
+      single->Insert(r.oid, r.new_record, now);
+      reference->Insert(r.oid, r.new_record);
+    }
+    ASSERT_EQ(got[i], want) << "request " << i << " oid " << r.oid;
+  }
+  for (int q = 0; q < 10; ++q) {
+    const Query<2> query = RandomQuery<2>(rng, now, 10.0, 150.0);
+    std::vector<ObjectId> a, b, c;
+    batched->Search(query, &a);
+    single->Search(query, &b);
+    reference->Search(query, &c);
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::sort(c.begin(), c.end());
+    ASSERT_EQ(a, c) << "batched/oracle search divergence";
+    ASSERT_EQ(b, c) << "single/oracle search divergence";
+    const Vec<2> point{rng->Uniform(0, testing::kSpace),
+                       rng->Uniform(0, testing::kSpace)};
+    const Time t = now + rng->Uniform(0, 5.0);
+    std::vector<ObjectId> nn_batched, nn_reference;
+    batched->NearestNeighbors(point, t, 8, &nn_batched);
+    reference->NearestNeighbors(point, t, 8, &nn_reference);
+    ASSERT_EQ(nn_batched, nn_reference) << "batched/oracle NN divergence";
+  }
+  const verify::Report report = batched->Verify(now);
+  ASSERT_TRUE(report.ok()) << report.ToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(batched));
+}
+
+class GroupUpdateBatch : public ::testing::TestWithParam<ChurnFlavor> {
+ protected:
+  GroupUpdateBatch()
+      : batched_(Config(), &file_a_), single_(Config(), &file_b_) {}
+
+  static TreeConfig Config() {
+    TreeConfig config = TreeConfig::Rexp();
+    config.page_size = 512;
+    config.buffer_frames = 16;
+    config.crash_consistent = GetParam().crash_consistent;
+    return config;
+  }
+
+  MemoryPageFile file_a_{512}, file_b_{512};
+  Tree<2> batched_, single_;
+  ReferenceIndex<2> reference_{true};
+};
+
+// Random batches mixing every kind of request: fresh objects, nearby
+// re-reports (in-place candidates), teleports (fallbacks), chained and
+// stale duplicates of one object — including a stale pair whose later
+// request alone is admissible in place — old records that expired
+// before the batch, and oids never inserted.
+TEST_P(GroupUpdateBatch, RandomMixesMatchSingles) {
+  Rng rng(0xBA7C);
+  struct Live {
+    ObjectId oid;
+    Tpbr<2> point;
+  };
+  std::vector<Live> live, expired;
+  Time now = 0;
+  ObjectId next_oid = 0;
+  std::vector<Tree<2>::UpdateRequest> setup;
+  for (int i = 0; i < 300; ++i) {
+    now += 0.01;
+    const Tpbr<2> p = RandomPoint<2>(&rng, now, 40.0);
+    setup.push_back({next_oid, {}, p, /*has_old_record=*/false});
+    live.push_back({next_oid++, p});
+  }
+  for (int i = 0; i < 20; ++i) {
+    const Tpbr<2> p = RandomPoint<2>(&rng, now, 0.5);
+    setup.push_back({next_oid, {}, p, /*has_old_record=*/false});
+    expired.push_back({next_oid++, p});
+  }
+  ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(&batched_, &single_,
+                                               &reference_, setup, now, &rng));
+
+  ObjectId ghost_oid = 100000;  // Never inserted.
+  for (int round = 0; round < 12; ++round) {
+    now += 1.5;  // Past the short-lived records' expirations.
+    auto next_for = [&](const Tpbr<2>& old_point, bool perturb) {
+      Vec<2> pos, vel;
+      for (int d = 0; d < 2; ++d) {
+        pos[d] = perturb ? old_point.LoAt(d, now) + rng.Uniform(-1.0, 1.0)
+                         : rng.Uniform(0, testing::kSpace);
+        vel[d] = perturb ? old_point.vlo[d] : rng.Uniform(-3.0, 3.0);
+      }
+      return MakeMovingPoint<2>(pos, vel, now, now + rng.Uniform(1.0, 40.0));
+    };
+    std::vector<Tree<2>::UpdateRequest> batch;
+    for (int i = 0; i < 80; ++i) {
+      const size_t k = rng.UniformInt(live.size());
+      const double shape = rng.NextDouble();
+      if (shape < 0.2) {
+        const Tpbr<2> p = RandomPoint<2>(&rng, now, 40.0);
+        batch.push_back({next_oid, {}, p, /*has_old_record=*/false});
+        live.push_back({next_oid++, p});
+      } else if (shape < 0.3) {
+        // Chained: the second request replaces the first one's record.
+        const Tpbr<2> mid = next_for(live[k].point, rng.Bernoulli(0.5));
+        const Tpbr<2> fin = next_for(mid, rng.Bernoulli(0.5));
+        batch.push_back({live[k].oid, live[k].point, mid});
+        batch.push_back({live[k].oid, mid, fin});
+        live[k].point = fin;
+      } else if (shape < 0.4) {
+        // Stale: both name the original record, so only the first finds
+        // it, whichever of them is admissible in place.
+        const bool first_nearby = rng.Bernoulli(0.5);
+        const Tpbr<2> first = next_for(live[k].point, first_nearby);
+        const Tpbr<2> second = next_for(live[k].point, !first_nearby);
+        batch.push_back({live[k].oid, live[k].point, first});
+        batch.push_back({live[k].oid, live[k].point, second});
+        live[k].point = second;
+      } else if (shape < 0.45) {
+        // A fresh object re-reported in the same batch.
+        const Tpbr<2> p = RandomPoint<2>(&rng, now, 40.0);
+        const Tpbr<2> q = next_for(p, true);
+        batch.push_back({next_oid, {}, p, /*has_old_record=*/false});
+        batch.push_back({next_oid, p, q});
+        live.push_back({next_oid++, q});
+      } else if (shape < 0.5 && !expired.empty()) {
+        Live& e = expired[rng.UniformInt(expired.size())];
+        const Tpbr<2> next = next_for(e.point, false);
+        batch.push_back({e.oid, e.point, next});
+        e.point = next;
+      } else if (shape < 0.55) {
+        const Tpbr<2> p = RandomPoint<2>(&rng, now, 40.0);
+        batch.push_back({ghost_oid, RandomPoint<2>(&rng, now - 1.0, 0.1), p});
+        live.push_back({ghost_oid++, p});
+      } else {
+        const Tpbr<2> next = next_for(live[k].point, rng.Bernoulli(0.7));
+        batch.push_back({live[k].oid, live[k].point, next});
+        live[k].point = next;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(
+        &batched_, &single_, &reference_, batch, now, &rng))
+        << "round " << round;
+  }
+  // Both halves of the batch ran: leaves rewritten in place and records
+  // routed down the tree.
+  EXPECT_GT(batched_.op_stats().update_fast.load(), 0u);
+  EXPECT_GT(batched_.op_stats().update_fallback.load(), 0u);
+}
+
+// One batch of fresh records packed around one spot: they all route to
+// one leaf, far past what a single split can absorb, and the excess goes
+// through the single-record insertion path.
+TEST_P(GroupUpdateBatch, OverflowPastOneSplitMatchesSingles) {
+  Rng rng(0x5917);
+  Time now = 1.0;
+  std::vector<Tree<2>::UpdateRequest> batch;
+  for (ObjectId oid = 0; oid < 200; ++oid) {
+    batch.push_back({oid, {}, RandomPoint<2>(&rng, now, 60.0), false});
+  }
+  ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(&batched_, &single_,
+                                               &reference_, batch, now, &rng));
+  const uint64_t splits = batched_.op_stats().splits.load();
+  batch.clear();
+  now += 1.0;
+  for (ObjectId oid = 1000; oid < 1150; ++oid) {
+    const Vec<2> pos{500.0 + rng.Uniform(-0.5, 0.5),
+                     500.0 + rng.Uniform(-0.5, 0.5)};
+    const Vec<2> vel{rng.Uniform(-0.01, 0.01), rng.Uniform(-0.01, 0.01)};
+    batch.push_back(
+        {oid, {}, MakeMovingPoint<2>(pos, vel, now, now + 50.0), false});
+  }
+  ASSERT_GT(static_cast<int>(batch.size()),
+            2 * batched_.codec().leaf_capacity());
+  ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(&batched_, &single_,
+                                               &reference_, batch, now, &rng));
+  EXPECT_GT(batched_.op_stats().splits.load(), splits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flavors, GroupUpdateBatch,
+    ::testing::Values(ChurnFlavor{"in_place", false},
+                      ChurnFlavor{"crash_consistent", true}),
+    [](const ::testing::TestParamInfo<ChurnFlavor>& flavor_info) {
+      return flavor_info.param.name;
+    });
+
 TEST(GroupUpdate, EmptyBatchIsANoOp) {
   MemoryPageFile file(512);
   TreeConfig config = TreeConfig::Rexp();
