@@ -77,11 +77,15 @@ void BM_TreeInsert(benchmark::State& state, TreeConfig config) {
   Tree<2> tree(config, &file);
   ObjectId oid = 0;
   Time now = 0;
+  uint64_t allocs_before = g_thread_allocs;
   for (auto _ : state) {
     now += 0.01;
     tree.Insert(oid++, RandomPoint<2>(&rng, now, 120.0), now);
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(g_thread_allocs - allocs_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK_CAPTURE(BM_TreeInsert, rexp, TreeConfig::Rexp());
 BENCHMARK_CAPTURE(BM_TreeInsert, tpr, TreeConfig::Tpr());
