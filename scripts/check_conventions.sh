@@ -39,6 +39,12 @@
 #      the IoStats and DeviceStats lists; every other component calls
 #      those, so none can register a hand-picked subset (DESIGN.md §13).
 #      Tests may bind such names to exercise the registry itself.
+#   7. The tree has one structural write path. Outside their declaration
+#      and definition, Tree::SettleNode and Tree::ReattachChild are each
+#      called from exactly one place in src/: the settle step,
+#      Tree::SettleBatchNode, through which every Insert, Delete, Update
+#      and GroupUpdate stores and re-bounds what it changed (DESIGN.md
+#      §10, §13). A second caller is a second propagation step.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -133,6 +139,25 @@ for f in "${files[@]}"; do
     /Add(Counter|Gauge|Histogram)\(/ {
       if ($0 ~ /"(buffer|device)\./) print FNR ":" $0; else pending = 1
     }' "$f")
+done
+
+# --- Rule 7: one settle step ----------------------------------------------
+for fn in SettleNode ReattachChild; do
+  sites=()
+  for f in "${files[@]}"; do
+    case "$f" in src/*) ;; *) continue ;; esac
+    # Calls only: not the definition (`Tree<kDims>::fn(`) and not the
+    # declaration (a return type before the name).
+    while IFS= read -r hit; do
+      sites+=("$f:${hit%%:*}")
+    done < <(grep -nE "(^|[^A-Za-z_:])${fn}\(" "$f" |
+             grep -vE "^[0-9]+:[[:space:]]*(PageId|void)[[:space:]]+${fn}\(" ||
+             true)
+  done
+  if [ "${#sites[@]}" -ne 1 ]; then
+    report "one-settle-step" \
+      "${fn} is called from ${#sites[@]} places (${sites[*]}); only the settle step, Tree::SettleBatchNode, may call it"
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then
