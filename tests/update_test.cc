@@ -731,6 +731,52 @@ TEST_P(GroupUpdateBatch, OverflowPastOneSplitMatchesSingles) {
   EXPECT_GT(batched_.op_stats().splits.load(), splits);
 }
 
+// Fresh records, already expired, in one batch into a tree whose every
+// entry has expired. Underfull nodes then dissolve up to the root while
+// orphans of internal levels are pending. With recorded expirations and
+// expiry-blind insertion decisions the records also spread over several
+// expired children of one node, whose entries the batch routed through
+// but has yet to settle.
+TEST_P(GroupUpdateBatch, ExpiredRecordsIntoAnExpiredTreeMatchSingles) {
+  TreeConfig blind = Config();
+  blind.store_tpbr_expiration = true;
+  blind.choose_subtree_ignores_expiration = true;
+  MemoryPageFile blind_a(512), blind_b(512);
+  Tree<2> blind_batched(blind, &blind_a), blind_single(blind, &blind_b);
+  ReferenceIndex<2> blind_reference(true);
+  struct Twin {
+    Tree<2>* batched;
+    Tree<2>* single;
+    ReferenceIndex<2>* reference;
+  };
+  for (const Twin& twin : {Twin{&batched_, &single_, &reference_},
+                           Twin{&blind_batched, &blind_single,
+                                &blind_reference}}) {
+    Rng rng(0xE7B1);
+    Time now = 1.0;
+    std::vector<Tree<2>::UpdateRequest> batch;
+    ObjectId oid = 0;
+    for (; oid < 400; ++oid) {
+      batch.push_back({oid, {}, RandomPoint<2>(&rng, now, 5.0), false});
+    }
+    ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(
+        twin.batched, twin.single, twin.reference, batch, now, &rng));
+    ASSERT_GE(twin.batched->height(), 3);
+    now = 50.0;
+    batch.clear();
+    for (; oid < 500; ++oid) {
+      const Vec<2> pos{rng.Uniform(0, testing::kSpace),
+                       rng.Uniform(0, testing::kSpace)};
+      const Vec<2> vel{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
+      batch.push_back({oid, {},
+                       MakeMovingPoint<2>(pos, vel, now - 5.0, now - 1.0),
+                       false});
+    }
+    ASSERT_NO_FATAL_FAILURE(ApplyBatchAndSingles(
+        twin.batched, twin.single, twin.reference, batch, now, &rng));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Flavors, GroupUpdateBatch,
     ::testing::Values(ChurnFlavor{"in_place", false},
