@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,8 +29,7 @@ verify::Report VerifyPartitionedImpl(const std::string& manifest_path,
   config.page_size = manifest.page_size;
   const std::string dir = DirOf(manifest_path);
 
-  // The partition each live oid was first seen in.
-  std::unordered_map<ObjectId, size_t> first_seen;
+  FirstSeen first_seen;
   for (size_t i = 0; i < manifest.entries.size(); ++i) {
     const ManifestEntry& entry = manifest.entries[i];
     const std::string path = dir + entry.file;
@@ -64,49 +62,55 @@ verify::Report VerifyPartitionedImpl(const std::string& manifest_path,
     verify::Report part = verify::TreeVerifier<kDims>::VerifyCommitted(
         file, config, ReadMeta(file, kDims), options,
         [&live](const NodeEntry<kDims>& e) { live.push_back(e); });
-    const bool complete = part.walk_complete;
-    verify::MergePartitionReport(std::move(part), i, options, &report);
-    // Class-discipline checks need a complete walk of THIS partition: the
-    // records of a half-walked file are not its record set.
-    if (!complete) continue;
-    uint64_t live_here = 0;
-    double fastest = 0;
-    for (const NodeEntry<kDims>& e : live) {
-      auto [it, inserted] = first_seen.emplace(e.id, i);
-      if (inserted) {
-        ++live_here;
-        fastest =
-            std::max(fastest, PartitionedIndex<kDims>::SpeedOf(e.region));
-      } else if (it->second != i) {
-        verify::AddFinding(&report, options, CheckId::kPartitionRouting,
-                           kInvalidPageId, -1,
-                           "oid " + std::to_string(e.id) +
-                               " live in partition " +
-                               std::to_string(it->second) + " and " +
-                               std::to_string(i));
-      }
-    }
-    if (!entry.active && live_here > 0) {
-      verify::AddFinding(&report, options, CheckId::kPartitionRouting,
-                         kInvalidPageId, -1,
-                         "merged-away partition " + std::to_string(i) +
-                             " still holds " + std::to_string(live_here) +
-                             " live records");
-    }
-    if (entry.active && fastest > entry.vmax + options.eps) {
-      verify::AddFinding(&report, options, CheckId::kPartitionRouting,
-                         kInvalidPageId, -1,
-                         "partition " + std::to_string(i) +
-                             " holds a live record at speed " +
-                             std::to_string(fastest) +
-                             " beyond its recorded ceiling " +
-                             std::to_string(entry.vmax));
-    }
+    MergeClassReport<kDims>(std::move(part), i, entry.active, entry.vmax,
+                            live, options, &first_seen, &report);
   }
   return report;
 }
 
 }  // namespace
+
+template <int kDims>
+void MergeClassReport(verify::Report part, size_t cls, bool active,
+                      double ceiling, const std::vector<NodeEntry<kDims>>& live,
+                      const verify::VerifyOptions& options,
+                      FirstSeen* first_seen, verify::Report* report) {
+  const bool complete = part.walk_complete;
+  verify::MergePartitionReport(std::move(part), cls, options, report);
+  if (!complete) return;
+  uint64_t live_here = 0;
+  double fastest = 0;
+  for (const NodeEntry<kDims>& e : live) {
+    auto [it, inserted] = first_seen->emplace(e.id, cls);
+    if (inserted) {
+      ++live_here;
+      fastest = std::max(fastest, PartitionedIndex<kDims>::SpeedOf(e.region));
+    } else if (it->second != cls) {
+      verify::AddFinding(report, options, CheckId::kPartitionRouting,
+                         kInvalidPageId, -1,
+                         "oid " + std::to_string(e.id) +
+                             " live in partition " +
+                             std::to_string(it->second) + " and " +
+                             std::to_string(cls));
+    }
+  }
+  if (!active && live_here > 0) {
+    verify::AddFinding(report, options, CheckId::kPartitionRouting,
+                       kInvalidPageId, -1,
+                       "merged-away partition " + std::to_string(cls) +
+                           " still holds " + std::to_string(live_here) +
+                           " live records");
+  }
+  if (active && fastest > ceiling + options.eps) {
+    verify::AddFinding(report, options, CheckId::kPartitionRouting,
+                       kInvalidPageId, -1,
+                       "partition " + std::to_string(cls) +
+                           " holds a live record at speed " +
+                           std::to_string(fastest) +
+                           " beyond its recorded ceiling " +
+                           std::to_string(ceiling));
+  }
+}
 
 template <int kDims>
 verify::Report VerifyPartitioned(const std::string& manifest_path,
@@ -168,6 +172,19 @@ verify::Report VerifyPartitionedAuto(const std::string& manifest_path,
     }
   }
 }
+
+template void MergeClassReport<1>(verify::Report, size_t, bool, double,
+                                  const std::vector<NodeEntry<1>>&,
+                                  const verify::VerifyOptions&, FirstSeen*,
+                                  verify::Report*);
+template void MergeClassReport<2>(verify::Report, size_t, bool, double,
+                                  const std::vector<NodeEntry<2>>&,
+                                  const verify::VerifyOptions&, FirstSeen*,
+                                  verify::Report*);
+template void MergeClassReport<3>(verify::Report, size_t, bool, double,
+                                  const std::vector<NodeEntry<3>>&,
+                                  const verify::VerifyOptions&, FirstSeen*,
+                                  verify::Report*);
 
 template verify::Report VerifyPartitioned<1>(
     const std::string&, const TreeConfig&, const verify::VerifyOptions&);

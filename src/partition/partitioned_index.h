@@ -12,12 +12,17 @@
 //
 //   * class boundaries self-tuned online from a streaming speed histogram
 //     (same estimate-as-you-go flavor as the horizon's UI estimator),
-//   * boundary-crossing updates migrated through the PR-5 bottom-up
-//     Update fast path (delete-from-old + insert-into-new under the
-//     router lock), and
+//   * boundary-crossing updates migrated under the router lock
+//     (delete-from-old + insert-into-new), and
 //   * lazy merging of partitions whose population decays — expiration
 //     empties classes for free, and a near-empty tree is pure fan-out
 //     overhead.
+//
+// The class trees are the only record of where an object lives: each
+// tree's direct-access table (DAT) says whether it holds a copy of an
+// oid, live or expired but not yet purged (Tree::HoldsObject). Expired
+// copies linger under the paper's lazy purge, so an object may have
+// copies in several classes; at most one of them is live.
 //
 // Queries fan out across the surviving partitions through ONE shared
 // sched::ThreadPool (injected, or owned as a fallback) and are pruned
@@ -56,12 +61,12 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "obs/registry.h"
+#include "partition/partition_verify.h"
 #include "sched/mutex.h"
 #include "sched/thread_pool.h"
 #include "storage/page_file.h"
 #include "tpbr/intersect.h"
 #include "tpbr/tpbr.h"
-#include "tree/dat.h"
 #include "tree/tree.h"
 #include "tree/tree_config.h"
 #include "verify/verifier.h"
@@ -207,9 +212,10 @@ class PartitionedIndex {
   struct Stats {
     uint64_t inserts = 0;
     uint64_t deletes = 0;
-    uint64_t delete_fallback_scans = 0;  // Map-miss full-partition probes.
     uint64_t updates = 0;
-    uint64_t migrations = 0;  // Boundary-crossing updates moved.
+    // Updates that found a copy of the object in some active class and
+    // could not stay in their routed class (see RouteUpdateLocked).
+    uint64_t migrations = 0;
     uint64_t group_batches = 0;
     uint64_t searches = 0;
     uint64_t nn_searches = 0;
@@ -224,7 +230,6 @@ class PartitionedIndex {
     static constexpr obs::NamedField<Stats, uint64_t>
         kCounters[] = {{"inserts", &Stats::inserts},
                        {"deletes", &Stats::deletes},
-                       {"delete_fallback_scans", &Stats::delete_fallback_scans},
                        {"updates", &Stats::updates},
                        {"migrations", &Stats::migrations},
                        {"group_batches", &Stats::group_batches},
@@ -238,8 +243,7 @@ class PartitionedIndex {
   };
 
   // Builds over caller-owned per-class page files (files.size() == K,
-  // each empty or holding a previously persisted partition; the class
-  // map is rebuilt from the per-tree direct-access tables on reopen).
+  // each empty or holding a previously persisted partition).
   // `pool` (optional) is the shared query pool; it must outlive the
   // index. Without one, `options.query_threads` sizes an owned pool.
   PartitionedIndex(const TreeConfig& config,
@@ -305,13 +309,10 @@ class PartitionedIndex {
     const int c = RouteLocked(speed);
     AbsorbLocked(c, point, speed);
     trees_[static_cast<size_t>(c)]->Insert(oid, point, now);
-    class_of_.Put(oid, static_cast<uint32_t>(c));
     MaintenanceLocked(now);
   }
 
-  // Mirrors Tree::Delete. The class map names the partition to probe;
-  // on a map miss (object unknown to the router, e.g. deleted twice)
-  // every populated partition is probed.
+  // Mirrors Tree::Delete, probing only the classes that hold a copy.
   [[nodiscard]] bool Delete(ObjectId oid, const Tpbr<kDims>& point, Time now,
                             bool see_expired = false) EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
@@ -323,10 +324,10 @@ class PartitionedIndex {
 
   // Mirrors Tree::Update: replaces oid's `old_record` with `new_record`,
   // reporting whether the old record was live (the new one is inserted
-  // either way). A new speed inside the object's current class takes the
-  // PR-5 in-place fast path on that class's tree; a boundary-crossing
-  // speed migrates the object (delete-from-old + insert-into-new under
-  // the router lock).
+  // either way). When the new speed's class is the only active class
+  // holding a copy, the update takes that tree's in-place Update;
+  // otherwise the object migrates (delete-from-old + insert-into-new
+  // under the router lock).
   [[nodiscard]] bool Update(ObjectId oid, const Tpbr<kDims>& old_record,
                             const Tpbr<kDims>& new_record, Time now)
       EXCLUDES(router_mu_) {
@@ -455,10 +456,10 @@ class PartitionedIndex {
   // --- Verification ---------------------------------------------------
 
   // Runs the full per-tree invariant catalog on every partition plus the
-  // router's cross-checks: every mapped object must be physically
-  // present in exactly its mapped partition (and never in another one),
-  // and no object may be mapped to a merged-away class. Router findings
-  // reuse verify::CheckId::kPartitionRouting.
+  // class checks rexp_fsck --manifest runs (partition::MergeClassReport):
+  // no object is live in two classes and no merged-away class holds a
+  // live record (kPartitionRouting). The speed-ceiling check is offline
+  // only: a class reopened without a manifest has no known ceiling.
   verify::Report Verify(Time now) EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
     return VerifyLocked(now);
@@ -509,13 +510,6 @@ class PartitionedIndex {
     return RouteLocked(speed);
   }
 
-  // The partition an object is currently mapped to, or -1.
-  int ClassOfForTest(ObjectId oid) const EXCLUDES(router_mu_) {
-    sched::MutexLock lk(&router_mu_);
-    const uint32_t* c = class_of_.Find(oid);
-    return c == nullptr ? -1 : static_cast<int>(*c);
-  }
-
   // Per-class tree access (harness tracer, tests). The tree's own
   // concurrency rules apply.
   Tree<kDims>* tree(int i) { return trees_[static_cast<size_t>(i)].get(); }
@@ -560,8 +554,8 @@ class PartitionedIndex {
   const TreeConfig& config() const { return config_; }
 
   // Registers router telemetry under `prefix` + "partition." (routing,
-  // migration, merge, and fan-out counters; active-partition and
-  // mapped-object gauges) and each class's full tree telemetry under
+  // migration, merge, and fan-out counters; the active-partition
+  // gauge) and each class's full tree telemetry under
   // `prefix` + "p<i>.tree." (a class's population is its
   // `p<i>.tree.tree.leaf_entries`). Owner-scoped: bindings drop when the
   // index is destroyed.
@@ -589,12 +583,6 @@ class PartitionedIndex {
                            n += p.active ? 1 : 0;
                          }
                          return n;
-                       },
-                       owner);
-    registry->AddGauge(prefix + "partition.mapped_objects",
-                       [this] {
-                         sched::MutexLock lk(&router_mu_);
-                         return static_cast<double>(class_of_.size());
                        },
                        owner);
     metrics_registration_ = registry->MakeScoped(owner);
@@ -659,7 +647,11 @@ class PartitionedIndex {
         pstate_[i].vmax = manifest->entries[i].vmax;
       }
     }
-    RebuildClassMapLocked();
+    // A class reopened non-empty gets an untracked union bound (never
+    // pruned) until it empties out.
+    for (size_t i = 0; i < pstate_.size(); ++i) {
+      pstate_[i].bound_tracked = trees_[i]->leaf_entries() == 0;
+    }
     if (pool != nullptr) {
       pool_ = pool;
     } else if (options_.query_threads >= 0) {
@@ -672,30 +664,6 @@ class PartitionedIndex {
       }
     }
     return Status::OK();
-  }
-
-  // Reopen support: the class map is an in-memory structure, so it is
-  // reconstructed from each partition's direct-access table (which
-  // tracks every physically present oid). Partitions reopened non-empty
-  // get an untracked union bound (never pruned) until they empty out.
-  void RebuildClassMapLocked() REQUIRES(router_mu_) {
-    class_of_.Clear();
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      PartitionState& p = pstate_[i];
-      if (trees_[i]->leaf_entries() == 0) {
-        p.bound_tracked = true;
-        p.bound_empty = true;
-        continue;
-      }
-      // A merged-away class can only hold expired leftovers; mapping
-      // them again would re-open the class to deletes it cannot serve.
-      if (!p.active) continue;
-      p.bound_tracked = false;
-      for (const verify::DatSnapshotEntry& e :
-           trees_[i]->DatSnapshotForTest()) {
-        class_of_.Put(e.oid, static_cast<uint32_t>(i));
-      }
-    }
   }
 
   // First active class whose speed range admits `speed` (ranges are
@@ -734,19 +702,11 @@ class PartitionedIndex {
 
   bool DeleteLocked(ObjectId oid, const Tpbr<kDims>& point, Time now,
                     bool see_expired) REQUIRES(router_mu_) {
-    const uint32_t* c = class_of_.Find(oid);
-    if (c != nullptr) {
-      const bool found = trees_[*c]->Delete(oid, point, now, see_expired);
-      class_of_.Erase(oid);
-      return found;
-    }
-    // Map miss: the router has never seen (or already forgot) this oid.
-    // Probe every populated partition — rare, and the probes that miss
-    // cost one descent each.
-    ++stats_.delete_fallback_scans;
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      if (trees_[i]->leaf_entries() == 0) continue;
-      if (trees_[i]->Delete(oid, point, now, see_expired)) return true;
+    for (const auto& tree : trees_) {
+      if (tree->HoldsObject(oid) &&
+          tree->Delete(oid, point, now, see_expired)) {
+        return true;
+      }
     }
     return false;
   }
@@ -762,11 +722,14 @@ class PartitionedIndex {
                                                      new_record, now);
   }
 
-  // Routes one update by the new record's speed. An object that stays in
-  // its class has the new record absorbed into that class's bound, and
-  // its class is returned for the caller to update the tree. Any other
-  // object migrates here (see MigrateLocked): returns -1 with `*found`
-  // set to whether the old record was found.
+  // Routes one update by the new record's speed. When the routed class is
+  // the only active class holding a copy of the object, the new record is
+  // absorbed into that class's bound and its class is returned for the
+  // caller to update the tree. Otherwise the object migrates: the old
+  // record is deleted from whichever class holds it and the new one is
+  // inserted into the routed class; returns -1 with `*found` set to
+  // whether the old record was found. A migration of an object some
+  // active class held a copy of counts in stats_.migrations.
   int RouteUpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                         const Tpbr<kDims>& new_record, Time now, bool* found)
       REQUIRES(router_mu_) {
@@ -774,29 +737,25 @@ class PartitionedIndex {
     const double speed = SpeedOf(new_record);
     histogram_.Record(speed);
     const int target = RouteLocked(speed);
-    const uint32_t* current = class_of_.Find(oid);
-    if (current != nullptr && static_cast<int>(*current) == target) {
+    bool at_target = false;
+    bool elsewhere = false;
+    for (size_t i = 0; i < trees_.size(); ++i) {
+      if (!pstate_[i].active || !trees_[i]->HoldsObject(oid)) continue;
+      if (static_cast<int>(i) == target) {
+        at_target = true;
+      } else {
+        elsewhere = true;
+      }
+    }
+    if (at_target && !elsewhere) {
       AbsorbLocked(target, new_record, speed);
       return target;
     }
-    *found = MigrateLocked(oid, old_record, new_record, speed, now);
-    return -1;
-  }
-
-  // Boundary-crossing (or unknown-class) update: remove the old record
-  // from wherever it lives, insert the new one into its routed class.
-  bool MigrateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
-                     const Tpbr<kDims>& new_record, double speed, Time now)
-      REQUIRES(router_mu_) {
-    const bool had_class = class_of_.Find(oid) != nullptr;
-    const bool found =
-        DeleteLocked(oid, old_record, now, /*see_expired=*/false);
-    const int target = RouteLocked(speed);
+    if (at_target || elsewhere) ++stats_.migrations;
+    *found = DeleteLocked(oid, old_record, now, /*see_expired=*/false);
     AbsorbLocked(target, new_record, speed);
     trees_[static_cast<size_t>(target)]->Insert(oid, new_record, now);
-    class_of_.Put(oid, static_cast<uint32_t>(target));
-    if (had_class) ++stats_.migrations;
-    return found;
+    return -1;
   }
 
   void MaintenanceLocked(Time now) REQUIRES(router_mu_) {
@@ -887,16 +846,8 @@ class PartitionedIndex {
       const int target = RouteLocked(speed);
       AbsorbLocked(target, r.region, speed);
       trees_[static_cast<size_t>(target)]->Insert(r.oid, r.region, now);
-      class_of_.Put(r.oid, static_cast<uint32_t>(target));
       ++stats_.merge_moves;
     }
-    // Expired (or already purged) stragglers still mapped here would
-    // read as routing violations; forget them.
-    std::vector<ObjectId> stale;
-    class_of_.ForEach([&](uint32_t oid, const uint32_t& c) {
-      if (c == i) stale.push_back(oid);
-    });
-    for (ObjectId oid : stale) class_of_.Erase(oid);
     pstate_[i].vmax = 0;
     pstate_[i].bound_tracked = true;
     pstate_[i].bound_empty = true;
@@ -947,48 +898,20 @@ class PartitionedIndex {
   }
 
   verify::Report VerifyLocked(Time now) REQUIRES(router_mu_) {
-    verify::Report merged;
-    std::vector<std::vector<verify::DatSnapshotEntry>> dats(trees_.size());
+    verify::Report report;
+    verify::VerifyOptions options;
+    options.now = now;
+    partition::FirstSeen first_seen;
     for (size_t i = 0; i < trees_.size(); ++i) {
-      verify::MergePartitionReport(trees_[i]->Verify(now), i,
-                                   verify::VerifyOptions{}, &merged);
-      dats[i] = trees_[i]->DatSnapshotForTest();
+      std::vector<NodeEntry<kDims>> live;
+      verify::Report part = trees_[i]->Verify(
+          now, [&live](const NodeEntry<kDims>& e) { live.push_back(e); });
+      partition::MergeClassReport<kDims>(
+          std::move(part), i, pstate_[i].active,
+          std::numeric_limits<double>::infinity(), live, options,
+          &first_seen, &report);
     }
-    // Router cross-checks against the physical per-tree DATs.
-    std::vector<U32HashMap<uint32_t>> present(trees_.size());
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      for (const verify::DatSnapshotEntry& e : dats[i]) {
-        present[i].Put(e.oid, e.count);
-      }
-    }
-    class_of_.ForEach([&](uint32_t oid, const uint32_t& c) {
-      if (c >= trees_.size()) {
-        merged.findings.push_back(verify::Finding{
-            verify::CheckId::kPartitionRouting, kInvalidPageId, -1,
-            "oid " + std::to_string(oid) + " mapped to class " +
-                std::to_string(c) + " of " +
-                std::to_string(trees_.size())});
-        return;
-      }
-      if (!pstate_[c].active && present[c].Find(oid) != nullptr) {
-        merged.findings.push_back(verify::Finding{
-            verify::CheckId::kPartitionRouting, kInvalidPageId, -1,
-            "oid " + std::to_string(oid) +
-                " still present in merged-away class " +
-                std::to_string(c)});
-      }
-      for (size_t i = 0; i < trees_.size(); ++i) {
-        if (i == c) continue;
-        if (present[i].Find(oid) != nullptr) {
-          merged.findings.push_back(verify::Finding{
-              verify::CheckId::kPartitionRouting, kInvalidPageId, -1,
-              "oid " + std::to_string(oid) + " mapped to class " +
-                  std::to_string(c) + " but physically present in class " +
-                  std::to_string(i)});
-        }
-      }
-    });
-    return merged;
+    return report;
   }
 
   Status WriteManifestNow() {
@@ -1023,7 +946,6 @@ class PartitionedIndex {
   mutable sched::Mutex router_mu_{sched::LockRank::kPartitionRouter,
                                   "partition_router"};
   std::vector<PartitionState> pstate_ GUARDED_BY(router_mu_);
-  U32HashMap<uint32_t> class_of_ GUARDED_BY(router_mu_);
   partition::SpeedHistogram histogram_ GUARDED_BY(router_mu_);
   uint32_t mutations_since_scan_ GUARDED_BY(router_mu_) = 0;
   Stats stats_ GUARDED_BY(router_mu_);

@@ -69,7 +69,7 @@ enum class LockRank : int {
   // while held; nothing takes it while holding tree or buffer locks.
   kLiveTier = 40,
   // PartitionedIndex::router_mu_ — the speed-class routing table and
-  // oid→class map. Calls into partition trees (epoch) while held;
+  // partition states. Calls into partition trees (epoch) while held;
   // nothing takes it while holding tree or buffer locks.
   kPartitionRouter = 45,
   // obs::MetricsRegistry::mu_ — snapshot callbacks run under it and take

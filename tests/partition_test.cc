@@ -58,6 +58,13 @@ struct TestIndex {
       files.push_back(
           std::make_unique<MemoryPageFile>(config.page_size));
     }
+    Reopen(config, options, pool);
+  }
+  // Closes the index (its trees commit) and opens a new one over the
+  // same files.
+  void Reopen(const TreeConfig& config, const PartitionedOptions& options,
+              sched::ThreadPool* pool = nullptr) {
+    index.reset();
     std::vector<PageFile*> raw;
     for (auto& f : files) raw.push_back(f.get());
     index = std::make_unique<PartitionedIndex<2>>(config, raw, options,
@@ -78,9 +85,51 @@ Tpbr<2> PointWithSpeed(Rng* rng, double speed, Time now,
   return MakeMovingPoint<2>(pos, vel, now, now + life);
 }
 
+// The class whose tree holds a copy of `oid` (live or expired): -1 for
+// none, -2 for more than one.
+int ClassOf(const PartitionedIndex<2>& index, ObjectId oid) {
+  int holder = -1;
+  for (int i = 0; i < index.partitions(); ++i) {
+    if (index.tree(i).HoldsObject(oid)) holder = holder == -1 ? i : -2;
+  }
+  return holder;
+}
+
 std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+// Two classes split at speed 1.5 (K = 2, no retune), with long-lived
+// neighbours (oids 100-139) in both.
+PartitionedOptions TwoFixedClasses() {
+  PartitionedOptions options;
+  options.partitions = 2;
+  options.retune_every = 0;
+  options.initial_max_speed = 3.0;
+  options.query_threads = -1;
+  return options;
+}
+void InsertNeighbours(PartitionedIndex<2>* index, Rng* rng) {
+  for (ObjectId oid = 100; oid < 140; ++oid) {
+    const double speed = oid % 2 == 0 ? 0.5 : 2.5;
+    index->Insert(oid, PointWithSpeed(rng, speed, 0.0, 1e6), 0.0);
+  }
+}
+
+// Object 1 reports at `first_speed` with a record that expires at t=5,
+// then re-reports at t=10 at `second_speed`, in the other class. Its
+// expired copy lingers in the first class (lazy purge). Returns the live
+// record.
+Tpbr<2> SeedExpiredCrossing(PartitionedIndex<2>* index, Rng* rng,
+                            double first_speed, double second_speed) {
+  InsertNeighbours(index, rng);
+  const Tpbr<2> short_lived = PointWithSpeed(rng, first_speed, 0.0, 5.0);
+  index->Insert(1, short_lived, 0.0);
+  const Tpbr<2> live = PointWithSpeed(rng, second_speed, 10.0, 1e6);
+  EXPECT_FALSE(index->Update(1, short_lived, live, 10.0));
+  EXPECT_EQ(ClassOf(*index, 1), -2);
+  return live;
 }
 
 // --- Routing ----------------------------------------------------------
@@ -118,8 +167,8 @@ TEST(PartitionRouting, InsertMapsObjectToItsSpeedClass) {
   t.index->Insert(1, slow, 0.0);
   t.index->Insert(2, fast, 0.0);
 
-  EXPECT_EQ(t.index->ClassOfForTest(1), 0);
-  EXPECT_EQ(t.index->ClassOfForTest(2), 1);
+  EXPECT_EQ(ClassOf(*t.index, 1), 0);
+  EXPECT_EQ(ClassOf(*t.index, 2), 1);
   EXPECT_EQ(t.index->tree(0)->leaf_entries(), 1u);
   EXPECT_EQ(t.index->tree(1)->leaf_entries(), 1u);
   EXPECT_TRUE(t.index->Verify(0.0).ok());
@@ -234,17 +283,36 @@ TEST(PartitionChurn, DeleteAndReinsertKeepMapConsistent) {
   const Tpbr<2> a = PointWithSpeed(&rng, 0.4, 0.0);
   t.index->Insert(5, a, 0.0);
   EXPECT_TRUE(t.index->Delete(5, a, 1.0));
-  EXPECT_EQ(t.index->ClassOfForTest(5), -1);
-  // A second delete is a map miss: the fallback probes every partition
-  // and reports not-found.
+  EXPECT_EQ(ClassOf(*t.index, 5), -1);
+  // A second delete finds no class holding a copy.
   EXPECT_FALSE(t.index->Delete(5, a, 1.0));
-  EXPECT_EQ(t.index->stats().delete_fallback_scans, 1u);
 
   // Re-insert at a boundary-crossing speed lands in the other class.
   const Tpbr<2> b = PointWithSpeed(&rng, 2.8, 1.0);
   t.index->Insert(5, b, 1.0);
-  EXPECT_EQ(t.index->ClassOfForTest(5), 1);
+  EXPECT_EQ(ClassOf(*t.index, 5), 1);
   EXPECT_TRUE(t.index->Verify(1.0).ok());
+}
+
+TEST(PartitionChurn, ExpiredCopyLeftBehindKeepsLiveVerifyClean) {
+  TestIndex t(SmallConfig(), TwoFixedClasses());
+  Rng rng(61);
+  SeedExpiredCrossing(t.index.get(), &rng, 0.5, 2.5);
+  const verify::Report report = t.index->Verify(10.0);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// Live Verify runs rexp_fsck's class checks over the live records.
+TEST(PartitionRouting, LiveVerifyFindsAnObjectLiveInTwoClasses) {
+  TestIndex t(SmallConfig(), TwoFixedClasses());
+  Rng rng(71);
+  InsertNeighbours(t.index.get(), &rng);
+  t.index->tree(0)->Insert(7, PointWithSpeed(&rng, 0.5, 0.0, 1e6), 0.0);
+  t.index->tree(1)->Insert(7, PointWithSpeed(&rng, 2.5, 0.0, 1e6), 0.0);
+  const verify::Report report = t.index->Verify(1.0);
+  ASSERT_EQ(report.TotalFindings(), 1u) << report.ToString();
+  EXPECT_EQ(report.findings[0].check, verify::CheckId::kPartitionRouting);
+  EXPECT_EQ(report.findings[0].detail, "oid 7 live in partition 0 and 1");
 }
 
 // --- GroupUpdate ------------------------------------------------------
@@ -320,7 +388,7 @@ TEST(PartitionGroupUpdate, DuplicateOidsFallBackToBatchOrder) {
        Tree<2>::UpdateRequest{1, second, third}},
       1.0);
   EXPECT_EQ(results, (std::vector<bool>{true, true}));
-  EXPECT_EQ(t.index->ClassOfForTest(1), 0);
+  EXPECT_EQ(ClassOf(*t.index, 1), 0);
   EXPECT_EQ(t.index->leaf_entries(), 1u);
   EXPECT_TRUE(t.index->Verify(1.0).ok());
 }
@@ -389,7 +457,7 @@ TEST(PartitionMerge, DecayedClassIsMergedAndQueriesStillMatch) {
   // The merged-away class takes no further routes: new extreme-speed
   // inserts land in the surviving class.
   t.index->Insert(9999, PointWithSpeed(&rng, 5.0, now), now);
-  EXPECT_EQ(t.index->ClassOfForTest(9999), 0);
+  EXPECT_EQ(ClassOf(*t.index, 9999), 0);
   EXPECT_TRUE(t.index->Verify(now).ok());
 }
 
@@ -581,6 +649,31 @@ TEST(PartitionDisk, ReopenRestoresRoutingAndAnswers) {
   std::remove((base + ".manifest").c_str());
 }
 
+// After a reopen both classes' trees list object 1: its live record in
+// class 0 and an expired copy in class 1. Updates, queries and deletes
+// must find the live record.
+TEST(PartitionDisk, ReopenFindsTheLiveRecordBesideAnExpiredCopy) {
+  const PartitionedOptions options = TwoFixedClasses();
+  TestIndex t(SmallConfig(), options);
+  Rng rng(67);
+  const Tpbr<2> live = SeedExpiredCrossing(t.index.get(), &rng, 2.5, 0.5);
+  ASSERT_TRUE(t.index->Commit().ok());
+  t.Reopen(SmallConfig(), options);
+  ASSERT_EQ(ClassOf(*t.index, 1), -2);
+
+  const Tpbr<2> next = PointWithSpeed(&rng, 0.5, 11.0, 1e6);
+  EXPECT_TRUE(t.index->Update(1, live, next, 11.0));
+  Rect<2> everywhere;
+  everywhere.lo = {-1e5, -1e5};
+  everywhere.hi = {1e5, 1e5};
+  std::vector<ObjectId> got;
+  t.index->Search(Query<2>::Window(everywhere, 11.0, 12.0), &got);
+  EXPECT_EQ(std::count(got.begin(), got.end(), ObjectId{1}), 1);
+  EXPECT_TRUE(t.index->Delete(1, next, 11.0));
+  const verify::Report report = t.index->Verify(11.0);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(PartitionFsck, ClosedIndexVerifiesCleanAndSeededDamageIsFound) {
   const std::string base = ::testing::TempDir() + "/rexp_part_fsck";
   for (int i = 0; i < 2; ++i) {
@@ -668,8 +761,8 @@ class PartitionFsckClasses : public ::testing::Test {
       index->Insert(static_cast<ObjectId>(i),
                     PointWithSpeed(&rng, speed, 0.0, 1e6), 0.0);
     }
-    ASSERT_EQ(index->ClassOfForTest(0), 0);
-    ASSERT_EQ(index->ClassOfForTest(30), 1);
+    ASSERT_EQ(ClassOf(*index, 0), 0);
+    ASSERT_EQ(ClassOf(*index, 30), 1);
     ASSERT_TRUE(index->Commit().ok());
   }
   void TearDown() override { RemoveFiles(); }
