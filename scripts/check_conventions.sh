@@ -45,6 +45,9 @@
 #      Tree::SettleBatchNode, through which every Insert, Delete, Update
 #      and GroupUpdate stores and re-bounds what it changed (DESIGN.md
 #      §10, §13). A second caller is a second propagation step.
+#   8. Test hooks stay in tests. A `*ForTest(` member may appear in src/
+#      and tools/ only in its declaration and definition; production code
+#      that needs what a hook gives gets a real API (DESIGN.md §13).
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -158,6 +161,21 @@ for fn in SettleNode ReattachChild; do
     report "one-settle-step" \
       "${fn} is called from ${#sites[@]} places (${sites[*]}); only the settle step, Tree::SettleBatchNode, may call it"
   fi
+done
+
+# --- Rule 8: test hooks stay in tests --------------------------------------
+for f in "${files[@]}"; do
+  case "$f" in src/*|tools/*) ;; *) continue ;; esac
+  # A declaration or definition names the hook right after its return
+  # type (optionally class-qualified); anything else, `return` included,
+  # is a call.
+  while IFS= read -r hit; do
+    report "test-hook" "$f:$hit (a *ForTest hook is for tests only)"
+  done < <(awk '
+    /[A-Za-z0-9_]ForTest\(/ {
+      decl = $0 ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>, *&]*[[:space:]*&>]([A-Za-z_][A-Za-z0-9_<>]*::)?[A-Za-z_][A-Za-z0-9_]*ForTest\(/
+      if (!decl || $0 ~ /^[[:space:]]*return[[:space:]]/) print FNR ":" $0
+    }' "$f")
 done
 
 if [ "$fail" -ne 0 ]; then
