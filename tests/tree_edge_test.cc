@@ -2,10 +2,13 @@
 //
 // Edge-case and feature tests for the tree engine beyond the basics:
 // the orphan cap (paper Section 4.3's bounded update cost), node-codec
-// fan-outs across dimensionalities, delete mismatches, horizon
-// persistence, and false-drop accounting in the harness.
+// fan-outs across dimensionalities and its golden decoded form, delete
+// mismatches, horizon persistence, and false-drop accounting in the
+// harness.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,6 +52,78 @@ TEST(NodeCodecDims, FullNodeRoundTrip) {
   codec.Decode(page, &decoded);
   EXPECT_EQ(decoded.entries.size(), node.entries.size());
   EXPECT_EQ(decoded.entries.back().id, node.entries.back().id);
+}
+
+// FNV-1a over the raw bytes of `value`.
+template <typename T>
+void HashBits(uint64_t* h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (unsigned char b : bytes) {
+    *h ^= b;
+    *h *= 0x100000001b3ULL;
+  }
+}
+
+template <int kDims>
+void HashEntry(uint64_t* h, const NodeEntry<kDims>& e) {
+  for (int d = 0; d < kDims; ++d) {
+    HashBits(h, e.region.lo[d]);
+    HashBits(h, e.region.hi[d]);
+    HashBits(h, e.region.vlo[d]);
+    HashBits(h, e.region.vhi[d]);
+  }
+  HashBits(h, e.region.t_exp);
+  HashBits(h, e.id);
+}
+
+// Random node pages of every layout at this dimensionality — leaf pages,
+// and internal pages with velocities and expiration each stored or not —
+// at counts 0, 1 and capacity. The payload is random finite floats, so
+// internal velocity ranges may be inverted (a finite natural expiry) and
+// ids are arbitrary bit patterns. Returns the hash of every decoded entry,
+// double bit patterns included.
+template <int kDims>
+uint64_t HashDecodedRandomPages(uint64_t seed) {
+  constexpr uint32_t kPageSize = 512;
+  Rng rng(seed);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int layout = 0; layout < 5; ++layout) {
+    const bool leaf = layout == 0;
+    const bool velocities = leaf || (layout - 1) / 2 == 1;
+    const bool expiration = leaf || (layout - 1) % 2 == 1;
+    NodeCodec<kDims> codec(kPageSize, velocities, expiration);
+    const int level = leaf ? 0 : 1 + static_cast<int>(rng.UniformInt(3));
+    for (int count : {0, 1, codec.Capacity(level)}) {
+      Page page(kPageSize);
+      page.Write<uint16_t>(0, static_cast<uint16_t>(level));
+      page.Write<uint16_t>(2, static_cast<uint16_t>(count));
+      for (uint32_t off = 4; off + 4 <= kPageSize; off += 4) {
+        page.Write<float>(off, static_cast<float>(rng.Uniform(-1000, 1000)));
+      }
+      Node<kDims> node;
+      codec.Decode(page, &node);
+      EXPECT_EQ(node.level, level);
+      EXPECT_EQ(static_cast<int>(node.entries.size()), count);
+      HashBits(&h, node.level);
+      for (const NodeEntry<kDims>& e : node.entries) HashEntry(&h, e);
+    }
+  }
+  return h;
+}
+
+// Pins the decoded form of every node layout bit for bit: whatever reads
+// the slot layout must widen each stored float exactly as recorded here.
+TEST(NodeCodecGolden, DecodedEntriesKeepTheirBits) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "golden hash recorded for x86-64 floating point";
+#endif
+  const uint64_t d1 = HashDecodedRandomPages<1>(0x5107);
+  const uint64_t d2 = HashDecodedRandomPages<2>(0x5207);
+  const uint64_t d3 = HashDecodedRandomPages<3>(0x5307);
+  EXPECT_EQ(d1, 0xeea79e9fa3507055ULL) << std::hex << "0x" << d1;
+  EXPECT_EQ(d2, 0x0af3b2552a6ed493ULL) << std::hex << "0x" << d2;
+  EXPECT_EQ(d3, 0x1d5fac39b712df22ULL) << std::hex << "0x" << d3;
 }
 
 TEST(TreeEdge, QueriesOnEmptyAndSingletonTrees) {
