@@ -187,11 +187,14 @@ void BM_TreeSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeSearch);
 
-// Search with the whole index resident in the buffer pool: the hot path
-// (descent stack, node decode, result accumulation, telemetry) must not
-// allocate at all in steady state. This is a hard regression gate, not a
-// measurement — the process aborts if the guarantee breaks.
-void BM_TreeSearchResident(benchmark::State& state) {
+// Runs `query(tree, rng)` with the whole index resident in the buffer
+// pool: the hot path (descent, node views, result accumulation,
+// telemetry) must not allocate at all in steady state. This is a hard
+// regression gate, not a measurement — the process aborts if the
+// guarantee breaks.
+template <typename QueryFn>
+void ResidentQueryGate(benchmark::State& state, const char* what,
+                       QueryFn query) {
   Rng rng(2);
   TreeConfig config = TreeConfig::Rexp();
   config.buffer_frames = 1024;  // > pages used by the 20k-object index.
@@ -200,37 +203,48 @@ void BM_TreeSearchResident(benchmark::State& state) {
   for (ObjectId oid = 0; oid < 20000; ++oid) {
     tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 1e5), 0.0);
   }
-  std::vector<ObjectId> hits;
-  hits.reserve(20000);
-  // Warm the per-thread scratch (descent stack, node buffer) and fault
-  // every page into the pool.
-  for (int i = 0; i < 200; ++i) {
-    hits.clear();
-    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
-  }
+  // Warm the per-thread scratch and fault every page into the pool.
+  for (int i = 0; i < 200; ++i) query(tree, rng);
   uint64_t check_start = g_thread_allocs;
-  for (int i = 0; i < 200; ++i) {
-    hits.clear();
-    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
-  }
+  for (int i = 0; i < 200; ++i) query(tree, rng);
   if (g_thread_allocs != check_start) {
     std::fprintf(stderr,
-                 "FATAL: steady-state Search allocated %llu time(s) over "
+                 "FATAL: steady-state %s allocated %llu time(s) over "
                  "200 resident queries; the hot path must be "
                  "allocation-free (see scratch reuse in tree.cc)\n",
+                 what,
                  static_cast<unsigned long long>(g_thread_allocs -
                                                  check_start));
     std::abort();
   }
-  for (auto _ : state) {
-    hits.clear();
-    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
-    benchmark::DoNotOptimize(hits.data());
-  }
+  for (auto _ : state) query(tree, rng);
   state.SetItemsProcessed(state.iterations());
   state.counters["allocs_per_op"] = 0;
 }
+
+void BM_TreeSearchResident(benchmark::State& state) {
+  std::vector<ObjectId> hits;
+  hits.reserve(20000);
+  ResidentQueryGate(state, "Search", [&hits](Tree<2>& tree, Rng& rng) {
+    hits.clear();
+    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
+    benchmark::DoNotOptimize(hits.data());
+  });
+}
 BENCHMARK(BM_TreeSearchResident);
+
+void BM_TreeNnResident(benchmark::State& state) {
+  std::vector<Tree<2>::NnResult> nn;
+  nn.reserve(10);
+  ResidentQueryGate(state, "NearestNeighbors",
+                    [&nn](Tree<2>& tree, Rng& rng) {
+                      const Vec<2> q{rng.Uniform(0, 1000),
+                                     rng.Uniform(0, 1000)};
+                      tree.NearestNeighbors(q, 0.0, 10, &nn);
+                      benchmark::DoNotOptimize(nn.data());
+                    });
+}
+BENCHMARK(BM_TreeNnResident);
 
 void BM_TreeUpdate(benchmark::State& state) {
   Rng rng(3);

@@ -640,17 +640,25 @@ class PartitionedIndex {
       pstate_[static_cast<size_t>(i)].upper =
           options_.initial_max_speed * (i + 1) / k;
     }
-    if (manifest != nullptr) {
-      for (size_t i = 0; i < pstate_.size(); ++i) {
-        pstate_[i].active = manifest->entries[i].active;
-        pstate_[i].upper = manifest->entries[i].upper;
-        pstate_[i].vmax = manifest->entries[i].vmax;
-      }
-    }
-    // A class reopened non-empty gets an untracked union bound (never
-    // pruned) until it empties out.
     for (size_t i = 0; i < pstate_.size(); ++i) {
-      pstate_[i].bound_tracked = trees_[i]->leaf_entries() == 0;
+      PartitionState& p = pstate_[i];
+      // A class reopened non-empty gets an untracked union bound (never
+      // pruned) until it empties out.
+      p.bound_tracked = trees_[i]->leaf_entries() == 0;
+      if (manifest != nullptr) {
+        p.active = manifest->entries[i].active;
+        p.upper = manifest->entries[i].upper;
+        p.vmax = manifest->entries[i].vmax;
+      } else if (!p.bound_tracked) {
+        // No recorded ceiling: the fastest record the class holds is one.
+        REXP_RETURN_IF_ERROR(trees_[i]->ForEachNode(
+            [&p](PageId, const Node<kDims>& node) {
+              if (!node.IsLeaf()) return;
+              for (const NodeEntry<kDims>& e : node.entries) {
+                p.vmax = std::max(p.vmax, SpeedOf(e.region));
+              }
+            }));
+      }
     }
     if (pool != nullptr) {
       pool_ = pool;

@@ -2,8 +2,6 @@
 
 #include "tree/node.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/float_round.h"
 
@@ -20,15 +18,15 @@ template <int kDims>
 NodeCodec<kDims>::NodeCodec(uint32_t page_size, bool store_velocities,
                             bool store_expiration)
     : store_velocities_(store_velocities),
-      store_expiration_(store_expiration) {
-  const uint32_t leaf_entry_size = 2 * kDims * 4 + 4 /*t_exp*/ + 4 /*oid*/;
-  uint32_t internal_entry_size = 2 * kDims * 4 + 4 /*child*/;
-  if (store_velocities_) internal_entry_size += 2 * kDims * 4;
-  if (store_expiration_) internal_entry_size += 4;
+      store_expiration_(store_expiration),
+      leaf_entry_size_(2 * kDims * 4 + 4 /*t_exp*/ + 4 /*oid*/),
+      internal_entry_size_(2 * kDims * 4 + 4 /*child*/ +
+                           (store_velocities ? 2 * kDims * 4 : 0) +
+                           (store_expiration ? 4 : 0)) {
   leaf_capacity_ = static_cast<int>((page_size - kHeaderSize) /
-                                    leaf_entry_size);
+                                    leaf_entry_size_);
   internal_capacity_ = static_cast<int>((page_size - kHeaderSize) /
-                                        internal_entry_size);
+                                        internal_entry_size_);
   REXP_CHECK(leaf_capacity_ >= 4 && internal_capacity_ >= 4);
 }
 
@@ -90,60 +88,26 @@ void NodeCodec<kDims>::Encode(const Node<kDims>& node, Page* page) const {
 }
 
 template <int kDims>
+NodeView<kDims> NodeCodec<kDims>::View(const Page& page) const {
+  NodeView<kDims> view;
+  view.level_ = page.Read<uint16_t>(0);
+  view.count_ = page.Read<uint16_t>(2);
+  view.page_ = &page;
+  view.first_ = kHeaderSize;
+  view.entry_size_ = view.IsLeaf() ? leaf_entry_size_ : internal_entry_size_;
+  view.velocities_ = store_velocities_;
+  view.expiration_ = store_expiration_;
+  return view;
+}
+
+template <int kDims>
 void NodeCodec<kDims>::Decode(const Page& page, Node<kDims>* node) const {
-  node->level = page.Read<uint16_t>(0);
-  int count = page.Read<uint16_t>(2);
-  node->entries.assign(count, NodeEntry<kDims>{});
-  uint32_t off = kHeaderSize;
-  if (node->IsLeaf()) {
-    for (NodeEntry<kDims>& e : node->entries) {
-      for (int d = 0; d < kDims; ++d) {
-        e.region.lo[d] = e.region.hi[d] = page.Read<float>(off);
-        off += 4;
-      }
-      for (int d = 0; d < kDims; ++d) {
-        e.region.vlo[d] = e.region.vhi[d] = page.Read<float>(off);
-        off += 4;
-      }
-      e.region.t_exp = page.Read<float>(off);
-      off += 4;
-      e.id = page.Read<uint32_t>(off);
-      off += 4;
-    }
-  } else {
-    for (NodeEntry<kDims>& e : node->entries) {
-      for (int d = 0; d < kDims; ++d) {
-        e.region.lo[d] = page.Read<float>(off);
-        off += 4;
-      }
-      for (int d = 0; d < kDims; ++d) {
-        e.region.hi[d] = page.Read<float>(off);
-        off += 4;
-      }
-      if (store_velocities_) {
-        for (int d = 0; d < kDims; ++d) {
-          e.region.vlo[d] = page.Read<float>(off);
-          off += 4;
-        }
-        for (int d = 0; d < kDims; ++d) {
-          e.region.vhi[d] = page.Read<float>(off);
-          off += 4;
-        }
-      } else {
-        for (int d = 0; d < kDims; ++d) e.region.vlo[d] = e.region.vhi[d] = 0;
-      }
-      if (store_expiration_) {
-        e.region.t_exp = page.Read<float>(off);
-        off += 4;
-      } else {
-        // Not recorded: fall back to the rectangle's natural expiry (the
-        // time its extent would reach zero), which is a sound upper bound
-        // on the lifetime of its contents.
-        e.region.t_exp = e.region.NaturalExpiry(0);
-      }
-      e.id = page.Read<uint32_t>(off);
-      off += 4;
-    }
+  const NodeView<kDims> view = View(page);
+  node->level = view.level();
+  node->entries.clear();
+  node->entries.reserve(view.count());
+  for (int i = 0; i < view.count(); ++i) {
+    node->entries.push_back(view.Entry(i));
   }
 }
 
@@ -151,9 +115,8 @@ template <int kDims>
 NodeHeader NodeCodec<kDims>::DecodeChecked(const Page& page,
                                            int expected_level,
                                            Node<kDims>* node) const {
-  NodeHeader header;
-  header.level = page.Read<uint16_t>(0);
-  header.count = page.Read<uint16_t>(2);
+  const NodeView<kDims> view = View(page);
+  NodeHeader header{NodeHeader::Fault::kNone, view.level(), view.count()};
   if (header.level != expected_level) {
     header.fault = NodeHeader::Fault::kLevel;
   } else if (header.count > Capacity(expected_level)) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "common/types.h"
 #include "storage/page.h"
 #include "tpbr/tpbr.h"
@@ -47,6 +48,62 @@ struct Node {
     }
     return -1;
   }
+};
+
+template <int kDims>
+class NodeCodec;
+
+// A read-only view of a node page, built by NodeCodec::View: the level,
+// the count, and each entry widened from its floats on demand. It reads
+// the page in place, so it is valid only while the caller's PageGuard
+// pins the frame. Entry is the one reader of the slot layout; Decode is a
+// loop over it.
+template <int kDims>
+class NodeView {
+ public:
+  int level() const { return level_; }
+  int count() const { return count_; }
+  bool IsLeaf() const { return level_ == 0; }
+
+  // Entry `i` < count(); widening float to double is exact. Leaf entries
+  // are degenerate (lo == hi, vlo == vhi). Internal velocities that are
+  // not stored are 0; an expiration that is not stored is the rectangle's
+  // natural expiry, a sound bound on the lifetime of its contents.
+  NodeEntry<kDims> Entry(int i) const {
+    REXP_DCHECK(i >= 0 && i < count_);
+    uint32_t off = first_ + static_cast<uint32_t>(i) * entry_size_;
+    auto next = [this, &off] {
+      off += 4;
+      return static_cast<double>(page_->Read<float>(off - 4));
+    };
+    NodeEntry<kDims> e;
+    Tpbr<kDims>& r = e.region;
+    if (IsLeaf()) {
+      for (int d = 0; d < kDims; ++d) r.lo[d] = r.hi[d] = next();
+      for (int d = 0; d < kDims; ++d) r.vlo[d] = r.vhi[d] = next();
+      r.t_exp = next();
+    } else {
+      for (int d = 0; d < kDims; ++d) r.lo[d] = next();
+      for (int d = 0; d < kDims; ++d) r.hi[d] = next();
+      if (velocities_) {
+        for (int d = 0; d < kDims; ++d) r.vlo[d] = next();
+        for (int d = 0; d < kDims; ++d) r.vhi[d] = next();
+      }
+      r.t_exp = expiration_ ? next() : r.NaturalExpiry(0);
+    }
+    e.id = page_->Read<uint32_t>(off);
+    return e;
+  }
+
+ private:
+  friend class NodeCodec<kDims>;
+  const Page* page_ = nullptr;  // raw-page-ok: the caller's guard pins it.
+  uint32_t first_ = 0;         // Offset of entry 0.
+  uint32_t entry_size_ = 0;
+  int level_ = 0;
+  int count_ = 0;
+  bool velocities_ = false;  // Stored in internal entries?
+  bool expiration_ = false;  // Likewise.
 };
 
 // The header of a node page that came off the device, as DecodeChecked
@@ -79,6 +136,10 @@ class NodeCodec {
   // The node must fit (entries <= capacity). The caller passes the
   // pinned frame's page; the codec never owns one.
   void Encode(const Node<kDims>& node, Page* page) const;  // raw-page-ok
+  // The page's node, read in place; valid while `page` is pinned. The
+  // header is trusted: pages off the device pass DecodeChecked first.
+  NodeView<kDims> View(const Page& page) const;
+  // Copies every entry of View(page) into `node` (reusing its capacity).
   void Decode(const Page& page, Node<kDims>* node) const;
   // The checked read of a page that came off the device: validates the
   // level tag against `expected_level` and the count against
@@ -90,6 +151,8 @@ class NodeCodec {
  private:
   bool store_velocities_;
   bool store_expiration_;
+  uint32_t leaf_entry_size_;
+  uint32_t internal_entry_size_;
   int leaf_capacity_;
   int internal_capacity_;
 };

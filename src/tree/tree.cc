@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <tuple>
 
 #include "common/check.h"
@@ -272,9 +271,14 @@ template <int kDims>
 void Tree<kDims>::ReadNodeInto(PageId id, Node<kDims>* out) {
   PageGuard guard = buffer_.FetchOrDie(id);
   codec_.Decode(*guard, out);
-  const int lvl =
-      std::min(out->level, TreeOpStats::kMaxTrackedLevels - 1);
-  op_stats_.level_reads[lvl].fetch_add(1, std::memory_order_relaxed);
+  CountNodeRead(out->level, /*decoded=*/true);
+}
+
+template <int kDims>
+void Tree<kDims>::CountNodeRead(int level, bool decoded) {
+  op_stats_.level_reads[std::min(level, TreeOpStats::kMaxTrackedLevels - 1)]
+      .fetch_add(1, std::memory_order_relaxed);
+  if (decoded) op_stats_.node_decodes.fetch_add(1, std::memory_order_relaxed);
 }
 
 template <int kDims>
@@ -1688,19 +1692,21 @@ void Tree<kDims>::Search(const Query<kDims>& query,
   obs::LatencyTimer timer(&op_stats_.search_latency_us);
   uint64_t visited = 0;
   // Reader-side scratch: Search runs under a shared epoch from many
-  // threads at once, so the reused stack and node buffers are per-thread.
-  // After the first few queries their capacity plateaus and the steady
-  // state performs no heap allocation (guarded in bench/micro_tree_ops).
+  // threads at once, so the reused stack is per-thread. After the first
+  // few queries its capacity plateaus and the steady state performs no
+  // heap allocation (guarded in bench/micro_tree_ops). Nodes are read
+  // through a view of the pinned frame, not decoded.
   static thread_local std::vector<PageId> stack;
-  static thread_local Node<kDims> node;
   stack.clear();
   stack.push_back(root_);
   while (!stack.empty()) {
-    PageId id = stack.back();
+    const PageGuard guard = buffer_.FetchOrDie(stack.back());
     stack.pop_back();
-    ReadNodeInto(id, &node);
+    const NodeView<kDims> node = codec_.View(*guard);
+    CountNodeRead(node.level(), /*decoded=*/false);
     ++visited;
-    for (const NodeEntry<kDims>& e : node.entries) {
+    for (int i = 0; i < node.count(); ++i) {
+      const NodeEntry<kDims> e = node.Entry(i);
       Time expiry = kNeverExpires;
       if (config_.expire_entries) {
         expiry = node.IsLeaf() ? e.region.t_exp
@@ -1911,44 +1917,62 @@ void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
   uint64_t visited = 0;
 
   // Best-first search (Hjaltason & Samet): a min-heap of pending nodes
-  // and leaf objects keyed by their minimum distance at time t; ties
-  // broken by object id for a deterministic answer.
+  // and leaf objects keyed by their minimum distance at time t; at equal
+  // distance nodes pop first, then objects by id, for a deterministic
+  // answer.
   struct Item {
     double dist;
     bool is_object;
     uint32_t id;  // Page id or object id.
-    int level;
 
     bool operator>(const Item& other) const {
-      if (dist != other.dist) return dist > other.dist;
-      if (is_object != other.is_object) return is_object && !other.is_object;
-      return id > other.id;
+      return std::tie(dist, is_object, id) >
+             std::tie(other.dist, other.is_object, other.id);
     }
   };
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  heap.push(Item{0.0, false, root_, height_ - 1});
-  static thread_local Node<kDims> node;
+  // Per-thread scratch, as in Search. `best` is a max-heap of the k
+  // smallest distances of the objects pushed so far. An entry farther
+  // than its top would pop only after k objects, so it is not pushed:
+  // the nodes visited do not change.
+  static thread_local std::vector<Item> heap;
+  static thread_local std::vector<double> best;
+  heap.assign(1, Item{0.0, false, root_});
+  best.clear();
+  const size_t want = static_cast<size_t>(k);
 
-  while (!heap.empty() && static_cast<int>(out->size()) < k) {
-    Item item = heap.top();
-    heap.pop();
+  while (!heap.empty() && out->size() < want) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<Item>());
+    const Item item = heap.back();
+    heap.pop_back();
     if (item.is_object) {
-      if (!skip || !skip(item.id)) {
-        out->push_back(NnResult{item.id, item.dist});
-      }
+      out->push_back(NnResult{item.id, item.dist});
       continue;
     }
-    ReadNodeInto(item.id, &node);
+    const PageGuard guard = buffer_.FetchOrDie(item.id);
+    const NodeView<kDims> node = codec_.View(*guard);
+    CountNodeRead(node.level(), /*decoded=*/false);
     ++visited;
-    for (const NodeEntry<kDims>& e : node.entries) {
+    for (int i = 0; i < node.count(); ++i) {
+      const NodeEntry<kDims> e = node.Entry(i);
       // Only entries valid at time t participate.
       if (config_.expire_entries) {
         Time expiry = node.IsLeaf() ? e.region.t_exp
                                     : e.region.EffectiveExpiry(0);
         if (expiry < t) continue;
       }
-      double dist = MinDistSqAt(point, e.region, t);
-      heap.push(Item{dist, node.IsLeaf(), e.id, node.level - 1});
+      const double dist = MinDistSqAt(point, e.region, t);
+      if (best.size() == want && dist > best.front()) continue;
+      if (node.IsLeaf()) {
+        if (skip && skip(e.id)) continue;
+        best.push_back(dist);
+        std::push_heap(best.begin(), best.end());
+        if (best.size() > want) {
+          std::pop_heap(best.begin(), best.end());
+          best.pop_back();
+        }
+      }
+      heap.push_back(Item{dist, node.IsLeaf(), e.id});
+      std::push_heap(heap.begin(), heap.end(), std::greater<Item>());
     }
   }
   op_stats_.nodes_visited_search += visited;
@@ -2083,8 +2107,7 @@ Status Tree<kDims>::ForEachNodeLocked(const NodeVisitor& visit) {
       REXP_RETURN_IF_ERROR(
           HeaderStatus(id, level, codec_.DecodeChecked(*guard, level, &node)));
     }
-    op_stats_.level_reads[std::min(level, TreeOpStats::kMaxTrackedLevels - 1)]
-        .fetch_add(1, std::memory_order_relaxed);
+    CountNodeRead(level, /*decoded=*/true);
     visit(id, node);
     if (level == 0) continue;
     for (const NodeEntry<kDims>& e : node.entries) {

@@ -101,16 +101,20 @@ struct TreeOpStats {
   std::atomic<uint64_t> purged_subtrees{0};  // Subtrees dropped by the purge.
   // Pages touched answering queries.
   std::atomic<uint64_t> nodes_visited_search{0};
+  // Node pages decoded into a Node. Search and NearestNeighbors read
+  // through a NodeView instead and add none.
+  std::atomic<uint64_t> node_decodes{0};
   std::atomic<uint64_t> tpbr_recomputes{0};  // Stored-bound recomputations.
   std::atomic<uint64_t> horizon_retunes{0};  // UI estimate recomputations.
   std::atomic<uint64_t> root_grows{0};
   std::atomic<uint64_t> root_shrinks{0};
 
   // Node reads per tree level (index 0 = leaves; deeper levels clamp into
-  // the last slot). Every ReadNode bumps exactly one of these, so the
-  // distribution shows where an access pattern actually lands — e.g. a
-  // DAT-served update workload reads leaves almost exclusively while a
-  // descent-heavy one climbs the upper levels.
+  // the last slot). Every node read, through a NodeView or a decode,
+  // bumps exactly one of these, so the distribution shows where an access
+  // pattern actually lands — e.g. a DAT-served update workload reads
+  // leaves almost exclusively while a descent-heavy one climbs the upper
+  // levels.
   static constexpr int kMaxTrackedLevels = 12;
   std::atomic<uint64_t> level_reads[kMaxTrackedLevels] = {};
 
@@ -155,6 +159,7 @@ struct TreeOpStats {
                      {"purged_subtrees", &TreeOpStats::purged_subtrees},
                      {"nodes_visited_search",
                       &TreeOpStats::nodes_visited_search},
+                     {"node_decodes", &TreeOpStats::node_decodes},
                      {"tpbr_recomputes", &TreeOpStats::tpbr_recomputes},
                      {"horizon_retunes", &TreeOpStats::horizon_retunes},
                      {"root_grows", &TreeOpStats::root_grows},
@@ -325,9 +330,11 @@ class Tree {
   // result carries its exact squared distance at time `t`. A tiered
   // index merges these with candidates from an in-memory live tier by
   // (distance, oid) without recomputing tree distances. Objects for
-  // which `skip` returns true are passed over when popped and do not
-  // count toward k, so the answer is exactly the k nearest objects that
-  // are not skipped (the tiered index skips its superseded tree copies).
+  // which `skip` returns true are passed over and do not count toward k,
+  // so the answer is exactly the k nearest objects that are not skipped
+  // (the tiered index skips its superseded tree copies). `skip` is called
+  // at most once per live leaf entry the search reaches, and must not
+  // call back into this tree.
   struct NnResult {
     ObjectId oid;
     double dist_sq;
@@ -485,9 +492,10 @@ class Tree {
   // Reads run under at least a shared epoch (search threads in parallel);
   // everything that mutates structure requires the exclusive epoch.
   Node<kDims> ReadNode(PageId id) REQUIRES_SHARED(epoch_mu_);
-  // ReadNode into caller-owned storage (reuses `out`'s entry capacity —
-  // the hot paths' allocation-free variant).
+  // ReadNode into caller-owned storage (reuses `out`'s entry capacity).
   void ReadNodeInto(PageId id, Node<kDims>* out) REQUIRES_SHARED(epoch_mu_);
+  // Counts a read of a node at `level`, decoded or through a NodeView.
+  void CountNodeRead(int level, bool decoded);
   void WriteNode(PageId id, const Node<kDims>& node) REQUIRES(epoch_mu_);
   // Persists `node` over the page that held it. In-place write (returns
   // `id`) normally; with crash_consistent the old page is freed into the

@@ -5,6 +5,9 @@
 // loading.
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -92,6 +95,71 @@ TEST(NearestNeighbors, PropertyMatchesBruteForce) {
     tree.NearestNeighbors(q, t, k, &got);
     oracle.NearestNeighbors(q, t, k, &want);
     ASSERT_EQ(got, want) << "iter " << iter << " k=" << k << " t=" << t;
+  }
+}
+
+// The oracle's k nearest live objects at time t that `skip` rejects not.
+std::vector<ObjectId> ReferenceNn(const ReferenceIndex<2>& oracle,
+                                  const Vec<2>& q, Time t, int k,
+                                  const std::function<bool(ObjectId)>& skip) {
+  std::vector<ObjectId> all, out;
+  oracle.NearestNeighbors(q, t, std::numeric_limits<int>::max(), &all);
+  for (ObjectId oid : all) {
+    if (static_cast<int>(out.size()) == k) break;
+    if (!skip || !skip(oid)) out.push_back(oid);
+  }
+  return out;
+}
+
+// The search drops entries farther than the k-th best object found so
+// far. Pin it against the oracle where that bound bites hardest: many
+// objects on the same trajectory (ties broken by oid), expired entries,
+// k from 1 to past the live count, with and without a skip predicate.
+TEST(NearestNeighbors, PrunedSearchMatchesReference) {
+  MemoryPageFile file(512);
+  Tree<2> tree(SmallConfig(), &file);
+  ReferenceIndex<2> oracle;
+  Rng rng(93);
+  std::vector<std::pair<Vec<2>, Vec<2>>> tracks;
+  for (int i = 0; i < 40; ++i) {
+    tracks.push_back({{rng.Uniform(0, 1000), rng.Uniform(0, 1000)},
+                      {rng.Uniform(-3, 3), rng.Uniform(-3, 3)}});
+  }
+  for (ObjectId oid = 0; oid < 1200; ++oid) {
+    const auto& [pos, vel] = tracks[rng.UniformInt(tracks.size())];
+    const Tpbr<2> p =
+        MakeMovingPoint<2>(pos, vel, 0.0, rng.Uniform(5.0, 200.0));
+    tree.Insert(oid, p, 0.0);
+    oracle.Insert(oid, p);
+  }
+  const std::function<bool(ObjectId)> none;
+  const std::function<bool(ObjectId)> odd = [](ObjectId o) { return o % 2; };
+  for (Time t : {0.0, 60.0, 150.0}) {
+    std::vector<ObjectId> live;
+    oracle.NearestNeighbors({0, 0}, t, std::numeric_limits<int>::max(),
+                            &live);
+    const int n = static_cast<int>(live.size());
+    ASSERT_GT(n, 10);
+    for (int iter = 0; iter < 12; ++iter) {
+      // Every other query sits on a shared trajectory: a run of ties at
+      // distance zero.
+      const auto& [pos, vel] = tracks[rng.UniformInt(tracks.size())];
+      const Vec<2> q = iter % 2 == 0
+                           ? Vec<2>{pos[0] + vel[0] * t, pos[1] + vel[1] * t}
+                           : Vec<2>{rng.Uniform(0, 1000),
+                                    rng.Uniform(0, 1000)};
+      for (int k : {1, 10, n, n + 5}) {
+        for (const auto* skip : {&none, &odd}) {
+          std::vector<Tree<2>::NnResult> got;
+          tree.NearestNeighbors(q, t, k, &got, *skip);
+          std::vector<ObjectId> got_ids;
+          for (const auto& r : got) got_ids.push_back(r.oid);
+          ASSERT_EQ(got_ids, ReferenceNn(oracle, q, t, k, *skip))
+              << "t=" << t << " iter " << iter << " k=" << k
+              << (*skip ? " skipping odd oids" : "");
+        }
+      }
+    }
   }
 }
 

@@ -471,6 +471,42 @@ TEST(TreeIntrospectionTest, LevelReadCountersSplitByDepth) {
   EXPECT_GE(leaf_reads, internal_reads);
 }
 
+// Search and NearestNeighbors read each node through a view of its
+// pinned frame: they add node reads but decode no page. A mutation still
+// decodes what it changes.
+TEST(TreeIntrospectionTest, QueriesReadNodesWithoutDecoding) {
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 512;
+  MemoryPageFile file(512);
+  Tree<2> tree(config, &file);
+  Rng rng(23);
+  for (ObjectId oid = 0; oid < 2000; ++oid) {
+    tree.Insert(oid, RandomPoint<2>(&rng, 0.0), 0.0);
+  }
+  ASSERT_GE(tree.height(), 2);
+  const TreeOpStats& ops = tree.op_stats();
+  auto reads = [&ops] {
+    uint64_t total = 0;
+    for (const auto& r : ops.level_reads) total += r.load();
+    return total;
+  };
+  const uint64_t decodes = ops.node_decodes.load();
+  const uint64_t reads_before = reads();
+  EXPECT_GT(decodes, 0u);
+  std::vector<ObjectId> hits;
+  std::vector<Tree<2>::NnResult> nn;
+  for (int i = 0; i < 20; ++i) {
+    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
+    tree.NearestNeighbors({rng.Uniform(0, 1000), rng.Uniform(0, 1000)}, 0.0,
+                          10, &nn);
+  }
+  EXPECT_EQ(ops.node_decodes.load(), decodes);
+  // Each query reads at least the root and one leaf.
+  EXPECT_GE(reads(), reads_before + 2 * 40);
+  tree.Insert(5000, RandomPoint<2>(&rng, 0.0), 0.0);
+  EXPECT_GT(ops.node_decodes.load(), decodes);
+}
+
 // NearestNeighbors feeds ops.nn_latency_us and hands the same measured
 // latency to the flight recorder; ResetOpStats clears the histogram with
 // the others.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -387,6 +388,69 @@ TEST(TieredIndex, StaleTreeCopiesCannotCrowdOutNeighbors) {
     EXPECT_EQ(got, want) << "k=" << k;
   }
   EXPECT_TRUE(index.CheckInvariants(now).ok());
+}
+
+// The tiered k-NN asks the tree for k objects with the live tier's
+// objects skipped, and the tree prunes beyond its k-th best. Against the
+// oracle: objects sharing trajectories (ties broken by oid), expired
+// entries, k from 1 to past the live count, first with re-reported
+// objects whose stale tree copies the skip must pass over, then with
+// everything migrated (the skip rejects nothing).
+TEST(TieredIndex, NearestNeighborsMatchReferenceWithTiesAndExpiry) {
+  MemoryPageFile file(512);
+  LiveTierOptions options;
+  options.migrate_age = 0.0;
+  TieredIndex<2> index(SmallConfig(), &file, options);
+  ReferenceIndex<2> reference;
+  Rng rng(71);
+  std::vector<Vec<2>> spots;
+  for (int i = 0; i < 30; ++i) {
+    spots.push_back({rng.Uniform(0, 1000), rng.Uniform(0, 1000)});
+  }
+  auto at_spot = [&](Time now) {
+    return MakeMovingPoint<2>(spots[rng.UniformInt(spots.size())], {0, 0},
+                              now, now + rng.Uniform(5.0, 200.0));
+  };
+  std::vector<Tpbr<2>> records;
+  for (ObjectId oid = 0; oid < 600; ++oid) {
+    records.push_back(at_spot(0.0));
+    index.Insert(oid, records.back(), 0.0);
+    reference.Insert(oid, records.back());
+  }
+  ASSERT_EQ(index.DrainLiveTier(0.0), records.size());
+  for (ObjectId oid = 0; oid < 600; oid += 3) {
+    const Tpbr<2> next = at_spot(1.0);
+    ASSERT_TRUE(index.Update(oid, records[oid], next, 1.0));
+    ASSERT_TRUE(reference.Delete(oid, records[oid], 1.0));
+    reference.Insert(oid, next);
+    records[oid] = next;
+  }
+  ASSERT_GT(index.live_tier().owned_in_tree(), 0u);
+  auto check = [&](const char* phase) {
+    for (Time t : {2.0, 60.0, 150.0}) {
+      std::vector<ObjectId> live;
+      reference.NearestNeighbors({0, 0}, t, std::numeric_limits<int>::max(),
+                                 &live);
+      const int n = static_cast<int>(live.size());
+      for (int iter = 0; iter < 6; ++iter) {
+        const Vec<2> q = iter % 2 == 0 ? spots[rng.UniformInt(spots.size())]
+                                       : Vec<2>{rng.Uniform(0, 1000),
+                                                rng.Uniform(0, 1000)};
+        for (int k : {1, 10, n, n + 5}) {
+          std::vector<ObjectId> got, want;
+          index.NearestNeighbors(q, t, k, &got);
+          reference.NearestNeighbors(q, t, k, &want);
+          ASSERT_EQ(got, want)
+              << phase << " t=" << t << " iter " << iter << " k=" << k;
+        }
+      }
+    }
+  };
+  check("owned objects with stale tree copies");
+  index.DrainLiveTier(1.0);
+  ASSERT_EQ(index.live_tier().owned_in_tree(), 0u);
+  check("all migrated");
+  EXPECT_TRUE(index.CheckInvariants(1.0).ok());
 }
 
 TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {

@@ -738,6 +738,52 @@ TEST(PartitionFsck, ClosedIndexVerifiesCleanAndSeededDamageIsFound) {
   std::remove(manifest_path.c_str());
 }
 
+// Reopening per-class files whose manifest is gone rewrites the manifest
+// from the class trees: each populated class's ceiling is the fastest
+// record it holds, so the offline check finds the reopened index sound.
+TEST(PartitionFsck, ReopenWithoutManifestRecordsEachClassCeiling) {
+  const std::string base = ::testing::TempDir() + "/rexp_part_nomanifest." +
+                           std::to_string(getpid());
+  const std::string manifest_path = base + ".manifest";
+  auto remove_files = [&] {
+    for (int i = 0; i < 2; ++i) {
+      std::remove((base + ".p" + std::to_string(i)).c_str());
+    }
+    std::remove(manifest_path.c_str());
+  };
+  remove_files();
+  TreeConfig config = SmallConfig();
+  PartitionedOptions options;
+  options.partitions = 2;
+  options.retune_every = 0;
+  options.initial_max_speed = 3.0;
+  options.query_threads = -1;
+  Rng rng(53);
+  {
+    auto index = PartitionedIndex<2>::OpenDisk(config, base, options).value();
+    for (int i = 0; i < 60; ++i) {
+      const double speed = i < 30 ? 0.5 : 2.5;
+      index->Insert(static_cast<ObjectId>(i),
+                    PointWithSpeed(&rng, speed, 0.0, 1e6), 0.0);
+    }
+    ASSERT_TRUE(index->Commit().ok());
+  }
+  ASSERT_EQ(std::remove(manifest_path.c_str()), 0);
+  {
+    auto index = PartitionedIndex<2>::OpenDisk(config, base, options).value();
+    EXPECT_EQ(index->leaf_entries(), 60u);
+  }
+  verify::VerifyOptions vopt;
+  vopt.now = 1.0;
+  int dims = 0;
+  const verify::Report report =
+      partition::VerifyPartitionedAuto(manifest_path, config, vopt, &dims);
+  EXPECT_EQ(dims, 2);
+  EXPECT_EQ(report.TotalFindings(), 0u) << report.ToString();
+  EXPECT_GT(report.leaf_records_checked, 0u);
+  remove_files();
+}
+
 // The offline partition checker's class-discipline verdicts, each seeded
 // into a closed two-class index: oids 0-29 are slow (class 0) and 30-59
 // fast (class 1). The damage goes in through a plain Tree on one

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -82,12 +83,14 @@ void HashEntry(uint64_t* h, const NodeEntry<kDims>& e) {
 // at counts 0, 1 and capacity. The payload is random finite floats, so
 // internal velocity ranges may be inverted (a finite natural expiry) and
 // ids are arbitrary bit patterns. Returns the hash of every decoded entry,
-// double bit patterns included.
+// double bit patterns included, once as Decode gives the entries and once
+// as NodeView::Entry does.
 template <int kDims>
-uint64_t HashDecodedRandomPages(uint64_t seed) {
+std::pair<uint64_t, uint64_t> HashDecodedRandomPages(uint64_t seed) {
   constexpr uint32_t kPageSize = 512;
   Rng rng(seed);
   uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t hv = h;
   for (int layout = 0; layout < 5; ++layout) {
     const bool leaf = layout == 0;
     const bool velocities = leaf || (layout - 1) / 2 == 1;
@@ -107,23 +110,32 @@ uint64_t HashDecodedRandomPages(uint64_t seed) {
       EXPECT_EQ(static_cast<int>(node.entries.size()), count);
       HashBits(&h, node.level);
       for (const NodeEntry<kDims>& e : node.entries) HashEntry(&h, e);
+      const NodeView<kDims> view = codec.View(page);
+      EXPECT_EQ(view.level(), level);
+      EXPECT_EQ(view.count(), count);
+      HashBits(&hv, view.level());
+      for (int i = 0; i < view.count(); ++i) HashEntry(&hv, view.Entry(i));
     }
   }
-  return h;
+  return {h, hv};
 }
 
-// Pins the decoded form of every node layout bit for bit: whatever reads
-// the slot layout must widen each stored float exactly as recorded here.
+// Pins the decoded form of every node layout bit for bit: Decode and
+// every NodeView::Entry must widen each stored float exactly as recorded
+// here (the hashes predate the view).
 TEST(NodeCodecGolden, DecodedEntriesKeepTheirBits) {
 #if !defined(__x86_64__)
   GTEST_SKIP() << "golden hash recorded for x86-64 floating point";
 #endif
-  const uint64_t d1 = HashDecodedRandomPages<1>(0x5107);
-  const uint64_t d2 = HashDecodedRandomPages<2>(0x5207);
-  const uint64_t d3 = HashDecodedRandomPages<3>(0x5307);
+  const auto [d1, v1] = HashDecodedRandomPages<1>(0x5107);
+  const auto [d2, v2] = HashDecodedRandomPages<2>(0x5207);
+  const auto [d3, v3] = HashDecodedRandomPages<3>(0x5307);
   EXPECT_EQ(d1, 0xeea79e9fa3507055ULL) << std::hex << "0x" << d1;
   EXPECT_EQ(d2, 0x0af3b2552a6ed493ULL) << std::hex << "0x" << d2;
   EXPECT_EQ(d3, 0x1d5fac39b712df22ULL) << std::hex << "0x" << d3;
+  EXPECT_EQ(v1, d1);
+  EXPECT_EQ(v2, d2);
+  EXPECT_EQ(v3, d3);
 }
 
 TEST(TreeEdge, QueriesOnEmptyAndSingletonTrees) {

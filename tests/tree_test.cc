@@ -442,6 +442,10 @@ uint64_t HashTreeState(Tree<2>* tree, PageFile* file) {
   const uint64_t io = tree->TotalIo();
   HashBytes(&io, sizeof(io), &h);
   for (const auto& [name, counter] : TreeOpStats::kCounters) {
+    // Read costs are left out, as level_reads are: the hash pins what
+    // the mutations write, and decodes are a cost that read paths may
+    // lower without changing a page.
+    if (counter == &TreeOpStats::node_decodes) continue;
     const uint64_t value = (tree->op_stats().*counter).load();
     HashBytes(&value, sizeof(value), &h);
   }
