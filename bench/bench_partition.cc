@@ -72,7 +72,6 @@ struct Run {
   uint64_t migrations = 0;
   uint64_t retunes = 0;
   uint64_t merges = 0;
-  uint64_t partitions_pruned = 0;
   uint64_t partitions_searched = 0;
   std::vector<ClassRow> classes;
 };
@@ -194,7 +193,6 @@ Run RunOne(const std::string& workload, const WorkloadSpec& spec,
   run.migrations = stats.migrations;
   run.retunes = stats.retunes;
   run.merges = stats.merges;
-  run.partitions_pruned = stats.partitions_pruned;
   run.partitions_searched = stats.partitions_searched;
   for (const auto& [cls, upper] : part.RoutingTableForTest()) {
     ClassRow row;
@@ -361,7 +359,6 @@ int Main() {
       w.KV("migrations", run.migrations);
       w.KV("retunes", run.retunes);
       w.KV("merges", run.merges);
-      w.KV("partitions_pruned", run.partitions_pruned);
       w.KV("partitions_searched", run.partitions_searched);
       w.Key("classes").BeginArray();
       for (const ClassRow& c : run.classes) {

@@ -203,8 +203,7 @@ template <int kDims>
 StatusOr<std::unique_ptr<PartitionedIndex<kDims>>>
 PartitionedIndex<kDims>::OpenDisk(const TreeConfig& config,
                                   const std::string& base_path,
-                                  const PartitionedOptions& options,
-                                  sched::ThreadPool* pool) {
+                                  const PartitionedOptions& options) {
   const std::string manifest_path = base_path + ".manifest";
   partition::Manifest manifest;
   bool have_manifest = false;
@@ -252,8 +251,7 @@ PartitionedIndex<kDims>::OpenDisk(const TreeConfig& config,
     index->owned_files_.push_back(std::move(file_or).value());
     raw.push_back(index->owned_files_.back().get());
   }
-  Status init =
-      index->Init(raw, pool, have_manifest ? &manifest : nullptr);
+  Status init = index->Init(raw, have_manifest ? &manifest : nullptr);
   if (!init.ok()) return init;
   // Persist the router state immediately: the per-class files exist from
   // this point on, and a manifest is what makes them a partitioned index.

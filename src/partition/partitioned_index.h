@@ -24,15 +24,13 @@
 // copies linger under the paper's lazy purge, so an object may have
 // copies in several classes; at most one of them is live.
 //
-// Queries fan out across the surviving partitions through ONE shared
-// sched::ThreadPool (injected, or owned as a fallback) and are pruned
-// per-partition with a widen-only conservative union TPBR: a slow class
-// whose reachable region cannot intersect the query window is skipped
-// without any I/O.
+// Queries visit every active, non-empty class in turn on the calling
+// thread. Each class tree pins its root, so a class with nothing in the
+// query window costs a root scan and no page I/O.
 //
 // Concurrency: mutations serialize on router_mu_ (LockRank::
-// kPartitionRouter, above the per-tree epoch locks); queries snapshot the
-// candidate partitions under the router lock, release it, and then read
+// kPartitionRouter, above the per-tree epoch locks); queries list the
+// classes to visit under the router lock, release it, and then read
 // each tree under that tree's own shared epoch. A query concurrent with a
 // boundary-crossing migration may therefore observe the moving object in
 // neither or both classes momentarily — callers that need strict
@@ -43,12 +41,10 @@
 #define REXP_PARTITION_PARTITIONED_INDEX_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -63,9 +59,7 @@
 #include "obs/registry.h"
 #include "partition/partition_verify.h"
 #include "sched/mutex.h"
-#include "sched/thread_pool.h"
 #include "storage/page_file.h"
-#include "tpbr/intersect.h"
 #include "tpbr/tpbr.h"
 #include "tree/tree.h"
 #include "tree/tree_config.h"
@@ -193,8 +187,8 @@ struct PartitionedOptions {
   // surviving classes) at the next maintenance scan.
   double merge_fraction = 0.05;
 
-  // Size of the owned query pool when none is injected: >0 that many
-  // threads, 0 one per partition, <0 no pool (sequential fan-out).
+  // Unread: queries run on the calling thread. Kept only because
+  // perfbench/frontend.h still sets it.
   int query_threads = 0;
 
   // Seeds the initial equal-width class boundaries until the histogram
@@ -219,8 +213,10 @@ class PartitionedIndex {
     uint64_t group_batches = 0;
     uint64_t searches = 0;
     uint64_t nn_searches = 0;
-    uint64_t partitions_pruned = 0;    // Skipped by the union-TPBR test.
-    uint64_t partitions_searched = 0;  // Fanned-out tree searches.
+    // Always 0 and not registered; kept only because perfbench/e2e.cc
+    // still reads it.
+    uint64_t partitions_pruned = 0;
+    uint64_t partitions_searched = 0;  // Class trees queries visited.
     uint64_t retunes = 0;
     uint64_t merges = 0;
     uint64_t merge_moves = 0;  // Live records re-homed by merges.
@@ -235,7 +231,6 @@ class PartitionedIndex {
                        {"group_batches", &Stats::group_batches},
                        {"searches", &Stats::searches},
                        {"nn_searches", &Stats::nn_searches},
-                       {"partitions_pruned", &Stats::partitions_pruned},
                        {"partitions_searched", &Stats::partitions_searched},
                        {"retunes", &Stats::retunes},
                        {"merges", &Stats::merges},
@@ -244,16 +239,13 @@ class PartitionedIndex {
 
   // Builds over caller-owned per-class page files (files.size() == K,
   // each empty or holding a previously persisted partition).
-  // `pool` (optional) is the shared query pool; it must outlive the
-  // index. Without one, `options.query_threads` sizes an owned pool.
   PartitionedIndex(const TreeConfig& config,
                    const std::vector<PageFile*>& files,
-                   const PartitionedOptions& options = {},
-                   sched::ThreadPool* pool = nullptr)
+                   const PartitionedOptions& options = {})
       : config_(config), options_(options) {
     REXP_CHECK(!files.empty());
     REXP_CHECK(files.size() == static_cast<size_t>(options.partitions));
-    Status s = Init(files, pool);
+    Status s = Init(files);
     if (!s.ok()) {
       std::fprintf(stderr, "PartitionedIndex: %s\n", s.ToString().c_str());
       std::abort();
@@ -267,8 +259,7 @@ class PartitionedIndex {
   // Commit() rewrites it.
   static StatusOr<std::unique_ptr<PartitionedIndex>> OpenDisk(
       const TreeConfig& config, const std::string& base_path,
-      const PartitionedOptions& options = {},
-      sched::ThreadPool* pool = nullptr);
+      const PartitionedOptions& options = {});
 
   PartitionedIndex(const PartitionedIndex&) = delete;
   PartitionedIndex& operator=(const PartitionedIndex&) = delete;
@@ -307,7 +298,7 @@ class PartitionedIndex {
     const double speed = SpeedOf(point);
     histogram_.Record(speed);
     const int c = RouteLocked(speed);
-    AbsorbLocked(c, point, speed);
+    AbsorbLocked(c, speed);
     trees_[static_cast<size_t>(c)]->Insert(oid, point, now);
     MaintenanceLocked(now);
   }
@@ -398,24 +389,12 @@ class PartitionedIndex {
 
   // --- Queries --------------------------------------------------------
 
-  // Reports the ids of all live objects intersecting `query`, fanning
-  // out across the partitions the union-TPBR test cannot rule out. Order
-  // is unspecified (as with Tree::Search).
+  // Reports the ids of all live objects intersecting `query`, visiting
+  // each class tree in turn. Order is unspecified (as with Tree::Search).
   void Search(const Query<kDims>& query, std::vector<ObjectId>* out)
       EXCLUDES(router_mu_) {
-    const std::vector<Tree<kDims>*> candidates = SearchCandidates(query);
-    if (candidates.empty()) return;
-    sched::ThreadPool* pool = pool_;
-    if (candidates.size() == 1 || pool == nullptr) {
-      for (Tree<kDims>* tree : candidates) tree->Search(query, out);
-      return;
-    }
-    std::vector<std::vector<ObjectId>> partial(candidates.size());
-    sched::ParallelFor(pool, candidates.size(), [&](size_t i) {
-      candidates[i]->Search(query, &partial[i]);
-    });
-    for (const std::vector<ObjectId>& p : partial) {
-      out->insert(out->end(), p.begin(), p.end());
+    for (Tree<kDims>* tree : QueryTargets(&Stats::searches)) {
+      tree->Search(query, out);
     }
   }
 
@@ -425,14 +404,12 @@ class PartitionedIndex {
                         std::vector<NnResult>* out) EXCLUDES(router_mu_) {
     out->clear();
     if (k <= 0) return;
-    const std::vector<Tree<kDims>*> candidates = NnCandidates();
-    if (candidates.empty()) return;
-    std::vector<std::vector<NnResult>> partial(candidates.size());
-    sched::ParallelFor(pool_, candidates.size(), [&](size_t i) {
-      candidates[i]->NearestNeighbors(point, t, k, &partial[i]);
-    });
-    for (const std::vector<NnResult>& p : partial) {
-      out->insert(out->end(), p.begin(), p.end());
+    // Per-thread scratch, as in Tree: steady-state queries allocate
+    // nothing (gated in bench/micro_tree_ops).
+    static thread_local std::vector<NnResult> part;
+    for (Tree<kDims>* tree : QueryTargets(&Stats::nn_searches)) {
+      tree->NearestNeighbors(point, t, k, &part);
+      out->insert(out->end(), part.begin(), part.end());
     }
     std::sort(out->begin(), out->end(),
               [](const NnResult& a, const NnResult& b) {
@@ -446,10 +423,9 @@ class PartitionedIndex {
 
   void NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                         std::vector<ObjectId>* out) EXCLUDES(router_mu_) {
-    std::vector<NnResult> results;
+    static thread_local std::vector<NnResult> results;
     NearestNeighbors(point, t, k, &results);
     out->clear();
-    out->reserve(results.size());
     for (const NnResult& r : results) out->push_back(r.oid);
   }
 
@@ -516,8 +492,6 @@ class PartitionedIndex {
   const Tree<kDims>& tree(int i) const {
     return *trees_[static_cast<size_t>(i)];
   }
-
-  sched::ThreadPool* pool() const { return pool_; }
 
   // Aggregates over all partitions (the paper's performance metrics).
   uint64_t TotalIo() const {
@@ -610,16 +584,9 @@ class PartitionedIndex {
     // Widen-only maximum speed ever routed here since the last reset;
     // persisted to the manifest for offline speed-class verification.
     double vmax = 0;
-    // Conservative union TPBR over every record inserted since the
-    // partition was last observed empty. `tracked` is false when the
-    // partition was reopened non-empty (the union of the pre-existing
-    // records is unknown), in which case the partition is never pruned.
-    bool bound_tracked = false;
-    bool bound_empty = true;
-    Tpbr<kDims> bound;
   };
 
-  Status Init(const std::vector<PageFile*>& files, sched::ThreadPool* pool,
+  Status Init(const std::vector<PageFile*>& files,
               const partition::Manifest* manifest = nullptr) {
     config_.Validate();
     trees_.reserve(files.size());
@@ -642,14 +609,11 @@ class PartitionedIndex {
     }
     for (size_t i = 0; i < pstate_.size(); ++i) {
       PartitionState& p = pstate_[i];
-      // A class reopened non-empty gets an untracked union bound (never
-      // pruned) until it empties out.
-      p.bound_tracked = trees_[i]->leaf_entries() == 0;
       if (manifest != nullptr) {
         p.active = manifest->entries[i].active;
         p.upper = manifest->entries[i].upper;
         p.vmax = manifest->entries[i].vmax;
-      } else if (!p.bound_tracked) {
+      } else if (trees_[i]->leaf_entries() > 0) {
         // No recorded ceiling: the fastest record the class holds is one.
         REXP_RETURN_IF_ERROR(trees_[i]->ForEachNode(
             [&p](PageId, const Node<kDims>& node) {
@@ -658,17 +622,6 @@ class PartitionedIndex {
                 p.vmax = std::max(p.vmax, SpeedOf(e.region));
               }
             }));
-      }
-    }
-    if (pool != nullptr) {
-      pool_ = pool;
-    } else if (options_.query_threads >= 0) {
-      const int threads = options_.query_threads > 0
-                              ? options_.query_threads
-                              : static_cast<int>(trees_.size());
-      if (threads > 1) {
-        owned_pool_ = std::make_unique<sched::ThreadPool>(threads);
-        pool_ = owned_pool_.get();
       }
     }
     return Status::OK();
@@ -687,25 +640,12 @@ class PartitionedIndex {
     return last_active;
   }
 
-  // Folds a routed record into the class's prune bound and vmax. A
-  // partition observed physically empty restarts its bound from scratch
-  // — expiration shrinks reachable regions for free this way.
-  void AbsorbLocked(int c, const Tpbr<kDims>& point, double speed)
-      REQUIRES(router_mu_) {
+  // Folds a routed record's speed into the class's vmax. A partition
+  // observed physically empty restarts it from scratch.
+  void AbsorbLocked(int c, double speed) REQUIRES(router_mu_) {
     PartitionState& p = pstate_[static_cast<size_t>(c)];
-    if (trees_[static_cast<size_t>(c)]->leaf_entries() == 0) {
-      p.bound_tracked = true;
-      p.bound_empty = true;
-      p.vmax = 0;
-    }
+    if (trees_[static_cast<size_t>(c)]->leaf_entries() == 0) p.vmax = 0;
     if (speed > p.vmax) p.vmax = speed;
-    if (!p.bound_tracked) return;
-    if (p.bound_empty) {
-      p.bound = point;
-      p.bound_empty = false;
-      return;
-    }
-    p.bound.Extend(point);
   }
 
   bool DeleteLocked(ObjectId oid, const Tpbr<kDims>& point, Time now,
@@ -731,8 +671,8 @@ class PartitionedIndex {
   }
 
   // Routes one update by the new record's speed. When the routed class is
-  // the only active class holding a copy of the object, the new record is
-  // absorbed into that class's bound and its class is returned for the
+  // the only active class holding a copy of the object, the new speed is
+  // absorbed into that class's vmax and its class is returned for the
   // caller to update the tree. Otherwise the object migrates: the old
   // record is deleted from whichever class holds it and the new one is
   // inserted into the routed class; returns -1 with `*found` set to
@@ -756,12 +696,12 @@ class PartitionedIndex {
       }
     }
     if (at_target && !elsewhere) {
-      AbsorbLocked(target, new_record, speed);
+      AbsorbLocked(target, speed);
       return target;
     }
     if (at_target || elsewhere) ++stats_.migrations;
     *found = DeleteLocked(oid, old_record, now, /*see_expired=*/false);
-    AbsorbLocked(target, new_record, speed);
+    AbsorbLocked(target, speed);
     trees_[static_cast<size_t>(target)]->Insert(oid, new_record, now);
     return -1;
   }
@@ -852,57 +792,32 @@ class PartitionedIndex {
                     // under the router lock.
       const double speed = SpeedOf(r.region);
       const int target = RouteLocked(speed);
-      AbsorbLocked(target, r.region, speed);
+      AbsorbLocked(target, speed);
       trees_[static_cast<size_t>(target)]->Insert(r.oid, r.region, now);
       ++stats_.merge_moves;
     }
     pstate_[i].vmax = 0;
-    pstate_[i].bound_tracked = true;
-    pstate_[i].bound_empty = true;
     ++stats_.merges;
   }
 
-  // Snapshot of the trees a query must visit; prunes inactive, empty,
-  // and provably unreachable partitions under the router lock, then
-  // releases it so the fan-out runs lock-free.
-  std::vector<Tree<kDims>*> SearchCandidates(const Query<kDims>& query)
+  // The class trees a query visits: every active class holding records.
+  // A merged-away class holds only expired leftovers (its live records
+  // were re-routed), so it cannot contribute results. The list is
+  // per-thread scratch filled under the router lock; each tree is then
+  // read under its own epoch.
+  const std::vector<Tree<kDims>*>& QueryTargets(uint64_t Stats::*queries)
       EXCLUDES(router_mu_) {
+    static thread_local std::vector<Tree<kDims>*> targets;
+    targets.clear();
     sched::MutexLock lk(&router_mu_);
-    ++stats_.searches;
-    std::vector<Tree<kDims>*> candidates;
+    ++(stats_.*queries);
     for (size_t i = 0; i < trees_.size(); ++i) {
-      const PartitionState& p = pstate_[i];
-      // A merged-away class holds only expired leftovers (its live
-      // records were re-routed), so it cannot contribute results.
-      if (!p.active) continue;
-      if (trees_[i]->leaf_entries() == 0) continue;
-      if (p.bound_tracked && p.bound_empty) continue;
-      if (p.bound_tracked) {
-        const Time expiry =
-            config_.expire_entries ? p.bound.t_exp : kNeverExpires;
-        if (!Intersects(p.bound, query, expiry)) {
-          ++stats_.partitions_pruned;
-          continue;
-        }
+      if (pstate_[i].active && trees_[i]->leaf_entries() > 0) {
+        targets.push_back(trees_[i].get());
       }
-      candidates.push_back(trees_[i].get());
     }
-    stats_.partitions_searched += candidates.size();
-    return candidates;
-  }
-
-  std::vector<Tree<kDims>*> NnCandidates() EXCLUDES(router_mu_) {
-    sched::MutexLock lk(&router_mu_);
-    ++stats_.nn_searches;
-    std::vector<Tree<kDims>*> candidates;
-    for (size_t i = 0; i < trees_.size(); ++i) {
-      if (!pstate_[i].active) continue;
-      if (trees_[i]->leaf_entries() == 0) continue;
-      if (pstate_[i].bound_tracked && pstate_[i].bound_empty) continue;
-      candidates.push_back(trees_[i].get());
-    }
-    stats_.partitions_searched += candidates.size();
-    return candidates;
+    stats_.partitions_searched += targets.size();
+    return targets;
   }
 
   verify::Report VerifyLocked(Time now) REQUIRES(router_mu_) {
@@ -957,9 +872,6 @@ class PartitionedIndex {
   partition::SpeedHistogram histogram_ GUARDED_BY(router_mu_);
   uint32_t mutations_since_scan_ GUARDED_BY(router_mu_) = 0;
   Stats stats_ GUARDED_BY(router_mu_);
-
-  std::unique_ptr<sched::ThreadPool> owned_pool_;
-  sched::ThreadPool* pool_ = nullptr;
 
   mutable obs::ScopedRegistration metrics_registration_;
 };

@@ -290,7 +290,6 @@ class MetaMatrix : public ::testing::Test {
       PartitionedOptions options;
       options.partitions = 2;
       options.retune_every = 0;
-      options.query_threads = -1;
       auto index = PartitionedIndex<2>::OpenDisk(MatrixConfig(),
                                                  base_ + ".part", options)
                        .value();

@@ -5,7 +5,7 @@
 // boundary retune, oracle-backed boundary-crossing churn (the per-tree
 // invariant catalog — kDatMapping included — must hold in every
 // partition after every migration wave), decayed-partition merging,
-// union-TPBR query pruning, GroupUpdate parity, shared-pool fan-out,
+// per-class query fan-out on the calling thread, GroupUpdate parity,
 // disk persistence through the router manifest, and offline
 // verification of a closed partitioned index (the rexp_fsck --manifest
 // code path), clean and with a seeded routing violation.
@@ -16,7 +16,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -30,7 +32,6 @@
 #include "obs/registry.h"
 #include "partition/partition_verify.h"
 #include "partition/partitioned_index.h"
-#include "sched/thread_pool.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
 #include "tree/meta_format.h"
@@ -52,23 +53,20 @@ TreeConfig SmallConfig() {
 // A partitioned index over K fresh in-memory page files, with the files
 // owned here (the index borrows them, mirroring the harness).
 struct TestIndex {
-  TestIndex(const TreeConfig& config, const PartitionedOptions& options,
-            sched::ThreadPool* pool = nullptr) {
+  TestIndex(const TreeConfig& config, const PartitionedOptions& options) {
     for (int i = 0; i < options.partitions; ++i) {
       files.push_back(
           std::make_unique<MemoryPageFile>(config.page_size));
     }
-    Reopen(config, options, pool);
+    Reopen(config, options);
   }
   // Closes the index (its trees commit) and opens a new one over the
   // same files.
-  void Reopen(const TreeConfig& config, const PartitionedOptions& options,
-              sched::ThreadPool* pool = nullptr) {
+  void Reopen(const TreeConfig& config, const PartitionedOptions& options) {
     index.reset();
     std::vector<PageFile*> raw;
     for (auto& f : files) raw.push_back(f.get());
-    index = std::make_unique<PartitionedIndex<2>>(config, raw, options,
-                                                  pool);
+    index = std::make_unique<PartitionedIndex<2>>(config, raw, options);
   }
   std::vector<std::unique_ptr<MemoryPageFile>> files;
   std::unique_ptr<PartitionedIndex<2>> index;
@@ -107,7 +105,6 @@ PartitionedOptions TwoFixedClasses() {
   options.partitions = 2;
   options.retune_every = 0;
   options.initial_max_speed = 3.0;
-  options.query_threads = -1;
   return options;
 }
 void InsertNeighbours(PartitionedIndex<2>* index, Rng* rng) {
@@ -139,7 +136,6 @@ TEST(PartitionRouting, InitialEqualWidthBoundaries) {
   options.partitions = 3;
   options.retune_every = 0;  // Keep the seed boundaries.
   options.initial_max_speed = 3.0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
 
   const auto table = t.index->RoutingTableForTest();
@@ -158,7 +154,6 @@ TEST(PartitionRouting, InsertMapsObjectToItsSpeedClass) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   Rng rng(7);
 
@@ -211,7 +206,6 @@ TEST(PartitionChurn, DriftingSpeedsMatchOracleAcrossMigrations) {
   options.partitions = 3;
   options.retune_every = 64;  // Exercise retunes mid-churn.
   options.merge_fraction = 0.0;  // Merges covered separately.
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   ReferenceIndex<2> oracle(/*expire_entries=*/true);
   Rng rng(1234);
@@ -276,7 +270,6 @@ TEST(PartitionChurn, DeleteAndReinsertKeepMapConsistent) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   Rng rng(99);
 
@@ -321,7 +314,6 @@ TEST(PartitionGroupUpdate, MatchesPerOpUpdateIncludingMigrations) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex batched(SmallConfig(), options);
   TestIndex serial(SmallConfig(), options);
   ReferenceIndex<2> oracle;
@@ -374,7 +366,6 @@ TEST(PartitionGroupUpdate, DuplicateOidsFallBackToBatchOrder) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   Rng rng(11);
 
@@ -400,7 +391,6 @@ TEST(PartitionMerge, DecayedClassIsMergedAndQueriesStillMatch) {
   options.partitions = 2;
   options.retune_every = 16;
   options.merge_fraction = 0.10;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   ReferenceIndex<2> oracle;
   Rng rng(555);
@@ -461,42 +451,101 @@ TEST(PartitionMerge, DecayedClassIsMergedAndQueriesStillMatch) {
   EXPECT_TRUE(t.index->Verify(now).ok());
 }
 
-// --- Query pruning and fan-out ----------------------------------------
+// --- Query fan-out ----------------------------------------------------
 
-TEST(PartitionSearch, UnreachablePartitionIsPrunedWithoutIo) {
+// A window the fast class cannot reach still visits it: every active,
+// non-empty class is searched, and the answer is the oracle's.
+TEST(PartitionSearch, FarWindowVisitsEveryClassAndMatchesOracle) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
+  ReferenceIndex<2> oracle;
 
   // Slow objects near the origin, fast objects in the far corner.
   for (int i = 0; i < 20; ++i) {
     const double off = 2.0 * i;
-    t.index->Insert(static_cast<ObjectId>(i),
-                    MakeMovingPoint<2>({10 + off, 10 + off}, {0.1, 0.1},
-                                       0.0, 500.0),
-                    0.0);
-    t.index->Insert(static_cast<ObjectId>(100 + i),
-                    MakeMovingPoint<2>({900 + off, 900 + off}, {2.0, 0.0},
-                                       0.0, 500.0),
-                    0.0);
+    const Tpbr<2> slow =
+        MakeMovingPoint<2>({10 + off, 10 + off}, {0.1, 0.1}, 0.0, 500.0);
+    const Tpbr<2> fast =
+        MakeMovingPoint<2>({900 + off, 900 + off}, {2.0, 0.0}, 0.0, 500.0);
+    t.index->Insert(static_cast<ObjectId>(i), slow, 0.0);
+    t.index->Insert(static_cast<ObjectId>(100 + i), fast, 0.0);
+    oracle.Insert(static_cast<ObjectId>(i), slow);
+    oracle.Insert(static_cast<ObjectId>(100 + i), fast);
   }
+  ASSERT_EQ(ClassOf(*t.index, 0), 0);
+  ASSERT_EQ(ClassOf(*t.index, 100), 1);
 
-  // A tiny window near the origin at t=1: the fast class's union TPBR
-  // cannot reach it, so only the slow partition is searched.
   const Query<2> near_origin =
       Query<2>::Timeslice(Rect<2>::Cube({0, 0}, 100.0), 1.0);
-  std::vector<ObjectId> out;
-  const uint64_t fast_io_before = t.index->tree(1)->io_stats().Total();
-  t.index->Search(near_origin, &out);
-  EXPECT_FALSE(out.empty());
-  EXPECT_EQ(t.index->tree(1)->io_stats().Total(), fast_io_before);
+  std::vector<ObjectId> got, want;
+  t.index->Search(near_origin, &got);
+  oracle.Search(near_origin, &want);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(Sorted(got), Sorted(want));
 
   const auto stats = t.index->stats();
   EXPECT_EQ(stats.searches, 1u);
-  EXPECT_EQ(stats.partitions_pruned, 1u);
-  EXPECT_EQ(stats.partitions_searched, 1u);
+  EXPECT_EQ(stats.partitions_searched, 2u);
+}
+
+// The 2nd and 3rd neighbours are equally far away but live in different
+// classes; the lower oid sits in the class visited last. The merged
+// answer breaks the tie by oid, as a single tree and the oracle do.
+TEST(PartitionSearch, NnTieAcrossClassesIsOrderedByOid) {
+  TestIndex t(SmallConfig(), TwoFixedClasses());
+  ReferenceIndex<2> oracle;
+  auto insert = [&](ObjectId oid, Vec<2> pos, Vec<2> vel) {
+    const Tpbr<2> p = MakeMovingPoint<2>(pos, vel, 0.0, 1000.0);
+    t.index->Insert(oid, p, 0.0);
+    oracle.Insert(oid, p);
+  };
+  insert(7, {501, 500}, {0.5, 0});   // Nearest, slow class.
+  insert(20, {503, 500}, {0.5, 0});  // Tie at distance 3, slow class.
+  insert(10, {497, 500}, {2.5, 0});  // Tie at distance 3, fast class.
+  for (int i = 0; i < 6; ++i) {      // Far from the query in both classes.
+    const double off = 50.0 + 10.0 * i;
+    insert(static_cast<ObjectId>(30 + i), {500 + off, 500}, {0.5, 0});
+    insert(static_cast<ObjectId>(40 + i), {500 - off, 500}, {2.5, 0});
+  }
+  ASSERT_EQ(ClassOf(*t.index, 20), 0);
+  ASSERT_EQ(ClassOf(*t.index, 10), 1);
+
+  for (int k = 2; k <= 3; ++k) {
+    std::vector<ObjectId> got, want;
+    t.index->NearestNeighbors({500, 500}, 0.0, k, &got);
+    oracle.NearestNeighbors({500, 500}, 0.0, k, &want);
+    EXPECT_EQ(got, want) << "k = " << k;
+  }
+  std::vector<ObjectId> got;
+  t.index->NearestNeighbors({500, 500}, 0.0, 2, &got);
+  EXPECT_EQ(got, (std::vector<ObjectId>{7, 10}));
+}
+
+// Queries run on the calling thread: building and querying an index with
+// default options starts no thread.
+TEST(PartitionSearch, DefaultOptionsStartNoThread) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  std::error_code ec;
+  if (!std::filesystem::is_directory(tasks, ec)) {
+    GTEST_SKIP() << tasks << " is not available";
+  }
+  auto threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto before = threads();
+  TestIndex t(SmallConfig(), PartitionedOptions{});
+  Rng rng(5);
+  for (ObjectId oid = 0; oid < 200; ++oid) {
+    t.index->Insert(oid, PointWithSpeed(&rng, rng.Uniform(0.05, 3.0), 0.0),
+                    0.0);
+  }
+  std::vector<ObjectId> out;
+  t.index->Search(RandomQuery<2>(&rng, 1.0), &out);
+  t.index->NearestNeighbors({500, 500}, 1.0, 5, &out);
+  EXPECT_EQ(threads(), before);
 }
 
 // A monitor samples the registry while writers grow both classes' roots.
@@ -508,7 +557,6 @@ TEST(PartitionMetrics, SnapshotWhileRootsGrowIsRaceFree) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   TestIndex t(SmallConfig(), options);
   obs::MetricsRegistry registry;
   t.index->RegisterMetrics(&registry, "");
@@ -538,39 +586,6 @@ TEST(PartitionMetrics, SnapshotWhileRootsGrowIsRaceFree) {
   EXPECT_FALSE(registry.Lookup("partition.p0.population", &unused));
 }
 
-TEST(PartitionSearch, SharedPoolFanOutMatchesSequential) {
-  sched::ThreadPool pool(3);
-  PartitionedOptions pooled_options;
-  pooled_options.partitions = 3;
-  pooled_options.retune_every = 0;
-  PartitionedOptions serial_options = pooled_options;
-  serial_options.query_threads = -1;  // Sequential fan-out.
-  TestIndex pooled(SmallConfig(), pooled_options, &pool);
-  TestIndex serial(SmallConfig(), serial_options);
-  ASSERT_EQ(pooled.index->pool(), &pool);
-  ASSERT_EQ(serial.index->pool(), nullptr);
-  Rng rng(2025);
-
-  for (int i = 0; i < 200; ++i) {
-    const Tpbr<2> p = PointWithSpeed(&rng, rng.Uniform(0.05, 3.0), 0.0);
-    pooled.index->Insert(static_cast<ObjectId>(i), p, 0.0);
-    serial.index->Insert(static_cast<ObjectId>(i), p, 0.0);
-  }
-
-  for (int q = 0; q < 40; ++q) {
-    const Query<2> query = RandomQuery<2>(&rng, 1.0);
-    std::vector<ObjectId> a, b;
-    pooled.index->Search(query, &a);
-    serial.index->Search(query, &b);
-    EXPECT_EQ(Sorted(a), Sorted(b)) << "query " << q;
-  }
-
-  std::vector<ObjectId> nn_a, nn_b;
-  pooled.index->NearestNeighbors({500, 500}, 1.0, 7, &nn_a);
-  serial.index->NearestNeighbors({500, 500}, 1.0, 7, &nn_b);
-  EXPECT_EQ(nn_a, nn_b);
-}
-
 // --- Disk persistence and offline verification ------------------------
 
 TEST(PartitionDisk, ReopenRestoresRoutingAndAnswers) {
@@ -585,7 +600,6 @@ TEST(PartitionDisk, ReopenRestoresRoutingAndAnswers) {
   options.partitions = 2;
   options.retune_every = 32;
   options.merge_fraction = 0.0;
-  options.query_threads = -1;
   Rng rng(77);
 
   constexpr int kObjects = 80;
@@ -686,7 +700,6 @@ TEST(PartitionFsck, ClosedIndexVerifiesCleanAndSeededDamageIsFound) {
   PartitionedOptions options;
   options.partitions = 2;
   options.retune_every = 0;
-  options.query_threads = -1;
   Rng rng(31);
   {
     auto index_or =
@@ -757,7 +770,6 @@ TEST(PartitionFsck, ReopenWithoutManifestRecordsEachClassCeiling) {
   options.partitions = 2;
   options.retune_every = 0;
   options.initial_max_speed = 3.0;
-  options.query_threads = -1;
   Rng rng(53);
   {
     auto index = PartitionedIndex<2>::OpenDisk(config, base, options).value();
@@ -798,7 +810,6 @@ class PartitionFsckClasses : public ::testing::Test {
     options.partitions = 2;
     options.retune_every = 0;
     options.initial_max_speed = 3.0;
-    options.query_threads = -1;
     auto index = PartitionedIndex<2>::OpenDisk(SmallConfig(), base_, options)
                      .value();
     Rng rng(41);
