@@ -6,9 +6,9 @@
 //
 // This binary also audits heap traffic: the global allocator is wrapped
 // with a per-thread counter, every tree benchmark reports allocs_per_op,
-// and the memory-resident Search benchmark aborts outright if the
-// steady-state query path allocates at all (the scratch-reuse guarantee
-// in tree.cc).
+// and the memory-resident Search and NN benchmarks of Tree,
+// PartitionedIndex and TieredIndex abort outright if the steady-state
+// query path allocates at all (the per-thread scratch guarantee).
 
 #include <algorithm>
 #include <cstdio>
@@ -16,16 +16,20 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "btree/btree.h"
 #include "common/random.h"
+#include "livetier/tiered_index.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "partition/partitioned_index.h"
 #include "storage/page_file.h"
 #include "tests/test_util.h"
 #include "tree/tree.h"
@@ -187,64 +191,113 @@ void BM_TreeSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeSearch);
 
-// Runs `query(tree, rng)` with the whole index resident in the buffer
-// pool: the hot path (descent, node views, result accumulation,
-// telemetry) must not allocate at all in steady state. This is a hard
-// regression gate, not a measurement — the process aborts if the
-// guarantee breaks.
-template <typename QueryFn>
+// Builds an `Index` over 20k objects whose pages all stay resident in
+// the buffer pool (PartitionedIndex: K = 4 classes, one pool each), then
+// runs `query(index, rng)`: the hot path (routing, descent, node views,
+// result merging, telemetry) must not allocate at all in steady state.
+// This is a hard regression gate, not a measurement — the process aborts
+// if the guarantee breaks.
+template <typename Index, typename QueryFn>
 void ResidentQueryGate(benchmark::State& state, const char* what,
                        QueryFn query) {
+  constexpr bool kPartitioned = std::is_same_v<Index, PartitionedIndex<2>>;
   Rng rng(2);
   TreeConfig config = TreeConfig::Rexp();
   config.buffer_frames = 1024;  // > pages used by the 20k-object index.
-  MemoryPageFile file(config.page_size);
-  Tree<2> tree(config, &file);
+  std::vector<std::unique_ptr<MemoryPageFile>> files;
+  std::vector<PageFile*> raw;
+  for (int i = 0; i < (kPartitioned ? 4 : 1); ++i) {
+    files.push_back(std::make_unique<MemoryPageFile>(config.page_size));
+    raw.push_back(files.back().get());
+  }
+  std::unique_ptr<Index> index;
+  if constexpr (kPartitioned) {
+    PartitionedOptions options;
+    options.partitions = static_cast<int>(raw.size());
+    index = std::make_unique<Index>(config, raw, options);
+  } else {
+    index = std::make_unique<Index>(config, raw[0]);
+  }
   for (ObjectId oid = 0; oid < 20000; ++oid) {
-    tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 1e5), 0.0);
+    index->Insert(oid, RandomPoint<2>(&rng, 0.0, 1e5), 0.0);
   }
   // Warm the per-thread scratch and fault every page into the pool.
-  for (int i = 0; i < 200; ++i) query(tree, rng);
+  for (int i = 0; i < 200; ++i) query(*index, rng);
   uint64_t check_start = g_thread_allocs;
-  for (int i = 0; i < 200; ++i) query(tree, rng);
+  for (int i = 0; i < 200; ++i) query(*index, rng);
   if (g_thread_allocs != check_start) {
     std::fprintf(stderr,
                  "FATAL: steady-state %s allocated %llu time(s) over "
                  "200 resident queries; the hot path must be "
-                 "allocation-free (see scratch reuse in tree.cc)\n",
+                 "allocation-free (reuse per-thread scratch)\n",
                  what,
                  static_cast<unsigned long long>(g_thread_allocs -
                                                  check_start));
     std::abort();
   }
-  for (auto _ : state) query(tree, rng);
+  for (auto _ : state) query(*index, rng);
   state.SetItemsProcessed(state.iterations());
   state.counters["allocs_per_op"] = 0;
 }
 
-void BM_TreeSearchResident(benchmark::State& state) {
+// The resident Search and k = 10 NN gates over each front-end.
+template <typename Index>
+void SearchResident(benchmark::State& state, const char* what) {
   std::vector<ObjectId> hits;
   hits.reserve(20000);
-  ResidentQueryGate(state, "Search", [&hits](Tree<2>& tree, Rng& rng) {
+  ResidentQueryGate<Index>(state, what, [&hits](Index& index, Rng& rng) {
     hits.clear();
-    tree.Search(RandomQuery<2>(&rng, 0.0), &hits);
+    index.Search(RandomQuery<2>(&rng, 0.0), &hits);
     benchmark::DoNotOptimize(hits.data());
   });
+}
+template <typename Index, typename Result>
+void NnResident(benchmark::State& state, const char* what) {
+  std::vector<Result> nn;
+  nn.reserve(10);
+  ResidentQueryGate<Index>(state, what, [&nn](Index& index, Rng& rng) {
+    const Vec<2> q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+    index.NearestNeighbors(q, 0.0, 10, &nn);
+    benchmark::DoNotOptimize(nn.data());
+  });
+}
+
+void BM_TreeSearchResident(benchmark::State& state) {
+  SearchResident<Tree<2>>(state, "Tree::Search");
 }
 BENCHMARK(BM_TreeSearchResident);
 
 void BM_TreeNnResident(benchmark::State& state) {
-  std::vector<Tree<2>::NnResult> nn;
-  nn.reserve(10);
-  ResidentQueryGate(state, "NearestNeighbors",
-                    [&nn](Tree<2>& tree, Rng& rng) {
-                      const Vec<2> q{rng.Uniform(0, 1000),
-                                     rng.Uniform(0, 1000)};
-                      tree.NearestNeighbors(q, 0.0, 10, &nn);
-                      benchmark::DoNotOptimize(nn.data());
-                    });
+  NnResident<Tree<2>, Tree<2>::NnResult>(state, "Tree::NearestNeighbors");
 }
 BENCHMARK(BM_TreeNnResident);
+
+void BM_TreeNnIdsResident(benchmark::State& state) {
+  NnResident<Tree<2>, ObjectId>(state, "Tree::NearestNeighbors (oids)");
+}
+BENCHMARK(BM_TreeNnIdsResident);
+
+void BM_PartitionedSearchResident(benchmark::State& state) {
+  SearchResident<PartitionedIndex<2>>(state, "PartitionedIndex::Search");
+}
+BENCHMARK(BM_PartitionedSearchResident);
+
+void BM_PartitionedNnResident(benchmark::State& state) {
+  NnResident<PartitionedIndex<2>, ObjectId>(
+      state, "PartitionedIndex::NearestNeighbors");
+}
+BENCHMARK(BM_PartitionedNnResident);
+
+void BM_TieredSearchResident(benchmark::State& state) {
+  SearchResident<TieredIndex<2>>(state, "TieredIndex::Search");
+}
+BENCHMARK(BM_TieredSearchResident);
+
+void BM_TieredNnResident(benchmark::State& state) {
+  NnResident<TieredIndex<2>, ObjectId>(state,
+                                       "TieredIndex::NearestNeighbors");
+}
+BENCHMARK(BM_TieredNnResident);
 
 void BM_TreeUpdate(benchmark::State& state) {
   Rng rng(3);

@@ -150,8 +150,13 @@ class TieredIndex {
                         std::vector<ObjectId>* out) EXCLUDES(mu_) {
     out->clear();
     if (k <= 0) return;
-    std::vector<typename LiveTier<kDims>::Candidate> candidates;
-    std::vector<typename Tree<kDims>::NnResult> tree_results;
+    // Per-thread scratch, as in Tree: steady-state queries allocate
+    // nothing (gated in bench/micro_tree_ops).
+    static thread_local std::vector<typename LiveTier<kDims>::Candidate>
+        candidates;
+    static thread_local std::vector<typename Tree<kDims>::NnResult>
+        tree_results;
+    candidates.clear();
     {
       sched::MutexLock lk(&mu_);
       live_.NnCandidates(point, t, &candidates);

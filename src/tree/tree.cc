@@ -1897,10 +1897,9 @@ double MinDistSqAt(const Vec<kDims>& point, const Tpbr<kDims>& region,
 template <int kDims>
 void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                                    std::vector<ObjectId>* out) {
-  std::vector<NnResult> results;
+  static thread_local std::vector<NnResult> results;  // As in Search.
   NearestNeighbors(point, t, k, &results);
   out->clear();
-  out->reserve(results.size());
   for (const NnResult& r : results) out->push_back(r.oid);
 }
 
