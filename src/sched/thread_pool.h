@@ -1,11 +1,11 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // A small fixed-size worker pool plus ParallelFor, the one fan-out
-// primitive over it (PartitionedIndex's per-class queries, the
-// concurrency benchmark's batched Search, and tests). Deliberately minimal:
-// submit closures, wait for the batch to drain. Submitted work must do
-// its own synchronization against the index (the tree's epoch protocol,
-// DESIGN.md §8); the pool only provides the threads.
+// primitive over it (the concurrency benchmark's batched Search, and
+// tests). Deliberately minimal: submit closures, wait for the batch to
+// drain. Submitted work must do its own synchronization against the
+// index (the tree's epoch protocol, DESIGN.md §8); the pool only
+// provides the threads.
 
 #ifndef REXP_SCHED_THREAD_POOL_H_
 #define REXP_SCHED_THREAD_POOL_H_
