@@ -48,6 +48,12 @@
 #   8. Test hooks stay in tests. A `*ForTest(` member may appear in src/
 #      and tools/ only in its declaration and definition; production code
 #      that needs what a hook gives gets a real API (DESIGN.md §13).
+#   9. The DAT trust rule has one owner. The direct-access table trusts a
+#      recorded leaf only while the object has exactly one physical copy;
+#      in src/tree/ only dat.h may compare a DAT entry's `count` with 1.
+#      Everyone else asks DirectAccessTable::PinnedLeaf (DESIGN.md §10,
+#      §13). The verifier's independent cross-check (src/verify/) is
+#      outside the rule.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -176,6 +182,20 @@ for f in "${files[@]}"; do
       decl = $0 ~ /^[[:space:]]*[A-Za-z_][A-Za-z0-9_:<>, *&]*[[:space:]*&>]([A-Za-z_][A-Za-z0-9_<>]*::)?[A-Za-z_][A-Za-z0-9_]*ForTest\(/
       if (!decl || $0 ~ /^[[:space:]]*return[[:space:]]/) print FNR ":" $0
     }' "$f")
+done
+
+# --- Rule 9: one owner of the DAT trust rule -------------------------------
+for f in "${files[@]}"; do
+  case "$f" in
+    src/tree/dat.h) continue ;;
+    src/tree/*) ;;
+    *) continue ;;
+  esac
+  while IFS= read -r hit; do
+    report "dat-trust" "$f:$hit (use DirectAccessTable::PinnedLeaf)"
+  done < <(grep -nE \
+    '(\.|->)count[[:space:]]*[!=]=[[:space:]]*1([^0-9.]|$)|(^|[^0-9.])1[[:space:]]*[!=]=[[:space:]]*[A-Za-z_][A-Za-z0-9_]*(\.|->)count([^A-Za-z0-9_(]|$)' \
+    "$f" || true)
 done
 
 if [ "$fail" -ne 0 ]; then

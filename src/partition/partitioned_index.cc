@@ -238,21 +238,27 @@ PartitionedIndex<kDims>::OpenDisk(const TreeConfig& config,
   index->manifest_path_ = manifest_path;
   const std::string dir = partition::DirOf(manifest_path);
   const std::string stem = base_path.substr(dir.size());
+  std::vector<std::string> names;
   std::vector<PageFile*> raw;
   raw.reserve(static_cast<size_t>(k));
   for (int i = 0; i < k; ++i) {
-    const std::string name = have_manifest
-                                 ? manifest.entries[static_cast<size_t>(i)].file
-                                 : stem + ".p" + std::to_string(i);
-    auto file_or =
-        DiskPageFile::Open(dir + name, config.page_size, /*keep=*/true);
+    names.push_back(have_manifest
+                        ? manifest.entries[static_cast<size_t>(i)].file
+                        : stem + ".p" + std::to_string(i));
+    auto file_or = DiskPageFile::Open(dir + names.back(), config.page_size,
+                                      /*keep=*/true);
     if (!file_or.ok()) return file_or.status();
-    index->file_names_.push_back(name);
     index->owned_files_.push_back(std::move(file_or).value());
     raw.push_back(index->owned_files_.back().get());
   }
   Status init = index->Init(raw, have_manifest ? &manifest : nullptr);
   if (!init.ok()) return init;
+  {
+    sched::MutexLock lk(&index->router_mu_);
+    for (size_t i = 0; i < names.size(); ++i) {
+      index->classes_[i].file = names[i];
+    }
+  }
   // Persist the router state immediately: the per-class files exist from
   // this point on, and a manifest is what makes them a partitioned index.
   Status wrote = index->WriteManifestNow();

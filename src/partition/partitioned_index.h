@@ -22,7 +22,13 @@
 // tree's direct-access table (DAT) says whether it holds a copy of an
 // oid, live or expired but not yet purged (Tree::HoldsObject). Expired
 // copies linger under the paper's lazy purge, so an object may have
-// copies in several classes; at most one of them is live.
+// copies in several classes; at most one of them is live. The router's
+// own state is one partition::ManifestEntry per class (activity, upper
+// bound, vmax, file name): the record the manifest persists.
+//
+// Every re-report, alone (Update) or in a batch (GroupUpdate, in batch
+// order), takes one routine: stay in the routed class through that
+// tree's Update, or migrate.
 //
 // Queries visit every active, non-empty class in turn on the calling
 // thread. Each class tree pins its root, so a class with nothing in the
@@ -68,13 +74,18 @@
 namespace rexp {
 namespace partition {
 
-// One line of the on-disk partition manifest (see Read/WriteManifest in
-// partitioned_index.cc). `file` is a basename, resolved relative to the
-// manifest's directory.
+// One speed class's router state, and one line of the on-disk partition
+// manifest (see Read/WriteManifest in partitioned_index.cc).
 struct ManifestEntry {
+  // False once the class is merged away; routing skips it.
   bool active = true;
+  // Inclusive routing upper bound; infinity for the last active class.
   double upper = std::numeric_limits<double>::infinity();
+  // Widen-only maximum speed ever routed here since the last reset; the
+  // ceiling offline speed-class verification checks against.
   double vmax = 0;
+  // Basename of the class's page file, resolved relative to the
+  // manifest's directory (disk mode only).
   std::string file;
 };
 
@@ -208,7 +219,7 @@ class PartitionedIndex {
     uint64_t deletes = 0;
     uint64_t updates = 0;
     // Updates that found a copy of the object in some active class and
-    // could not stay in their routed class (see RouteUpdateLocked).
+    // could not stay in their routed class (see UpdateLocked).
     uint64_t migrations = 0;
     uint64_t group_batches = 0;
     uint64_t searches = 0;
@@ -304,11 +315,11 @@ class PartitionedIndex {
   }
 
   // Mirrors Tree::Delete, probing only the classes that hold a copy.
-  [[nodiscard]] bool Delete(ObjectId oid, const Tpbr<kDims>& point, Time now,
-                            bool see_expired = false) EXCLUDES(router_mu_) {
+  [[nodiscard]] bool Delete(ObjectId oid, const Tpbr<kDims>& point, Time now)
+      EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
     ++stats_.deletes;
-    const bool found = DeleteLocked(oid, point, now, see_expired);
+    const bool found = DeleteLocked(oid, point, now);
     MaintenanceLocked(now);
     return found;
   }
@@ -329,12 +340,10 @@ class PartitionedIndex {
   }
 
   // Mirrors Tree::GroupUpdate for re-reports (every request has an old
-  // record; fresh objects go through Insert): result[i] is what Update
-  // would have returned for requests[i]. Non-crossing requests are
-  // grouped per class and applied through each tree's batched
-  // GroupUpdate; boundary-crossing ones migrate individually. Batches
-  // containing the same oid twice fall back to sequential per-request
-  // updates to keep batch-order semantics.
+  // record; fresh objects go through Insert): Update applied to each
+  // request in batch order under one router lock, so result[i] is what
+  // Update would have returned for requests[i] and a later request for
+  // the same oid sees the earlier one's result.
   [[nodiscard]] std::vector<bool> GroupUpdate(
       const std::vector<UpdateRequest>& requests, Time now)
       EXCLUDES(router_mu_) {
@@ -343,45 +352,9 @@ class PartitionedIndex {
     ++stats_.group_batches;
     std::vector<bool> results(requests.size(), false);
     if (requests.empty()) return results;
-
-    std::vector<ObjectId> oids;
-    oids.reserve(requests.size());
-    for (const UpdateRequest& r : requests) oids.push_back(r.oid);
-    std::sort(oids.begin(), oids.end());
-    const bool has_duplicates =
-        std::adjacent_find(oids.begin(), oids.end()) != oids.end();
-
-    if (has_duplicates) {
-      for (size_t i = 0; i < requests.size(); ++i) {
-        results[i] = UpdateLocked(requests[i].oid, requests[i].old_record,
-                                  requests[i].new_record, now);
-      }
-      MaintenanceLocked(now);
-      return results;
-    }
-
-    // Partition the batch: per-class sub-batches for stay-at-home
-    // requests, individual migrations for the rest.
-    std::vector<std::vector<UpdateRequest>> batches(trees_.size());
-    std::vector<std::vector<size_t>> batch_slots(trees_.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-      const UpdateRequest& r = requests[i];
-      bool found = false;
-      const int stay =
-          RouteUpdateLocked(r.oid, r.old_record, r.new_record, now, &found);
-      if (stay < 0) {
-        results[i] = found;
-        continue;
-      }
-      batches[static_cast<size_t>(stay)].push_back(r);
-      batch_slots[static_cast<size_t>(stay)].push_back(i);
-    }
-    for (size_t c = 0; c < trees_.size(); ++c) {
-      if (batches[c].empty()) continue;
-      const std::vector<bool> sub = trees_[c]->GroupUpdate(batches[c], now);
-      for (size_t j = 0; j < sub.size(); ++j) {
-        results[batch_slots[c][j]] = sub[j];
-      }
+      results[i] = UpdateLocked(requests[i].oid, requests[i].old_record,
+                                requests[i].new_record, now);
     }
     MaintenanceLocked(now);
     return results;
@@ -441,25 +414,13 @@ class PartitionedIndex {
     return VerifyLocked(now);
   }
 
-  // Verify + abort on findings (test hook, mirroring Tree).
-  void CheckInvariants(Time now) EXCLUDES(router_mu_) {
-    verify::Report report = Verify(now);
-    if (!report.ok()) {
-      std::fprintf(stderr, "PartitionedIndex::CheckInvariants:\n%s",
-                   report.ToString().c_str());
-      std::abort();
-    }
-  }
-
   // --- Introspection --------------------------------------------------
 
   int partitions() const { return static_cast<int>(trees_.size()); }
 
   int active_partitions() const EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
-    int n = 0;
-    for (const PartitionState& p : pstate_) n += p.active ? 1 : 0;
-    return n;
+    return ActiveClassesLocked();
   }
 
   Stats stats() const EXCLUDES(router_mu_) {
@@ -473,9 +434,9 @@ class PartitionedIndex {
       EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
     std::vector<std::pair<int, double>> table;
-    for (size_t i = 0; i < pstate_.size(); ++i) {
-      if (pstate_[i].active) {
-        table.emplace_back(static_cast<int>(i), pstate_[i].upper);
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      if (classes_[i].active) {
+        table.emplace_back(static_cast<int>(i), classes_[i].upper);
       }
     }
     return table;
@@ -499,9 +460,6 @@ class PartitionedIndex {
     for (const auto& tree : trees_) total += tree->io_stats().Total();
     return total;
   }
-  void ResetIoStats() {
-    for (auto& tree : trees_) tree->ResetIoStats();
-  }
   uint64_t PagesUsed() const {
     uint64_t total = 0;
     for (const auto& tree : trees_) total += tree->PagesUsed();
@@ -524,8 +482,6 @@ class PartitionedIndex {
     }
     return total == 0 ? 0.0 : expired / static_cast<double>(total);
   }
-
-  const TreeConfig& config() const { return config_; }
 
   // Registers router telemetry under `prefix` + "partition." (routing,
   // migration, merge, and fan-out counters; the active-partition
@@ -552,11 +508,7 @@ class PartitionedIndex {
     registry->AddGauge(prefix + "partition.active_partitions",
                        [this] {
                          sched::MutexLock lk(&router_mu_);
-                         double n = 0;
-                         for (const PartitionState& p : pstate_) {
-                           n += p.active ? 1 : 0;
-                         }
-                         return n;
+                         return static_cast<double>(ActiveClassesLocked());
                        },
                        owner);
     metrics_registration_ = registry->MakeScoped(owner);
@@ -577,15 +529,6 @@ class PartitionedIndex {
                    const PartitionedOptions& options)
       : config_(config), options_(options) {}
 
-  struct PartitionState {
-    bool active = true;
-    // Inclusive routing upper bound; infinity for the last active class.
-    double upper = std::numeric_limits<double>::infinity();
-    // Widen-only maximum speed ever routed here since the last reset;
-    // persisted to the manifest for offline speed-class verification.
-    double vmax = 0;
-  };
-
   Status Init(const std::vector<PageFile*>& files,
               const partition::Manifest* manifest = nullptr) {
     config_.Validate();
@@ -601,40 +544,45 @@ class PartitionedIndex {
       trees_.push_back(std::move(tree_or).value());
     }
     sched::MutexLock lk(&router_mu_);
-    pstate_.resize(trees_.size());
+    if (manifest != nullptr) {
+      classes_ = manifest->entries;
+      return Status::OK();
+    }
+    classes_.resize(trees_.size());
     const int k = static_cast<int>(trees_.size());
     for (int i = 0; i + 1 < k; ++i) {
-      pstate_[static_cast<size_t>(i)].upper =
+      classes_[static_cast<size_t>(i)].upper =
           options_.initial_max_speed * (i + 1) / k;
     }
-    for (size_t i = 0; i < pstate_.size(); ++i) {
-      PartitionState& p = pstate_[i];
-      if (manifest != nullptr) {
-        p.active = manifest->entries[i].active;
-        p.upper = manifest->entries[i].upper;
-        p.vmax = manifest->entries[i].vmax;
-      } else if (trees_[i]->leaf_entries() > 0) {
-        // No recorded ceiling: the fastest record the class holds is one.
-        REXP_RETURN_IF_ERROR(trees_[i]->ForEachNode(
-            [&p](PageId, const Node<kDims>& node) {
-              if (!node.IsLeaf()) return;
-              for (const NodeEntry<kDims>& e : node.entries) {
-                p.vmax = std::max(p.vmax, SpeedOf(e.region));
-              }
-            }));
-      }
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      if (trees_[i]->leaf_entries() == 0) continue;
+      // No recorded ceiling: the fastest record the class holds is one.
+      double& vmax = classes_[i].vmax;
+      REXP_RETURN_IF_ERROR(trees_[i]->ForEachNode(
+          [&vmax](PageId, const Node<kDims>& node) {
+            if (!node.IsLeaf()) return;
+            for (const NodeEntry<kDims>& e : node.entries) {
+              vmax = std::max(vmax, SpeedOf(e.region));
+            }
+          }));
     }
     return Status::OK();
+  }
+
+  int ActiveClassesLocked() const REQUIRES(router_mu_) {
+    return static_cast<int>(std::count_if(
+        classes_.begin(), classes_.end(),
+        [](const partition::ManifestEntry& c) { return c.active; }));
   }
 
   // First active class whose speed range admits `speed` (ranges are
   // contiguous in slot order; the last active class is unbounded).
   int RouteLocked(double speed) const REQUIRES(router_mu_) {
     int last_active = -1;
-    for (size_t i = 0; i < pstate_.size(); ++i) {
-      if (!pstate_[i].active) continue;
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      if (!classes_[i].active) continue;
       last_active = static_cast<int>(i);
-      if (speed <= pstate_[i].upper) return last_active;
+      if (speed <= classes_[i].upper) return last_active;
     }
     REXP_CHECK(last_active >= 0);
     return last_active;
@@ -643,52 +591,40 @@ class PartitionedIndex {
   // Folds a routed record's speed into the class's vmax. A partition
   // observed physically empty restarts it from scratch.
   void AbsorbLocked(int c, double speed) REQUIRES(router_mu_) {
-    PartitionState& p = pstate_[static_cast<size_t>(c)];
-    if (trees_[static_cast<size_t>(c)]->leaf_entries() == 0) p.vmax = 0;
-    if (speed > p.vmax) p.vmax = speed;
+    double& vmax = classes_[static_cast<size_t>(c)].vmax;
+    if (trees_[static_cast<size_t>(c)]->leaf_entries() == 0) vmax = 0;
+    if (speed > vmax) vmax = speed;
   }
 
-  bool DeleteLocked(ObjectId oid, const Tpbr<kDims>& point, Time now,
-                    bool see_expired) REQUIRES(router_mu_) {
+  bool DeleteLocked(ObjectId oid, const Tpbr<kDims>& point, Time now)
+      REQUIRES(router_mu_) {
     for (const auto& tree : trees_) {
-      if (tree->HoldsObject(oid) &&
-          tree->Delete(oid, point, now, see_expired)) {
+      if (tree->HoldsObject(oid) && tree->Delete(oid, point, now)) {
         return true;
       }
     }
     return false;
   }
 
+  // Routes one update by the new record's speed and reports whether the
+  // old record was live. When the routed class is the only active class
+  // holding a copy of the object, that class absorbs the new speed into
+  // its vmax and its tree updates in place. Otherwise the object
+  // migrates: the old record is deleted from whichever class holds it and
+  // the new one is inserted into the routed class. A migration of an
+  // object some active class held a copy of counts in stats_.migrations.
   bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                     const Tpbr<kDims>& new_record, Time now)
-      REQUIRES(router_mu_) {
-    bool found = false;
-    const int stay =
-        RouteUpdateLocked(oid, old_record, new_record, now, &found);
-    if (stay < 0) return found;
-    return trees_[static_cast<size_t>(stay)]->Update(oid, old_record,
-                                                     new_record, now);
-  }
-
-  // Routes one update by the new record's speed. When the routed class is
-  // the only active class holding a copy of the object, the new speed is
-  // absorbed into that class's vmax and its class is returned for the
-  // caller to update the tree. Otherwise the object migrates: the old
-  // record is deleted from whichever class holds it and the new one is
-  // inserted into the routed class; returns -1 with `*found` set to
-  // whether the old record was found. A migration of an object some
-  // active class held a copy of counts in stats_.migrations.
-  int RouteUpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
-                        const Tpbr<kDims>& new_record, Time now, bool* found)
       REQUIRES(router_mu_) {
     ++stats_.updates;
     const double speed = SpeedOf(new_record);
     histogram_.Record(speed);
     const int target = RouteLocked(speed);
+    Tree<kDims>* routed = trees_[static_cast<size_t>(target)].get();
     bool at_target = false;
     bool elsewhere = false;
     for (size_t i = 0; i < trees_.size(); ++i) {
-      if (!pstate_[i].active || !trees_[i]->HoldsObject(oid)) continue;
+      if (!classes_[i].active || !trees_[i]->HoldsObject(oid)) continue;
       if (static_cast<int>(i) == target) {
         at_target = true;
       } else {
@@ -697,13 +633,13 @@ class PartitionedIndex {
     }
     if (at_target && !elsewhere) {
       AbsorbLocked(target, speed);
-      return target;
+      return routed->Update(oid, old_record, new_record, now);
     }
     if (at_target || elsewhere) ++stats_.migrations;
-    *found = DeleteLocked(oid, old_record, now, /*see_expired=*/false);
+    const bool found = DeleteLocked(oid, old_record, now);
     AbsorbLocked(target, speed);
-    trees_[static_cast<size_t>(target)]->Insert(oid, new_record, now);
-    return -1;
+    routed->Insert(oid, new_record, now);
+    return found;
   }
 
   void MaintenanceLocked(Time now) REQUIRES(router_mu_) {
@@ -720,15 +656,14 @@ class PartitionedIndex {
   // time they report (Update), so no retune ever does bulk I/O.
   void RetuneLocked() REQUIRES(router_mu_) {
     ++stats_.retunes;
-    int actives = 0;
-    for (const PartitionState& p : pstate_) actives += p.active ? 1 : 0;
+    const int actives = ActiveClassesLocked();
     if (actives > 1) {
       const std::vector<double> uppers =
           histogram_.Boundaries(actives, options_.initial_max_speed);
       size_t next = 0;
-      for (PartitionState& p : pstate_) {
-        if (!p.active) continue;
-        p.upper = next < uppers.size()
+      for (partition::ManifestEntry& c : classes_) {
+        if (!c.active) continue;
+        c.upper = next < uppers.size()
                       ? uppers[next]
                       : std::numeric_limits<double>::infinity();
         ++next;
@@ -747,8 +682,8 @@ class PartitionedIndex {
     uint64_t total = 0;
     int smallest = -1;
     uint64_t smallest_entries = 0;
-    for (size_t i = 0; i < pstate_.size(); ++i) {
-      if (!pstate_[i].active) continue;
+    for (size_t i = 0; i < classes_.size(); ++i) {
+      if (!classes_[i].active) continue;
       ++actives;
       const uint64_t entries = trees_[i]->leaf_entries();
       total += entries;
@@ -767,7 +702,7 @@ class PartitionedIndex {
 
   void MergePartitionLocked(int idx, Time now) REQUIRES(router_mu_) {
     const size_t i = static_cast<size_t>(idx);
-    pstate_[i].active = false;  // Re-routing below must not pick it.
+    classes_[i].active = false;  // Re-routing below must not pick it.
     Tree<kDims>* source = trees_[i].get();
 
     // Collect the live records (the walk is real, measured I/O — a merge
@@ -786,8 +721,7 @@ class PartitionedIndex {
       }
     }));
     for (const LiveRecord& r : live) {
-      const bool found =
-          source->Delete(r.oid, r.region, now, /*see_expired=*/false);
+      const bool found = source->Delete(r.oid, r.region, now);
       (void)found;  // Live by construction; a purge race cannot occur
                     // under the router lock.
       const double speed = SpeedOf(r.region);
@@ -796,7 +730,7 @@ class PartitionedIndex {
       trees_[static_cast<size_t>(target)]->Insert(r.oid, r.region, now);
       ++stats_.merge_moves;
     }
-    pstate_[i].vmax = 0;
+    classes_[i].vmax = 0;
     ++stats_.merges;
   }
 
@@ -812,7 +746,7 @@ class PartitionedIndex {
     sched::MutexLock lk(&router_mu_);
     ++(stats_.*queries);
     for (size_t i = 0; i < trees_.size(); ++i) {
-      if (pstate_[i].active && trees_[i]->leaf_entries() > 0) {
+      if (classes_[i].active && trees_[i]->leaf_entries() > 0) {
         targets.push_back(trees_[i].get());
       }
     }
@@ -830,7 +764,7 @@ class PartitionedIndex {
       verify::Report part = trees_[i]->Verify(
           now, [&live](const NodeEntry<kDims>& e) { live.push_back(e); });
       partition::MergeClassReport<kDims>(
-          std::move(part), i, pstate_[i].active,
+          std::move(part), i, classes_[i].active,
           std::numeric_limits<double>::infinity(), live, options,
           &first_seen, &report);
     }
@@ -843,14 +777,7 @@ class PartitionedIndex {
     m.page_size = config_.page_size;
     {
       sched::MutexLock lk(&router_mu_);
-      for (size_t i = 0; i < pstate_.size(); ++i) {
-        partition::ManifestEntry e;
-        e.active = pstate_[i].active;
-        e.upper = pstate_[i].upper;
-        e.vmax = pstate_[i].vmax;
-        e.file = file_names_[i];
-        m.entries.push_back(std::move(e));
-      }
+      m.entries = classes_;
     }
     return partition::WriteManifest(m, manifest_path_);
   }
@@ -862,13 +789,13 @@ class PartitionedIndex {
   // which flush into them) and the manifest sidecar.
   std::vector<std::unique_ptr<PageFile>> owned_files_;
   std::string manifest_path_;
-  std::vector<std::string> file_names_;  // Manifest-relative basenames.
 
   std::vector<std::unique_ptr<Tree<kDims>>> trees_;
 
   mutable sched::Mutex router_mu_{sched::LockRank::kPartitionRouter,
                                   "partition_router"};
-  std::vector<PartitionState> pstate_ GUARDED_BY(router_mu_);
+  // Per-class router state in slot order (the manifest's entries).
+  std::vector<partition::ManifestEntry> classes_ GUARDED_BY(router_mu_);
   partition::SpeedHistogram histogram_ GUARDED_BY(router_mu_);
   uint32_t mutations_since_scan_ GUARDED_BY(router_mu_) = 0;
   Stats stats_ GUARDED_BY(router_mu_);

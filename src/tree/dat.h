@@ -233,6 +233,15 @@ class DirectAccessTable {
   // The entry for `oid`, or nullptr when it has no physical copy.
   const DatEntry* Find(ObjectId oid) const { return map_.Find(oid); }
 
+  // The leaf holding `oid`'s single physical copy, or kInvalidPageId when
+  // the object has no copy, several, or one whose leaf is not yet known.
+  // Every reader of a pin goes through here, so the trust rule
+  // (count == 1) has one owner (scripts/check_conventions.sh rule 9).
+  PageId PinnedLeaf(ObjectId oid) const {
+    const DatEntry* e = map_.Find(oid);
+    return e != nullptr && e->count == 1 ? e->leaf : kInvalidPageId;
+  }
+
   size_t size() const { return map_.size(); }
   void Clear() { map_.Clear(); }
 

@@ -27,8 +27,9 @@ namespace rexp {
 // TotalIo, PagesUsed and ExpiredLeafFraction are the paper's metrics —
 // page I/O, index size, unpurged expired leaf entries — summed over the
 // trees the front-end owns (ScheduledIndex's deletion queue is a
-// separate cost stream). RegisterMetrics binds the front-end's
-// telemetry under `prefix`.
+// separate cost stream). ExpiredLeafFraction walks every tree through
+// its buffer pool, so the walk itself adds to TotalIo. RegisterMetrics
+// binds the front-end's telemetry under `prefix`.
 template <typename Index, int kDims = 2>
 concept IndexFrontEnd = requires(Index& index, ObjectId oid,
                                  const Tpbr<kDims>& record, Time now,

@@ -1106,14 +1106,13 @@ template <int kDims>
 bool Tree<kDims>::RemoveRecord(ObjectId oid, const Tpbr<kDims>& point,
                                Time now, bool see_expired, Batch* batch) {
   if (root_ == kInvalidPageId) return false;
-  const DatEntry* de = dat_.Find(oid);
-  if (de == nullptr) {
+  const PageId leaf = dat_.PinnedLeaf(oid);
+  if (leaf == kInvalidPageId && dat_.Find(oid) == nullptr) {
     // The DAT tracks every physical copy; no entry means no copy anywhere
     // in the tree, so a descent could not succeed either.
     ++op_stats_.delete_bottom_up;
     return false;
   }
-  const PageId leaf = de->count == 1 ? de->leaf : kInvalidPageId;
   if (leaf == kInvalidPageId || !ParentChainIntact(leaf)) {
     return DeleteRecurse(root_, height_ - 1, oid, point, now, see_expired,
                          batch);
@@ -1286,10 +1285,8 @@ bool Tree<kDims>::UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
   NoteReport(now);
 
   // Fast path: the DAT pins the object's single physical copy to a leaf.
-  const DatEntry* de =
-      root_ != kInvalidPageId ? dat_.Find(oid) : nullptr;
   const PageId leaf =
-      (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+      root_ != kInvalidPageId ? dat_.PinnedLeaf(oid) : kInvalidPageId;
   if (leaf != kInvalidPageId) {
     ++op_stats_.dat_hits;
     Node<kDims>& node = update_scratch_;
@@ -1387,10 +1384,9 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
       std::vector<Target> order;
       order.reserve(requests.size());
       for (size_t i = 0; i < requests.size(); ++i) {
-        const DatEntry* de =
-            root_ != kInvalidPageId ? dat_.Find(requests[i].oid) : nullptr;
-        const PageId leaf =
-            (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+        const PageId leaf = root_ != kInvalidPageId
+                                ? dat_.PinnedLeaf(requests[i].oid)
+                                : kInvalidPageId;
         const PageId* up =
             leaf == kInvalidPageId ? nullptr : parent_of_.Find(leaf);
         order.push_back({up == nullptr ? kInvalidPageId : *up, leaf, i});
@@ -1482,10 +1478,8 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
         pending->region = new_record;
         continue;
       }
-      const DatEntry* de =
-          root_ != kInvalidPageId ? dat_.Find(r.oid) : nullptr;
       const PageId leaf =
-          (de != nullptr && de->count == 1) ? de->leaf : kInvalidPageId;
+          root_ != kInvalidPageId ? dat_.PinnedLeaf(r.oid) : kInvalidPageId;
       if (leaf != kInvalidPageId) {
         ++op_stats_.dat_hits;
         Node<kDims>& node = BatchNode(&batch, 0, leaf);

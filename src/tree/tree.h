@@ -446,7 +446,9 @@ class Tree {
   void CheckInvariants(Time now);
 
   // Fraction of physically present leaf entries that are expired at `now`.
-  // The paper's lazy purge keeps this small. Unmeasured I/O.
+  // The paper's lazy purge keeps this small. The walk is ForEachNode's,
+  // through the buffer pool, so it counts in io_stats, level_reads and
+  // node_decodes like any other read.
   double ExpiredLeafFraction(Time now);
 
   // Reads every reachable page directly from the device (bypassing the

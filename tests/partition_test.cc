@@ -353,6 +353,20 @@ TEST(PartitionGroupUpdate, MatchesPerOpUpdateIncludingMigrations) {
   EXPECT_TRUE(batched.index->Verify(now).ok());
   EXPECT_GT(batched.index->stats().migrations, 0u);
 
+  // The batch is Update in batch order: the same page I/O, class
+  // populations, buffer touches and migrations as the per-op index.
+  EXPECT_EQ(batched.index->TotalIo(), serial.index->TotalIo());
+  EXPECT_EQ(batched.index->stats().migrations,
+            serial.index->stats().migrations);
+  for (int c = 0; c < options.partitions; ++c) {
+    const Tree<2>& b = *batched.index->tree(c);
+    const Tree<2>& s = *serial.index->tree(c);
+    EXPECT_EQ(b.leaf_entries(), s.leaf_entries()) << "class " << c;
+    EXPECT_EQ(b.io_stats().hits + b.io_stats().misses,
+              s.io_stats().hits + s.io_stats().misses)
+        << "class " << c;
+  }
+
   for (int q = 0; q < 10; ++q) {
     const Query<2> query = RandomQuery<2>(&rng, now);
     std::vector<ObjectId> a, b;
