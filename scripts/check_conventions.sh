@@ -54,6 +54,11 @@
 #      Everyone else asks DirectAccessTable::PinnedLeaf (DESIGN.md §10,
 #      §13). The verifier's independent cross-check (src/verify/) is
 #      outside the rule.
+#  10. Outside tests/, no checker aborts. Every front-end has one check,
+#      `Verify(now) -> verify::Report`, which returns its findings
+#      (tree/index_contract.h); `void CheckInvariants(` and `VerifyPages(`
+#      may not appear in src/, tools/ or bench/. LiveTier::CheckInvariants,
+#      which returns a Status, is allowed.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -196,6 +201,14 @@ for f in "${files[@]}"; do
   done < <(grep -nE \
     '(\.|->)count[[:space:]]*[!=]=[[:space:]]*1([^0-9.]|$)|(^|[^0-9.])1[[:space:]]*[!=]=[[:space:]]*[A-Za-z_][A-Za-z0-9_]*(\.|->)count([^A-Za-z0-9_(]|$)' \
     "$f" || true)
+done
+
+# --- Rule 10: checkers return findings, they do not abort -----------------
+for f in "${files[@]}"; do
+  case "$f" in src/*|tools/*|bench/*) ;; *) continue ;; esac
+  while IFS= read -r hit; do
+    report "aborting-check" "$f:$hit (return a verify::Report from Verify)"
+  done < <(grep -nE 'void[[:space:]]+([A-Za-z_][A-Za-z0-9_<>]*::)?CheckInvariants\(|VerifyPages\(' "$f" || true)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CLI regression test for checked argument parsing (common/parse.h).
+# CLI regression test for checked argument parsing (common/parse.h) and
+# for the tools' exit codes on clean and damaged indexes.
 #
 # Every numeric flag on the four tools must reject garbage with exit
 # status 2 (usage) and a diagnostic on stderr — historically atoi turned
@@ -112,6 +113,27 @@ for mode in "" "--json"; do
     fails=$((fails + 1))
   elif [[ "$(sha256sum < "$IDX")" != "$BEFORE" ]]; then
     echo "FAIL: inspect_index $mode rewrote its input"
+    fails=$((fails + 1))
+  fi
+done
+
+# inspect_index on a damaged index: exit 1 with a diagnostic, in both
+# output modes. The fixture is a copy with one page's checksum rotted.
+ROT="$TMP/rot.bin"
+if ! "$TOOLS_DIR/corrupt_index" "$ROT" --class bit-rot --make 64 \
+    --page-size 512 >/dev/null 2>&1; then
+  echo "FAIL: corrupt_index could not build the bit-rot fixture"
+  fails=$((fails + 1))
+fi
+for mode in "" "--json"; do
+  "$TOOLS_DIR/inspect_index" "$ROT" --page-size 512 $mode \
+    >"$TMP/rot_out" 2>&1
+  status=$?
+  if [[ $status -ne 1 ]]; then
+    echo "FAIL: inspect_index $mode on bit rot — exit $status, want 1"
+    fails=$((fails + 1))
+  elif ! grep -qi "corruption" "$TMP/rot_out"; then
+    echo "FAIL: inspect_index $mode on bit rot printed no diagnostic"
     fails=$((fails + 1))
   fi
 done

@@ -3,7 +3,6 @@
 #include "btree/btree.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <unordered_set>
@@ -538,7 +537,13 @@ BTree::Key BTree::VerifySubtree(PageId id, int level, const Key* lower_bound,
 verify::Report BTree::Verify() {
   verify::Report report;
   report.height = height_;
-  REXP_CHECK_OK(buffer_.FlushDirty());
+  const Status flush = buffer_.FlushDirty();
+  if (!flush.ok()) {
+    report.findings.push_back(verify::Finding{
+        verify::CheckId::kPageChecksum, kInvalidPageId, -1,
+        "flush before verification failed: " + flush.ToString()});
+    return report;
+  }
   VerifyState state;
   state.report = &report;
   state.seen.insert(root_);
@@ -559,15 +564,6 @@ verify::Report BTree::Verify() {
     }
   }
   return report;
-}
-
-void BTree::CheckInvariants() {
-  verify::Report report = Verify();
-  if (!report.ok()) {
-    std::fprintf(stderr, "BTree::CheckInvariants:\n%s",
-                 report.ToString().c_str());
-  }
-  REXP_CHECK(report.ok());
 }
 
 }  // namespace rexp

@@ -84,10 +84,6 @@ class BTree {
   // Never aborts. Test/fsck hook (unmeasured I/O patterns).
   verify::Report Verify();
 
-  // Verifies ordering, balance, fill factors, and size bookkeeping.
-  // Aborts on violation. Test hook (unmeasured I/O patterns).
-  void CheckInvariants();
-
  private:
   struct BtNode {
     int level = 0;  // 0 = leaf.

@@ -8,7 +8,8 @@
 // one GroupUpdate — fresh objects and replacements of their stale tree
 // copies together, one tree mutation, one write-back. The
 // public surface mirrors Tree so harnesses, verifiers, telemetry, and
-// benchmarks run against either engine unchanged.
+// benchmarks run against either engine unchanged; Verify(now) checks
+// both tiers and returns one verify::Report, as Tree::Verify does.
 //
 // Object-lifecycle contract (DESIGN.md §12):
 //   * Insert introduces an object not currently indexed; Update
@@ -209,15 +210,18 @@ class TieredIndex {
   // by design and are NOT persisted — drain first if they must survive.
   Status Commit() { return tree_.Commit(); }
 
-  // Checks both tiers: the live tier's structure, then the tree's full
-  // invariant catalog (Tree::Verify). Never aborts; a tree finding comes
-  // back as kCorruption carrying the verifier's report.
-  Status CheckInvariants(Time now) EXCLUDES(mu_) {
+  // Checks both tiers, always: the tree's full invariant catalog
+  // (Tree::Verify) plus one kLiveTier finding when the live tier's
+  // structure is inconsistent. Never aborts.
+  verify::Report Verify(Time now) EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    REXP_RETURN_IF_ERROR(live_.CheckInvariants());
-    const verify::Report report = tree_.Verify(now);
-    if (!report.ok()) return Status::Corruption(report.ToString());
-    return Status::OK();
+    verify::Report report = tree_.Verify(now);
+    const Status live = live_.CheckInvariants();
+    if (!live.ok()) {
+      report.findings.push_back(verify::Finding{
+          verify::CheckId::kLiveTier, kInvalidPageId, -1, live.ToString()});
+    }
+    return report;
   }
 
   Tree<kDims>& tree() { return tree_; }

@@ -76,7 +76,11 @@ void MergeClassReport(verify::Report part, size_t cls, bool active,
                       const verify::VerifyOptions& options,
                       FirstSeen* first_seen, verify::Report* report) {
   const bool complete = part.walk_complete;
-  verify::MergePartitionReport(std::move(part), cls, options, report);
+  // Built with += (GCC 12's -Wrestrict misfires on chained
+  // const char* + std::string&&).
+  std::string label = "p";
+  label += std::to_string(cls);
+  verify::MergeReport(std::move(part), label, options, report);
   if (!complete) return;
   uint64_t live_here = 0;
   double fastest = 0;

@@ -38,8 +38,8 @@ namespace partition {
 // verification has checked so far.
 using FirstSeen = std::unordered_map<ObjectId, size_t>;
 
-// Folds class `cls`'s tree report `part` into `report` (as
-// verify::MergePartitionReport does) and, when that walk was complete,
+// Folds class `cls`'s tree report `part` into `report` under the label
+// "p<cls>" (verify::MergeReport) and, when that walk was complete,
 // checks the class's live records `live` against the partitioning: an
 // object live in two classes (against `first_seen`), a live record in a
 // merged-away class (`active` false), or a live record of an active

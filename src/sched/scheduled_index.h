@@ -12,7 +12,9 @@
 // event into the B-tree, remove the event from the B-tree, perform the
 // scheduled deletion in the TPR-tree" — and its figures report the tree
 // cost with the B-tree cost shown separately. The two cost streams are
-// exposed on separate I/O counters here for the same reason.
+// exposed on separate I/O counters here for the same reason. The check
+// covers both as well: Verify(now) returns one verify::Report, the
+// tree's findings plus the queue's under the label "queue: ".
 
 #ifndef REXP_SCHED_SCHEDULED_INDEX_H_
 #define REXP_SCHED_SCHEDULED_INDEX_H_
@@ -28,6 +30,7 @@
 #include "obs/trace.h"
 #include "storage/page_file.h"
 #include "tree/tree.h"
+#include "verify/verifier.h"
 
 namespace rexp {
 
@@ -99,6 +102,15 @@ class ScheduledIndex {
   uint64_t PagesUsed() const { return tree_.PagesUsed(); }
   double ExpiredLeafFraction(Time now) {
     return tree_.ExpiredLeafFraction(now);
+  }
+
+  // Tree::Verify with the queue's BTree::Verify folded in, each queue
+  // finding's detail prefixed "queue: ". Never aborts.
+  verify::Report Verify(Time now) {
+    verify::Report report = tree_.Verify(now);
+    verify::MergeReport(queue_.Verify(), "queue", verify::VerifyOptions{},
+                        &report);
+    return report;
   }
 
   // Attaches a trace sink to the primary tree (scheduled-deletion events

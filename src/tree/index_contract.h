@@ -18,6 +18,7 @@
 #include "common/types.h"
 #include "obs/registry.h"
 #include "tpbr/tpbr.h"
+#include "verify/verifier.h"
 
 namespace rexp {
 
@@ -29,7 +30,10 @@ namespace rexp {
 // trees the front-end owns (ScheduledIndex's deletion queue is a
 // separate cost stream). ExpiredLeafFraction walks every tree through
 // its buffer pool, so the walk itself adds to TotalIo. RegisterMetrics
-// binds the front-end's telemetry under `prefix`.
+// binds the front-end's telemetry under `prefix`. Verify runs the
+// front-end's whole invariant catalog — every tree it owns, plus its
+// queue or live tier — and returns every violation as a finding in one
+// report; it never aborts.
 template <typename Index, int kDims = 2>
 concept IndexFrontEnd = requires(Index& index, ObjectId oid,
                                  const Tpbr<kDims>& record, Time now,
@@ -44,6 +48,7 @@ concept IndexFrontEnd = requires(Index& index, ObjectId oid,
   { index.PagesUsed() } -> std::same_as<uint64_t>;
   { index.ExpiredLeafFraction(now) } -> std::same_as<double>;
   index.RegisterMetrics(registry, prefix);
+  { index.Verify(now) } -> std::same_as<verify::Report>;
 };
 
 }  // namespace rexp

@@ -5,13 +5,12 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/check.h"
 #include "tree/node.h"
 
 namespace rexp {
 
 template <int kDims>
-TreeStats<kDims> CollectStats(Tree<kDims>* tree, Time now) {
+StatusOr<TreeStats<kDims>> CollectStats(Tree<kDims>* tree, Time now) {
   TreeStats<kDims> stats;
   stats.height = tree->height();
   stats.pages = tree->PagesUsed();
@@ -29,7 +28,7 @@ TreeStats<kDims> CollectStats(Tree<kDims>* tree, Time now) {
   std::vector<Accumulator> acc(stats.height);
 
   const bool expires = tree->config().expire_entries;
-  REXP_CHECK_OK(tree->ForEachNode([&](PageId, const Node<kDims>& node) {
+  REXP_RETURN_IF_ERROR(tree->ForEachNode([&](PageId, const Node<kDims>& node) {
     const int level = node.level;
     LevelStats& ls = stats.levels[level];
     Accumulator& a = acc[level];
@@ -85,7 +84,7 @@ std::string FormatStats(const TreeStats<kDims>& stats) {
 }
 
 #define REXP_INSTANTIATE(D)                                    \
-  template TreeStats<D> CollectStats<D>(Tree<D>*, Time);       \
+  template StatusOr<TreeStats<D>> CollectStats<D>(Tree<D>*, Time); \
   template std::string FormatStats<D>(const TreeStats<D>&);
 
 REXP_INSTANTIATE(1)

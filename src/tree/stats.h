@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "tree/tree.h"
 
@@ -43,9 +44,11 @@ struct TreeStats {
 };
 
 // Walks the whole tree (unmeasured I/O pattern; intended for diagnostics,
-// not hot paths) and aggregates statistics as of time `now`.
+// not hot paths) and aggregates statistics as of time `now`. The walk is
+// Tree::ForEachNode's, with its checked decode: a page that fails to read
+// or decode comes back as that error (kCorruption or kIOError).
 template <int kDims>
-TreeStats<kDims> CollectStats(Tree<kDims>* tree, Time now);
+StatusOr<TreeStats<kDims>> CollectStats(Tree<kDims>* tree, Time now);
 
 // Renders the statistics as a small fixed-width report.
 template <int kDims>

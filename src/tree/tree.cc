@@ -882,14 +882,19 @@ void Tree<kDims>::GrowRoot(PageId left, PageId right, Time now) {
       NodeEntry<kDims>{ComputeBound(left_node, now), left});
   new_root.entries.push_back(
       NodeEntry<kDims>{ComputeBound(right_node, now), right});
-  root_ = AllocNode(new_root);
-  height_ = new_root.level + 1;
-  level_counts_.resize(height_, 0);
-  level_counts_[new_root.level] += 2;
+  InstallRoot(new_root);
   ++op_stats_.root_grows;
   if (tracer_ != nullptr) {
     tracer_->Emit("root_grow", {{"height", static_cast<double>(height_)}});
   }
+}
+
+template <int kDims>
+void Tree<kDims>::InstallRoot(const Node<kDims>& root) {
+  root_ = AllocNode(root);
+  height_ = root.level + 1;
+  level_counts_.resize(height_, 0);
+  level_counts_[root.level] += root.entries.size();
   REXP_CHECK_OK(PinRoot(root_));
 }
 
@@ -949,11 +954,7 @@ void Tree<kDims>::EnsureHeightFor(int level, Time now) {
     REXP_CHECK(new_root.level < kMaxLevels);
     new_root.entries.push_back(
         NodeEntry<kDims>{ComputeBound(root, now), root_});
-    root_ = AllocNode(new_root);
-    height_ = new_root.level + 1;
-    level_counts_.resize(height_, 0);
-    level_counts_[new_root.level] += 1;
-    REXP_CHECK_OK(PinRoot(root_));
+    InstallRoot(new_root);
   }
 }
 
@@ -1548,11 +1549,7 @@ void Tree<kDims>::RouteBatch(Batch* batch, int target_level,
     Node<kDims> root;
     root.level = target_level;
     root.entries.push_back(first);
-    root_ = AllocNode(root);
-    height_ = target_level + 1;
-    level_counts_.resize(height_, 0);
-    level_counts_[target_level] += 1;
-    REXP_CHECK_OK(PinRoot(root_));
+    InstallRoot(root);
     records = records.subspan(1);
     if (records.empty()) return;
   }
@@ -2056,16 +2053,6 @@ void Tree<kDims>::RegisterMetrics(obs::MetricsRegistry* registry,
 }
 
 template <int kDims>
-void Tree<kDims>::CheckInvariants(Time now) {
-  verify::Report report = Verify(now);
-  if (!report.ok()) {
-    std::fprintf(stderr, "CheckInvariants failed:\n%s",
-                 report.ToString().c_str());
-    REXP_CHECK(false);
-  }
-}
-
-template <int kDims>
 double Tree<kDims>::ExpiredLeafFraction(Time now) {
   uint64_t total = 0, expired = 0;
   REXP_CHECK_OK(ForEachNode([&](PageId, const Node<kDims>& node) {
@@ -2111,21 +2098,6 @@ Status Tree<kDims>::ForEachNodeLocked(const NodeVisitor& visit) {
 }
 
 template <int kDims>
-Status Tree<kDims>::VerifySubtree(PageId id, int level) {
-  Page page(config_.page_size);
-  REXP_RETURN_IF_ERROR(file_->ReadPage(id, &page));
-  Node<kDims> node;
-  REXP_RETURN_IF_ERROR(
-      HeaderStatus(id, level, codec_.DecodeChecked(page, level, &node)));
-  if (level > 0) {
-    for (const NodeEntry<kDims>& e : node.entries) {
-      REXP_RETURN_IF_ERROR(VerifySubtree(e.id, level - 1));
-    }
-  }
-  return Status::OK();
-}
-
-template <int kDims>
 verify::Report Tree<kDims>::Verify(Time now,
                                    const LiveRecordVisitor& visit) {
   sched::WriterMutexLock epoch(&epoch_mu_);
@@ -2155,7 +2127,7 @@ verify::Report Tree<kDims>::VerifyLocked(Time now,
   view.page_limit = file_->capacity_pages();
   // Live accounting: every allocated page is a meta slot, a reachable
   // node, or accounted leaked (free and quarantined pages are not
-  // allocated). Matches CheckInvariants.
+  // allocated).
   view.expected_reachable =
       file_->allocated_pages() - kNumMetaSlots - file_->leaked_pages();
   // Cross-check the direct-access table against the walk (kDatMapping).
@@ -2194,22 +2166,6 @@ void Tree<kDims>::ParanoidVerify(Time now) {
     std::abort();
   }
 #endif
-}
-
-template <int kDims>
-Status Tree<kDims>::VerifyPages() {
-  sched::WriterMutexLock epoch(&epoch_mu_);
-  // Un-flushed changes would make device frames legitimately stale;
-  // verification is only meaningful over the flushed state.
-  REXP_RETURN_IF_ERROR(buffer_.FlushDirty());
-  // Verify the slot holding the current epoch. The other slot is allowed
-  // to be damaged: after recovering from a commit torn mid-metadata-write
-  // it legitimately stays torn until the next commit rewrites it.
-  Page page(config_.page_size);
-  REXP_RETURN_IF_ERROR(
-      file_->ReadPage(static_cast<PageId>(meta_epoch_ & 1), &page));
-  if (root_ == kInvalidPageId) return Status::OK();
-  return VerifySubtree(root_, height_ - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -439,30 +439,21 @@ class Tree {
     return dat_.Find(oid) != nullptr;
   }
 
-  // Runs the full invariant catalog (see Verify below) and aborts with
-  // the report on any finding. `now` is the current time (entries expired
-  // before `now` may legally linger; their containment is not required).
-  // Intended for tests; performs unmeasured I/O.
-  void CheckInvariants(Time now);
-
   // Fraction of physically present leaf entries that are expired at `now`.
   // The paper's lazy purge keeps this small. The walk is ForEachNode's,
   // through the buffer pool, so it counts in io_stats, level_reads and
   // node_decodes like any other read.
   double ExpiredLeafFraction(Time now);
 
-  // Reads every reachable page directly from the device (bypassing the
-  // buffer, unmeasured) and verifies frame checksums, node levels, and
-  // meta-slot validity; returns the first kCorruption/kIOError found.
-  // This is how offline tooling detects bit rot in a persisted index.
-  Status VerifyPages();
-
   // Runs the full invariant catalog (verify::TreeVerifier) over this
   // tree's flushed state and reports every violation as a typed finding —
   // TPBR conservativeness, expiry monotonicity, fan-out/occupancy, page
   // checksums, canonical records, level bookkeeping, page accounting.
-  // Never aborts; an empty report means the tree is sound. Unmeasured
-  // device I/O (the walk bypasses the buffer pool). With the
+  // `now` is the current time: entries expired before it may legally
+  // linger, so their containment is not required. Never aborts; an empty
+  // report means the tree is sound. This is the check every front-end
+  // shares (IndexFrontEnd). Unmeasured device I/O (the walk bypasses the
+  // buffer pool, so bit rot under it surfaces). With the
   // REXP_PARANOID build option this runs automatically after every
   // mutation (sampled via REXP_PARANOID_SAMPLE=N) and aborts on findings.
   // `visit` sees every live leaf record the walk decodes.
@@ -562,6 +553,10 @@ class Tree {
   Node<kDims> SplitNode(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void RemoveForReinsert(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);
   void GrowRoot(PageId left, PageId right, Time now) REQUIRES(epoch_mu_);
+  // Allocates `root` as the new root one level above the old one (or as
+  // the first root of an empty tree): sets root_, height_ and the level
+  // count of the new root's entries, then pins it.
+  void InstallRoot(const Node<kDims>& root) REQUIRES(epoch_mu_);
   // Collapses single-child roots; `root` is the root node as just stored.
   void MaybeShrinkRoot(Node<kDims> root) REQUIRES(epoch_mu_);
   void EnsureHeightFor(int level, Time now) REQUIRES(epoch_mu_);
@@ -672,8 +667,6 @@ class Tree {
   bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
                     const Tpbr<kDims>& new_record, Time now)
       REQUIRES(epoch_mu_);
-
-  Status VerifySubtree(PageId id, int level) REQUIRES(epoch_mu_);
 
   // Verify() body without taking the epoch lock (the paranoid hook runs
   // while the mutation still holds it exclusively).

@@ -44,6 +44,8 @@ const char* CheckIdName(CheckId check) {
       return "partition-manifest";
     case CheckId::kPartitionRouting:
       return "partition-routing";
+    case CheckId::kLiveTier:
+      return "live-tier";
   }
   return "unknown";
 }
@@ -578,13 +580,9 @@ Report TreeVerifier<kDims>::VerifyCommitted(PageFile* file,
   return walk;
 }
 
-void MergePartitionReport(Report part, size_t partition,
-                          const VerifyOptions& options, Report* into) {
-  // Built with += (GCC 12's -Wrestrict misfires on chained
-  // const char* + std::string&&).
-  std::string prefix = "p";
-  prefix += std::to_string(partition);
-  prefix += ": ";
+void MergeReport(Report part, const std::string& label,
+                 const VerifyOptions& options, Report* into) {
+  const std::string prefix = label + ": ";
   into->pages_walked += part.pages_walked;
   into->entries_checked += part.entries_checked;
   into->leaf_records_checked += part.leaf_records_checked;

@@ -66,6 +66,7 @@ enum class CheckId {
   kDatMapping,         // Direct-access table disagrees with the leaf walk.
   kPartitionManifest,  // Partition manifest missing, malformed, or stale.
   kPartitionRouting,   // Record violates its partition's speed class.
+  kLiveTier,           // TieredIndex's in-memory live tier is inconsistent.
 };
 
 const char* CheckIdName(CheckId check);
@@ -144,12 +145,13 @@ Escape FindEscape(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
                   Time true_expiry, bool expire_entries,
                   Time never_expires_horizon, const VerifyOptions& options);
 
-// Folds partition `partition`'s report into `into`: sums the counters and
-// appends the findings with "p<partition>: " prefixed to each detail,
+// Folds a component's report `part` into `into`: sums the counters and
+// appends the findings with "<label>: " prefixed to each detail,
 // recording at most options.max_findings and counting the rest as
-// suppressed.
-void MergePartitionReport(Report part, size_t partition,
-                          const VerifyOptions& options, Report* into);
+// suppressed. Labels name the component: "p<i>" for partition i, "queue"
+// for a scheduled index's deletion queue.
+void MergeReport(Report part, const std::string& label,
+                 const VerifyOptions& options, Report* into);
 
 // Appends the shared finding-report fields to an open JSON object in `w`:
 // "ok" and a "findings" array of {check, page?, level?, detail} objects,

@@ -12,10 +12,12 @@
 #include "btree/btree.h"
 #include "common/random.h"
 #include "storage/page_file.h"
+#include "tests/test_util.h"
 
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using Key = BTree::Key;
 
 TEST(BTreeKey, OrdersByTimeThenId) {
@@ -84,7 +86,7 @@ TEST(BTree, GrowsAndShrinksManyLevels) {
     tree.Insert(Key{static_cast<float>((i * 37) % 1000), static_cast<uint32_t>(i)},
                 nullptr);
   }
-  tree.CheckInvariants();
+  ExpectVerified(tree);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
   uint64_t grown_pages = file.allocated_pages();
   EXPECT_GT(grown_pages, 50u);
@@ -93,7 +95,7 @@ TEST(BTree, GrowsAndShrinksManyLevels) {
     ASSERT_TRUE(tree.Delete(
         Key{static_cast<float>((i * 37) % 1000), static_cast<uint32_t>(i)}));
   }
-  tree.CheckInvariants();
+  ExpectVerified(tree);
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_LE(file.allocated_pages(), 2u) << "pages must be reclaimed";
 }
@@ -139,9 +141,9 @@ TEST(BTree, RandomChurnMatchesStdMap) {
       }
     }
     ASSERT_EQ(tree.size(), reference.size());
-    if (step % 2000 == 1999) tree.CheckInvariants();
+    if (step % 2000 == 1999) ExpectVerified(tree);
   }
-  tree.CheckInvariants();
+  ExpectVerified(tree);
 }
 
 TEST(BTree, IoIsCounted) {

@@ -227,7 +227,7 @@ TEST(EdgeCaseTest, DeleteMatchesNonCanonicalRecords) {
   for (ObjectId oid = 100; oid < 400; ++oid) {
     tree.Insert(oid, tu::RandomPoint<2>(&rng, now), now);
   }
-  tree.CheckInvariants(now);
+  tu::ExpectVerified(tree, now);
 
   std::vector<ObjectId> hits;
   Rect<2> box;
@@ -251,7 +251,7 @@ TEST(EdgeCaseTest, DeleteMatchesNonCanonicalRecords) {
     records.push_back({oid, tu::RandomPoint<2>(&rng, now)});
   }
   bulk_tree.BulkLoad(std::move(records), now);
-  bulk_tree.CheckInvariants(now);
+  tu::ExpectVerified(bulk_tree, now);
   EXPECT_TRUE(bulk_tree.Delete(42, raw, now));
 }
 
@@ -347,6 +347,11 @@ TEST(ConcurrencyTest, ReadersSeeConsistentStateDuringWriterChurn) {
   }
 
   // Writer churn on the main thread: delete-or-insert a random slot.
+  // It starts once a reader has finished a round of queries, so the
+  // readers provably overlap the churn however the threads are scheduled.
+  while (queries_run.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   for (int round = 0; round < kChurnRounds; ++round) {
     int i = static_cast<int>(rng.UniformInt(kChurn));
     ObjectId oid = kChurnBase + i;
@@ -387,7 +392,7 @@ TEST(ConcurrencyTest, ReadersSeeConsistentStateDuringWriterChurn) {
     EXPECT_EQ(Sorted(results[i]), Sorted(expected)) << "query " << i;
   }
 
-  tree.CheckInvariants(now);
+  tu::ExpectVerified(tree, now);
   // Guard pins balance: only the root pin remains.
   EXPECT_EQ(tree.io_stats().pins - tree.io_stats().unpins, 1u);
 }
@@ -449,7 +454,7 @@ TEST(ConcurrencyTest, DeleteOfAbsentOidUnderConcurrentReaders) {
   for (std::thread& r : readers) r.join();
   EXPECT_EQ(failures.load(), 0u);
 
-  tree.CheckInvariants(now);
+  tu::ExpectVerified(tree, now);
   std::vector<ObjectId> expected, actual;
   Rect<2> whole;
   for (int d = 0; d < 2; ++d) {

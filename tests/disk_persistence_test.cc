@@ -23,6 +23,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -81,7 +82,7 @@ TEST(DiskPersistence, ChurnWithFullReopensMatchesOracle) {
         ASSERT_EQ(got, want) << "phase " << phase << " op " << op;
       }
     }
-    tree->CheckInvariants(now);
+    ExpectVerified(*tree, now);
     uint64_t entries_before = tree->leaf_entries();
     // Full restart: destroy the tree (persists metadata) and the device.
     tree.reset();
@@ -90,7 +91,7 @@ TEST(DiskPersistence, ChurnWithFullReopensMatchesOracle) {
     tree = std::make_unique<Tree<2>>(config, file.get());
     ASSERT_EQ(tree->leaf_entries(), entries_before)
         << "reopen lost entries in phase " << phase;
-    tree->CheckInvariants(now);
+    ExpectVerified(*tree, now);
   }
   std::remove(path.c_str());
 }
@@ -132,8 +133,8 @@ TEST(DiskPersistence, MemoryAndDiskProduceIdenticalTrees) {
   EXPECT_EQ(a.leaf_entries(), b.leaf_entries());
   EXPECT_EQ(a.PagesUsed(), b.PagesUsed());
   EXPECT_EQ(a.level_counts(), b.level_counts());
-  a.CheckInvariants(now);
-  b.CheckInvariants(now);
+  ExpectVerified(a, now);
+  ExpectVerified(b, now);
 }
 
 TEST(DiskPersistence, FreeListRoundTripsThroughMetadata) {
@@ -165,7 +166,7 @@ TEST(DiskPersistence, FreeListRoundTripsThroughMetadata) {
     recs[k] = recs.back();
     recs.pop_back();
   }
-  tree->CheckInvariants(now);
+  ExpectVerified(*tree, now);
 
   tree.reset();  // Commits metadata (root, height, free list).
   std::vector<PageId> want_free = file->free_list();
@@ -184,7 +185,7 @@ TEST(DiskPersistence, FreeListRoundTripsThroughMetadata) {
   EXPECT_EQ(file->allocated_pages(), want_allocated);
   EXPECT_EQ(file->capacity_pages(), want_capacity);
   EXPECT_EQ(file->leaked_pages(), want_leaked);
-  tree->CheckInvariants(now);
+  ExpectVerified(*tree, now);
 
   // New allocations must reuse the persisted free list before growing.
   for (int i = 0; i < 200; ++i) {

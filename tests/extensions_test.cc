@@ -22,6 +22,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -210,7 +211,7 @@ TEST(BulkLoad, BuildsAValidTreeThatMatchesTheOracle) {
     oracle.Insert(oid, p);
   }
   tree.BulkLoad(std::move(records), 0.0);
-  tree.CheckInvariants(0.0);
+  ExpectVerified(tree, 0.0);
   EXPECT_EQ(tree.leaf_entries(), 5000u);
   EXPECT_GE(tree.height(), 3);
 
@@ -234,7 +235,7 @@ TEST(BulkLoad, AchievesTargetFill) {
     records.push_back({oid, RandomPoint<2>(&rng, 0.0, 1e5)});
   }
   tree.BulkLoad(std::move(records), 0.0, /*fill=*/0.8);
-  TreeStats<2> stats = CollectStats(&tree, 0.0);
+  TreeStats<2> stats = CollectStats(&tree, 0.0).value();
   // Leaf fill close to the target (within the even-chunking rounding).
   EXPECT_GT(stats.levels[0].avg_fill, 0.7);
   EXPECT_LE(stats.levels[0].avg_fill, 1.0);
@@ -282,7 +283,7 @@ TEST(BulkLoad, LoadedTreeAcceptsUpdatesAndExpiry) {
       last[oid] = RandomPoint<2>(&rng, now, 20.0);
       tree.Insert(oid, last[oid], now);
     }
-    tree.CheckInvariants(now);
+    ExpectVerified(tree, now);
   }
   EXPECT_LT(tree.ExpiredLeafFraction(now), 0.15);
 }
@@ -302,7 +303,7 @@ TEST(BulkLoad, EmptyAndTinyInputs) {
   std::vector<ObjectId> hits;
   tiny.Search(Query<2>::Timeslice(Rect<2>{{0, 0}, {10, 10}}, 1), &hits);
   EXPECT_EQ(hits, (std::vector<ObjectId>{7}));
-  tiny.CheckInvariants(0.0);
+  ExpectVerified(tiny, 0.0);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "partition/partitioned_index.h"
 #include "sched/scheduled_index.h"
 #include "storage/page_file.h"
+#include "tests/test_util.h"
 #include "tree/index_contract.h"
 #include "tree/reference_index.h"
 #include "tree/tree.h"
@@ -25,6 +26,8 @@
 
 namespace rexp {
 namespace {
+
+using ::rexp::testing::ExpectVerified;
 
 WorkloadSpec TinySpec() {
   WorkloadSpec spec;
@@ -115,18 +118,7 @@ void RunAgainstReference(Index& index, const TreeConfig& config) {
     }
   }
   EXPECT_GT(queries, 100u);
-  if constexpr (std::is_same_v<Index, Tree<2>>) {
-    index.CheckInvariants(now);
-  } else if constexpr (kScheduled) {
-    index.tree().CheckInvariants(now);
-    index.queue().CheckInvariants();
-  } else if constexpr (kTiered) {
-    const Status status = index.CheckInvariants(now);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  } else {
-    const verify::Report report = index.Verify(now);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-  }
+  ExpectVerified(index, now);
 }
 
 void RunTree(const TreeConfig& config) {

@@ -31,6 +31,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -305,7 +306,7 @@ TEST(TieredIndex, ShortLivedReportsDieWithZeroPageIo) {
   EXPECT_EQ(index.live_tier().stats().died_in_place, 200u);
   EXPECT_EQ(index.live_tier().stats().died_with_tree_copy, 0u);
   EXPECT_EQ(index.tree().io_stats().Total(), io_before);
-  EXPECT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 }
 
 TEST(TieredIndex, SearchSuppressesStaleTreeCopies) {
@@ -346,7 +347,7 @@ TEST(TieredIndex, SearchSuppressesStaleTreeCopies) {
   ASSERT_EQ(hits.size(), 1u);
   index.Search(window(90, 110), &hits);
   EXPECT_TRUE(hits.empty());
-  EXPECT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 }
 
 // More than k owned objects keep stale tree copies nearer the query
@@ -387,7 +388,7 @@ TEST(TieredIndex, StaleTreeCopiesCannotCrowdOutNeighbors) {
     reference.NearestNeighbors({500, 500}, now, k, &want);
     EXPECT_EQ(got, want) << "k=" << k;
   }
-  EXPECT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 }
 
 // The tiered k-NN asks the tree for k objects with the live tier's
@@ -450,7 +451,7 @@ TEST(TieredIndex, NearestNeighborsMatchReferenceWithTiesAndExpiry) {
   index.DrainLiveTier(1.0);
   ASSERT_EQ(index.live_tier().owned_in_tree(), 0u);
   check("all migrated");
-  EXPECT_TRUE(index.CheckInvariants(1.0).ok());
+  ExpectVerified(index, 1.0);
 }
 
 TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {
@@ -475,12 +476,12 @@ TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {
   index.Search(everything, &hits);
   EXPECT_TRUE(hits.empty());
   EXPECT_GT(index.tree_cleanup_deletes(), 0u);
-  EXPECT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 }
 
-// A tree finding comes back as a non-OK Status; CheckInvariants never
-// aborts the process.
-TEST(TieredIndex, CheckInvariantsReturnsTreeFindings) {
+// A tree finding comes back in the report; Verify never aborts the
+// process.
+TEST(TieredIndex, VerifyReturnsTreeFindings) {
   MemoryPageFile file(512);
   const TreeConfig config = SmallConfig();
   TieredIndex<2> index(config, &file);
@@ -492,7 +493,7 @@ TEST(TieredIndex, CheckInvariantsReturnsTreeFindings) {
   ASSERT_GT(index.DrainLiveTier(now), 0u);
   ASSERT_TRUE(index.Commit().ok());
   ASSERT_GE(index.tree().height(), 2);
-  ASSERT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 
   // Collapse a committed internal entry's bound to a sliver in x: its
   // subtree's records escape it.
@@ -501,9 +502,11 @@ TEST(TieredIndex, CheckInvariantsReturnsTreeFindings) {
         node->entries[0].region.hi[0] = node->entries[0].region.lo[0];
         node->entries[0].region.vhi[0] = node->entries[0].region.vlo[0];
       }));
-  const Status status = index.CheckInvariants(now);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  const verify::Report report = index.Verify(now);
+  EXPECT_FALSE(report.ok());
+  for (const verify::Finding& f : report.findings) {
+    EXPECT_NE(f.check, verify::CheckId::kLiveTier) << f.detail;
+  }
 }
 
 // --- Oracle-backed churn ----------------------------------------------
@@ -595,8 +598,7 @@ TEST_P(TieredDrain, BatchedDrainIntoEmptyTreeMatchesSingles) {
     reference.NearestNeighbors(point, now + 1.0, 8, &nn_want);
     ASSERT_EQ(nn, nn_want);
   }
-  const Status status = index.CheckInvariants(now);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  ExpectVerified(index, now);
   ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&index.tree()));
 }
 
@@ -676,7 +678,8 @@ TEST(TieredChurn, MatchesReferenceOracle) {
     }
     if (op % 37 == 36) index.MigrateTick();
     if (op % 500 == 499) {
-      ASSERT_TRUE(index.CheckInvariants(now).ok()) << "op " << op;
+      SCOPED_TRACE(::testing::Message() << "op " << op);
+      ExpectVerified(index, now);
       reference.Vacuum(now);
     }
   }
@@ -701,7 +704,7 @@ TEST(TieredChurn, MatchesReferenceOracle) {
     std::sort(want.begin(), want.end());
     ASSERT_EQ(got, want) << "post-drain query " << i;
   }
-  ASSERT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
   ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&index.tree()));
 }
 
@@ -791,7 +794,7 @@ TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
   }
   ticker.reset();
   index.DrainLiveTier(now);
-  ASSERT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
   EXPECT_GT(index.migration_batches(), 0u);
 }
 
@@ -842,7 +845,7 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
   ticker.reset();
   index.DrainLiveTier(now);
   EXPECT_GT(index.migration_batches(), 0u);
-  ASSERT_TRUE(index.CheckInvariants(now).ok());
+  ExpectVerified(index, now);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 
 // Convenience: 1-D timeslice/window query over a position interval.
@@ -90,7 +91,7 @@ TEST(PaperScenario, Figure1StyleTimeline) {
                                  4, 7);
   EXPECT_EQ(RunQuery(tree, moving), (std::vector<ObjectId>{1}));
 
-  tree.CheckInvariants(2.0);
+  ExpectVerified(tree, 2.0);
 }
 
 TEST(PaperScenario, QueriesFarInTheFutureSeeFewObjects) {
@@ -119,7 +120,7 @@ TEST(TreeStatsModule, ReportsPlausibleStructure) {
   for (ObjectId oid = 0; oid < 3000; ++oid) {
     tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 1e5), 0.0);
   }
-  TreeStats<2> stats = CollectStats(&tree, 0.0);
+  TreeStats<2> stats = CollectStats(&tree, 0.0).value();
   EXPECT_EQ(stats.height, tree.height());
   EXPECT_EQ(stats.pages, tree.PagesUsed());
   ASSERT_GE(stats.levels.size(), 2u);
@@ -154,9 +155,9 @@ TEST(TreeStatsModule, LiveFractionDropsAsEntriesExpire) {
   for (ObjectId oid = 0; oid < 1000; ++oid) {
     tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 10.0), 0.0);
   }
-  TreeStats<2> before = CollectStats(&tree, 0.0);
+  TreeStats<2> before = CollectStats(&tree, 0.0).value();
   EXPECT_EQ(before.levels[0].live_entries, 1000u);
-  TreeStats<2> after = CollectStats(&tree, 20.0);
+  TreeStats<2> after = CollectStats(&tree, 20.0).value();
   EXPECT_EQ(after.levels[0].live_entries, 0u);
   EXPECT_EQ(after.levels[0].entries, 1000u) << "purge is lazy";
 }

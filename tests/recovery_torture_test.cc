@@ -42,6 +42,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -141,10 +142,8 @@ const CommitMarker* CheckRecovery(size_t crash_point,
 
   EXPECT_EQ(tree->leaf_entries(), m->leaf_entries)
       << "crash point " << crash_point << " epoch " << m->epoch;
-  tree->CheckInvariants(m->now);
-  Status verify = tree->VerifyPages();
-  EXPECT_TRUE(verify.ok()) << "crash point " << crash_point << ": "
-                           << verify.ToString();
+  SCOPED_TRACE(::testing::Message() << "crash point " << crash_point);
+  ExpectVerified(*tree, m->now);
 
   // Queries against the oracle snapshot taken at that commit.
   Rng rng(0x9e3779b9u + crash_point);
@@ -252,7 +251,7 @@ TEST(RecoveryTorture, SurvivesCrashesAtHundredsOfWritePoints) {
     }
     record_marker();  // Every op commits in crash-consistent mode.
   }
-  tree->CheckInvariants(now);
+  ExpectVerified(*tree, now);
   const WriteLog log = injector.write_log();  // Freeze before teardown.
   ASSERT_GT(log.size(), 400u) << "workload produced too few device writes";
 
@@ -390,9 +389,7 @@ TEST(RecoveryTorture, TieredCrashLosesOnlyUnmigratedRecords) {
   auto tree = std::move(tree_or).value();
 
   // fsck-clean: structural invariants and every page checksum.
-  tree->CheckInvariants(now);
-  Status verify = tree->VerifyPages();
-  EXPECT_TRUE(verify.ok()) << verify.ToString();
+  ExpectVerified(*tree, now);
 
   // The DAT rebuilt at open must mirror the physical leaf level — the
   // post-migration leaf walk and the rebuilt table agree exactly.
@@ -427,7 +424,7 @@ TEST(RecoveryTorture, TieredCrashLosesOnlyUnmigratedRecords) {
     std::vector<ObjectId> after;
     reopened.Search(later, &after);
     EXPECT_EQ(after.size(), migrated.size() + 81u);
-    ASSERT_TRUE(reopened.CheckInvariants(now).ok());
+    ExpectVerified(reopened, now);
     ASSERT_TRUE(reopened.Commit().ok());
   }
 
@@ -499,9 +496,8 @@ TEST(RecoveryTorture, BitRotInDataPageIsReportedAsCorruption) {
     // Metadata was intact; the damage must be caught on page access.
     auto tree = std::move(tree_or).value();
     EXPECT_EQ(tree->meta_epoch(), built.final_epoch);
-    Status verify = tree->VerifyPages();
-    ASSERT_FALSE(verify.ok()) << "rotten pages verified clean";
-    EXPECT_TRUE(verify.IsCorruption()) << verify.ToString();
+    EXPECT_FALSE(tree->Verify(built.now).ok())
+        << "rotten pages verified clean";
   } else {
     EXPECT_TRUE(tree_or.status().IsCorruption())
         << tree_or.status().ToString();
@@ -526,7 +522,7 @@ TEST(RecoveryTorture, DamagedNewestMetaSlotFailsOverToOlder) {
   // No operations ran between the two final commits, so the older slot
   // describes the same tree contents.
   EXPECT_EQ(tree->leaf_entries(), built.leaf_entries);
-  tree->CheckInvariants(built.now);
+  ExpectVerified(*tree, built.now);
   tree.reset();
   file.reset();
   std::remove(path.c_str());

@@ -18,6 +18,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -70,8 +71,7 @@ TEST(ScheduledIndex, TreeStaysFreeOfExpiredEntries) {
     EXPECT_LT(index.tree().ExpiredLeafFraction(now), 1e-9)
         << "scheduled deletions keep the tree exactly clean";
   }
-  index.tree().CheckInvariants(now);
-  index.queue().CheckInvariants();
+  ExpectVerified(index, now);
 }
 
 TEST(ScheduledIndex, AgreesWithReferenceAcrossChurn) {
@@ -115,10 +115,42 @@ TEST(ScheduledIndex, AgreesWithReferenceAcrossChurn) {
       ASSERT_EQ(got, want) << "op " << op;
     }
     if (op % 500 == 499) {
-      index.tree().CheckInvariants(now);
-      index.queue().CheckInvariants();
+      ExpectVerified(index, now);
       reference.Vacuum(now);
     }
+  }
+}
+
+// One report covers both structures: damage to a queue page surfaces as
+// a finding labeled "queue: ", next to the tree's (here: none).
+TEST(ScheduledIndex, VerifyLabelsQueueFindings) {
+  MemoryPageFile tree_file(512), queue_file(512);
+  ScheduledIndex<2> index(SmallConfig(), &tree_file, &queue_file);
+  Rng rng(5);
+  const Time now = 0;
+  for (ObjectId oid = 0; oid < 200; ++oid) {
+    index.Insert(oid, RandomPoint<2>(&rng, now), now);
+  }
+  ExpectVerified(index, now);  // Also flushes the queue's dirty pages.
+
+  // Give the first queue leaf (level tag 0) an impossible level tag.
+  // WritePage re-seals the frame checksum, so only the structural walk
+  // can catch it.
+  Page page(512);
+  bool damaged = false;
+  for (PageId id = 0; id < queue_file.capacity_pages() && !damaged; ++id) {
+    if (!queue_file.ReadPage(id, &page).ok()) continue;
+    if (page.Read<uint16_t>(0) != 0) continue;
+    page.Write<uint16_t>(0, 9);
+    ASSERT_TRUE(queue_file.WritePage(id, page).ok());
+    damaged = true;
+  }
+  ASSERT_TRUE(damaged) << "no queue leaf found";
+
+  const verify::Report report = index.Verify(now);
+  ASSERT_FALSE(report.ok());
+  for (const verify::Finding& f : report.findings) {
+    EXPECT_EQ(f.detail.rfind("queue: ", 0), 0u) << f.detail;
   }
 }
 

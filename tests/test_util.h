@@ -2,7 +2,8 @@
 //
 // Shared helpers for the rexp test suite: random generation of canonical
 // moving points, TPBR entry sets, and queries; fault seeding into a
-// committed on-disk index.
+// committed on-disk index; the verification expectation every test
+// shares.
 
 #ifndef REXP_TESTS_TEST_UTIL_H_
 #define REXP_TESTS_TEST_UTIL_H_
@@ -46,6 +47,15 @@ inline PageId FindPageAtLevel(PageFile* file, const TreeConfig& config,
   const PageId id = verify::CommittedPageAtLevel<2>(file, config, level);
   EXPECT_NE(id, kInvalidPageId) << "no committed page at level " << level;
   return id;
+}
+
+// Runs `index.Verify(args...)` — the one check of every front-end
+// (IndexFrontEnd) and of the B-tree queue — and fails the test with the
+// report on any finding.
+template <typename Index, typename... Args>
+void ExpectVerified(Index& index, const Args&... args) {
+  const verify::Report report = index.Verify(args...);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // A random canonical moving point observed at `now`, with expiration in

@@ -25,6 +25,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -213,7 +214,7 @@ TEST(TreeEdge, OrphanCapLeavesUnderfullNodesButKeepsAnswersExact) {
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     ASSERT_EQ(got, want) << "round " << round;
-    tree.CheckInvariants(now);
+    ExpectVerified(tree, now);
     reference.Vacuum(now);
   }
   EXPECT_GT(tree.underfull_remnants(), 0u)
@@ -262,7 +263,7 @@ TEST(TreeEdge, MassExpiryCollapsesViaSparseInserts) {
     tree.Insert(static_cast<ObjectId>(10000 + i),
                 RandomPoint<2>(&rng, now, 5.0), now);
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   EXPECT_LT(tree.leaf_entries(), 100u);
   EXPECT_LT(tree.PagesUsed(), peak_pages / 4);
 }

@@ -21,6 +21,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -130,10 +131,10 @@ void RunWorkload(const Flavor& flavor, uint64_t seed, int ops,
                            << now << ")";
     }
     if (op % check_every == check_every - 1) {
-      tree.CheckInvariants(now);
+      ExpectVerified(tree, now);
     }
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
 }
 
 class TreeVsReference : public ::testing::TestWithParam<Flavor> {};
@@ -193,7 +194,7 @@ TEST(TreeVsReferenceChurn, ExpiryDominatedWorkload) {
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     ASSERT_EQ(got, want) << "round " << round;
-    tree.CheckInvariants(now);
+    ExpectVerified(tree, now);
     reference.Vacuum(now);
   }
   // Nearly everything has expired; the index must have stayed small.

@@ -21,6 +21,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 
 TEST(NodeCodec, PaperFanouts) {
@@ -234,13 +235,13 @@ TEST(Tree, GrowsAndShrinksAcrossLevels) {
     records.push_back({oid, p});
   }
   EXPECT_GE(tree.height(), 3);
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
 
   // Delete everything; the tree must shrink back and leak no pages.
   for (const auto& [oid, p] : records) {
     ASSERT_TRUE(tree.Delete(oid, p, now));
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   EXPECT_EQ(tree.leaf_entries(), 0u);
   EXPECT_LE(tree.height(), 1);
   EXPECT_LE(file.allocated_pages(), 3u);  // Meta slots (+ empty leaf root).
@@ -270,7 +271,7 @@ TEST(Tree, LazyPurgeKeepsExpiredFractionLow) {
       }
     }
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   EXPECT_LT(tree.ExpiredLeafFraction(now), 0.15)
       << "lazy purge failed to keep expired entries rare";
 }
@@ -299,7 +300,7 @@ TEST(Tree, PersistsAcrossReopen) {
     }
   }
   Tree<2> reopened(config, &file);
-  reopened.CheckInvariants(0.0);
+  ExpectVerified(reopened, 0.0);
   EXPECT_EQ(reopened.leaf_entries(), 500u);
   std::vector<ObjectId> hits;
   reopened.Search(
@@ -317,7 +318,7 @@ TEST(Tree, WorksOnDiskPageFile) {
   for (ObjectId oid = 0; oid < 300; ++oid) {
     tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 1e6), 0.0);
   }
-  tree.CheckInvariants(0.0);
+  ExpectVerified(tree, 0.0);
   std::vector<ObjectId> hits;
   tree.Search(Query<2>::Window(Rect<2>{{0, 0}, {1000, 1000}}, 0.0, 1.0),
               &hits);
@@ -554,7 +555,7 @@ TEST_P(TreeGolden, SequentialMutationsKeepPageBytes) {
       (void)tree.Delete(o.oid, o.rec, now, /*see_expired=*/true);
     }
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   const TreeOpStats& ops = tree.op_stats();
   EXPECT_GT(ops.splits.load(), 0u);
   EXPECT_GT(ops.forced_reinserts.load(), 0u);
@@ -599,7 +600,7 @@ TEST_P(TreeGolden, SequentialMutationsKeepPageBytes) {
     }
     (void)group.GroupUpdate(batch, now);
   }
-  group.CheckInvariants(now);
+  ExpectVerified(group, now);
   const uint64_t grouped = HashTreeState(&group, &group_file);
 
   const uint64_t want_sequential = config.crash_consistent

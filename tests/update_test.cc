@@ -26,6 +26,7 @@
 namespace rexp {
 namespace {
 
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::RandomPoint;
 using ::rexp::testing::RandomQuery;
 
@@ -292,9 +293,9 @@ TEST_P(DatChurn, SnapshotMatchesWalkAfterEveryMutation) {
       continue;  // Queries do not mutate; skip the walk.
     }
     ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&tree)) << "op " << op;
-    if (op % 200 == 199) tree.CheckInvariants(now);
+    if (op % 200 == 199) ExpectVerified(tree, now);
   }
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
 
   const TreeOpStats& ops_stats = tree.op_stats();
   EXPECT_GT(ops_stats.updates.load(), 0u);
@@ -381,8 +382,8 @@ TEST(GroupUpdate, MatchesSequentialUpdates) {
     }
     ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&grouped));
   }
-  grouped.CheckInvariants(now);
-  sequential.CheckInvariants(now);
+  ExpectVerified(grouped, now);
+  ExpectVerified(sequential, now);
   EXPECT_GT(grouped.op_stats().group_update_batches.load(), 0u);
   // Perturbation updates on a stable population: the batched leaf pass
   // must actually coalesce (fast-path counter advanced).
@@ -522,9 +523,9 @@ TEST_P(GroupUpdateEdge, AdversarialBatchesMatchSequentialAndOracle) {
     }
     ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&grouped)) << "round "
                                                             << round;
-    grouped.CheckInvariants(now);
+    ExpectVerified(grouped, now);
   }
-  sequential.CheckInvariants(now);
+  ExpectVerified(sequential, now);
   EXPECT_GT(grouped.op_stats().group_update_batches.load(), 0u);
 }
 
@@ -793,7 +794,7 @@ TEST(GroupUpdate, EmptyBatchIsANoOp) {
   Tree<2> tree(config, &file);
   std::vector<bool> result = tree.GroupUpdate({}, 0.0);
   EXPECT_TRUE(result.empty());
-  tree.CheckInvariants(0.0);
+  ExpectVerified(tree, 0.0);
 }
 
 // --- Fast-path admission ----------------------------------------------
@@ -843,7 +844,7 @@ TEST(UpdateFastPath, StableWorkloadHitsInPlacePath) {
   // more; the bound is loose to stay robust across codec/page tweaks).
   EXPECT_GT(ops.update_fast.load(), static_cast<uint64_t>(updates) / 2);
   EXPECT_GT(ops.dat_hits.load(), 0u);
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   ASSERT_NO_FATAL_FAILURE(ExpectDatMatchesWalk(&tree));
 }
 
@@ -906,7 +907,7 @@ TEST(DatRebuild, ReopenReconstructsTableFromLeafWalk) {
   Tpbr<2> fresh = MakeMovingPoint<2>(pos, vel, now, now + 120.0);
   ASSERT_TRUE(tree.Update(oid, records[oid], fresh, now));
   EXPECT_EQ(tree.op_stats().dat_hits.load(), 1u);
-  tree.CheckInvariants(now);
+  ExpectVerified(tree, now);
   std::remove(path.c_str());
 }
 

@@ -28,6 +28,7 @@ namespace rexp {
 namespace {
 
 using ::rexp::testing::EditCommittedMeta;
+using ::rexp::testing::ExpectVerified;
 using ::rexp::testing::FindPageAtLevel;
 using ::rexp::testing::RandomPoint;
 using verify::CheckId;
@@ -79,7 +80,7 @@ Time BuildDiskIndex(const std::string& path, const TreeConfig& config,
     live[k] = live.back();
     live.pop_back();
   }
-  tree->CheckInvariants(now);
+  ExpectVerified(*tree, now);
   tree.reset();   // Commits metadata.
   file.reset();
   return now;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/page_file.h"
+#include "tests/test_util.h"
 #include "tree/reference_index.h"
 #include "tree/tree.h"
 #include "workload/generator.h"
@@ -19,6 +20,8 @@
 
 namespace rexp {
 namespace {
+
+using ::rexp::testing::ExpectVerified;
 
 WorkloadSpec SmallSpec() {
   WorkloadSpec spec;
@@ -279,7 +282,7 @@ TEST(WorkloadGenerator, ReplayDrivesTreeUpdateAgainstOracle) {
   const TreeOpStats& ops = tree.op_stats();
   EXPECT_EQ(ops.updates.load(), updates);
   EXPECT_GT(ops.update_fast.load(), ops.update_fallback.load());
-  tree.CheckInvariants(last_time);
+  ExpectVerified(tree, last_time);
 }
 
 TEST(WorkloadGenerator, UniformModeCoversSpace) {

@@ -9,10 +9,13 @@
 //
 // --json emits the whole report as one JSON object (structure, per-level
 // stats, horizon estimate, and the telemetry registry snapshot) instead
-// of the human-readable text; --metrics emits only the registry snapshot.
-// Exit 0 when every page checksum verifies, 1 on damage (or an
-// unopenable file), 2 on usage errors. The full invariant catalog is
-// rexp_fsck's job; to follow an index another process is writing, run
+// of the human-readable text; --metrics emits only the registry snapshot,
+// whose buffer and device counters include the open and the statistics
+// walk. Opening checks the newest meta slot and every reachable page
+// (checksum and node header); the statistics walk reads every page
+// through the same checked decode. Exit 0 when both pass, 1 on damage
+// (or an unopenable file), 2 on usage errors. The full invariant catalog
+// is rexp_fsck's job; to follow an index another process is writing, run
 // `watch -n 1 inspect_index <index-file>`. The file is only read: the
 // tree commits on close only after a mutation, so it keeps its bytes.
 //
@@ -70,11 +73,13 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
   }
   auto tree = std::move(tree_or).value();
 
-  Status verify = tree->VerifyPages();
+  // The damage verdict: the statistics walk reads every reachable page.
+  StatusOr<TreeStats<2>> stats = CollectStats(tree.get(), now);
+  const Status verify = stats.status();
 
   if (metrics_only) {
-    // Just the registry snapshot (the open + verification walk already
-    // populated the device and buffer counters).
+    // Just the registry snapshot (the open and the statistics walk
+    // already populated the device and buffer counters).
     obs::MetricsRegistry registry;
     tree->RegisterMetrics(&registry, "tree.");
     std::printf("%s\n", registry.ToJson().c_str());
@@ -92,12 +97,11 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
     w.KV("verify_ok", verify.ok());
     if (!verify.ok()) w.KV("verify_error", verify.ToString());
     if (verify.ok()) {
-      TreeStats<2> stats = CollectStats(tree.get(), now);
-      w.KV("height", stats.height);
-      w.KV("pages", stats.pages);
-      w.KV("total_entries", stats.TotalEntries());
+      w.KV("height", stats->height);
+      w.KV("pages", stats->pages);
+      w.KV("total_entries", stats->TotalEntries());
       w.Key("levels").BeginArray();
-      for (const LevelStats& l : stats.levels) {
+      for (const LevelStats& l : stats->levels) {
         w.BeginObject();
         w.KV("level", l.level);
         w.KV("nodes", l.nodes);
@@ -137,13 +141,12 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
               verify.ok() ? "OK (all checksums valid)"
                           : verify.ToString().c_str());
   if (!verify.ok()) {
-    // Walking a damaged tree would abort on the corrupt page; stop at
+    // The expired-fraction walk would abort on the corrupt page; stop at
     // the report.
     std::fflush(stdout);
     return 1;
   }
-  TreeStats<2> stats = CollectStats(tree.get(), now);
-  std::printf("%s", FormatStats(stats).c_str());
+  std::printf("%s", FormatStats(*stats).c_str());
   std::printf("estimated update interval UI = %.2f (W = %.2f, H = %.2f)\n",
               tree->horizon().ui(), tree->horizon().w(),
               tree->horizon().DecisionHorizon());
