@@ -153,7 +153,7 @@ void Drive(WorkloadGenerator* gen, Index* index, Run* run) {
           ? static_cast<double>(run->update_ops) / run->update_seconds
           : 0;
   run->index_pages = index->PagesUsed();
-  run->expired_fraction = index->ExpiredLeafFraction(now);
+  run->expired_fraction = index->ExpiredLeafFraction(now).value();
 }
 
 Run RunOne(const std::string& workload, const WorkloadSpec& spec,

@@ -196,7 +196,11 @@ BENCHMARK(BM_TreeSearch);
 // runs `query(index, rng)`: the hot path (routing, descent, node views,
 // result merging, telemetry) must not allocate at all in steady state.
 // This is a hard regression gate, not a measurement — the process aborts
-// if the guarantee breaks.
+// if the guarantee breaks. The objects report over [0, kGateQueryTime)
+// and the queries ask at kGateQueryTime, so TieredIndex's live-tier bins
+// are anchored after time 0 and its NN walks them nearest-first.
+constexpr Time kGateQueryTime = 20.0;
+
 template <typename Index, typename QueryFn>
 void ResidentQueryGate(benchmark::State& state, const char* what,
                        QueryFn query) {
@@ -218,8 +222,10 @@ void ResidentQueryGate(benchmark::State& state, const char* what,
   } else {
     index = std::make_unique<Index>(config, raw[0]);
   }
-  for (ObjectId oid = 0; oid < 20000; ++oid) {
-    index->Insert(oid, RandomPoint<2>(&rng, 0.0, 1e5), 0.0);
+  constexpr ObjectId kObjects = 20000;
+  for (ObjectId oid = 0; oid < kObjects; ++oid) {
+    const Time now = kGateQueryTime * oid / kObjects;
+    index->Insert(oid, RandomPoint<2>(&rng, now, 1e5), now);
   }
   // Warm the per-thread scratch and fault every page into the pool.
   for (int i = 0; i < 200; ++i) query(*index, rng);
@@ -247,7 +253,7 @@ void SearchResident(benchmark::State& state, const char* what) {
   hits.reserve(20000);
   ResidentQueryGate<Index>(state, what, [&hits](Index& index, Rng& rng) {
     hits.clear();
-    index.Search(RandomQuery<2>(&rng, 0.0), &hits);
+    index.Search(RandomQuery<2>(&rng, kGateQueryTime), &hits);
     benchmark::DoNotOptimize(hits.data());
   });
 }
@@ -257,7 +263,7 @@ void NnResident(benchmark::State& state, const char* what) {
   nn.reserve(10);
   ResidentQueryGate<Index>(state, what, [&nn](Index& index, Rng& rng) {
     const Vec<2> q{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    index.NearestNeighbors(q, 0.0, 10, &nn);
+    index.NearestNeighbors(q, kGateQueryTime, 10, &nn);
     benchmark::DoNotOptimize(nn.data());
   });
 }

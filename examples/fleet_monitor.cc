@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
           "region hits(10min)=%3zu  cumulative I/O=%llu\n",
           now, static_cast<unsigned long long>(reports),
           static_cast<unsigned long long>(tree->leaf_entries()),
-          100 * tree->ExpiredLeafFraction(now), hits.size(),
+          100 * tree->ExpiredLeafFraction(now).value(), hits.size(),
           static_cast<unsigned long long>(io));
 
       // Track one vehicle from the answer with a moving query: who will be

@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
                                        })),
         offline_events, round_hits,
         static_cast<unsigned long long>(tree.leaf_entries()),
-        100 * tree.ExpiredLeafFraction(now));
+        100 * tree.ExpiredLeafFraction(now).value());
     now += kRoundMinutes;
     oracle.Vacuum(now);
   }

@@ -186,7 +186,8 @@ RunResult Measure(const WorkloadSpec& spec, const VariantSpec& variant,
                           : 0;
   }
   result.index_pages = index.PagesUsed();
-  result.expired_fraction = index.ExpiredLeafFraction(now);
+  // The run's pages live in memory: no device can fail the walk.
+  result.expired_fraction = index.ExpiredLeafFraction(now).value();
   result.avg_result_size =
       result.queries ? static_cast<double>(result_size_total) /
                            static_cast<double>(result.queries)

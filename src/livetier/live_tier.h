@@ -5,22 +5,34 @@
 // expiration time and most reports are superseded or expire quickly; LIT
 // (SIGMOD 2024) showed that absorbing such short-lived data in a cheap
 // in-memory structure and migrating to the heavy index only in bulk
-// flattens ingest cost. This class is that structure: an object-id hash
-// map holding the newest record per object, plus coarse spatial bins over
-// position/velocity so window queries can prune without scanning every
-// resident record.
+// flattens ingest cost. This class is that structure: spatial bins, one
+// per occupied grid cell of side `bin_cell` (keyed by the cell of the
+// report-time position, as MOIST keys its object store), each holding
+// its members' newest records, plus an object-id hash map from each
+// object to its place in its bin.
 //
-// Per-object state tracks two records: `record`, the newest report (what
-// queries answer with), and optionally `tree_record`, the copy that was
-// last migrated into the paged tree and is now stale there. While an
-// object is resident ("owned") the tier's answer wins and the tree's copy
-// must be suppressed from query results. Every report also joins a
-// report-ordered queue; migration pops its oldest eligible entries off
-// the front (TakeBatch — skipping items a re-report or departure made
-// stale, so a tick touches O(batch) residents), and the caller writes
-// the batch — fresh records and replacements of tree copies — into the
-// tree as one Tree::GroupUpdate in the same critical section, so no
-// report can land between taking an entry and writing it.
+// A bin's bound is anchored: positions at the bin's anchor time `t_ref`
+// plus velocity ranges, valid for t >= t_ref only. `t_ref` is the tier's
+// latest time when the bin was created or its bound last rebuilt, so the
+// bound is as tight as the members' velocity spread allows from the
+// moment the bin was (re)built. A query reaching before `t_ref` scans the
+// bin without pruning. Window queries test each bin's bound before its
+// members; nearest-neighbor queries visit bins in order of their minimum
+// distance and stop once the next one is farther than the k-th best.
+//
+// Each record is held once, in its bin's member array, so a query scans
+// contiguous records with no hash lookup per member. The map entry holds
+// the object's (bin, slot), its report bookkeeping and optionally
+// `tree_record`, the copy that was last migrated into the paged tree and
+// is now stale there. While an object is resident ("owned") the tier's
+// answer wins and the tree's copy must be suppressed from query results.
+// Every report also joins a report-ordered queue; migration pops its
+// oldest eligible entries off the front (TakeBatch — skipping items a
+// re-report or departure made stale, so a tick touches O(batch)
+// residents), and the caller writes the batch — fresh records and
+// replacements of tree copies — into the tree as one Tree::GroupUpdate
+// in the same critical section, so no report can land between taking an
+// entry and writing it.
 //
 // Records whose expiration passes while resident simply die in place — an
 // expiry min-heap pops them lazily on the next operation, with zero page
@@ -36,11 +48,14 @@
 #define REXP_LIVETIER_LIVE_TIER_H_
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,9 +85,7 @@ struct LiveTierOptions {
   size_t max_resident = 8192;
   // Upper bound on records per migration batch.
   size_t max_batch = 256;
-  // Coarse spatial bins for query pruning.
-  size_t num_bins = 64;
-  // Edge length of the grid cells hashed into bins.
+  // Edge length of the grid cells that key the spatial bins.
   double bin_cell = 100.0;
 };
 
@@ -86,6 +99,7 @@ class LiveTier {
     uint64_t died_with_tree_copy = 0;  // Expired; caller cleans the tree.
     uint64_t migrated = 0;          // Records handed to the tree.
     uint64_t bin_rebuilds = 0;      // Bin bound recomputations.
+    uint64_t members_tested = 0;    // Records examined by Search and NN.
 
     // The one list of the counters; TieredIndex::RegisterMetrics binds
     // each entry as `livetier.<name>`.
@@ -95,7 +109,8 @@ class LiveTier {
                        {"died_in_place", &Stats::died_in_place},
                        {"died_with_tree_copy", &Stats::died_with_tree_copy},
                        {"migrated", &Stats::migrated},
-                       {"bin_rebuilds", &Stats::bin_rebuilds}};
+                       {"bin_rebuilds", &Stats::bin_rebuilds},
+                       {"members_tested", &Stats::members_tested}};
   };
 
   // One record to apply to the tree: replace `tree_record` (when present)
@@ -126,9 +141,7 @@ class LiveTier {
   // as false drops). TieredIndex passes TreeConfig::expire_entries so both
   // tiers agree.
   LiveTier(const LiveTierOptions& options, bool expire)
-      : options_(options),
-        expire_(expire),
-        bins_(options.num_bins == 0 ? 1 : options.num_bins) {}
+      : options_(options), expire_(expire) {}
 
   size_t resident() const { return map_.size(); }
   bool Owns(ObjectId oid) const { return map_.Find(oid) != nullptr; }
@@ -138,11 +151,7 @@ class LiveTier {
   // Number of resident objects that also have a (stale) copy in the tree.
   size_t owned_in_tree() const { return owned_in_tree_; }
 
-  size_t bins_occupied() const {
-    size_t n = 0;
-    for (const Bin& b : bins_) n += b.members.empty() ? 0 : 1;
-    return n;
-  }
+  size_t bins_occupied() const { return cells_.size(); }
 
   // Absorbs one position report. Returns true when it replaced a resident
   // record (an absorbed update), false on fresh admission. `tree_record`,
@@ -153,55 +162,50 @@ class LiveTier {
   // stays authoritative — it names what is physically in the tree).
   bool Report(ObjectId oid, const Tpbr<kDims>& record, Time now,
               const Tpbr<kDims>* tree_record = nullptr) {
+    Advance(now);
     Entry* e = map_.Find(oid);
     const bool absorbed = e != nullptr;
-    const uint32_t seq = ++report_seq_;
     if (absorbed) {
-      RemoveFromBin(e->bin, oid);
-      e->record = record;
-      e->last_report = now;
-      e->seq = seq;
-      e->bin = AddToBin(oid, record, now);
+      RemoveFromBin(*e);
       ++stats_.updates_absorbed;
     } else {
-      Entry fresh;
-      fresh.record = record;
+      e = map_.FindOrInsert(oid, Entry{});
       if (tree_record != nullptr) {
-        fresh.has_tree_record = true;
-        fresh.tree_record = *tree_record;
+        e->has_tree_record = true;
+        e->tree_record = *tree_record;
         ++owned_in_tree_;
       }
-      fresh.last_report = now;
-      fresh.seq = seq;
-      fresh.bin = AddToBin(oid, record, now);
-      map_.Put(oid, fresh);
       ++stats_.admitted;
     }
+    e->last_report = now;
+    e->seq = ++report_seq_;
+    AddToBin(oid, record, now, e);
     if (IsFiniteTime(record.t_exp)) {
       expiry_heap_.push(HeapItem{record.t_exp, oid});
     }
-    queue_.push_back(QueueItem{now, oid, seq});
+    queue_.push_back(QueueItem{now, oid, e->seq});
     return absorbed;
   }
 
   // Removes `oid` from the tier (a deletion). Returns whether it was
   // resident; fills *dead with the tree-side cleanup obligation.
   bool Remove(ObjectId oid, DeadEntry* dead) {
-    Entry* e = map_.Find(oid);
+    const Entry* e = map_.Find(oid);
     if (e == nullptr) return false;
     dead->oid = oid;
     dead->has_tree_record = e->has_tree_record;
     dead->tree_record = e->tree_record;
     if (e->has_tree_record) --owned_in_tree_;
-    RemoveFromBin(e->bin, oid);
+    RemoveFromBin(*e);
     map_.Erase(oid);
     return true;
   }
 
-  // The resident record for `oid`, or nullptr.
+  // The resident record for `oid`, or nullptr. Valid until the next
+  // mutation of the tier.
   const Tpbr<kDims>* Find(ObjectId oid) const {
     const Entry* e = map_.Find(oid);
-    return e == nullptr ? nullptr : &e->record;
+    return e == nullptr ? nullptr : &RecordOf(*e);
   }
 
   // Pops every record whose expiration has passed: it dies in place.
@@ -209,28 +213,31 @@ class LiveTier {
   // the caller can delete the copy (otherwise it would resurface once the
   // object is no longer owned).
   void ExpireDue(Time now, std::vector<DeadEntry>* dead) {
+    Advance(now);
     // Every report pushes a heap item and superseded items linger until
-    // their (old) expiry passes; rebuild from the map when stale items
-    // dominate so a long-lived chatty object cannot grow the heap
+    // their (old) expiry passes; rebuild from the residents when stale
+    // items dominate so a long-lived chatty object cannot grow the heap
     // unboundedly.
     if (expiry_heap_.size() > 4 * map_.size() + 64) {
       std::vector<HeapItem> fresh;
       fresh.reserve(map_.size());
-      map_.ForEach([&](uint32_t oid, const Entry& e) {
-        if (IsFiniteTime(e.record.t_exp)) {
-          fresh.push_back(HeapItem{e.record.t_exp, oid});
+      for (const Bin& bin : bins_) {
+        for (const Member& m : bin.members) {
+          if (IsFiniteTime(m.record.t_exp)) {
+            fresh.push_back(HeapItem{m.record.t_exp, m.oid});
+          }
         }
-      });
+      }
       expiry_heap_ = decltype(expiry_heap_)(std::greater<HeapItem>(),
                                             std::move(fresh));
     }
     while (!expiry_heap_.empty() && expiry_heap_.top().t_exp < now) {
       HeapItem item = expiry_heap_.top();
       expiry_heap_.pop();
-      Entry* e = map_.Find(item.oid);
+      const Entry* e = map_.Find(item.oid);
       // The object already left the tier, or a newer report with another
       // expiry superseded this item (that report's own item is pending).
-      if (e == nullptr || e->record.t_exp != item.t_exp) continue;
+      if (e == nullptr || RecordOf(*e).t_exp != item.t_exp) continue;
       if (e->has_tree_record) {
         --owned_in_tree_;
         ++stats_.died_with_tree_copy;
@@ -238,7 +245,7 @@ class LiveTier {
       } else {
         ++stats_.died_in_place;
       }
-      RemoveFromBin(e->bin, item.oid);
+      RemoveFromBin(*e);
       map_.Erase(item.oid);
     }
   }
@@ -255,6 +262,7 @@ class LiveTier {
   // requires of `now` — oldest first; a tick touches O(batch) residents.
   void TakeBatch(Time now, std::vector<MigrationItem>* out,
                  bool force = false) {
+    Advance(now);
     out->clear();
     const bool pressure = force || map_.size() > options_.max_resident;
     // Re-reports and departures leave stale items behind; rebuild from
@@ -279,9 +287,10 @@ class LiveTier {
       // Time only advances, so a dying record, or one within
       // min_residual_life of its expiry, never becomes eligible again
       // (a re-report queues it anew). It dies in place.
-      if (!e->record.LiveAt(now) ||
-          (IsFiniteTime(e->record.t_exp) &&
-           e->record.t_exp - now < options_.min_residual_life)) {
+      const Tpbr<kDims>& record = RecordOf(*e);
+      if (!record.LiveAt(now) ||
+          (IsFiniteTime(record.t_exp) &&
+           record.t_exp - now < options_.min_residual_life)) {
         queue_.pop_front();
         continue;
       }
@@ -302,10 +311,10 @@ class LiveTier {
     for (size_t i = 0; i < take; ++i) {
       const ObjectId oid = taken[i].oid;
       const Entry* e = map_.Find(oid);
-      out->push_back(
-          MigrationItem{oid, e->record, e->has_tree_record, e->tree_record});
+      out->push_back(MigrationItem{oid, RecordOf(*e), e->has_tree_record,
+                                   e->tree_record});
       if (e->has_tree_record) --owned_in_tree_;
-      RemoveFromBin(e->bin, oid);
+      RemoveFromBin(*e);
       map_.Erase(oid);
       ++stats_.migrated;
     }
@@ -314,66 +323,118 @@ class LiveTier {
   // Appends every resident object whose record intersects the query.
   // Matches the tree's leaf predicate exactly (tpbr/intersect.h), so
   // tiered answers are indistinguishable from tree answers.
-  void Search(const Query<kDims>& query, std::vector<ObjectId>* out) const {
-    for (size_t i = 0; i < bins_.size(); ++i) {
-      const Bin& bin = bins_[i];
+  void Search(const Query<kDims>& query, std::vector<ObjectId>* out) {
+    for (const Bin& bin : bins_) {
       if (bin.members.empty()) continue;
-      if (!Intersects(bin.bound, query,
+      // The bound holds from t_ref on; a query reaching earlier scans
+      // the bin.
+      if (query.t_lo >= bin.t_ref &&
+          !Intersects(bin.bound, query,
                       expire_ ? bin.bound.t_exp : kNeverExpires)) {
         continue;
       }
-      for (ObjectId oid : bin.members) {
-        const Entry* e = map_.Find(oid);
-        REXP_DCHECK(e != nullptr && e->bin == i);
-        const Time expiry =
-            expire_ ? e->record.t_exp : kNeverExpires;
-        if (Intersects(e->record, query, expiry)) out->push_back(oid);
+      stats_.members_tested += bin.members.size();
+      for (const Member& m : bin.members) {
+        const Time expiry = expire_ ? m.record.t_exp : kNeverExpires;
+        if (Intersects(m.record, query, expiry)) out->push_back(m.oid);
       }
     }
   }
 
-  // Appends every resident object live at `t` with its squared distance
-  // from `point` at `t`. The tier is small by construction, so a full
-  // scan beats maintaining a spatial structure precise enough for NN.
-  void NnCandidates(const Vec<kDims>& point, Time t,
-                    std::vector<Candidate>* out) const {
-    map_.ForEach([&](uint32_t oid, const Entry& e) {
-      if (expire_ && !e.record.LiveAt(t)) return;
-      double d2 = 0;
-      for (int d = 0; d < kDims; ++d) {
-        double delta = e.record.LoAt(d, t) - point[d];
-        d2 += delta * delta;
+  // Replaces *out with the (at most) k resident objects live at `t`
+  // nearest to `point` at `t`, by (squared distance, oid), in no
+  // particular order. Bins are visited nearest first and the walk stops
+  // once the next bin is farther than the k-th best. A bin anchored
+  // after `t` has no bound at `t` and counts as distance 0.
+  void NnCandidates(const Vec<kDims>& point, Time t, int k,
+                    std::vector<Candidate>* out) {
+    out->clear();
+    if (k <= 0) return;
+    const auto want = static_cast<size_t>(k);
+    // Min-heap of (bin distance, bin index).
+    bin_order_.clear();
+    for (size_t i = 0; i < bins_.size(); ++i) {
+      const Bin& bin = bins_[i];
+      if (bin.members.empty() || (expire_ && !bin.bound.LiveAt(t))) continue;
+      const double d2 = t >= bin.t_ref ? MinDistSqAt(point, bin.bound, t) : 0;
+      bin_order_.emplace_back(d2, i);
+    }
+    std::make_heap(bin_order_.begin(), bin_order_.end(), std::greater<>());
+    // *out is a max-heap of the k nearest so far: front() is the k-th.
+    auto nearer = [](const Candidate& a, const Candidate& b) {
+      if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
+      return a.oid < b.oid;
+    };
+    while (!bin_order_.empty()) {
+      std::pop_heap(bin_order_.begin(), bin_order_.end(), std::greater<>());
+      const auto [bin_d2, idx] = bin_order_.back();
+      bin_order_.pop_back();
+      if (out->size() == want && bin_d2 > out->front().dist_sq) break;
+      const Bin& bin = bins_[idx];
+      stats_.members_tested += bin.members.size();
+      for (const Member& m : bin.members) {
+        if (expire_ && !m.record.LiveAt(t)) continue;
+        double d2 = 0;
+        for (int d = 0; d < kDims; ++d) {
+          const double delta = m.record.LoAt(d, t) - point[d];
+          d2 += delta * delta;
+        }
+        const Candidate c{m.oid, d2};
+        if (out->size() < want) {
+          out->push_back(c);
+          std::push_heap(out->begin(), out->end(), nearer);
+        } else if (nearer(c, out->front())) {
+          std::pop_heap(out->begin(), out->end(), nearer);
+          out->back() = c;
+          std::push_heap(out->begin(), out->end(), nearer);
+        }
       }
-      out->push_back(Candidate{oid, d2});
-    });
+    }
   }
 
   // Structural invariants (the live-tier analog of the DAT catalog):
-  // every entry is reachable through exactly its own bin, bin membership
-  // counts agree with the map, bin bounds conservatively cover their
-  // members, and owned_in_tree matches the entry flags.
+  // every entry names the bin slot holding its record, that bin is the
+  // cell of the record's report-time position, membership totals agree
+  // with the map, anchored bounds cover their members from t_ref on, and
+  // owned_in_tree matches the entry flags.
   Status CheckInvariants() const {
     size_t member_total = 0;
+    size_t occupied = 0;
     size_t with_tree = 0;
     for (size_t i = 0; i < bins_.size(); ++i) {
       const Bin& bin = bins_[i];
+      if (bin.members.empty()) continue;
+      ++occupied;
       member_total += bin.members.size();
-      for (ObjectId oid : bin.members) {
+      auto cell = cells_.find(bin.cell);
+      if (cell == cells_.end() || cell->second != i) {
+        return Status::Corruption("live tier: bin " + std::to_string(i) +
+                                  " is not its cell's bin");
+      }
+      for (size_t slot = 0; slot < bin.members.size(); ++slot) {
+        const ObjectId oid = bin.members[slot].oid;
+        const Tpbr<kDims>& r = bin.members[slot].record;
         const Entry* e = map_.Find(oid);
         if (e == nullptr) {
           return Status::Corruption("live tier: bin member " +
                                     std::to_string(oid) +
                                     " has no map entry");
         }
-        if (e->bin != i) {
-          return Status::Corruption("live tier: oid " + std::to_string(oid) +
-                                    " member of bin " + std::to_string(i) +
-                                    " but entry says " +
-                                    std::to_string(e->bin));
+        if (e->bin != i || e->slot != slot) {
+          return Status::Corruption(
+              "live tier: oid " + std::to_string(oid) + " held in bin " +
+              std::to_string(i) + " slot " + std::to_string(slot) +
+              " but entry says bin " + std::to_string(e->bin) + " slot " +
+              std::to_string(e->slot));
         }
-        const Tpbr<kDims>& r = e->record;
+        if (CellOf(r, e->last_report) != bin.cell) {
+          return Status::Corruption("live tier: oid " + std::to_string(oid) +
+                                    " is not in the bin of its cell");
+        }
+        if (e->has_tree_record) ++with_tree;
         for (int d = 0; d < kDims; ++d) {
-          if (bin.bound.lo[d] > r.lo[d] || bin.bound.hi[d] < r.hi[d] ||
+          if (bin.bound.LoAt(d, bin.t_ref) > r.LoAt(d, bin.t_ref) ||
+              bin.bound.HiAt(d, bin.t_ref) < r.HiAt(d, bin.t_ref) ||
               bin.bound.vlo[d] > r.vlo[d] || bin.bound.vhi[d] < r.vhi[d]) {
             return Status::Corruption(
                 "live tier: bin bound does not cover oid " +
@@ -392,9 +453,10 @@ class LiveTier {
           "live tier: bin membership total " + std::to_string(member_total) +
           " != resident " + std::to_string(map_.size()));
     }
-    map_.ForEach([&](uint32_t, const Entry& e) {
-      if (e.has_tree_record) ++with_tree;
-    });
+    if (occupied != cells_.size() ||
+        occupied + free_bins_.size() != bins_.size()) {
+      return Status::Corruption("live tier: cell table drift");
+    }
     if (with_tree != owned_in_tree_) {
       return Status::Corruption("live tier: owned_in_tree counter drift");
     }
@@ -403,12 +465,12 @@ class LiveTier {
 
  private:
   struct Entry {
-    Tpbr<kDims> record;
-    Tpbr<kDims> tree_record;
+    uint32_t bin = 0;   // Index into bins_.
+    uint32_t slot = 0;  // Index into the bin's members.
+    uint32_t seq = 0;   // Sequence number of the newest report.
     bool has_tree_record = false;
-    uint32_t seq = 0;  // Sequence number of the newest report.
     Time last_report = 0;
-    size_t bin = 0;
+    Tpbr<kDims> tree_record;
   };
 
   // One report in the migration queue; current while `seq` is its
@@ -446,51 +508,132 @@ class LiveTier {
     }
   };
 
+  // Integer grid coordinates of a bin's cell.
+  using Cell = std::array<int64_t, kDims>;
+  struct CellHash {
+    size_t operator()(const Cell& cell) const {
+      uint64_t h = 1469598103934665603ull;  // FNV-1a.
+      for (int64_t q : cell) {
+        h ^= static_cast<uint64_t>(q);
+        h *= 1099511628211ull;
+      }
+      return static_cast<size_t>(h);
+    }
+  };
+
+  struct Member {
+    ObjectId oid;
+    Tpbr<kDims> record;
+  };
+
   struct Bin {
+    Cell cell{};
+    // The anchored bound: `at_ref` holds the members' extreme positions
+    // at t_ref (lo/hi) and their velocity and expiry ranges; `bound` is
+    // the same rectangle in reference-time-0 coordinates, padded by a
+    // rounding slack, for Intersects. Both hold for t >= t_ref only.
+    Time t_ref = 0;
+    Tpbr<kDims> at_ref;
     Tpbr<kDims> bound;
-    std::vector<ObjectId> members;
+    std::vector<Member> members;
     // Removals since the bound was last recomputed; the bound never
     // shrinks on removal, so it is recomputed once enough members left.
     size_t stale_removals = 0;
   };
 
-  size_t BinIndexFor(const Tpbr<kDims>& record, Time now) const {
-    // Hash the grid cell of the position at report time; objects near
-    // each other when reported share bins, which is what makes the bin
-    // bound tight enough to prune.
-    uint64_t h = 1469598103934665603ull;  // FNV-1a.
-    for (int d = 0; d < kDims; ++d) {
-      double cell = std::floor(record.LoAt(d, now) / options_.bin_cell);
-      auto q = static_cast<int64_t>(cell);
-      h ^= static_cast<uint64_t>(q);
-      h *= 1099511628211ull;
-    }
-    return static_cast<size_t>(h % bins_.size());
+  const Tpbr<kDims>& RecordOf(const Entry& e) const {
+    return bins_[e.bin].members[e.slot].record;
   }
 
-  size_t AddToBin(ObjectId oid, const Tpbr<kDims>& record, Time now) {
-    size_t idx = BinIndexFor(record, now);
-    Bin& bin = bins_[idx];
-    if (bin.members.empty()) {
-      bin.bound = record;
+  void Advance(Time now) {
+    if (now > latest_) latest_ = now;
+  }
+
+  Cell CellOf(const Tpbr<kDims>& record, Time now) const {
+    // Clamped so a far-off position still maps to an integer cell.
+    constexpr double kMaxCell = 1e15;
+    Cell cell{};
+    for (int d = 0; d < kDims; ++d) {
+      const double c = std::floor(record.LoAt(d, now) / options_.bin_cell);
+      cell[d] = static_cast<int64_t>(
+          c > -kMaxCell ? (c < kMaxCell ? c : kMaxCell) : -kMaxCell);
+    }
+    return cell;
+  }
+
+  // `record` as seen from time t: positions at t, same velocities.
+  static Tpbr<kDims> ShiftedTo(const Tpbr<kDims>& record, Time t) {
+    Tpbr<kDims> s = record;
+    for (int d = 0; d < kDims; ++d) {
+      s.lo[d] = record.LoAt(d, t);
+      s.hi[d] = record.HiAt(d, t);
+    }
+    return s;
+  }
+
+  // Derives `bound` from `at_ref`. The slack covers the rounding of the
+  // two conversions (member positions to t_ref, t_ref back to time 0),
+  // so the bound stays conservative for members exactly on its edge.
+  static void SetBound(Bin* bin) {
+    constexpr double kSlack = 1e-9;
+    const Tpbr<kDims>& a = bin->at_ref;
+    Tpbr<kDims>& b = bin->bound;
+    b = a;
+    for (int d = 0; d < kDims; ++d) {
+      const double shift_lo = a.vlo[d] * bin->t_ref;
+      const double shift_hi = a.vhi[d] * bin->t_ref;
+      b.lo[d] = a.lo[d] - shift_lo -
+                kSlack * (1 + std::abs(a.lo[d]) + std::abs(shift_lo));
+      b.hi[d] = a.hi[d] - shift_hi +
+                kSlack * (1 + std::abs(a.hi[d]) + std::abs(shift_hi));
+    }
+  }
+
+  void AddToBin(ObjectId oid, const Tpbr<kDims>& record, Time now,
+                Entry* e) {
+    auto [cell, created] = cells_.try_emplace(CellOf(record, now), 0);
+    if (created) {
+      if (free_bins_.empty()) {
+        cell->second = static_cast<uint32_t>(bins_.size());
+        bins_.emplace_back();
+      } else {
+        cell->second = free_bins_.back();
+        free_bins_.pop_back();
+      }
+    }
+    Bin& bin = bins_[cell->second];
+    if (created) {
+      bin.cell = cell->first;
+      bin.t_ref = latest_;
+      bin.at_ref = ShiftedTo(record, latest_);
       bin.stale_removals = 0;
     } else {
-      bin.bound.Extend(record);
+      bin.at_ref.Extend(ShiftedTo(record, bin.t_ref));
     }
-    bin.members.push_back(oid);
-    return idx;
+    SetBound(&bin);
+    e->bin = cell->second;
+    e->slot = static_cast<uint32_t>(bin.members.size());
+    bin.members.push_back(Member{oid, record});
   }
 
-  void RemoveFromBin(size_t idx, ObjectId oid) {
-    Bin& bin = bins_[idx];
-    auto it = std::find(bin.members.begin(), bin.members.end(), oid);
-    REXP_DCHECK(it != bin.members.end());
-    if (it != bin.members.end()) {
-      *it = bin.members.back();
-      bin.members.pop_back();
+  // Takes e's record out of its bin: the bin's last member moves into
+  // its slot. An emptied bin gives back its storage and its index.
+  void RemoveFromBin(const Entry& e) {
+    Bin& bin = bins_[e.bin];
+    if (e.slot + 1 != bin.members.size()) {
+      bin.members[e.slot] = bin.members.back();
+      map_.Find(bin.members[e.slot].oid)->slot = e.slot;
+    }
+    bin.members.pop_back();
+    if (bin.members.empty()) {
+      cells_.erase(bin.cell);
+      std::vector<Member>().swap(bin.members);
+      free_bins_.push_back(e.bin);
+      return;
     }
     // The bound only ever grows; once half the members since the last
-    // rebuild have left, recompute it so pruning stays effective.
+    // rebuild have left, recompute it (re-anchored at the tier's time)
+    // so pruning stays effective.
     if (++bin.stale_removals > bin.members.size() / 2 + 4) {
       RecomputeBound(&bin);
     }
@@ -498,25 +641,24 @@ class LiveTier {
 
   void RecomputeBound(Bin* bin) {
     bin->stale_removals = 0;
-    bool first = true;
-    for (ObjectId oid : bin->members) {
-      const Entry* e = map_.Find(oid);
-      REXP_DCHECK(e != nullptr);
-      if (e == nullptr) continue;
-      if (first) {
-        bin->bound = e->record;
-        first = false;
-      } else {
-        bin->bound.Extend(e->record);
-      }
+    bin->t_ref = latest_;
+    bin->at_ref = ShiftedTo(bin->members.front().record, latest_);
+    for (const Member& m : bin->members) {
+      bin->at_ref.Extend(ShiftedTo(m.record, latest_));
     }
+    SetBound(bin);
     ++stats_.bin_rebuilds;
   }
 
   LiveTierOptions options_;
   const bool expire_;
+  // The tier's time: the latest `now` it was handed.
+  Time latest_ = 0;
   U32HashMap<Entry> map_;
   std::vector<Bin> bins_;
+  std::unordered_map<Cell, uint32_t, CellHash> cells_;  // Occupied bins.
+  std::vector<uint32_t> free_bins_;                      // Empty bins.
+  std::vector<std::pair<double, size_t>> bin_order_;     // NN scratch.
   std::priority_queue<HeapItem, std::vector<HeapItem>,
                       std::greater<HeapItem>>
       expiry_heap_;

@@ -144,9 +144,10 @@ class TieredIndex {
 
   // k-nearest-neighbors across both tiers (ascending distance, ties by
   // object id — identical to Tree::NearestNeighbors and the reference
-  // oracle). The tree is asked for exactly k neighbors with the owned
-  // objects skipped, so suppressed stale copies cannot crowd out genuine
-  // neighbors.
+  // oracle). Each tier gives at most k: the live tier its k nearest, the
+  // tree its k nearest with the owned objects skipped, so suppressed
+  // stale copies cannot crowd out genuine neighbors. The merge sorts at
+  // most 2k candidates.
   void NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                         std::vector<ObjectId>* out) EXCLUDES(mu_) {
     out->clear();
@@ -157,10 +158,9 @@ class TieredIndex {
         candidates;
     static thread_local std::vector<typename Tree<kDims>::NnResult>
         tree_results;
-    candidates.clear();
     {
       sched::MutexLock lk(&mu_);
-      live_.NnCandidates(point, t, &candidates);
+      live_.NnCandidates(point, t, k, &candidates);
       const LiveTier<kDims>& live = live_;
       auto owned = [&live](ObjectId oid) { return live.Owns(oid); };
       tree_.NearestNeighbors(point, t, k, &tree_results, owned);
@@ -229,7 +229,7 @@ class TieredIndex {
   // The tree's metrics: the live tier touches no page.
   uint64_t TotalIo() const { return tree_.TotalIo(); }
   uint64_t PagesUsed() const { return tree_.PagesUsed(); }
-  double ExpiredLeafFraction(Time now) {
+  StatusOr<double> ExpiredLeafFraction(Time now) {
     return tree_.ExpiredLeafFraction(now);
   }
 

@@ -470,14 +470,15 @@ class PartitionedIndex {
     for (const auto& tree : trees_) total += tree->leaf_entries();
     return total;
   }
-  double ExpiredLeafFraction(Time now) {
+  StatusOr<double> ExpiredLeafFraction(Time now) {
     uint64_t total = 0;
     double expired = 0;
     for (auto& tree : trees_) {
       const uint64_t entries = tree->leaf_entries();
       if (entries == 0) continue;
-      expired +=
-          tree->ExpiredLeafFraction(now) * static_cast<double>(entries);
+      REXP_ASSIGN_OR_RETURN(const double fraction,
+                            tree->ExpiredLeafFraction(now));
+      expired += fraction * static_cast<double>(entries);
       total += entries;
     }
     return total == 0 ? 0.0 : expired / static_cast<double>(total);

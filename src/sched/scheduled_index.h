@@ -100,7 +100,7 @@ class ScheduledIndex {
   // queue().io_stats() stream.
   uint64_t TotalIo() const { return tree_.TotalIo(); }
   uint64_t PagesUsed() const { return tree_.PagesUsed(); }
-  double ExpiredLeafFraction(Time now) {
+  StatusOr<double> ExpiredLeafFraction(Time now) {
     return tree_.ExpiredLeafFraction(now);
   }
 

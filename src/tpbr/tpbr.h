@@ -129,6 +129,26 @@ struct Tpbr {
   }
 };
 
+// Squared distance from `point` to `region` evaluated at time t (zero if
+// the point lies inside).
+template <int kDims>
+double MinDistSqAt(const Vec<kDims>& point, const Tpbr<kDims>& region,
+                   Time t) {
+  double d2 = 0;
+  for (int d = 0; d < kDims; ++d) {
+    double lo = region.LoAt(d, t);
+    double hi = region.HiAt(d, t);
+    double delta = 0;
+    if (point[d] < lo) {
+      delta = lo - point[d];
+    } else if (point[d] > hi) {
+      delta = point[d] - hi;
+    }
+    d2 += delta * delta;
+  }
+  return d2;
+}
+
 }  // namespace rexp
 
 #endif  // REXP_TPBR_TPBR_H_

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/query.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "obs/registry.h"
 #include "tpbr/tpbr.h"
@@ -29,7 +30,8 @@ namespace rexp {
 // page I/O, index size, unpurged expired leaf entries — summed over the
 // trees the front-end owns (ScheduledIndex's deletion queue is a
 // separate cost stream). ExpiredLeafFraction walks every tree through
-// its buffer pool, so the walk itself adds to TotalIo. RegisterMetrics
+// its buffer pool, so the walk itself adds to TotalIo; a page it cannot
+// read fails it with that page's status. RegisterMetrics
 // binds the front-end's telemetry under `prefix`. Verify runs the
 // front-end's whole invariant catalog — every tree it owns, plus its
 // queue or live tier — and returns every violation as a finding in one
@@ -46,7 +48,7 @@ concept IndexFrontEnd = requires(Index& index, ObjectId oid,
   index.Search(query, out);
   { index.TotalIo() } -> std::same_as<uint64_t>;
   { index.PagesUsed() } -> std::same_as<uint64_t>;
-  { index.ExpiredLeafFraction(now) } -> std::same_as<double>;
+  { index.ExpiredLeafFraction(now) } -> std::same_as<StatusOr<double>>;
   index.RegisterMetrics(registry, prefix);
   { index.Verify(now) } -> std::same_as<verify::Report>;
 };

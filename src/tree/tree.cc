@@ -1861,30 +1861,6 @@ void Tree<kDims>::BulkLoad(std::vector<BulkRecord> records, Time now,
   ParanoidVerify(now);
 }
 
-namespace {
-
-// Squared distance from `point` to `region` evaluated at time t (zero if
-// the point lies inside).
-template <int kDims>
-double MinDistSqAt(const Vec<kDims>& point, const Tpbr<kDims>& region,
-                   Time t) {
-  double d2 = 0;
-  for (int d = 0; d < kDims; ++d) {
-    double lo = region.LoAt(d, t);
-    double hi = region.HiAt(d, t);
-    double delta = 0;
-    if (point[d] < lo) {
-      delta = lo - point[d];
-    } else if (point[d] > hi) {
-      delta = point[d] - hi;
-    }
-    d2 += delta * delta;
-  }
-  return d2;
-}
-
-}  // namespace
-
 template <int kDims>
 void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
                                    std::vector<ObjectId>* out) {
@@ -2053,9 +2029,9 @@ void Tree<kDims>::RegisterMetrics(obs::MetricsRegistry* registry,
 }
 
 template <int kDims>
-double Tree<kDims>::ExpiredLeafFraction(Time now) {
+StatusOr<double> Tree<kDims>::ExpiredLeafFraction(Time now) {
   uint64_t total = 0, expired = 0;
-  REXP_CHECK_OK(ForEachNode([&](PageId, const Node<kDims>& node) {
+  REXP_RETURN_IF_ERROR(ForEachNode([&](PageId, const Node<kDims>& node) {
     if (!node.IsLeaf()) return;
     for (const NodeEntry<kDims>& e : node.entries) {
       ++total;
@@ -2063,7 +2039,7 @@ double Tree<kDims>::ExpiredLeafFraction(Time now) {
     }
   }));
   return total == 0
-             ? 0
+             ? 0.0
              : static_cast<double>(expired) / static_cast<double>(total);
 }
 

@@ -442,8 +442,9 @@ class Tree {
   // Fraction of physically present leaf entries that are expired at `now`.
   // The paper's lazy purge keeps this small. The walk is ForEachNode's,
   // through the buffer pool, so it counts in io_stats, level_reads and
-  // node_decodes like any other read.
-  double ExpiredLeafFraction(Time now);
+  // node_decodes like any other read. A page the walk cannot read fails
+  // the call with that page's status.
+  StatusOr<double> ExpiredLeafFraction(Time now);
 
   // Runs the full invariant catalog (verify::TreeVerifier) over this
   // tree's flushed state and reports every violation as a typed finding —

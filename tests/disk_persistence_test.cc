@@ -235,11 +235,45 @@ TEST(DiskPersistence, ReadOnlyReopenLeavesFileByteIdentical) {
     tree->NearestNeighbors({500, 500}, now, 8, &neighbors);
     EXPECT_EQ(neighbors.size(), 8u);
     EXPECT_TRUE(tree->Verify(now).ok());
-    EXPECT_GE(tree->ExpiredLeafFraction(now), 0.0);
+    EXPECT_GE(tree->ExpiredLeafFraction(now).value(), 0.0);
     tree.reset();
     file.reset();
     EXPECT_EQ(ReadBytes(path), committed) << "reopen " << reopen;
   }
+  std::remove(path.c_str());
+}
+
+// One rotten page fails ExpiredLeafFraction with that page's status
+// instead of aborting the process.
+TEST(DiskPersistence, ExpiredLeafFractionReturnsCorruption) {
+  std::string path = ::testing::TempDir() + "/rexp_disk_rotten_leaf.bin";
+  std::remove(path.c_str());
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 512;
+  config.buffer_frames = 4;
+  Rng rng(85);
+  auto file = DiskPageFile::Open(path, 512, /*keep=*/true).value();
+  Tree<2> tree(config, file.get());
+  for (ObjectId oid = 0; oid < 400; ++oid) {
+    tree.Insert(oid, RandomPoint<2>(&rng, 0.0, 60.0), 0.0);
+  }
+  ASSERT_TRUE(tree.Commit().ok());
+  // The walk leaves the root (pinned) and the last leaves it read in the
+  // 4 frames; the last page, read second, is not among them.
+  ASSERT_TRUE(tree.ExpiredLeafFraction(0.0).ok());
+
+  // Flip one byte of the last page on disk, through the file's own
+  // stream so no stale stdio buffer hides it.
+  const PageId last = static_cast<PageId>(tree.PagesUsed() - 1);
+  ASSERT_NE(last, tree.root());
+  std::vector<uint8_t> frame(file->frame_size());
+  ASSERT_TRUE(file->ReadFrame(last, frame.data()).ok());
+  frame[200] = static_cast<uint8_t>(~frame[200]);
+  ASSERT_TRUE(file->WriteFrame(last, frame.data()).ok());
+  const StatusOr<double> fraction = tree.ExpiredLeafFraction(0.0);
+  ASSERT_FALSE(fraction.ok());
+  EXPECT_TRUE(fraction.status().IsCorruption())
+      << fraction.status().ToString();
   std::remove(path.c_str());
 }
 

@@ -285,7 +285,7 @@ TEST(BulkLoad, LoadedTreeAcceptsUpdatesAndExpiry) {
     }
     ExpectVerified(tree, now);
   }
-  EXPECT_LT(tree.ExpiredLeafFraction(now), 0.15);
+  EXPECT_LT(tree.ExpiredLeafFraction(now).value(), 0.15);
 }
 
 TEST(BulkLoad, EmptyAndTinyInputs) {

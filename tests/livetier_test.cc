@@ -3,9 +3,11 @@
 // Tests for the in-memory live tier and the TieredIndex wrapper
 // (DESIGN.md §12): short-expiry records dying in place with zero page
 // I/O, query merge with suppression of stale tree copies, TakeBatch
-// removing exactly the batch it returns, oracle-backed randomized churn
-// with synchronous migration, DAT agreement after a full drain, and
-// answer stability while a second thread ticks migration.
+// removing exactly the batch it returns, the tier's Search and NN
+// against a scan of every resident and its bin pruning, oracle-backed
+// randomized churn with synchronous migration, DAT agreement after a
+// full drain, and answer stability while a second thread ticks
+// migration.
 
 #include <algorithm>
 #include <atomic>
@@ -261,13 +263,18 @@ TEST(LiveTier, TakeBatchMatchesAScanOfEveryResident) {
 }
 
 TEST(LiveTier, BinBoundsRecomputeAfterChurn) {
-  LiveTierOptions options;
-  options.num_bins = 4;  // Force collisions so bins actually fill.
-  LiveTier<2> tier{options, /*expire=*/true};
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
   Rng rng(0x11FE);
+  // Every report lands in the one cell [0, bin_cell)^2, so the removals
+  // below all leave the same bin.
+  const double cell = tier.options().bin_cell;
   for (ObjectId oid = 0; oid < 200; ++oid) {
-    tier.Report(oid, RandomPoint<2>(&rng, 0.0, 500.0), 0.0);
+    const Vec<2> pos{rng.Uniform(0, cell), rng.Uniform(0, cell)};
+    const Vec<2> vel{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
+    tier.Report(oid, MakeMovingPoint<2>(pos, vel, 0.0, rng.Uniform(1, 500)),
+                0.0);
   }
+  ASSERT_EQ(tier.bins_occupied(), 1u);
   ASSERT_TRUE(tier.CheckInvariants().ok());
   LiveTier<2>::DeadEntry dead;
   for (ObjectId oid = 0; oid < 150; ++oid) {
@@ -282,6 +289,175 @@ TEST(LiveTier, BinBoundsRecomputeAfterChurn) {
   std::vector<ObjectId> hits;
   tier.Search(everything, &hits);
   EXPECT_EQ(hits.size(), 50u);
+}
+
+// Search and NnCandidates against a brute-force scan of every resident,
+// under random reports, removals, expiries and migrations over many
+// cells, negative coordinates included. Queries start before the anchor
+// time of recently rebuilt bins, at it, or up to 30 units after it. A
+// quarter of the reports copy a resident's trajectory, and a third of the
+// NN queries sit on a resident's position, so exact distance ties span
+// bins; k runs past the resident count.
+class LiveTierParity : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LiveTierParity, SearchAndNnMatchAScanOfEveryResident) {
+  const bool expire = GetParam();
+  LiveTierOptions options;
+  options.migrate_age = 3.0;
+  options.max_resident = 250;
+  options.max_batch = 30;
+  LiveTier<2> tier{options, expire};
+  std::map<ObjectId, Tpbr<2>> model;
+  using Candidate = LiveTier<2>::Candidate;
+  auto nearer = [](const Candidate& a, const Candidate& b) {
+    if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
+    return a.oid < b.oid;
+  };
+  auto any_resident = [&](Rng* rng) {
+    auto it = model.begin();
+    std::advance(it, rng->UniformInt(model.size()));
+    return it->second;
+  };
+
+  Rng rng(expire ? 0xA11CE : 0xB0B);
+  Time now = 0;
+  std::vector<LiveTier<2>::MigrationItem> batch;
+  std::vector<LiveTier<2>::DeadEntry> dead;
+  std::vector<ObjectId> got, want;
+  std::vector<Candidate> nn, scan;
+  size_t searches = 0, nn_queries = 0, nonempty_answers = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.Bernoulli(0.3)) now += rng.Uniform(0, 0.4);
+    const double roll = rng.NextDouble();
+    const auto oid = static_cast<ObjectId>(rng.UniformInt(400));
+    if (roll < 0.45) {
+      Tpbr<2> p;
+      if (!model.empty() && rng.Bernoulli(0.25)) {
+        p = any_resident(&rng);
+      } else {
+        const Vec<2> pos{rng.Uniform(-300, 300), rng.Uniform(-300, 300)};
+        const Vec<2> vel{rng.Uniform(-4, 4), rng.Uniform(-4, 4)};
+        p = MakeMovingPoint<2>(pos, vel, now, now + rng.Uniform(0.5, 40));
+      }
+      tier.Report(oid, p, now);
+      model[oid] = p;
+    } else if (roll < 0.52) {
+      LiveTier<2>::DeadEntry gone;
+      ASSERT_EQ(tier.Remove(oid, &gone), model.erase(oid) == 1);
+    } else if (roll < 0.6) {
+      dead.clear();
+      tier.ExpireDue(now, &dead);
+      std::erase_if(model,
+                    [&](const auto& kv) { return kv.second.t_exp < now; });
+    } else if (roll < 0.68) {
+      tier.TakeBatch(now, &batch, /*force=*/rng.Bernoulli(0.1));
+      for (const auto& item : batch) ASSERT_EQ(model.erase(item.oid), 1u);
+    } else {
+      const Time t = now + (rng.Bernoulli(0.3) ? -rng.Uniform(0, 8)
+                            : rng.Bernoulli(0.3) ? 0.0
+                                                 : rng.Uniform(0, 30));
+      Query<2> q;
+      const Vec<2> c{rng.Uniform(-350, 350), rng.Uniform(-350, 350)};
+      const double side = rng.Uniform(10, 200);
+      switch (rng.UniformInt(3)) {
+        case 0:
+          q = Query<2>::Timeslice(Rect<2>::Cube(c, side), t);
+          break;
+        case 1:
+          q = Query<2>::Window(Rect<2>::Cube(c, side), t,
+                               t + rng.Uniform(0, 10));
+          break;
+        default:
+          q = Query<2>::Moving(
+              Rect<2>::Cube(c, side),
+              Rect<2>::Cube({c[0] + rng.Uniform(-80, 80),
+                             c[1] + rng.Uniform(-80, 80)},
+                            side),
+              t, t + rng.Uniform(0, 10));
+      }
+      got.clear();
+      want.clear();
+      tier.Search(q, &got);
+      for (const auto& [id, r] : model) {
+        if (Intersects(r, q, expire ? r.t_exp : kNeverExpires)) {
+          want.push_back(id);
+        }
+      }
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got, want) << "step " << step << " t=" << t;
+      ++searches;
+      nonempty_answers += want.empty() ? 0 : 1;
+
+      const Vec<2> point =
+          !model.empty() && rng.Bernoulli(0.35)
+              ? any_resident(&rng).PointAt(t)
+              : Vec<2>{rng.Uniform(-350, 350), rng.Uniform(-350, 350)};
+      scan.clear();
+      for (const auto& [id, r] : model) {
+        if (expire && !r.LiveAt(t)) continue;
+        double d2 = 0;
+        for (int d = 0; d < 2; ++d) {
+          const double delta = r.LoAt(d, t) - point[d];
+          d2 += delta * delta;
+        }
+        scan.push_back({id, d2});
+      }
+      std::sort(scan.begin(), scan.end(), nearer);
+      for (int k : {1, 3, 12, static_cast<int>(model.size()) + 3}) {
+        tier.NnCandidates(point, t, k, &nn);
+        std::sort(nn.begin(), nn.end(), nearer);
+        const size_t n = std::min(scan.size(), static_cast<size_t>(k));
+        ASSERT_EQ(nn.size(), n) << "step " << step << " k=" << k;
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(nn[i].oid, scan[i].oid)
+              << "step " << step << " t=" << t << " k=" << k << " i=" << i;
+          ASSERT_EQ(nn[i].dist_sq, scan[i].dist_sq);
+        }
+        ++nn_queries;
+      }
+    }
+    ASSERT_EQ(tier.resident(), model.size());
+    const Status invariants = tier.CheckInvariants();
+    ASSERT_TRUE(invariants.ok()) << "step " << step << ": "
+                                 << invariants.ToString();
+  }
+  // The traffic exercised what it is meant to.
+  EXPECT_GT(searches, 5000u);
+  EXPECT_GT(nonempty_answers, searches / 4);
+  EXPECT_GT(nn_queries, 20000u);
+  EXPECT_GT(tier.stats().bin_rebuilds, 150u);
+  EXPECT_GT(tier.stats().migrated, 5000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Expire, LiveTierParity, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& mode) {
+                           return mode.param ? "expire" : "keep_expired";
+                         });
+
+// The bins prune: over a spread population a 50 x 50 window and a k = 10
+// NN query each examine under a quarter of the residents.
+TEST(LiveTier, QueriesExamineAFractionOfResidents) {
+  LiveTier<2> tier{LiveTierOptions{}, /*expire=*/true};
+  Rng rng(0x5EED);
+  Time now = 0;
+  for (ObjectId oid = 0; oid < 2000; ++oid) {
+    now += 0.005;
+    tier.Report(oid, RandomPoint<2>(&rng, now, 1e4), now);
+  }
+  ASSERT_EQ(tier.resident(), 2000u);
+  const uint64_t limit = tier.resident() / 4;
+  std::vector<ObjectId> hits;
+  std::vector<LiveTier<2>::Candidate> nn;
+  for (int i = 0; i < 200; ++i) {
+    const Vec<2> c{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
+    uint64_t before = tier.stats().members_tested;
+    tier.Search(Query<2>::Timeslice(Rect<2>::Cube(c, 50), now), &hits);
+    EXPECT_LT(tier.stats().members_tested - before, limit) << "query " << i;
+    before = tier.stats().members_tested;
+    tier.NnCandidates(c, now, 10, &nn);
+    ASSERT_EQ(nn.size(), 10u);
+    EXPECT_LT(tier.stats().members_tested - before, limit) << "nn " << i;
+  }
 }
 
 // --- TieredIndex ------------------------------------------------------

@@ -68,7 +68,7 @@ TEST(ScheduledIndex, TreeStaysFreeOfExpiredEntries) {
       now += 0.05;
       index.Insert(oid++, RandomPoint<2>(&rng, now, /*max_life=*/5.0), now);
     }
-    EXPECT_LT(index.tree().ExpiredLeafFraction(now), 1e-9)
+    EXPECT_LT(index.tree().ExpiredLeafFraction(now).value(), 1e-9)
         << "scheduled deletions keep the tree exactly clean";
   }
   ExpectVerified(index, now);

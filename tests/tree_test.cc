@@ -272,7 +272,7 @@ TEST(Tree, LazyPurgeKeepsExpiredFractionLow) {
     }
   }
   ExpectVerified(tree, now);
-  EXPECT_LT(tree.ExpiredLeafFraction(now), 0.15)
+  EXPECT_LT(tree.ExpiredLeafFraction(now).value(), 0.15)
       << "lazy purge failed to keep expired entries rare";
 }
 

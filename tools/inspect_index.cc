@@ -75,7 +75,14 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
 
   // The damage verdict: the statistics walk reads every reachable page.
   StatusOr<TreeStats<2>> stats = CollectStats(tree.get(), now);
-  const Status verify = stats.status();
+  Status verify = stats.status();
+  // The expired-fraction walk reads them again; a failure there is a
+  // verdict too.
+  StatusOr<double> expired = 0.0;
+  if (verify.ok() && !metrics_only) {
+    expired = tree->ExpiredLeafFraction(now);
+    verify = expired.status();
+  }
 
   if (metrics_only) {
     // Just the registry snapshot (the open and the statistics walk
@@ -119,7 +126,7 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
           .KV("w", tree->horizon().w())
           .KV("h", tree->horizon().DecisionHorizon())
           .EndObject();
-      w.KV("expired_leaf_fraction", tree->ExpiredLeafFraction(now));
+      w.KV("expired_leaf_fraction", *expired);
     }
     obs::MetricsRegistry registry;
     tree->RegisterMetrics(&registry, "tree.");
@@ -141,8 +148,6 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
               verify.ok() ? "OK (all checksums valid)"
                           : verify.ToString().c_str());
   if (!verify.ok()) {
-    // The expired-fraction walk would abort on the corrupt page; stop at
-    // the report.
     std::fflush(stdout);
     return 1;
   }
@@ -151,7 +156,7 @@ int Inspect(const std::string& path, Time now, uint32_t page_size, bool json,
               tree->horizon().ui(), tree->horizon().w(),
               tree->horizon().DecisionHorizon());
   std::printf("expired leaf fraction at t=%.2f: %.2f%%\n", now,
-              100 * tree->ExpiredLeafFraction(now));
+              100 * *expired);
   return 0;
 }
 
