@@ -206,12 +206,12 @@ int Main() {
                         .count();
       run.migrate_seconds = migrate_s;
       run.page_io = index.tree().io_stats().Total() - io_before;
-      const LiveTier<2>::Stats& stats = index.live_tier().stats();
+      const LiveTier<2>::Stats stats = index.live_stats();
       short_died_fraction = shorts_issued == 0
                                 ? 0.0
                                 : static_cast<double>(stats.died_in_place) /
                                       static_cast<double>(shorts_issued);
-      migration_batches = index.migration_batches();
+      migration_batches = stats.migration_batches;
     }
 
     run.reports_per_sec = static_cast<double>(num_reports) / run.seconds;

@@ -59,6 +59,13 @@
 #      (tree/index_contract.h); `void CheckInvariants(` and `VerifyPages(`
 #      may not appear in src/, tools/ or bench/. LiveTier::CheckInvariants,
 #      which returns a Status, is allowed.
+#  11. The index's shared rules have one owner each. In src/, tools/,
+#      bench/ and examples/ only src/tree/tree_config.h may read
+#      `min_fill_fraction`: TreeConfig::MinEntries is R*'s minimum fill
+#      for the tree, the verifier and repair alike. The expiry-
+#      monotonicity tolerance (`- 1e-6`) may appear only in
+#      src/verify/verifier.{h,cc}, whose ExpiryUnderestimates repair
+#      shares (DESIGN.md §9, §13).
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -209,6 +216,20 @@ for f in "${files[@]}"; do
   while IFS= read -r hit; do
     report "aborting-check" "$f:$hit (return a verify::Report from Verify)"
   done < <(grep -nE 'void[[:space:]]+([A-Za-z_][A-Za-z0-9_<>]*::)?CheckInvariants\(|VerifyPages\(' "$f" || true)
+done
+
+# --- Rule 11: one owner of the minimum fill and the expiry tolerance ------
+for f in "${files[@]}"; do
+  case "$f" in src/*|tools/*|bench/*|examples/*) ;; *) continue ;; esac
+  if [ "$f" != "src/tree/tree_config.h" ]; then
+    while IFS= read -r hit; do
+      report "min-fill" "$f:$hit (ask TreeConfig: MinEntries, ValidBulkFill)"
+    done < <(grep -n 'min_fill_fraction' "$f" || true)
+  fi
+  case "$f" in src/verify/verifier.h|src/verify/verifier.cc) continue ;; esac
+  while IFS= read -r hit; do
+    report "expiry-tolerance" "$f:$hit (use verify::ExpiryUnderestimates)"
+  done < <(grep -nE -- '-[[:space:]]*1e-6([^0-9]|$)' "$f" || true)
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -72,6 +72,17 @@ struct Query {
   }
 };
 
+// The order of a k-nearest-neighbor answer: ascending squared distance,
+// ties by object id. Every front-end's NN candidate type (`dist_sq`,
+// `oid`) ranks by it, so merged answers equal a single tree's.
+struct NearerFirst {
+  template <typename Candidate>
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
+    return a.oid < b.oid;
+  }
+};
+
 }  // namespace rexp
 
 #endif  // REXP_COMMON_QUERY_H_

@@ -100,6 +100,10 @@ class LiveTier {
     uint64_t migrated = 0;          // Records handed to the tree.
     uint64_t bin_rebuilds = 0;      // Bin bound recomputations.
     uint64_t members_tested = 0;    // Records examined by Search and NN.
+    uint64_t migration_batches = 0;  // Non-empty batches TakeBatch gave.
+    // Stale tree copies handed to the caller to delete (Remove and
+    // ExpireDue); the caller deletes each one.
+    uint64_t tree_cleanup_deletes = 0;
 
     // The one list of the counters; TieredIndex::RegisterMetrics binds
     // each entry as `livetier.<name>`.
@@ -110,7 +114,10 @@ class LiveTier {
                        {"died_with_tree_copy", &Stats::died_with_tree_copy},
                        {"migrated", &Stats::migrated},
                        {"bin_rebuilds", &Stats::bin_rebuilds},
-                       {"members_tested", &Stats::members_tested}};
+                       {"members_tested", &Stats::members_tested},
+                       {"migration_batches", &Stats::migration_batches},
+                       {"tree_cleanup_deletes",
+                        &Stats::tree_cleanup_deletes}};
   };
 
   // One record to apply to the tree: replace `tree_record` (when present)
@@ -152,6 +159,13 @@ class LiveTier {
   size_t owned_in_tree() const { return owned_in_tree_; }
 
   size_t bins_occupied() const { return cells_.size(); }
+
+  // The tier's clock: the latest `now` it was handed. Report, ExpireDue
+  // and TakeBatch advance it to their `now`; Advance does only that.
+  Time latest() const { return latest_; }
+  void Advance(Time now) {
+    if (now > latest_) latest_ = now;
+  }
 
   // Absorbs one position report. Returns true when it replaced a resident
   // record (an absorbed update), false on fresh admission. `tree_record`,
@@ -195,7 +209,10 @@ class LiveTier {
     dead->oid = oid;
     dead->has_tree_record = e->has_tree_record;
     dead->tree_record = e->tree_record;
-    if (e->has_tree_record) --owned_in_tree_;
+    if (e->has_tree_record) {
+      --owned_in_tree_;
+      ++stats_.tree_cleanup_deletes;
+    }
     RemoveFromBin(*e);
     map_.Erase(oid);
     return true;
@@ -241,6 +258,7 @@ class LiveTier {
       if (e->has_tree_record) {
         --owned_in_tree_;
         ++stats_.died_with_tree_copy;
+        ++stats_.tree_cleanup_deletes;
         dead->push_back(DeadEntry{item.oid, true, e->tree_record});
       } else {
         ++stats_.died_in_place;
@@ -307,6 +325,7 @@ class LiveTier {
     for (size_t i = taken.size(); i > take; --i) {
       queue_.push_front(taken[i - 1]);
     }
+    if (take > 0) ++stats_.migration_batches;
     out->reserve(take);
     for (size_t i = 0; i < take; ++i) {
       const ObjectId oid = taken[i].oid;
@@ -361,10 +380,7 @@ class LiveTier {
     }
     std::make_heap(bin_order_.begin(), bin_order_.end(), std::greater<>());
     // *out is a max-heap of the k nearest so far: front() is the k-th.
-    auto nearer = [](const Candidate& a, const Candidate& b) {
-      if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
-      return a.oid < b.oid;
-    };
+    const NearerFirst nearer{};
     while (!bin_order_.empty()) {
       std::pop_heap(bin_order_.begin(), bin_order_.end(), std::greater<>());
       const auto [bin_d2, idx] = bin_order_.back();
@@ -545,10 +561,6 @@ class LiveTier {
     return bins_[e.bin].members[e.slot].record;
   }
 
-  void Advance(Time now) {
-    if (now > latest_) latest_ = now;
-  }
-
   Cell CellOf(const Tpbr<kDims>& record, Time now) const {
     // Clamped so a far-off position still maps to an integer cell.
     constexpr double kMaxCell = 1e15;
@@ -652,8 +664,7 @@ class LiveTier {
 
   LiveTierOptions options_;
   const bool expire_;
-  // The tier's time: the latest `now` it was handed.
-  Time latest_ = 0;
+  Time latest_ = 0;  // The tier's clock (latest()).
   U32HashMap<Entry> map_;
   std::vector<Bin> bins_;
   std::unordered_map<Cell, uint32_t, CellHash> cells_;  // Occupied bins.

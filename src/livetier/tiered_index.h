@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,6 @@ class TieredIndex {
   void Insert(ObjectId oid, const Tpbr<kDims>& point, Time now)
       EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    AdvanceTimeLocked(now);
     ExpireAndCleanLocked(now);
     live_.Report(oid, point, now);
     RelievePressureLocked();
@@ -87,7 +85,6 @@ class TieredIndex {
                             const Tpbr<kDims>& new_record, Time now)
       EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    AdvanceTimeLocked(now);
     ExpireAndCleanLocked(now);
     bool found = true;
     const Tpbr<kDims>* current = live_.Find(oid);
@@ -108,7 +105,6 @@ class TieredIndex {
   [[nodiscard]] bool Delete(ObjectId oid, const Tpbr<kDims>& point, Time now)
       EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    AdvanceTimeLocked(now);
     ExpireAndCleanLocked(now);
     const Tpbr<kDims>* current = live_.Find(oid);
     if (current != nullptr) {
@@ -117,7 +113,6 @@ class TieredIndex {
       live_.Remove(oid, &dead);
       if (dead.has_tree_record) {
         (void)tree_.Delete(oid, dead.tree_record, now, /*see_expired=*/true);
-        ++tree_cleanup_deletes_;
       }
       return true;
     }
@@ -168,20 +163,16 @@ class TieredIndex {
     for (const auto& r : tree_results) {
       candidates.push_back({r.oid, r.dist_sq});
     }
-    auto nearer = [](const auto& a, const auto& b) {
-      if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
-      return a.oid < b.oid;
-    };
     const auto keep = std::min(static_cast<std::ptrdiff_t>(candidates.size()),
                                static_cast<std::ptrdiff_t>(k));
     std::partial_sort(candidates.begin(), candidates.begin() + keep,
-                      candidates.end(), nearer);
+                      candidates.end(), NearerFirst{});
     for (auto it = candidates.begin(); it != candidates.begin() + keep; ++it) {
       out->push_back(it->oid);
     }
   }
 
-  // Runs one migration step at the index's current logical time and
+  // Runs one migration step at the live tier's clock and
   // returns how many records moved: expired records die, then one batch
   // of quiet records (all of them under occupancy pressure) moves into
   // the tree. The whole tick holds the live-tier mutex, so a caller that
@@ -198,7 +189,7 @@ class TieredIndex {
   // crash-semantics tests to establish the "post-migration" tree state.
   size_t DrainLiveTier(Time now) EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    AdvanceTimeLocked(now);
+    live_.Advance(now);
     size_t total = 0;
     while (const size_t moved = MigrateTickLocked(/*drain=*/true)) {
       total += moved;
@@ -240,17 +231,13 @@ class TieredIndex {
     return live_;
   }
 
-  // Counters are mutated under mu_ by ticks that may run on another
-  // thread, so sampling them must take the lock too (an unlocked read
-  // here raced with MigrateTick; see
+  // A copy of the live tier's counters. Ticks that may run on another
+  // thread mutate them under mu_, so sampling them takes the lock too
+  // (an unlocked read raced with MigrateTick; see
   // TieredConcurrency.CounterAccessorsLocked).
-  uint64_t migration_batches() const EXCLUDES(mu_) {
+  typename LiveTier<kDims>::Stats live_stats() const EXCLUDES(mu_) {
     sched::MutexLock lk(&mu_);
-    return migration_batches_;
-  }
-  uint64_t tree_cleanup_deletes() const EXCLUDES(mu_) {
-    sched::MutexLock lk(&mu_);
-    return tree_cleanup_deletes_;
+    return live_.stats();
   }
 
   // Registers the inner tree under `prefix` + "tree." and the live tier
@@ -271,18 +258,6 @@ class TieredIndex {
                            },
                            owner);
     }
-    registry->AddCounter(prefix + "livetier.migration_batches",
-                         std::function<uint64_t()>([this] {
-                           sched::MutexLock lk(&mu_);
-                           return migration_batches_;
-                         }),
-                         owner);
-    registry->AddCounter(prefix + "livetier.tree_cleanup_deletes",
-                         std::function<uint64_t()>([this] {
-                           sched::MutexLock lk(&mu_);
-                           return tree_cleanup_deletes_;
-                         }),
-                         owner);
     registry->AddGauge(prefix + "livetier.resident",
                        [this] {
                          sched::MutexLock lk(&mu_);
@@ -309,12 +284,9 @@ class TieredIndex {
   }
 
  private:
-  void AdvanceTimeLocked(Time now) REQUIRES(mu_) {
-    if (now > last_now_) last_now_ = now;
-  }
-
-  // Pops expired live records; the ones that left a stale tree copy get
-  // the copy deleted here (live-then-tree lock order, so calling into
+  // Advances the tier's clock to `now` (the time a later tick runs at)
+  // and pops expired live records; the ones that left a stale tree copy
+  // get the copy deleted here (live-then-tree lock order, so calling into
   // the tree under mu_ is safe).
   void ExpireAndCleanLocked(Time now) REQUIRES(mu_) {
     dead_scratch_.clear();
@@ -322,7 +294,6 @@ class TieredIndex {
     for (const auto& dead : dead_scratch_) {
       if (!dead.has_tree_record) continue;
       (void)tree_.Delete(dead.oid, dead.tree_record, now, /*see_expired=*/true);
-      ++tree_cleanup_deletes_;
     }
   }
 
@@ -332,7 +303,7 @@ class TieredIndex {
   // one of these objects until the tree holds its migrated record.
   size_t MigrateTickLocked(bool drain) REQUIRES(mu_) {
     obs::LatencyTimer timer(&tick_latency_us_);
-    const Time now = last_now_;
+    const Time now = live_.latest();
     ExpireAndCleanLocked(now);
     std::vector<typename LiveTier<kDims>::MigrationItem> batch;
     live_.TakeBatch(now, &batch, drain);
@@ -348,7 +319,6 @@ class TieredIndex {
     // Per-request results were already reported (optimistically) by
     // Update; the settle here has nothing further to do with them.
     (void)tree_.GroupUpdate(requests, now);
-    ++migration_batches_;
     migration_batch_size_.Record(static_cast<double>(batch.size()));
     return batch.size();
   }
@@ -364,11 +334,8 @@ class TieredIndex {
   Tree<kDims> tree_;
   mutable sched::Mutex mu_{sched::LockRank::kLiveTier, "live_tier"};
   LiveTier<kDims> live_ GUARDED_BY(mu_);
-  Time last_now_ GUARDED_BY(mu_) = 0;
   std::vector<typename LiveTier<kDims>::DeadEntry> dead_scratch_
       GUARDED_BY(mu_);
-  uint64_t migration_batches_ GUARDED_BY(mu_) = 0;
-  uint64_t tree_cleanup_deletes_ GUARDED_BY(mu_) = 0;
   obs::Histogram migration_batch_size_{
       obs::ExponentialBounds(1.0, 2.0, 12)};
   // Wall time of each migration tick (MigrateTickLocked), batch or not.

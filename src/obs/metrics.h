@@ -61,6 +61,37 @@ inline void SetEnabled(bool on) {
 template <typename Stats, typename T>
 using NamedField = std::pair<const char*, T Stats::*>;
 
+// Interpolated quantile q in [0, 1] from one histogram's bucket counts
+// (`bounds` as Histogram's): the value at rank q * total, interpolated
+// linearly within the bucket holding that rank. `first_lo` is the first
+// bucket's lower edge; the overflow bucket reports the last bound, i.e.
+// percentiles saturate there. 0 when the counts are all zero.
+// Histogram::Percentile reads its own buckets through it; the monitor
+// feeds it interval deltas.
+inline double PercentileFromBuckets(const std::vector<double>& bounds,
+                                    const std::vector<uint64_t>& counts,
+                                    double q, double first_lo) {
+  uint64_t total = 0;
+  for (uint64_t c : counts) total += c;
+  if (total == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double rank = q * static_cast<double>(total);
+  const double last = bounds.empty() ? 0.0 : bounds.back();
+  uint64_t seen = 0;
+  for (size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
+    const double lo = b == 0 ? first_lo : bounds[b - 1];
+    const double hi = b < bounds.size() ? bounds[b] : last;
+    seen += counts[b];
+    if (static_cast<double>(seen) >= rank) {
+      const double frac = 1.0 - (static_cast<double>(seen) - rank) /
+                                    static_cast<double>(counts[b]);
+      return lo + (hi - lo) * frac;
+    }
+  }
+  return last;
+}
+
 // Fixed-bucket histogram. `bounds` are inclusive upper bounds of the
 // first N buckets; one implicit overflow bucket catches everything above
 // the last bound. Tracks count/sum/min/max exactly; percentiles are read
@@ -124,28 +155,17 @@ class Histogram {
   }
 
   // Value at quantile q in [0, 1], interpolated within the bucket that
-  // holds the q-th recorded sample. 0 when empty.
+  // holds the q-th recorded sample (PercentileFromBuckets, the first
+  // bucket starting at the smallest sample) and clamped to the recorded
+  // range. 0 when empty.
   double Percentile(double q) const {
     sched::MutexLock lock(&mu_);
     if (count_ == 0) return 0;
     if (bounds_.empty())
       return std::clamp(MeanLocked(), MinLocked(), MaxLocked());
-    q = std::clamp(q, 0.0, 1.0);
-    double rank = q * static_cast<double>(count_);
-    uint64_t seen = 0;
-    for (size_t b = 0; b < counts_.size(); ++b) {
-      if (counts_[b] == 0) continue;
-      double lo = b == 0 ? std::min(MinLocked(), bounds_[0]) : bounds_[b - 1];
-      double hi = b < bounds_.size() ? bounds_[b] : bounds_.back();
-      seen += counts_[b];
-      if (static_cast<double>(seen) >= rank) {
-        double frac = 1.0 - (static_cast<double>(seen) - rank) /
-                                static_cast<double>(counts_[b]);
-        double v = lo + (hi - lo) * frac;
-        return std::clamp(v, MinLocked(), MaxLocked());
-      }
-    }
-    return MaxLocked();
+    const double v = PercentileFromBuckets(
+        bounds_, counts_, q, std::min(MinLocked(), bounds_[0]));
+    return std::clamp(v, MinLocked(), MaxLocked());
   }
 
   void Reset() {

@@ -2,38 +2,15 @@
 
 #include "obs/monitor.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include <unistd.h>
 
 #include "common/check.h"
 #include "obs/json_writer.h"
+#include "obs/metrics.h"
 
 namespace rexp::obs {
-
-double PercentileFromBuckets(const std::vector<double>& bounds,
-                             const std::vector<uint64_t>& counts, double q) {
-  uint64_t total = 0;
-  for (uint64_t c : counts) total += c;
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total);
-  uint64_t seen = 0;
-  for (size_t b = 0; b < counts.size(); ++b) {
-    if (counts[b] == 0) continue;
-    const double lo = b == 0 ? 0.0 : bounds[b - 1];
-    const double hi =
-        b < bounds.size() ? bounds[b] : (bounds.empty() ? 0.0 : bounds.back());
-    seen += counts[b];
-    if (static_cast<double>(seen) >= rank) {
-      const double frac = 1.0 - (static_cast<double>(seen) - rank) /
-                                    static_cast<double>(counts[b]);
-      return lo + (hi - lo) * frac;
-    }
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
 
 Monitor::Monitor(const MetricsRegistry* registry, Options options)
     : registry_(registry), options_(std::move(options)) {
@@ -228,9 +205,9 @@ void Monitor::SampleLocked() {
     w.Key(h.name.c_str()).BeginObject();
     w.KV("count", delta_count);
     w.KV("mean", delta_sum / static_cast<double>(delta_count));
-    w.KV("p50", PercentileFromBuckets(h.bounds, delta, 0.50));
-    w.KV("p90", PercentileFromBuckets(h.bounds, delta, 0.90));
-    w.KV("p99", PercentileFromBuckets(h.bounds, delta, 0.99));
+    w.KV("p50", PercentileFromBuckets(h.bounds, delta, 0.50, 0.0));
+    w.KV("p90", PercentileFromBuckets(h.bounds, delta, 0.90, 0.0));
+    w.KV("p99", PercentileFromBuckets(h.bounds, delta, 0.99, 0.0));
     w.EndObject();
   }
   w.EndObject();

@@ -45,12 +45,6 @@
 
 namespace rexp::obs {
 
-// Interpolated quantile from one histogram's bucket counts (the same
-// scheme Histogram::Percentile uses, over caller-supplied counts so the
-// monitor can feed interval deltas). 0 when the counts are all zero.
-double PercentileFromBuckets(const std::vector<double>& bounds,
-                             const std::vector<uint64_t>& counts, double q);
-
 class Monitor {
  public:
   struct Options {

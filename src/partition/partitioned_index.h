@@ -384,11 +384,7 @@ class PartitionedIndex {
       tree->NearestNeighbors(point, t, k, &part);
       out->insert(out->end(), part.begin(), part.end());
     }
-    std::sort(out->begin(), out->end(),
-              [](const NnResult& a, const NnResult& b) {
-                if (a.dist_sq != b.dist_sq) return a.dist_sq < b.dist_sq;
-                return a.oid < b.oid;
-              });
+    std::sort(out->begin(), out->end(), NearerFirst{});
     if (out->size() > static_cast<size_t>(k)) {
       out->resize(static_cast<size_t>(k));
     }
@@ -716,7 +712,7 @@ class PartitionedIndex {
     REXP_CHECK_OK(source->ForEachNode([&](PageId, const Node<kDims>& node) {
       if (!node.IsLeaf()) return;
       for (const NodeEntry<kDims>& e : node.entries) {
-        if (!config_.expire_entries || e.region.t_exp >= now) {
+        if (config_.Live(e.region.t_exp, now)) {
           live.push_back(LiveRecord{e.id, e.region});
         }
       }

@@ -134,13 +134,6 @@ PageGuard BufferManager::NewPageOrDie(PageId* id) {
   return *std::move(guard);
 }
 
-void BufferManager::MarkDirty(PageId id) {
-  sched::MutexLock lock(&pool_mu_);
-  auto it = frame_of_.find(id);
-  REXP_CHECK(it != frame_of_.end());
-  frames_[it->second]->dirty = true;
-}
-
 void BufferManager::Pin(PageId id) {
   sched::MutexLock lock(&pool_mu_);
   auto it = frame_of_.find(id);

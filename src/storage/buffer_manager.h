@@ -185,10 +185,6 @@ class BufferManager {
   PageGuard FetchOrDie(PageId id, PageIntent intent = PageIntent::kRead);
   PageGuard NewPageOrDie(PageId* id);
 
-  // Marks a buffered page dirty. The page must currently be buffered.
-  // Prefer PageGuard::MarkDirty; this survives for tests and tools.
-  void MarkDirty(PageId id);
-
   // Pins / unpins a page so it is never evicted. Pins nest, and stack
   // with the implicit pin of live guards. Used for the root page, which
   // stays pinned across operations.

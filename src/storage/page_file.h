@@ -114,7 +114,8 @@ struct DeviceStats {
 // platter — a reread distinguishes transient garbling from real rot,
 // which simply keeps failing until the budget runs out). Writes retry on
 // kIOError only. The default policy performs no retries, preserving
-// fail-fast semantics; Tree::Open applies TreeConfig's policy.
+// fail-fast semantics; the caller sets a policy on the device
+// (set_retry_policy).
 struct RetryPolicy {
   uint32_t max_retries = 0;  // Extra attempts after the first failure.
   uint32_t backoff_initial_us = 100;
@@ -197,8 +198,8 @@ class PageFile {
                        const std::string& prefix, obs::OwnerId owner) const;
 
   // Transient-fault retry policy applied by ReadPage/WritePage (see
-  // RetryPolicy). The default performs no retries. Not thread-safe; set
-  // before the device is shared (Tree::Open does this from TreeConfig).
+  // RetryPolicy). The default performs no retries. Not thread-safe: the
+  // caller sets it on the device before the device is shared.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
   // Checksummed page transfer. `page->size()` must equal page_size() and

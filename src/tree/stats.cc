@@ -27,7 +27,7 @@ StatusOr<TreeStats<kDims>> CollectStats(Tree<kDims>* tree, Time now) {
   };
   std::vector<Accumulator> acc(stats.height);
 
-  const bool expires = tree->config().expire_entries;
+  const TreeConfig& config = tree->config();
   REXP_RETURN_IF_ERROR(tree->ForEachNode([&](PageId, const Node<kDims>& node) {
     const int level = node.level;
     LevelStats& ls = stats.levels[level];
@@ -37,7 +37,7 @@ StatusOr<TreeStats<kDims>> CollectStats(Tree<kDims>* tree, Time now) {
     a.fill_sum += static_cast<double>(node.entries.size()) /
                   tree->codec().Capacity(level);
     for (const NodeEntry<kDims>& e : node.entries) {
-      if (expires && e.region.t_exp < now) continue;
+      if (!config.Live(e.region.t_exp, now)) continue;
       ls.live_entries += 1;
       for (int d = 0; d < kDims; ++d) {
         a.extent_sum += e.region.ExtentAt(d, now);

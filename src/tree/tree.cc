@@ -360,12 +360,6 @@ void Tree<kDims>::FreeSubtree(PageId id, int level) {
 // Expiration handling.
 
 template <int kDims>
-bool Tree<kDims>::EntryLive(const NodeEntry<kDims>& e, Time now) const {
-  if (!config_.expire_entries) return true;
-  return e.region.t_exp >= now;
-}
-
-template <int kDims>
 void Tree<kDims>::PurgeExpired(Node<kDims>* node, Time now, PageId skip_id,
                                const Batch* batch) {
   if (!config_.expire_entries) return;
@@ -374,7 +368,7 @@ void Tree<kDims>::PurgeExpired(Node<kDims>* node, Time now, PageId skip_id,
   for (size_t i = 0; i < node->entries.size(); ++i) {
     NodeEntry<kDims>& e = node->entries[i];
     const bool keep =
-        EntryLive(e, now) ||
+        config_.Live(e.region.t_exp, now) ||
         (!node->IsLeaf() &&
          (e.id == skip_id ||
           (batch != nullptr && batch->contains({node->level - 1, e.id}))));
@@ -423,7 +417,7 @@ Tpbr<kDims> Tree<kDims>::ComputeBound(const Node<kDims>& node, Time now) {
   regions.clear();
   regions.reserve(node.entries.size());
   for (const NodeEntry<kDims>& e : node.entries) {
-    if (EntryLive(e, now)) regions.push_back(e.region);
+    if (config_.Live(e.region.t_exp, now)) regions.push_back(e.region);
   }
   if (regions.empty()) {
     // A node with no live entries (possible only transiently); bound
@@ -502,7 +496,7 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
   std::vector<ScoredChild>& scored = choose_scratch_;
   scored.clear();
   for (size_t i = 0; i < node.entries.size(); ++i) {
-    if (EntryLive(node.entries[i], now)) {
+    if (config_.Live(node.entries[i].region.t_exp, now)) {
       scored.emplace_back().index = static_cast<int>(i);
     }
   }
@@ -582,12 +576,6 @@ int Tree<kDims>::ChooseSubtree(const Node<kDims>& node,
 // Split and forced reinsertion.
 
 template <int kDims>
-int Tree<kDims>::MinEntries(int level) const {
-  return std::max(
-      2, static_cast<int>(codec_.Capacity(level) * config_.min_fill_fraction));
-}
-
-template <int kDims>
 int Tree<kDims>::ReinsertCount(int total) const {
   return std::clamp(static_cast<int>(config_.reinsert_fraction * total), 1,
                     total - 2);
@@ -596,7 +584,7 @@ int Tree<kDims>::ReinsertCount(int total) const {
 template <int kDims>
 Node<kDims> Tree<kDims>::SplitNode(Node<kDims>* node, Time now) {
   const int total = static_cast<int>(node->entries.size());
-  const int min_entries = MinEntries(node->level);
+  const int min_entries = config_.MinEntries(codec_.Capacity(node->level));
   REXP_CHECK(total > codec_.Capacity(node->level));
   const uint64_t io_before = buffer_.stats().Total();
   if (tracer_ != nullptr) {
@@ -806,7 +794,7 @@ PageId Tree<kDims>::SettleNode(PageId id, bool is_root, Node<kDims> node,
       ReadNodeInto(right_id, &fix_scratch_);
       *extra = NodeEntry<kDims>{ComputeBound(fix_scratch_, now), right_id};
     }
-  } else if (!is_root && total < MinEntries(node.level)) {
+  } else if (!is_root && total < config_.MinEntries(cap)) {
     if (pending_.size() + node.entries.size() > config_.max_orphans) {
       // Orphan list is (almost) full: stop handling underfull nodes for
       // this operation (paper Section 4.3). The node stays underfull —
@@ -1146,7 +1134,7 @@ bool Tree<kDims>::DeleteRecurse(PageId id, int level, ObjectId oid,
                           ? static_cast<Time>(point.t_exp)
                           : now;
   for (const NodeEntry<kDims>& e : node.entries) {
-    if (!see_expired && !EntryLive(e, now)) continue;
+    if (!see_expired && !config_.Live(e.region.t_exp, now)) continue;
     bool contains = true;
     for (int d = 0; contains && d < kDims; ++d) {
       double pos = point.LoAt(d, t_test);
@@ -1168,7 +1156,7 @@ int Tree<kDims>::FindLeafMatch(const Node<kDims>& leaf, ObjectId oid,
                                bool see_expired) const {
   for (size_t i = 0; i < leaf.entries.size(); ++i) {
     const NodeEntry<kDims>& e = leaf.entries[i];
-    if (e.id == oid && (see_expired || EntryLive(e, now)) &&
+    if (e.id == oid && (see_expired || config_.Live(e.region.t_exp, now)) &&
         SameRecord(e.region, point)) {
       return static_cast<int>(i);
     }
@@ -1472,7 +1460,7 @@ std::vector<bool> Tree<kDims>::GroupUpdate(
       // object: a later request for the object replaces it there.
       auto pending = std::find_if(
           routed.rbegin(), routed.rend(), [&](const NodeEntry<kDims>& e) {
-            return e.id == r.oid && EntryLive(e, now) &&
+            return e.id == r.oid && config_.Live(e.region.t_exp, now) &&
                    SameRecord(e.region, old_record);
           });
       if (pending != routed.rend()) {
@@ -1593,7 +1581,7 @@ void Tree<kDims>::RouteBatchFrom(Batch* batch, int level, PageId id,
     // An expired what-if bound (an expired record routed into an expired
     // subtree) would be purged from this node when an earlier group's
     // target settles into it; a node the batch holds is kept.
-    if (!EntryLive(node.entries[idx], now)) BatchNode(batch, level - 1, child);
+    if (!config_.Live(what_if.t_exp, now)) BatchNode(batch, level - 1, child);
     chosen.emplace_back(child, r);
   }
   // By child, each child's records in arrival order (record indices are
@@ -1622,8 +1610,8 @@ void Tree<kDims>::SettleBatchNode(Batch* batch, typename Batch::iterator it,
   batch->erase(it);
   // One split must leave two nodes that fit: the entries past that go
   // through InsertPending (DrainPending), last arrivals first.
-  const size_t fits =
-      static_cast<size_t>(codec_.Capacity(level) + MinEntries(level));
+  const int cap = codec_.Capacity(level);
+  const size_t fits = static_cast<size_t>(cap + config_.MinEntries(cap));
   while (node.entries.size() > fits) {
     const NodeEntry<kDims> spill = node.entries.back();
     node.entries.pop_back();
@@ -1698,12 +1686,10 @@ void Tree<kDims>::Search(const Query<kDims>& query,
     ++visited;
     for (int i = 0; i < node.count(); ++i) {
       const NodeEntry<kDims> e = node.Entry(i);
-      Time expiry = kNeverExpires;
-      if (config_.expire_entries) {
-        expiry = node.IsLeaf() ? e.region.t_exp
-                               : e.region.EffectiveExpiry(0);
+      if (!Intersects(e.region, query,
+                      config_.QueryExpiry(e.region, node.IsLeaf()))) {
+        continue;
       }
-      if (!Intersects(e.region, query, expiry)) continue;
       if (node.IsLeaf()) {
         out->push_back(e.id);
       } else {
@@ -1778,8 +1764,7 @@ template <int kDims>
 std::vector<NodeEntry<kDims>> Tree<kDims>::PackLevel(
     std::vector<NodeEntry<kDims>> items, int level, Time now, double fill) {
   const int cap = codec_.Capacity(level);
-  const int min_entries =
-      std::max(2, static_cast<int>(cap * config_.min_fill_fraction));
+  const int min_entries = config_.MinEntries(cap);
   size_t target = std::max<size_t>(
       min_entries, static_cast<size_t>(cap * fill));
   size_t num_nodes = (items.size() + target - 1) / target;
@@ -1823,7 +1808,7 @@ void Tree<kDims>::BulkLoad(std::vector<BulkRecord> records, Time now,
                            double fill) {
   sched::WriterMutexLock epoch(&epoch_mu_);
   REXP_CHECK(root_ == kInvalidPageId && height_ == 0);
-  REXP_CHECK(fill > config_.min_fill_fraction && fill <= 1.0);
+  REXP_CHECK(config_.ValidBulkFill(fill));
   if (records.empty()) return;
   const uint64_t io_before = buffer_.stats().Total();
   if (tracer_ != nullptr) {
@@ -1921,11 +1906,7 @@ void Tree<kDims>::NearestNeighbors(const Vec<kDims>& point, Time t, int k,
     for (int i = 0; i < node.count(); ++i) {
       const NodeEntry<kDims> e = node.Entry(i);
       // Only entries valid at time t participate.
-      if (config_.expire_entries) {
-        Time expiry = node.IsLeaf() ? e.region.t_exp
-                                    : e.region.EffectiveExpiry(0);
-        if (expiry < t) continue;
-      }
+      if (config_.QueryExpiry(e.region, node.IsLeaf()) < t) continue;
       const double dist = MinDistSqAt(point, e.region, t);
       if (best.size() == want && dist > best.front()) continue;
       if (node.IsLeaf()) {

@@ -501,7 +501,6 @@ class Tree {
   void FreeSubtree(PageId id, int level) REQUIRES(epoch_mu_);
 
   // --- expiration ---
-  bool EntryLive(const NodeEntry<kDims>& e, Time now) const;
   // Drops expired entries (freeing subtrees of expired internal entries).
   // An internal entry is kept, even if its recorded expiration lapsed,
   // when its child is `skip_id` or a node `batch` holds: the caller is
@@ -548,7 +547,6 @@ class Tree {
   void ReattachChild(Node<kDims>* parent, PageId child, PageId stored,
                      const NodeEntry<kDims>& extra, Time now)
       REQUIRES(epoch_mu_);
-  int MinEntries(int level) const;
   // Entries a forced reinsertion takes out of a node of `total` entries.
   int ReinsertCount(int total) const;
   Node<kDims> SplitNode(Node<kDims>* node, Time now) REQUIRES(epoch_mu_);

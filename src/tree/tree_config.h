@@ -10,9 +10,11 @@
 #ifndef REXP_TREE_TREE_CONFIG_H_
 #define REXP_TREE_TREE_CONFIG_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/check.h"
+#include "common/types.h"
 #include "tpbr/tpbr.h"
 
 namespace rexp {
@@ -96,6 +98,34 @@ struct TreeConfig {
   // True if internal entries carry velocities on the page (all strategies
   // except static bounds).
   bool StoresVelocities() const { return tpbr_kind != TpbrKind::kStatic; }
+
+  // R*'s minimum fill of a node holding at most `capacity` entries: the
+  // tree's underflow threshold and split bound, the verifier's occupancy
+  // check and repair's underfull count all read it here.
+  int MinEntries(int capacity) const {
+    return std::max(2, static_cast<int>(capacity * min_fill_fraction));
+  }
+
+  // BulkLoad's target fill: above the minimum fill, at most full.
+  bool ValidBulkFill(double fill) const {
+    return fill > min_fill_fraction && fill <= 1.0;
+  }
+
+  // Lazy expiry (paper Section 4.3): an entry whose expiration time has
+  // passed is invisible to queries and updates and may be purged. Without
+  // expiration semantics every entry is live.
+  bool Live(Time t_exp, Time now) const {
+    return !expire_entries || t_exp >= now;
+  }
+
+  // The expiry a query tests for an entry: a leaf record's own t_exp, an
+  // internal entry's effective expiry (recorded, or its rectangle's
+  // natural one), or never without expiration semantics.
+  template <int kDims>
+  Time QueryExpiry(const Tpbr<kDims>& region, bool leaf) const {
+    if (!expire_entries) return kNeverExpires;
+    return leaf ? region.t_exp : region.EffectiveExpiry(0);
+  }
 
   void Validate() const {
     REXP_CHECK(page_size >= 256);

@@ -3,7 +3,6 @@
 #include "verify/repair.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -102,7 +101,6 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
     return out;
   }
 
-  const bool expire = ctx->config->expire_entries;
   const Time now = ctx->now;
   bool changed = false;
   std::vector<NodeEntry<kDims>> kept;
@@ -117,7 +115,7 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
         ++dropped_noncanonical;
         continue;
       }
-      if (expire && e.region.t_exp < now) {
+      if (!ctx->config->Live(e.region.t_exp, now)) {
         ++dropped_expired;
         continue;
       }
@@ -167,18 +165,11 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
         changed = true;
         continue;
       }
-      bool region_numeric = !std::isnan(e.region.t_exp);
-      for (int d = 0; d < kDims; ++d) {
-        if (std::isnan(e.region.lo[d]) || std::isnan(e.region.hi[d]) ||
-            std::isnan(e.region.vlo[d]) || std::isnan(e.region.vhi[d])) {
-          region_numeric = false;
-        }
-      }
-      const bool expiry_violated =
-          expire && child.live_expiry >= now &&
-          !(e.region.t_exp >= child.live_expiry - 1e-6);
       const bool needs_fix =
-          !region_numeric || expiry_violated || child.escaped;
+          !RegionNumeric(e.region) ||
+          ExpiryUnderestimates(*ctx->config, e.region.t_exp,
+                               child.live_expiry, now) ||
+          child.escaped;
       NodeEntry<kDims> fixed = e;
       if (needs_fix) {
         fixed.region = child.hull;
@@ -230,10 +221,7 @@ SubtreeFix<kDims> FixSubtree(FixCtx<kDims>* ctx, PageId id, int level,
     }
   }
   ctx->level_counts[static_cast<size_t>(level)] += kept.size();
-  const int cap = ctx->codec->Capacity(level);
-  const int min_entries =
-      std::max(2, static_cast<int>(static_cast<double>(cap) *
-                                   ctx->config->min_fill_fraction));
+  const int min_entries = ctx->config->MinEntries(ctx->codec->Capacity(level));
   if (id != ctx->root && kept.size() < static_cast<size_t>(min_entries)) {
     ++ctx->underfull;
   }
@@ -423,7 +411,7 @@ StatusOr<SalvageReport> TreeRepairer<kDims>::Salvage(
         ++report.records_dropped_noncanonical;
         continue;
       }
-      if (config.expire_entries && e.region.t_exp < options.now) {
+      if (!config.Live(e.region.t_exp, options.now)) {
         ++report.records_dropped_expired;
         continue;
       }

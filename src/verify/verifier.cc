@@ -175,6 +175,24 @@ Escape FindEscape(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
 }
 
 template <int kDims>
+bool RegionNumeric(const Tpbr<kDims>& region) {
+  if (std::isnan(region.t_exp)) return false;
+  for (int d = 0; d < kDims; ++d) {
+    if (std::isnan(region.lo[d]) || std::isnan(region.hi[d]) ||
+        std::isnan(region.vlo[d]) || std::isnan(region.vhi[d])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ExpiryUnderestimates(const TreeConfig& config, Time stored,
+                          Time content_expiry, Time now) {
+  return config.expire_entries && content_expiry >= now &&
+         !(stored >= content_expiry - 1e-6);
+}
+
+template <int kDims>
 struct TreeVerifier<kDims>::WalkState {
   Report* report;
   const LiveRecordVisitor* visit;
@@ -235,10 +253,7 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
   }
 
   const bool is_root = (id == view.root);
-  const int min_entries =
-      std::max(2, static_cast<int>(static_cast<double>(cap) *
-                                   config.min_fill_fraction));
-  if (!is_root && count < min_entries) {
+  if (!is_root && count < config.MinEntries(cap)) {
     // Underfull nodes may exist only within the orphan-cap budget; the
     // caller compares the total against view.underfull_remnants.
     ++report->underfull_nodes;
@@ -253,16 +268,8 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
   Time subtree_expiry = kNoLiveContent;
   for (size_t i = 0; i < node.entries.size(); ++i) {
     const NodeEntry<kDims>& e = node.entries[i];
-    const bool live = !config.expire_entries || e.region.t_exp >= now;
-
-    // Region sanity: every decoded coordinate must be a number.
-    bool region_numeric = !std::isnan(e.region.t_exp);
-    for (int d = 0; d < kDims; ++d) {
-      if (std::isnan(e.region.lo[d]) || std::isnan(e.region.hi[d]) ||
-          std::isnan(e.region.vlo[d]) || std::isnan(e.region.vhi[d])) {
-        region_numeric = false;
-      }
-    }
+    const bool live = config.Live(e.region.t_exp, now);
+    const bool region_numeric = RegionNumeric(e.region);
     if (!region_numeric && level > 0) {
       AddFinding(report, options, CheckId::kNodeStructure, id, level,
                  "entry " + std::to_string(i) +
@@ -304,12 +311,8 @@ Time TreeVerifier<kDims>::WalkSubtree(PageFile* file, const TreeConfig& config,
       true_expiry = WalkSubtree(file, config, codec, view, options, e.id,
                                 level - 1, &e.region, state);
 
-      // Expiration-time monotonicity (paper Section 4.1.1): the decoded
-      // expiry — stored, or the rectangle's natural one — must never
-      // under-estimate the true lifetime of live content, else queries
-      // could prune live subtrees.
-      if (config.expire_entries && true_expiry >= now &&
-          !(e.region.t_exp >= true_expiry - 1e-6)) {
+      // An under-estimated expiry would let queries prune live subtrees.
+      if (ExpiryUnderestimates(config, e.region.t_exp, true_expiry, now)) {
         AddFinding(report, options, CheckId::kExpiryMonotonic, id, level,
                    "entry " + std::to_string(i) + " expiry " +
                        Num(e.region.t_exp) +
@@ -647,6 +650,7 @@ bool EditCommittedNode(PageFile* file, const TreeConfig& config, int level,
       const NodeEntry<D>&);                                                   \
   template Escape FindEscape<D>(const Tpbr<D>&, const Tpbr<D>&, Time, bool,   \
                                 Time, const VerifyOptions&);                  \
+  template bool RegionNumeric<D>(const Tpbr<D>&);                             \
   template PageId CommittedPageAtLevel<D>(PageFile*, const TreeConfig&, int); \
   template bool EditCommittedNode<D>(PageFile*, const TreeConfig&, int,       \
                                      const std::function<void(Node<D>*)>&);

@@ -145,6 +145,20 @@ Escape FindEscape(const Tpbr<kDims>& bound, const Tpbr<kDims>& region,
                   Time true_expiry, bool expire_entries,
                   Time never_expires_horizon, const VerifyOptions& options);
 
+// True when every coordinate of `region` is a number. A NaN in an
+// internal entry's bound is structural damage: the verifier reports it
+// and repair replaces the bound with its child's hull.
+template <int kDims>
+bool RegionNumeric(const Tpbr<kDims>& region);
+
+// Expiration-time monotonicity (paper Section 4.1.1): true when a parent
+// entry's decoded expiry `stored` (recorded, or its rectangle's natural
+// one) under-estimates `content_expiry`, the lifetime of the live content
+// below it, by more than the on-page rounding. Content expired at `now`,
+// or a configuration without expiration, never violates it.
+bool ExpiryUnderestimates(const TreeConfig& config, Time stored,
+                          Time content_expiry, Time now);
+
 // Folds a component's report `part` into `into`: sums the counters and
 // appends the findings with "<label>: " prefixed to each detail,
 // recording at most options.max_findings and counting the rest as

@@ -490,11 +490,15 @@ TEST(TieredIndex, SearchSuppressesStaleTreeCopies) {
   TieredIndex<2> index(SmallConfig(), &file);
   Time now = 0;
 
-  // Admit, then migrate into the tree.
+  // Admit, then migrate into the tree. The drain runs later than every
+  // report and moves the tier's clock to its own time: there 43 is
+  // within min_residual_life of its expiry, so it stays to die in place.
   Tpbr<2> old_record = MakeMovingPoint<2>({100, 100}, {0, 0}, now, 500.0);
   index.Insert(42, old_record, now);
-  ASSERT_EQ(index.DrainLiveTier(now), 1u);
+  index.Insert(43, MakeMovingPoint<2>({400, 400}, {0, 0}, now, 1.5), now);
+  ASSERT_EQ(index.DrainLiveTier(1.0), 1u);
   ASSERT_FALSE(index.live_tier().Owns(42));
+  ASSERT_TRUE(index.live_tier().Owns(43));
 
   // Re-report far away: the object is owned again, its tree copy stale.
   now = 1.0;
@@ -651,7 +655,7 @@ TEST(TieredIndex, DeleteDuringMigrationDoesNotResurrect) {
   std::vector<ObjectId> hits;
   index.Search(everything, &hits);
   EXPECT_TRUE(hits.empty());
-  EXPECT_GT(index.tree_cleanup_deletes(), 0u);
+  EXPECT_GT(index.live_stats().tree_cleanup_deletes, 0u);
   ExpectVerified(index, now);
 }
 
@@ -971,15 +975,15 @@ TEST(TieredConcurrency, BackgroundMigratorPreservesAnswers) {
   ticker.reset();
   index.DrainLiveTier(now);
   ExpectVerified(index, now);
-  EXPECT_GT(index.migration_batches(), 0u);
+  EXPECT_GT(index.live_stats().migration_batches, 0u);
 }
 
-// Regression: migration_batches() and tree_cleanup_deletes() read
-// counters that MigrateTick, running on another thread, mutates under the
-// live-tier mutex, so the accessors must lock too — the old unlocked
-// reads raced with MigrateTick (caught by the GUARDED_BY sweep; TSan
-// flags this test on the unlocked version). Also checks the counters only
-// move forward when sampled concurrently with the ticking thread.
+// Regression: live_stats() copies counters that MigrateTick, running on
+// another thread, mutates under the live-tier mutex, so the accessor must
+// lock too — the old unlocked reads raced with MigrateTick (caught by the
+// GUARDED_BY sweep; TSan flags this test on an unlocked version). Also
+// checks the counters only move forward when sampled concurrently with
+// the ticking thread.
 TEST(TieredConcurrency, CounterAccessorsLocked) {
   MemoryPageFile file(512);
   TreeConfig config = SmallConfig();
@@ -1004,15 +1008,16 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
       live.emplace_back(next_oid++, p);
     } else {
       // Deleting an already-migrated record exercises the cleanup path
-      // that bumps tree_cleanup_deletes_ under the mutex.
+      // that bumps tree_cleanup_deletes under the mutex.
       auto [oid, p] = live.back();
       live.pop_back();
       (void)index.Delete(oid, p, now);
     }
-    // Sample both counters while the ticking thread runs; each must be a
-    // consistent (locked) read and monotone.
-    const uint64_t batches = index.migration_batches();
-    const uint64_t cleanups = index.tree_cleanup_deletes();
+    // Sample the counters while the ticking thread runs; the copy must be
+    // a consistent (locked) read and each counter monotone.
+    const LiveTier<2>::Stats stats = index.live_stats();
+    const uint64_t batches = stats.migration_batches;
+    const uint64_t cleanups = stats.tree_cleanup_deletes;
     ASSERT_GE(batches, last_batches) << "migration_batches went backwards";
     ASSERT_GE(cleanups, last_cleanups) << "tree_cleanup_deletes went backwards";
     last_batches = batches;
@@ -1020,7 +1025,7 @@ TEST(TieredConcurrency, CounterAccessorsLocked) {
   }
   ticker.reset();
   index.DrainLiveTier(now);
-  EXPECT_GT(index.migration_batches(), 0u);
+  EXPECT_GT(index.live_stats().migration_batches, 0u);
   ExpectVerified(index, now);
 }
 
