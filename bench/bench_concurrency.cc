@@ -1,9 +1,9 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
-// Multi-threaded query throughput benchmark: sched::ParallelFor over
-// Tree::Search on a fig-style uniform workload at 1, 2, and 4 worker
-// threads (one pool per thread count, built outside the timed region,
-// each Search under its own shared epoch), reported as
+// Multi-threaded query throughput benchmark: Tree::Search on a fig-style
+// uniform workload at 1, 2, and 4 threads (the caller plus started
+// threads, all pulling query indices from one shared cursor, each Search
+// under its own shared epoch), reported as
 // queries/second and speedup over single-threaded, exported as
 // BENCH_concurrency.json (REXP_BENCH_DIR redirects the output directory,
 // as for the figure benchmarks).
@@ -16,9 +16,9 @@
 // device model instead.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +30,6 @@
 #include "harness/experiment.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
-#include "sched/thread_pool.h"
 #include "storage/page_file.h"
 #include "tree/tree.h"
 
@@ -99,13 +98,21 @@ int Main() {
     }
   }
 
-  // Answers every query on `pool` (inline when null) into `results`.
+  // Answers every query on `threads` threads, the caller included, into
+  // `results`.
   std::vector<std::vector<ObjectId>> results(queries.size());
-  auto search_all = [&](sched::ThreadPool* pool) {
-    sched::ParallelFor(pool, queries.size(), [&](size_t i) {
-      results[i].clear();
-      tree.Search(queries[i], &results[i]);
-    });
+  auto search_all = [&](int threads) {
+    std::atomic<size_t> next{0};
+    auto drain = [&] {
+      for (size_t i = next++; i < queries.size(); i = next++) {
+        results[i].clear();
+        tree.Search(queries[i], &results[i]);
+      }
+    };
+    std::vector<std::thread> helpers;
+    for (int t = 1; t < threads; ++t) helpers.emplace_back(drain);
+    drain();
+    for (std::thread& helper : helpers) helper.join();
   };
   auto total_hits = [&results] {
     uint64_t hits = 0;
@@ -115,7 +122,7 @@ int Main() {
 
   // Warmup: faults the working set into the buffer and fixes the
   // expected total result count for the sanity check below.
-  search_all(nullptr);
+  search_all(1);
   const uint64_t expected_hits = total_hits();
 
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -136,12 +143,10 @@ int Main() {
 
   std::vector<Run> runs;
   for (int threads : {1, 2, 4}) {
-    std::optional<sched::ThreadPool> pool;
-    if (threads > 1) pool.emplace(threads);
     double best = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
       auto start = std::chrono::steady_clock::now();
-      search_all(pool ? &*pool : nullptr);
+      search_all(threads);
       std::chrono::duration<double> elapsed =
           std::chrono::steady_clock::now() - start;
       const uint64_t hits = total_hits();

@@ -66,6 +66,11 @@
 #      monotonicity tolerance (`- 1e-6`) may appear only in
 #      src/verify/verifier.{h,cc}, whose ExpiryUnderestimates repair
 #      shares (DESIGN.md §9, §13).
+#  12. The tree has one update body. Outside its declaration and
+#      definition, Tree::Admit (the in-place admission rule) is called
+#      from exactly one place in src/, inside Tree::ApplyUpdates, the body
+#      both Update and GroupUpdate run (DESIGN.md §10, §13). A second
+#      caller is a second update path.
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -231,6 +236,30 @@ for f in "${files[@]}"; do
     report "expiry-tolerance" "$f:$hit (use verify::ExpiryUnderestimates)"
   done < <(grep -nE -- '-[[:space:]]*1e-6([^0-9]|$)' "$f" || true)
 done
+
+# --- Rule 12: one update body ---------------------------------------------
+admit_sites=()
+for f in "${files[@]}"; do
+  case "$f" in src/*) ;; *) continue ;; esac
+  # Calls only, as in rule 7; each with the Tree member whose definition
+  # (a line starting at column 0 naming `Tree<kDims>::fn(`) encloses it.
+  while IFS= read -r hit; do
+    admit_sites+=("$hit")
+  done < <(awk -v file="$f" '
+    /^[^[:space:]#\/].*Tree<kDims>::[A-Za-z_]+\(/ {
+      fn = $0
+      sub(/\(.*/, "", fn)
+      sub(/.*::/, "", fn)
+    }
+    /(^|[^A-Za-z_:])Admit\(/ && !/^[[:space:]]*Admission[[:space:]]+Admit\(/ {
+      print file ":" FNR ":" fn
+    }' "$f")
+done
+if [ "${#admit_sites[@]}" -ne 1 ] ||
+   [ "${admit_sites[0]##*:}" != "ApplyUpdates" ]; then
+  report "one-update-body" \
+    "Admit is called from ${#admit_sites[@]} places (${admit_sites[*]}); only the update body, Tree::ApplyUpdates, may call it"
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "conventions: violations found (markers: see scripts/check_conventions.sh)" >&2

@@ -17,7 +17,6 @@
 #include "sched/mutex.h"
 #include "sched/scheduled_index.h"
 #include "sched/shared_mutex.h"
-#include "sched/thread_pool.h"
 #include "../tools/monitor_stream.h"
 
 // The TU must emit at least one symbol or some linkers warn about an

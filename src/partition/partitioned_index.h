@@ -219,7 +219,7 @@ class PartitionedIndex {
     uint64_t deletes = 0;
     uint64_t updates = 0;
     // Updates that found a copy of the object in some active class and
-    // could not stay in their routed class (see UpdateLocked).
+    // could not stay in their routed class (see UpdateOneLocked).
     uint64_t migrations = 0;
     uint64_t group_batches = 0;
     uint64_t searches = 0;
@@ -334,7 +334,7 @@ class PartitionedIndex {
                             const Tpbr<kDims>& new_record, Time now)
       EXCLUDES(router_mu_) {
     sched::MutexLock lk(&router_mu_);
-    const bool found = UpdateLocked(oid, old_record, new_record, now);
+    const bool found = UpdateOneLocked(oid, old_record, new_record, now);
     MaintenanceLocked(now);
     return found;
   }
@@ -353,8 +353,8 @@ class PartitionedIndex {
     std::vector<bool> results(requests.size(), false);
     if (requests.empty()) return results;
     for (size_t i = 0; i < requests.size(); ++i) {
-      results[i] = UpdateLocked(requests[i].oid, requests[i].old_record,
-                                requests[i].new_record, now);
+      results[i] = UpdateOneLocked(requests[i].oid, requests[i].old_record,
+                                   requests[i].new_record, now);
     }
     MaintenanceLocked(now);
     return results;
@@ -610,8 +610,8 @@ class PartitionedIndex {
   // migrates: the old record is deleted from whichever class holds it and
   // the new one is inserted into the routed class. A migration of an
   // object some active class held a copy of counts in stats_.migrations.
-  bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
-                    const Tpbr<kDims>& new_record, Time now)
+  bool UpdateOneLocked(ObjectId oid, const Tpbr<kDims>& old_record,
+                       const Tpbr<kDims>& new_record, Time now)
       REQUIRES(router_mu_) {
     ++stats_.updates;
     const double speed = SpeedOf(new_record);

@@ -1109,8 +1109,8 @@ bool Tree<kDims>::RemoveRecord(ObjectId oid, const Tpbr<kDims>& point,
   // The DAT pins the object's single physical copy: the whole removal
   // resolves at that leaf, with no overlap-guided descent.
   ++op_stats_.delete_bottom_up;
-  if (!batch->contains({0, leaf})) ReadNodeInto(leaf, &update_scratch_);
-  return EraseLeafEntry(batch, leaf, &update_scratch_, oid, point, now,
+  if (!batch->contains({0, leaf})) ReadNodeInto(leaf, &update_scratch_.leaf);
+  return EraseLeafEntry(batch, leaf, &update_scratch_.leaf, oid, point, now,
                         see_expired);
 }
 
@@ -1268,80 +1268,13 @@ typename Tree<kDims>::Admission Tree<kDims>::Admit(
 }
 
 template <int kDims>
-bool Tree<kDims>::UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
-                               const Tpbr<kDims>& new_record, Time now) {
-  ++op_stats_.updates;
-  NoteReport(now);
-
-  // Fast path: the DAT pins the object's single physical copy to a leaf.
-  const PageId leaf =
-      root_ != kInvalidPageId ? dat_.PinnedLeaf(oid) : kInvalidPageId;
-  if (leaf != kInvalidPageId) {
-    ++op_stats_.dat_hits;
-    Node<kDims>& node = update_scratch_;
-    ReadNodeInto(leaf, &node);
-    const int match = FindLeafMatch(node, oid, old_record, now,
-                                    /*see_expired=*/false);
-    // The leaf first, then its parent-facing bound.
-    PageId parent = kInvalidPageId;
-    const Admission admit =
-        match < 0
-            ? Admission::kNone
-            : Admit(leaf, ReadParentBound(leaf, &parent, &fix_scratch_),
-                    new_record, now);
-    if (admit == Admission::kInPlace && !config_.crash_consistent) {
-      // Tier 1: a single leaf write — no purge, no parent touch, zero
-      // descents. Ancestors stay sound: the parent entry covers the new
-      // record over its whole remaining lifetime, and every ancestor
-      // covers the parent entry up to its recorded expiry, which the
-      // admission rule keeps at or above the new record's.
-      node.entries[match].region = new_record;
-      WriteNode(leaf, node);
-      ++op_stats_.update_fast;
-      return true;
-    }
-    if (admit != Admission::kNone && ParentChainIntact(leaf)) {
-      // Tier 2: replace in the leaf's batch copy, then settle it, which
-      // recomputes every ancestor bound/expiry up the parent chain —
-      // still no ChooseSubtree descent. This is the usual case when the
-      // new record outlives the recorded parent expiry, and the only
-      // admissible bottom-up form under copy-on-write (the leaf's page
-      // id changes on every store).
-      Batch batch;
-      Node<kDims>& copy =
-          batch.try_emplace({0, leaf}, std::move(node)).first->second;
-      copy.entries[match].region = new_record;
-      PurgeExpired(&copy, now);
-      SettleBatch(&batch, now);
-      DrainPending(now);
-      ++op_stats_.update_fast;
-      ++op_stats_.update_fast_propagations;
-      return true;
-    }
-  } else {
-    ++op_stats_.dat_misses;
-  }
-
-  // Fallback: remove the old record, then a regular insert. The removal
-  // settles first, so the insert routes against the bounds it left.
-  ++op_stats_.update_fallback;
-  Batch batch;
-  const bool found = RemoveRecord(oid, old_record, now,
-                                  /*see_expired=*/false, &batch);
-  SettleBatch(&batch, now);
-  DrainPending(now);
-  InsertPending(Pending{0, NodeEntry<kDims>{new_record, oid}}, now);
-  DrainPending(now);
-  return found;
-}
-
-template <int kDims>
 bool Tree<kDims>::Update(ObjectId oid, const Tpbr<kDims>& old_record,
                          const Tpbr<kDims>& new_record, Time now) {
   sched::WriterMutexLock epoch(&epoch_mu_);
+  const UpdateRequest request{oid, old_record, new_record};
   auto update = [&]() REQUIRES(epoch_mu_) {
-    return UpdateLocked(oid, CanonicalRecord(old_record),
-                        CanonicalRecord(new_record), now);
+    ApplyUpdates({&request, 1}, now);
+    return update_scratch_.results[0] != 0;
   };
   return RunMutation(obs::FlightOp::kUpdate, oid, now, update);
 }
@@ -1349,169 +1282,169 @@ bool Tree<kDims>::Update(ObjectId oid, const Tpbr<kDims>& old_record,
 template <int kDims>
 std::vector<bool> Tree<kDims>::GroupUpdate(
     const std::vector<UpdateRequest>& requests, Time now) {
-  std::vector<bool> results(requests.size(), false);
-  if (requests.empty()) return results;
+  if (requests.empty()) return {};
   sched::WriterMutexLock epoch(&epoch_mu_);
   ++op_stats_.group_update_batches;
   auto apply = [&]() REQUIRES(epoch_mu_) {
-    // The parent node ReadParentBound last decoded. Nothing above the
-    // leaves changes before SettleBatch, so it stays valid until then.
-    PageId parent_id = kInvalidPageId;
-    Node<kDims> parent;
-    std::vector<char> done(requests.size(), 0);
-
-    // Pass 1: per pinned leaf, apply every tier-1-admissible replacement
-    // to one in-memory copy and write the page once. The order is by
-    // (parent, leaf) — stable, so requests for the same object keep their
-    // batch order — and each parent is decoded once. Copy-on-write mode
-    // relocates the leaf on every store, so it leaves all to pass 2.
-    if (!config_.crash_consistent) {
-      struct Target {
-        PageId parent, leaf;
-        size_t request;
-      };
-      std::vector<Target> order;
-      order.reserve(requests.size());
-      for (size_t i = 0; i < requests.size(); ++i) {
-        const PageId leaf = root_ != kInvalidPageId
-                                ? dat_.PinnedLeaf(requests[i].oid)
-                                : kInvalidPageId;
-        const PageId* up =
-            leaf == kInvalidPageId ? nullptr : parent_of_.Find(leaf);
-        order.push_back({up == nullptr ? kInvalidPageId : *up, leaf, i});
-      }
-      std::stable_sort(order.begin(), order.end(),
-                       [](const Target& a, const Target& b) {
-                         return std::tie(a.parent, a.leaf) <
-                                std::tie(b.parent, b.leaf);
-                       });
-      // Objects with a request left to pass 2: their later requests wait
-      // for it, so each object's requests stay in batch order.
-      std::vector<ObjectId> deferred;
-      size_t g = 0;
-      while (g < order.size()) {
-        const PageId leaf = order[g].leaf;
-        size_t g_end = g;
-        while (g_end < order.size() && order[g_end].leaf == leaf) ++g_end;
-        // The leaf's parent-facing bound gates every admission in this
-        // group. Unpinned requests and a broken parent chain go to pass 2.
-        const Tpbr<kDims>* bound =
-            leaf == kInvalidPageId ? nullptr
-                                   : ReadParentBound(leaf, &parent_id, &parent);
-        if (leaf == kInvalidPageId || (bound == nullptr && leaf != root_)) {
-          g = g_end;
-          continue;
-        }
-        Node<kDims>& node = update_scratch_;
-        ReadNodeInto(leaf, &node);
-        deferred.clear();
-        bool dirty = false;
-        for (size_t k = g; k < g_end; ++k) {
-          const size_t i = order[k].request;
-          const UpdateRequest& r = requests[i];
-          const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
-          const bool waits =
-              !r.has_old_record ||
-              std::find(deferred.begin(), deferred.end(), r.oid) !=
-                  deferred.end();
-          const int match =
-              waits ? -1
-                    : FindLeafMatch(node, r.oid, CanonicalRecord(r.old_record),
-                                    now, /*see_expired=*/false);
-          if (match < 0 ||
-              Admit(leaf, bound, new_record, now) != Admission::kInPlace) {
-            deferred.push_back(r.oid);
-            continue;
-          }
-          node.entries[match].region = new_record;
-          dirty = true;
-          done[i] = 1;
-          results[i] = true;
-          ++op_stats_.updates;
-          ++op_stats_.update_fast;
-          ++op_stats_.dat_hits;
-          NoteReport(now);
-        }
-        if (dirty) WriteNode(leaf, node);
-        g = g_end;
-      }
-    }
-
-    // Pass 2, in batch order, with every change held in the batch's node
-    // copies until SettleBatch. A replacement the leaf's parent bound
-    // admits stays in its leaf; any other old record leaves its leaf and
-    // the new record joins `routed`, with the fresh objects.
-    Batch batch;
-    std::vector<NodeEntry<kDims>> routed;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (done[i] != 0) continue;
-      const UpdateRequest& r = requests[i];
-      const Tpbr<kDims> old_record = CanonicalRecord(r.old_record);
-      const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
-      NoteReport(now);
-      results[i] = true;
-      if (!r.has_old_record) {
-        ++op_stats_.inserts;
-        routed.push_back(NodeEntry<kDims>{new_record, r.oid});
-        continue;
-      }
-      ++op_stats_.updates;
-      // A record this batch has yet to place is the newest copy of its
-      // object: a later request for the object replaces it there.
-      auto pending = std::find_if(
-          routed.rbegin(), routed.rend(), [&](const NodeEntry<kDims>& e) {
-            return e.id == r.oid && config_.Live(e.region.t_exp, now) &&
-                   SameRecord(e.region, old_record);
-          });
-      if (pending != routed.rend()) {
-        pending->region = new_record;
-        continue;
-      }
-      const PageId leaf =
-          root_ != kInvalidPageId ? dat_.PinnedLeaf(r.oid) : kInvalidPageId;
-      if (leaf != kInvalidPageId) {
-        ++op_stats_.dat_hits;
-        Node<kDims>& node = BatchNode(&batch, 0, leaf);
-        PurgeExpired(&node, now);
-        const int match = FindLeafMatch(node, r.oid, old_record, now,
-                                        /*see_expired=*/false);
-        if (match >= 0 &&
-            Admit(leaf, ReadParentBound(leaf, &parent_id, &parent),
-                  new_record, now) != Admission::kNone) {
-          node.entries[match].region = new_record;
-          ++op_stats_.update_fast;
-          ++op_stats_.update_fast_propagations;
-          continue;
-        }
-      } else {
-        ++op_stats_.dat_misses;
-      }
-      ++op_stats_.update_fallback;
-      results[i] = RemoveRecord(r.oid, old_record, now,
-                                /*see_expired=*/false, &batch);
-      routed.push_back(NodeEntry<kDims>{new_record, r.oid});
-    }
-
-    for (;;) {
-      RouteBatch(&batch, 0, routed, now);
-      SettleBatch(&batch, now);
-      routed.clear();
-      // Leaf records the settle pushed out (forced reinsertion, dissolved
-      // leaves, spills) take another round; entries of internal levels
-      // go first, and singly (DrainPending, highest level first).
-      if (pending_.empty() ||
-          std::any_of(pending_.begin(), pending_.end(),
-                      [](const Pending& p) { return p.level > 0; })) {
-        break;
-      }
-      for (const Pending& p : pending_) routed.push_back(p.entry);
-      pending_.clear();
-    }
-    DrainPending(now);
+    ApplyUpdates(requests, now);
     return true;
   };
   RunMutation(obs::FlightOp::kGroupUpdate, requests.size(), now, apply);
-  return results;
+  const std::vector<int8_t>& results = update_scratch_.results;
+  return std::vector<bool>(results.begin(), results.end());
+}
+
+template <int kDims>
+void Tree<kDims>::ApplyUpdates(std::span<const UpdateRequest> requests,
+                               Time now) {
+  UpdateScratch& s = update_scratch_;
+  s.results.assign(requests.size(), kUnapplied);
+  // The parent ReadParentBound last decoded into fix_scratch_, and the
+  // leaf s.leaf holds as read (none once moved or overwritten). Only
+  // pass 1's leaf writes happen before SettleBatch, so both stay current.
+  PageId parent_id = kInvalidPageId;
+  PageId decoded = kInvalidPageId;
+  auto admit = [&](PageId leaf, const Tpbr<kDims>& rec) REQUIRES(epoch_mu_) {
+    return Admit(leaf, ReadParentBound(leaf, &parent_id, &fix_scratch_), rec,
+                 now);
+  };
+
+  // Pass 1 (tier 1): per pinned leaf, apply every replacement admitted in
+  // place to one in-memory copy and write the page once. The leaf is read
+  // first, its parent bound once a request matches a record in it. The
+  // order is by (parent, leaf, request), so requests for the same object
+  // keep their batch order and each parent is decoded once. Copy-on-write
+  // relocates the leaf on every store, so it leaves all to pass 2.
+  if (!config_.crash_consistent) {
+    s.order.clear();
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const PageId leaf = root_ != kInvalidPageId
+                              ? dat_.PinnedLeaf(requests[i].oid)
+                              : kInvalidPageId;
+      if (leaf == kInvalidPageId) continue;
+      const PageId* up = parent_of_.Find(leaf);
+      s.order.push_back({up == nullptr ? kInvalidPageId : *up, leaf, i});
+    }
+    std::sort(s.order.begin(), s.order.end(),
+              [](const auto& a, const auto& b) {
+                return std::tie(a.parent, a.leaf, a.request) <
+                       std::tie(b.parent, b.leaf, b.request);
+              });
+    for (size_t g = 0; g < s.order.size();) {
+      const PageId leaf = s.order[g].leaf;
+      ReadNodeInto(leaf, &s.leaf);
+      decoded = leaf;
+      // Objects with a request left to pass 2: their later requests wait
+      // for it.
+      s.deferred.clear();
+      bool dirty = false;
+      for (; g < s.order.size() && s.order[g].leaf == leaf; ++g) {
+        const size_t i = s.order[g].request;
+        const UpdateRequest& r = requests[i];
+        const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
+        const bool waits =
+            !r.has_old_record ||
+            std::find(s.deferred.begin(), s.deferred.end(), r.oid) !=
+                s.deferred.end();
+        const int match =
+            waits ? -1
+                  : FindLeafMatch(s.leaf, r.oid, CanonicalRecord(r.old_record),
+                                  now, /*see_expired=*/false);
+        if (match < 0 || admit(leaf, new_record) != Admission::kInPlace) {
+          s.deferred.push_back(r.oid);
+          continue;
+        }
+        // Ancestors stay sound: the parent entry covers the new record
+        // over its whole remaining lifetime, and every ancestor covers the
+        // parent entry up to its recorded expiry, which admission keeps
+        // at or above the new record's.
+        s.leaf.entries[match].region = new_record;
+        dirty = true;
+        s.results[i] = 1;
+        ++op_stats_.updates;
+        ++op_stats_.update_fast;
+        ++op_stats_.dat_hits;
+        NoteReport(now);
+      }
+      if (dirty) WriteNode(leaf, s.leaf);
+    }
+  }
+
+  // Pass 2, in batch order, with every change held in the batch's node
+  // copies until SettleBatch. A replacement admitted in its pinned leaf
+  // (tier 2) stays there; any other old record leaves its leaf and the new
+  // record joins `routed`, with the fresh objects (tier 3).
+  Batch batch;
+  s.routed.clear();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (s.results[i] != kUnapplied) continue;
+    const UpdateRequest& r = requests[i];
+    const Tpbr<kDims> old_record = CanonicalRecord(r.old_record);
+    const Tpbr<kDims> new_record = CanonicalRecord(r.new_record);
+    NoteReport(now);
+    s.results[i] = 1;
+    if (!r.has_old_record) {
+      ++op_stats_.inserts;
+      s.routed.push_back(NodeEntry<kDims>{new_record, r.oid});
+      continue;
+    }
+    ++op_stats_.updates;
+    // A record this batch has yet to place is the newest copy of its
+    // object: a later request for the object replaces it there.
+    auto pending = std::find_if(
+        s.routed.rbegin(), s.routed.rend(), [&](const NodeEntry<kDims>& e) {
+          return e.id == r.oid && config_.Live(e.region.t_exp, now) &&
+                 SameRecord(e.region, old_record);
+        });
+    if (pending != s.routed.rend()) {
+      pending->region = new_record;
+      continue;
+    }
+    const PageId leaf =
+        root_ != kInvalidPageId ? dat_.PinnedLeaf(r.oid) : kInvalidPageId;
+    if (leaf != kInvalidPageId) {
+      ++op_stats_.dat_hits;
+      // The batch's copy if it holds the leaf, else the leaf as read; the
+      // leaf joins the batch only for an admitted replacement.
+      const auto held = batch.find({0, leaf});
+      if (held == batch.end() && decoded != leaf) {
+        ReadNodeInto(leaf, &s.leaf);
+        decoded = leaf;
+      }
+      Node<kDims>& node = held != batch.end() ? held->second : s.leaf;
+      const int match = FindLeafMatch(node, r.oid, old_record, now,
+                                      /*see_expired=*/false);
+      if (match >= 0 && admit(leaf, new_record) != Admission::kNone &&
+          ParentChainIntact(leaf)) {
+        // Settling the copy re-bounds every ancestor up the parent chain,
+        // still with no ChooseSubtree descent.
+        Node<kDims>& copy =
+            batch.try_emplace({0, leaf}, std::move(node)).first->second;
+        if (held == batch.end()) decoded = kInvalidPageId;
+        copy.entries[match].region = new_record;
+        PurgeExpired(&copy, now);
+        ++op_stats_.update_fast;
+        ++op_stats_.update_fast_propagations;
+        continue;
+      }
+    } else {
+      ++op_stats_.dat_misses;
+    }
+    ++op_stats_.update_fallback;
+    s.results[i] = RemoveRecord(r.oid, old_record, now,
+                                /*see_expired=*/false, &batch);
+    decoded = kInvalidPageId;  // RemoveRecord reads into s.leaf.
+    s.routed.push_back(NodeEntry<kDims>{new_record, r.oid});
+  }
+
+  // Removals and replacements settle first, so the new records route
+  // against the bounds they left; what the settles push out is reinserted
+  // singly (DrainPending), as is what the routing pushes out.
+  SettleBatch(&batch, now);
+  DrainPending(now);
+  RouteBatch(&batch, 0, s.routed, now);
+  SettleBatch(&batch, now);
+  DrainPending(now);
 }
 
 template <int kDims>

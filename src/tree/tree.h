@@ -275,16 +275,17 @@ class Tree {
 
   // Replaces `oid`'s record `old_record` with `new_record` in one
   // operation — the bottom-up fast path for the update-dominated steady
-  // state where every object periodically re-reports its position. The
-  // direct-access table pins the leaf holding the old record without a
-  // descent; when the new record is still covered by the leaf's
-  // parent-facing bound the replacement is a single leaf write (bounds
-  // are re-propagated up the parent chain only if the leaf's recorded
-  // expiry must grow), otherwise it degrades to a localized delete plus a
-  // regular insert. Equivalent to Delete(oid, old_record) followed by
-  // Insert(oid, new_record); returns whether the old record was found
-  // (the new record is inserted either way). Both records must be
-  // canonical (MakeMovingPoint).
+  // state where every object periodically re-reports its position. It is
+  // a GroupUpdate of this one request (the same body, pages and I/O),
+  // counted as an update, not a batch. The direct-access table pins the
+  // leaf holding the old record without a descent; when the new record
+  // is still covered by the leaf's parent-facing bound the replacement
+  // is a single leaf write (bounds are re-propagated up the parent chain
+  // only if the leaf's recorded expiry must grow), otherwise it degrades
+  // to a localized delete plus a regular insert. Equivalent to
+  // Delete(oid, old_record) followed by Insert(oid, new_record); returns
+  // whether the old record was found (the new record is inserted either
+  // way). Both records must be canonical (MakeMovingPoint).
   [[nodiscard]] bool Update(ObjectId oid, const Tpbr<kDims>& old_record,
                             const Tpbr<kDims>& new_record, Time now);
 
@@ -300,13 +301,15 @@ class Tree {
 
   // Applies a batch of reports as one mutation (DESIGN.md §10): one
   // exclusive epoch, one write-back (one commit in crash-consistent
-  // mode). Tier-1 replacements share one read-modify-write per
-  // DAT-pinned leaf; everything else moves in one tree pass — old
-  // records leave in-memory copies of their leaves, the new and fresh
-  // records are routed top-down once, and each touched node is stored
-  // and re-bounded once, bottom-up. result[i] is what Update would have
-  // returned for requests[i] (true for a fresh object). Requests for the
-  // same oid are applied in batch order.
+  // mode), through the body Update runs for one request. Tier-1
+  // replacements share one read-modify-write per DAT-pinned leaf. The
+  // rest run in batch order on in-memory node copies: a tier-2
+  // replacement stays in its leaf, any other old record leaves its leaf.
+  // Those changes settle first; then the new and fresh records are
+  // routed top-down once and settle the same way, each settle storing
+  // and re-bounding the nodes it touched once, bottom-up. result[i] is
+  // what Update would have returned for requests[i] (true for a fresh
+  // object). Requests for the same oid are applied in batch order.
   [[nodiscard]] std::vector<bool> GroupUpdate(
       const std::vector<UpdateRequest>& requests, Time now);
 
@@ -662,9 +665,10 @@ class Tree {
   enum class Admission { kNone, kPropagate, kInPlace };
   Admission Admit(PageId leaf, const Tpbr<kDims>* bound,
                   const Tpbr<kDims>& rec, Time now) const;
-  // Update body run under the exclusive epoch.
-  bool UpdateLocked(ObjectId oid, const Tpbr<kDims>& old_record,
-                    const Tpbr<kDims>& new_record, Time now)
+  // The one update body, Update's and GroupUpdate's (DESIGN.md §10):
+  // applies `requests` in batch order and leaves each one's result in
+  // update_scratch_.results.
+  void ApplyUpdates(std::span<const UpdateRequest> requests, Time now)
       REQUIRES(epoch_mu_);
 
   // Verify() body without taking the epoch lock (the paranoid hook runs
@@ -753,7 +757,21 @@ class Tree {
   // the Delete/Update hot paths run allocation-free in steady state.
   std::vector<Node<kDims>> delete_scratch_
       GUARDED_BY(epoch_mu_);  // One slot per tree level.
-  Node<kDims> update_scratch_ GUARDED_BY(epoch_mu_);
+  // ApplyUpdates' per-batch state. `leaf` is also RemoveRecord's decoded
+  // leaf.
+  static constexpr int8_t kUnapplied = -1;
+  struct UpdateScratch {
+    struct Target {
+      PageId parent, leaf;
+      size_t request;
+    };
+    std::vector<Target> order;        // Pass 1's pinned requests.
+    std::vector<ObjectId> deferred;   // Pass 1: objects left to pass 2.
+    std::vector<int8_t> results;      // kUnapplied, else 0 or 1.
+    std::vector<NodeEntry<kDims>> routed;  // Pass 2's records to place.
+    Node<kDims> leaf;
+  };
+  UpdateScratch update_scratch_ GUARDED_BY(epoch_mu_);
   // RouteBatchFrom's (child page, record) choices and the records routed
   // to one child, one slot per tree level.
   struct RouteScratch {

@@ -1,8 +1,8 @@
 // Copyright 2026 The Rexp Authors. Licensed under the Apache License 2.0.
 //
 // Concurrency tests: the tree's single-writer / multi-reader epoch
-// protocol (DESIGN.md §8), the thread pool and its ParallelFor fan-out
-// over Search, and the buffer manager's guard-based pin accounting under
+// protocol (DESIGN.md §8), Search fanned out over reader threads, and
+// the buffer manager's guard-based pin accounting under
 // injected faults.
 // Designed to run under ThreadSanitizer (REXP_SANITIZE=thread), where the
 // reader/writer churn test doubles as a race detector for the whole
@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -19,7 +17,6 @@
 
 #include "common/random.h"
 #include "sched/shared_mutex.h"
-#include "sched/thread_pool.h"
 #include "storage/buffer_manager.h"
 #include "storage/fault_injection_page_file.h"
 #include "storage/page_file.h"
@@ -37,98 +34,23 @@ std::vector<ObjectId> Sorted(std::vector<ObjectId> v) {
   return v;
 }
 
-// Answers `queries` with sched::ParallelFor over Tree::Search on a pool of
-// `threads` workers (inline for 1), each Search under its own shared
-// epoch; results[i] answers queries[i].
-std::vector<std::vector<ObjectId>> SearchOnPool(
+// Answers `queries` with Tree::Search on min(threads, queries) threads
+// that pull query indices from a shared cursor, each Search under its own
+// shared epoch; results[i] answers queries[i].
+std::vector<std::vector<ObjectId>> SearchOnThreads(
     RexpTree2* tree, const std::vector<Query<2>>& queries, int threads) {
   std::vector<std::vector<ObjectId>> results(queries.size());
-  std::optional<sched::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  sched::ParallelFor(pool ? &*pool : nullptr, queries.size(), [&](size_t i) {
-    tree->Search(queries[i], &results[i]);
-  });
+  std::atomic<size_t> next{0};
+  auto drain = [&] {
+    for (size_t i = next++; i < queries.size(); i = next++) {
+      tree->Search(queries[i], &results[i]);
+    }
+  };
+  const size_t workers = std::min(static_cast<size_t>(threads), queries.size());
+  std::vector<std::thread> pool;
+  for (size_t t = 0; t < workers; ++t) pool.emplace_back(drain);
+  for (std::thread& worker : pool) worker.join();
   return results;
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  sched::ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-  // The pool is reusable after a Wait.
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1100);
-}
-
-TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
-  sched::ThreadPool pool(4);
-  constexpr size_t kN = 1000;
-  std::vector<std::atomic<int>> runs(kN);
-  sched::ParallelFor(&pool, kN, [&runs](size_t i) {
-    runs[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
-}
-
-TEST(ParallelForTest, ZeroIndicesRunNothing) {
-  sched::ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  auto count = [&calls](size_t) { calls.fetch_add(1); };
-  sched::ParallelFor(&pool, 0, count);
-  sched::ParallelFor(nullptr, 0, count);
-  EXPECT_EQ(calls.load(), 0);
-}
-
-TEST(ParallelForTest, NullPoolRunsInlineOnTheCaller) {
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<size_t> order;
-  sched::ParallelFor(nullptr, 5, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-// Caller A parks two tasks on a shared four-thread pool; caller B's
-// fan-out must complete on the two free threads while A's tasks are
-// still blocked. A pool-wide Wait() (rather than a per-call latch) would
-// hold B until A's tasks finish, and this test would time out.
-TEST(ParallelForTest, SharedPoolCallersWaitOnlyForTheirOwnTasks) {
-  sched::ThreadPool pool(4);
-  std::atomic<int> a_started{0};
-  std::atomic<bool> release_a{false};
-  std::thread a([&] {
-    sched::ParallelFor(&pool, 2, [&](size_t) {
-      a_started.fetch_add(1);
-      while (!release_a.load()) std::this_thread::yield();
-    });
-  });
-  while (a_started.load() < 2) std::this_thread::yield();
-
-  std::atomic<bool> b_done{false};
-  std::atomic<int> b_calls{0};
-  std::thread b([&] {
-    sched::ParallelFor(&pool, 64, [&](size_t) { b_calls.fetch_add(1); });
-    b_done.store(true);
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!b_done.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  EXPECT_TRUE(b_done.load()) << "B waited on A's still-running tasks";
-  EXPECT_EQ(b_calls.load(), 64);
-  EXPECT_EQ(a_started.load(), 2);
-  release_a.store(true);
-  a.join();
-  b.join();
 }
 
 // With glibc's reader-preferring rwlock this test hangs: four readers
@@ -183,10 +105,10 @@ TEST(ParallelSearchTest, MatchesSequentialSearchAtEveryThreadCount) {
     tree.Search(queries[i], &sequential[i]);
   }
 
-  // Thread counts below, at, and above the query count (ParallelFor
-  // runs at most one task per query).
+  // Thread counts below, at, and above the query count (at most one
+  // thread per query runs).
   for (int threads : {1, 3, 4, 128}) {
-    auto results = SearchOnPool(&tree, queries, threads);
+    auto results = SearchOnThreads(&tree, queries, threads);
     ASSERT_EQ(results.size(), queries.size()) << "threads=" << threads;
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(Sorted(results[i]), Sorted(sequential[i]))
@@ -198,7 +120,7 @@ TEST(ParallelSearchTest, MatchesSequentialSearchAtEveryThreadCount) {
     }
   }
 
-  EXPECT_TRUE(SearchOnPool(&tree, {}, 4).empty());
+  EXPECT_TRUE(SearchOnThreads(&tree, {}, 4).empty());
 }
 
 // Regression test for a record-canonicalization bug: records are stored
@@ -385,7 +307,7 @@ TEST(ConcurrencyTest, ReadersSeeConsistentStateDuringWriterChurn) {
 
   std::vector<Query<2>> queries;
   for (int i = 0; i < 32; ++i) queries.push_back(tu::RandomQuery<2>(&rng, now));
-  auto results = SearchOnPool(&tree, queries, kReaders);
+  auto results = SearchOnThreads(&tree, queries, kReaders);
   for (size_t i = 0; i < queries.size(); ++i) {
     expected.clear();
     oracle.Search(queries[i], &expected);
@@ -575,9 +497,9 @@ TEST(BufferPinTest, ConcurrentReadGuardsBalancePins) {
 
   std::atomic<uint64_t> mismatches{0};
   {
-    sched::ThreadPool pool(4);
+    std::vector<std::thread> readers;
     for (int t = 0; t < 4; ++t) {
-      pool.Submit([&buffer, &ids, &mismatches, t] {
+      readers.emplace_back([&buffer, &ids, &mismatches, t] {
         Rng rng(t + 1);
         for (int i = 0; i < 2000; ++i) {
           size_t k = rng.UniformInt(ids.size());
@@ -588,7 +510,7 @@ TEST(BufferPinTest, ConcurrentReadGuardsBalancePins) {
         }
       });
     }
-    pool.Wait();
+    for (std::thread& reader : readers) reader.join();
   }
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(buffer.PinnedFrames(), 0u);

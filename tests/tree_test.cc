@@ -607,8 +607,8 @@ TEST_P(TreeGolden, SequentialMutationsKeepPageBytes) {
                                        ? 0x86e356fef5d2cdcdULL
                                        : 0xd5500f9b97af5764ULL;
   const uint64_t want_grouped = config.crash_consistent
-                                    ? 0x79530935ff5c140bULL
-                                    : 0xf5a9013ccd1d4a12ULL;
+                                    ? 0x0abdfac049c0811bULL
+                                    : 0x49e818b845df6bacULL;
   EXPECT_EQ(sequential, want_sequential) << std::hex << "0x" << sequential;
   EXPECT_EQ(grouped, want_grouped) << std::hex << "0x" << grouped;
 }

@@ -797,6 +797,125 @@ TEST(GroupUpdate, EmptyBatchIsANoOp) {
   ExpectVerified(tree, 0.0);
 }
 
+// --- Update against a one-request GroupUpdate ----------------------------
+
+// Update and GroupUpdate run one update body, so a GroupUpdate of one
+// request is Update: the same result, the same page I/O and the same
+// pages, in both write modes. Small pages and an 8-frame buffer make the
+// read order of each tier show in the I/O count. The stream mixes every
+// kind of re-report: in place (same trajectory and expiry), propagated
+// (a little longer-lived), jumping (anywhere), stale (an old record the
+// object no longer has) and expired-old (the old record already died).
+class UpdateParity : public ::testing::TestWithParam<ChurnFlavor> {};
+
+TEST_P(UpdateParity, OneRequestGroupUpdateIsUpdate) {
+  TreeConfig config = TreeConfig::Rexp();
+  config.page_size = 512;
+  config.buffer_frames = 8;
+  config.crash_consistent = GetParam().crash_consistent;
+  // Recorded expirations let a longer-lived record propagate in the
+  // in-place mode too; a bound's natural expiry would not cover it.
+  config.store_tpbr_expiration = true;
+  MemoryPageFile single_file(512), group_file(512);
+  Tree<2> single(config, &single_file), group(config, &group_file);
+  Rng rng(0x0DD5);
+  auto point = [&rng](Time now, Time t_exp) {
+    const Vec<2> pos{rng.Uniform(0, 1000.0), rng.Uniform(0, 1000.0)};
+    const Vec<2> vel{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
+    return MakeMovingPoint<2>(pos, vel, now, t_exp);
+  };
+  auto life = [&rng] {
+    return rng.Bernoulli(0.3) ? rng.Uniform(0.5, 4.0)
+                              : rng.Uniform(100.0, 300.0);
+  };
+  struct Obj {
+    ObjectId oid;
+    Tpbr<2> rec, previous;
+  };
+  std::vector<Obj> objs;
+  Time now = 0;
+  for (ObjectId oid = 0; oid < 800; ++oid) {
+    now += 0.01;
+    const Tpbr<2> p = point(now, now + life());
+    single.Insert(oid, p, now);
+    group.Insert(oid, p, now);
+    objs.push_back({oid, p, p});
+  }
+  int misses = 0;
+  for (int op = 0; op < 2500; ++op) {
+    now += 0.01;
+    Obj& o = objs[rng.UniformInt(objs.size())];
+    const uint64_t shape = rng.UniformInt(4);
+    Vec<2> pos, vel;
+    for (int d = 0; d < 2; ++d) {
+      pos[d] = shape == 2 ? rng.Uniform(0, 1000.0) : o.rec.LoAt(d, now);
+      vel[d] = shape == 2 ? rng.Uniform(-3, 3) : o.rec.vlo[d];
+    }
+    const Time t_exp = shape == 0   ? o.rec.t_exp
+                       : shape == 1 ? o.rec.t_exp + rng.Uniform(0.0, 2.0)
+                                    : now + life();
+    const Tpbr<2> next = MakeMovingPoint<2>(pos, vel, now, t_exp);
+    // One re-report in eight names the record before the current one.
+    const Tpbr<2> old = rng.Bernoulli(0.125) ? o.previous : o.rec;
+    const bool want = single.Update(o.oid, old, next, now);
+    const std::vector<bool> got = group.GroupUpdate({{o.oid, old, next}}, now);
+    ASSERT_EQ(got, std::vector<bool>{want}) << "op " << op;
+    ASSERT_EQ(group.TotalIo(), single.TotalIo()) << "op " << op;
+    misses += want ? 0 : 1;
+    o.previous = o.rec;
+    o.rec = next;
+  }
+  ExpectVerified(single, now);
+  ExpectVerified(group, now);
+
+  const TreeOpStats& single_ops = single.op_stats();
+  const TreeOpStats& group_ops = group.op_stats();
+  for (const auto& [name, counter] : TreeOpStats::kCounters) {
+    if (counter == &TreeOpStats::group_update_batches) continue;
+    EXPECT_EQ((group_ops.*counter).load(), (single_ops.*counter).load())
+        << name;
+  }
+  EXPECT_EQ(single_ops.group_update_batches.load(), 0u);
+  EXPECT_EQ(group_ops.group_update_batches.load(), 2500u);
+  // Every tier ran, and some old records were stale or expired.
+  EXPECT_GT(single_ops.update_fast_propagations.load(), 0u);
+  EXPECT_GT(single_ops.update_fallback.load(), 0u);
+  if (!config.crash_consistent) {
+    EXPECT_GT(single_ops.update_fast.load(),
+              single_ops.update_fast_propagations.load());
+  }
+  EXPECT_GT(misses, 0);
+
+  ASSERT_TRUE(single.Commit().ok());
+  ASSERT_TRUE(group.Commit().ok());
+  EXPECT_EQ(group.TotalIo(), single.TotalIo());
+  std::vector<PageId> single_pages, group_pages;
+  ASSERT_TRUE(single.ForEachNode([&](PageId id, const Node<2>&) {
+                      single_pages.push_back(id);
+                    }).ok());
+  ASSERT_TRUE(group.ForEachNode([&](PageId id, const Node<2>&) {
+                     group_pages.push_back(id);
+                   }).ok());
+  ASSERT_EQ(group_pages, single_pages);
+  Page single_page(512), group_page(512);
+  for (PageId id : single_pages) {
+    ASSERT_TRUE(single_file.ReadPage(id, &single_page).ok());
+    ASSERT_TRUE(group_file.ReadPage(id, &group_page).ok());
+    EXPECT_TRUE(std::equal(single_page.data(),
+                           single_page.data() + single_page.size(),
+                           group_page.data()))
+        << "page " << id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flavors, UpdateParity,
+    ::testing::Values(ChurnFlavor{"in_place", false},
+                      ChurnFlavor{"crash_consistent", true}),
+    [](const ::testing::TestParamInfo<ChurnFlavor>& flavor_info) {
+      return flavor_info.param.name;
+    });
+
 // --- Fast-path admission ----------------------------------------------
 
 // A stable fleet re-reporting small position corrections — the paper's
